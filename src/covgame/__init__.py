@@ -43,7 +43,6 @@ from .orbit import (
     OrbitConstants,
     TargetSpec,
     build_constellation_game,
-    coverage_set,
     drift_rates,
     geocentric_angle,
     satellite_position_ecf,
@@ -90,7 +89,6 @@ __all__ = [
     "build_constellation_game",
     "bundled_scenario_path",
     "certify_epsilon_equilibrium",
-    "coverage_set",
     "difference",
     "drift_rates",
     "elect_innovators",

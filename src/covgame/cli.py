@@ -141,20 +141,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep_n(args: argparse.Namespace) -> int:
     cfg = _load(args)
     counts = [int(c) for c in args.counts.split(",") if c.strip()]
-    if not counts:
-        harness.write_sweep_counts_csv(args.out, [])
-        return 0
-    rows = []
-    for n in counts:
-        _say(args, f"N={n} ...")
-        point = cfg.with_satellite_count(n)
-        distributed, _ = harness.run_distributed(point)
-        centralized, _ = harness.run_centralized(point)
-        rows.extend([(n, distributed), (n, centralized)])
+    rows = harness.sweep_satellite_count(cfg, counts)
+    for n, r in rows:
         _say(
             args,
-            f"  distributed {distributed.value:.1f} s / {distributed.wall_time:.2f} s, "
-            f"centralized {centralized.value:.1f} s / {centralized.wall_time:.2f} s",
+            f"N={n} {r.method}: value {r.value:.1f} s in {r.wall_time:.2f} s, "
+            f"certified={r.certified}",
         )
     path = harness.write_sweep_counts_csv(args.out, rows)
     _say(args, f"wrote {path}")

@@ -11,13 +11,12 @@ the same amount, which is what the distributed search engine relies on.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .measure import CoverageSet, TimeGrid, difference, union_many
+from .measure import CoverageSet, TimeGrid, union_many
 from .optimize import ScalarMaximizerConfig, maximize_scalar
 
 CoverageFn = Callable[[int, float], CoverageSet]
@@ -42,9 +41,6 @@ class StrategyInterval:
 
     def contains(self, theta: float, tol: float = 1e-12) -> bool:
         return self.lo - tol <= theta <= self.hi + tol
-
-    def clamp(self, theta: float) -> float:
-        return min(max(theta, self.lo), self.hi)
 
     def sample(self, n: int) -> np.ndarray:
         """Uniform n-point sample including both endpoints."""
@@ -113,8 +109,8 @@ class StrategyProfile:
 class GameInstance:
     """Immutable bundle of agents, coverage generator, penalty scale and graph.
 
-    ``coverage_fn(k, theta)`` must be pure; results are memoized behind an
-    internal lock so concurrent readers see consistent values. The neighbor
+    ``coverage_fn(k, theta)`` must be pure; results are memoized per
+    ``(index, theta)`` for the life of the instance. The neighbor
     graph maps each active agent index to the set of active agents whose
     coverage can overlap its own; it must be symmetric and irreflexive.
     """
@@ -146,7 +142,6 @@ class GameInstance:
                     raise ValueError(f"neighbor graph is not symmetric at ({k},{l})")
         self.neighbor_graph: dict[int, frozenset[int]] = graph
         self._coverage_cache: dict[tuple[int, float], CoverageSet] = {}
-        self._cache_lock = threading.Lock()
 
     @property
     def n_agents(self) -> int:
@@ -165,15 +160,13 @@ class GameInstance:
     def coverage(self, index: int, theta: float) -> CoverageSet:
         """Memoized coverage for agent ``index`` playing ``theta``."""
         key = (index, float(theta))
-        with self._cache_lock:
-            hit = self._coverage_cache.get(key)
+        hit = self._coverage_cache.get(key)
         if hit is not None:
             return hit
         result = self.coverage_fn(index, float(theta))
         if result.grid != self.grid:
             raise ValueError(f"coverage_fn returned a set on a foreign grid for agent {index}")
-        with self._cache_lock:
-            self._coverage_cache.setdefault(key, result)
+        self._coverage_cache[key] = result
         return result
 
     def validate_profile(self, profile: StrategyProfile) -> None:
@@ -212,18 +205,9 @@ def local_value_view(
     theta: float,
     neighbor_thetas: Mapping[int, float],
 ) -> float:
-    """Local objective of one agent from its own strategy and its neighbors'.
-
-    This is the information-restricted entry point: it reads nothing beyond
-    ``theta`` and the supplied neighbor strategies. ``neighbor_thetas`` must
-    provide a value for every graph neighbor of ``index``.
-    """
-    own = game.coverage(index, theta)
-    neighbor_sets = [
-        game.coverage(l, neighbor_thetas[l]) for l in sorted(game.neighbors(index))
-    ]
-    exclusive = difference(own, union_many(neighbor_sets, grid=game.grid))
-    return exclusive.measure - game.gamma * energy_penalty(game.agent(index), theta)
+    """Local objective of one agent from its own strategy and its neighbors'."""
+    f, _ = best_response_objective(game, index, neighbor_thetas)
+    return f(theta)
 
 
 def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> float:
@@ -242,9 +226,8 @@ def regret(
 ) -> float:
     """Local-objective change if ``index`` unilaterally switches to ``theta_new``."""
     view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    before = local_value_view(game, index, profile.for_agent(index), view)
-    after = local_value_view(game, index, theta_new, view)
-    return after - before
+    f, _ = best_response_objective(game, index, view)
+    return f(theta_new) - f(profile.for_agent(index))
 
 
 def best_response_objective(
@@ -252,10 +235,14 @@ def best_response_objective(
 ) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray] | None]:
     """Scalar and optional vectorized local objective with neighbors frozen.
 
-    The neighbor union is fixed while one agent scans its own strategy, so it
-    is folded once; each probe then costs one coverage mask and one masked
-    count. When the coverage generator exposes ``mask_matrix`` (as the orbital
-    one does), a batch evaluator over a whole strategy grid is returned too.
+    This is the one local-objective formula, ``dt * count - gamma * penalty``,
+    and the information-restricted entry point: it reads nothing beyond the
+    supplied neighbor strategies, which must cover every graph neighbor of
+    ``index``. The neighbor union is fixed while one agent scans its own
+    strategy, so it is folded once; each probe then costs one coverage mask
+    and one masked count. When the coverage generator exposes
+    ``masked_cell_counts`` (as the orbital one does), a batch evaluator over
+    a sorted strategy grid is returned too.
     """
     agent = game.agent(index)
     neighbor_sets = [
@@ -279,6 +266,41 @@ def best_response_objective(
             return gains - gamma * (thetas / agent.theta_max) ** 2
 
     return f, batch
+
+
+def best_response_gain(
+    game: GameInstance,
+    index: int,
+    neighbor_thetas: Mapping[int, float],
+    theta: float,
+    cfg: ScalarMaximizerConfig,
+) -> tuple[float, float]:
+    """Best response of agent ``index`` to frozen neighbors, and its gain.
+
+    Returns ``(theta_star, gain)``: the maximizer found over the agent's
+    strategy interval and its local-objective improvement over ``theta``.
+    """
+    f, batch = best_response_objective(game, index, neighbor_thetas)
+    incumbent = f(theta)
+    space = game.agent(index).strategy_space
+    theta_star, best = maximize_scalar(f, space.lo, space.hi, cfg, batch_f=batch)
+    return theta_star, best - incumbent
+
+
+def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, frozenset[int]]:
+    """Neighbor graph linking every two agents whose reach masks intersect.
+
+    ``reach`` maps each active agent to the cells it can cover for some
+    admissible strategy.
+    """
+    graph: dict[int, set[int]] = {k: set() for k in reach}
+    indices = sorted(reach)
+    for i, k in enumerate(indices):
+        for l in indices[i + 1 :]:
+            if bool(np.any(reach[k] & reach[l])):
+                graph[k].add(l)
+                graph[l].add(k)
+    return {k: frozenset(v) for k, v in graph.items()}
 
 
 def neighbor_graph_from_reach(
@@ -310,14 +332,7 @@ def neighbor_graph_from_reach(
         )
         sets = [coverage_fn(a.index, float(t)) for t in thetas]
         reach[a.index] = union_many(sets, grid=grid).mask
-    graph: dict[int, set[int]] = {k: set() for k in reach}
-    indices = sorted(reach)
-    for i, k in enumerate(indices):
-        for l in indices[i + 1 :]:
-            if bool(np.any(reach[k] & reach[l])):
-                graph[k].add(l)
-                graph[l].add(k)
-    return {k: frozenset(v) for k, v in graph.items()}
+    return neighbor_graph_from_masks(reach)
 
 
 @dataclass(frozen=True)
@@ -366,12 +381,7 @@ def certify_epsilon_equilibrium(
             max_refine_iters=refine.max_refine_iters if refine else 64,
         )
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-        f, batch = best_response_objective(game, k, view)
-        incumbent = f(profile.for_agent(k))
-        _, best = maximize_scalar(
-            f, agent.strategy_space.lo, agent.strategy_space.hi, cfg, batch_f=batch
-        )
-        gain = best - incumbent
+        _, gain = best_response_gain(game, k, view, profile.for_agent(k), cfg)
         gains[k] = gain
         if gain > worst_gain:
             worst_gain = gain

@@ -22,13 +22,19 @@ from .game import (
     GameInstance,
     StrategyProfile,
     certify_epsilon_equilibrium,
-    energy_penalty,
     global_value,
 )
 from .optimize import pattern_search
 from .orbit import drift_rates, orbital_period
 from .scenario import ScenarioConfig
-from .search import AccessAudit, RoundTrace, SearchResult, iteration_bound, run_search
+from .search import (
+    AccessAudit,
+    RoundTrace,
+    SearchResult,
+    iteration_bound,
+    run_search,
+    scan_resolution,
+)
 
 DISTRIBUTED = "distributed"
 CENTRALIZED = "centralized"
@@ -54,11 +60,6 @@ class EnergySweepPoint:
     theta_max: float
     abs_theta_agent: float
     abs_theta_neighbor: float
-
-
-def scan_resolution_for(cfg: ScenarioConfig) -> float:
-    """Certification scan resolution matching the engine's own scan grid."""
-    return cfg.strategy_space.width / (cfg.search.scalar.coarse_points - 1)
 
 
 def assumption_envelopes(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -141,7 +142,7 @@ def run_centralized(
         game,
         final,
         cfg.search.epsilon,
-        scan_resolution_for(cfg),
+        scan_resolution(game, cfg.search.scalar),
         refine=cfg.search.scalar,
     )
     report = ComparisonReport(
@@ -218,7 +219,6 @@ def emit_results(
     cfg: ScenarioConfig,
     reports: Sequence[ComparisonReport],
     traces: Sequence[RoundTrace] = (),
-    extra_summary: dict | None = None,
 ) -> dict[str, Path]:
     """Write comparison, trace, profile CSVs and a machine-readable summary.
 
@@ -269,6 +269,7 @@ def emit_results(
         written[f"profile_{r.method}"] = profile_path
 
     phi_min, phi_max = assumption_envelopes(cfg)
+    rates = drift_rates(cfg.constants, cfg.constellation)
     summary = {
         "scenario": cfg.name,
         "n_satellites": cfg.n_satellites,
@@ -282,8 +283,8 @@ def emit_results(
             "semi_major_axis_km": cfg.constellation.semi_major_axis,
             "inclination_deg": float(np.degrees(cfg.constellation.inclination)),
             "period_s": orbital_period(cfg.constants, cfg.constellation),
-            "node_rate_rad_s": drift_rates(cfg.constants, cfg.constellation).node_rate,
-            "phase_rate_rad_s": drift_rates(cfg.constants, cfg.constellation).phase_rate,
+            "node_rate_rad_s": rates.node_rate,
+            "phase_rate_rad_s": rates.phase_rate,
         },
         "bound": {
             "phi_min_s": phi_min,
@@ -304,8 +305,6 @@ def emit_results(
                 r.final_theta, cfg.constellation.mean_anomalies0, active
             ),
         }
-    if extra_summary:
-        summary.update(extra_summary)
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written["summary"] = summary_path

@@ -68,10 +68,6 @@ class CoverageSet:
         return cls(grid, np.zeros(grid.n_steps, dtype=bool))
 
     @classmethod
-    def full(cls, grid: TimeGrid) -> "CoverageSet":
-        return cls(grid, np.ones(grid.n_steps, dtype=bool))
-
-    @classmethod
     def from_windows(
         cls, grid: TimeGrid, windows: Iterable[tuple[float, float]]
     ) -> "CoverageSet":

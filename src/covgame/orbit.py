@@ -15,11 +15,11 @@ rotation matrices are active (counterclockwise) rotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_reach
+from .game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_masks
 from .measure import CoverageSet, TimeGrid
 
 TWO_PI = 2.0 * math.pi
@@ -238,11 +238,12 @@ class ConstellationCoverage:
     grid cell ``j`` is covered exactly for the offsets in
     ``[lo_j, hi_j]`` (plus its ``2 pi`` aliases), where the interval bounds
     are precomputed once per grid. A single mask then costs two comparisons
-    per cell, a whole best-response scan over a sorted strategy grid costs
-    one ``searchsorted`` pass, and the reachable-coverage mask over a full
-    strategy interval (used to freeze the neighbor graph) is an exact
-    interval-intersection test. All three paths share the same float
-    comparisons, so they can never disagree on a boundary cell.
+    per cell, and a whole best-response scan over a sorted strategy grid
+    costs one ``searchsorted`` pass that reproduces those comparisons
+    exactly, so the two can never disagree on a boundary cell. The
+    reachable-coverage mask over a full strategy interval (used to freeze the
+    neighbor graph) is an interval-intersection test on the same bounds, and
+    so contains every single mask of a strategy in that interval.
     """
 
     def __init__(
@@ -317,11 +318,6 @@ class ConstellationCoverage:
         """Coverage of satellite ``k`` (1-based) playing phase offset ``theta``."""
         return CoverageSet(self.grid, self._mask(k, theta))
 
-    def mask_matrix(self, k: int, thetas: np.ndarray) -> np.ndarray:
-        """Stacked coverage masks of satellite ``k`` for many strategies."""
-        thetas = np.asarray(thetas, dtype=float)
-        return np.stack([self._mask(k, t) for t in thetas])
-
     def masked_cell_counts(
         self, k: int, thetas: np.ndarray, within: np.ndarray
     ) -> np.ndarray:
@@ -383,22 +379,6 @@ class ConstellationCoverage:
         return meets & self._visible
 
 
-def coverage_set(
-    constants: OrbitConstants,
-    spec: ConstellationSpec,
-    target: TargetSpec,
-    grid: TimeGrid,
-    k: int,
-    theta: float,
-) -> CoverageSet:
-    """Visibility windows of satellite ``k`` for the target over the grid.
-
-    A cell is covered iff the geocentric angle between satellite and target at
-    the cell's left edge is at most the target's view half-angle.
-    """
-    return ConstellationCoverage(constants, spec, target, grid)(k, theta)
-
-
 def build_constellation_game(
     constants: OrbitConstants,
     spec: ConstellationSpec,
@@ -446,17 +426,10 @@ def build_constellation_game(
         for a in agents
         if a.active
     }
-    graph: dict[int, set[int]] = {k: set() for k in reach}
-    indices = sorted(reach)
-    for i, k in enumerate(indices):
-        for l in indices[i + 1 :]:
-            if bool(np.any(reach[k] & reach[l])):
-                graph[k].add(l)
-                graph[l].add(k)
     return GameInstance(
         agents=agents,
         grid=grid,
         coverage_fn=coverage,
         gamma=gamma,
-        neighbor_graph={k: frozenset(v) for k, v in graph.items()},
+        neighbor_graph=neighbor_graph_from_masks(reach),
     )

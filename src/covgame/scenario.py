@@ -41,6 +41,8 @@ def _number(data: Mapping[str, Any], key: str, path: str) -> float:
     value = _get(data, key, path)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -66,7 +68,6 @@ class ScenarioConfig:
     damaged: tuple[int, ...]
     search: SearchConfig
     centralized: PatternSearchConfig
-    seed: int
 
     def __post_init__(self) -> None:
         n = self.constellation.n_satellites
@@ -229,6 +230,8 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         raise ScenarioError("game.strategy_bounds_deg: expected [lo, hi] in degrees")
     strategy_space = StrategyInterval(bounds[0] * deg, bounds[1] * deg)
     gamma = _number(game_doc, "gamma", "game")
+    if gamma < 0.0:
+        raise ScenarioError(f"game.gamma: must be non-negative, got {gamma!r}")
     theta_max = _parse_theta_max(_get(game_doc, "theta_max", "game"), n, "game.theta_max")
 
     search_doc = _get(doc, "search", name_hint)
@@ -272,7 +275,6 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         damaged=tuple(sorted(damaged_doc)),
         search=search,
         centralized=centralized,
-        seed=int(doc.get("seed", 0)),
     )
 
 

@@ -27,11 +27,11 @@ from .game import (
     CertificationReport,
     GameInstance,
     StrategyProfile,
-    best_response_objective,
+    best_response_gain,
     certify_epsilon_equilibrium,
     global_value,
 )
-from .optimize import ScalarMaximizerConfig, maximize_scalar
+from .optimize import ScalarMaximizerConfig
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class AgentRoundState:
 
     theta: float
     zeta: bool = True
-    last_regret: float = 0.0
-    proposed_theta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -163,19 +161,21 @@ def elect_innovators(
     regrets: Mapping[int, float],
     neighbor_graph: Mapping[int, frozenset[int]],
     epsilon: float,
+    audit: AccessAudit | None = None,
 ) -> tuple[int, ...]:
     """Agents allowed to adopt their proposal this round.
 
-    Each agent's decision depends only on its own regret and its neighbors';
-    two elected agents are therefore never neighbors.
+    Each agent decides from its own regret and the regrets its neighbors
+    sent it, read through an exchange view that ``audit`` can record; two
+    elected agents are therefore never neighbors.
     """
-    return tuple(
-        sorted(
-            k
-            for k, r_k in regrets.items()
-            if _qualifies(k, r_k, neighbor_graph[k], regrets, epsilon)
-        )
-    )
+    elected = []
+    for k, r_k in regrets.items():
+        neighbors = neighbor_graph[k]
+        view = _ExchangeView(k, {l: regrets[l] for l in neighbors}, "regret", audit)
+        if _qualifies(k, r_k, neighbors, view, epsilon):
+            elected.append(k)
+    return tuple(sorted(elected))
 
 
 def run_round(
@@ -204,22 +204,17 @@ def run_round(
             view = _ExchangeView(
                 k, {l: thetas[l] for l in game.neighbors(k)}, "theta", audit
             )
-            f, batch = best_response_objective(game, k, view)
-            incumbent = f(state.theta)
-            space = game.agent(k).strategy_space
             try:
-                theta_star, best = maximize_scalar(
-                    f, space.lo, space.hi, cfg.scalar, batch_f=batch
+                proposals[k], regrets[k] = best_response_gain(
+                    game, k, view, state.theta, cfg.scalar
                 )
             except ValueError as exc:
                 raise RuntimeError(f"best-response solve failed for agent {k}") from exc
-            proposals[k] = theta_star
-            regrets[k] = best - incumbent
         else:
             proposals[k] = state.theta
             regrets[k] = 0.0
 
-    innovators = _elect_locally(game, regrets, cfg.epsilon, audit)
+    innovators = elect_innovators(regrets, game.neighbor_graph, cfg.epsilon, audit)
 
     new_states: dict[int, AgentRoundState] = {}
     for k in game.active_indices:
@@ -227,22 +222,12 @@ def run_round(
             k, {l: regrets[l] for l in game.neighbors(k)}, "regret", audit
         )
         if k in innovators:
-            new_states[k] = AgentRoundState(
-                theta=proposals[k],
-                zeta=True,
-                last_regret=regrets[k],
-                proposed_theta=proposals[k],
-            )
+            new_states[k] = AgentRoundState(theta=proposals[k], zeta=True)
         else:
             gate = regrets[k] > cfg.epsilon or any(
                 regret_view[l] > cfg.epsilon for l in game.neighbors(k)
             )
-            new_states[k] = AgentRoundState(
-                theta=states[k].theta,
-                zeta=gate,
-                last_regret=regrets[k],
-                proposed_theta=proposals[k],
-            )
+            new_states[k] = AgentRoundState(theta=states[k].theta, zeta=gate)
 
     wall_time = time.perf_counter() - t_start
     # The objective evaluation below is trace bookkeeping, not part of the
@@ -260,23 +245,6 @@ def run_round(
         wall_time=wall_time,
     )
     return new_states, trace
-
-
-def _elect_locally(
-    game: GameInstance,
-    regrets: dict[int, float],
-    epsilon: float,
-    audit: AccessAudit | None,
-) -> tuple[int, ...]:
-    """Per-agent election decisions from own regret plus neighbors' regrets."""
-    elected = []
-    for k in game.active_indices:
-        view = _ExchangeView(
-            k, {l: regrets[l] for l in game.neighbors(k)}, "regret", audit
-        )
-        if _qualifies(k, regrets[k], game.neighbors(k), view, epsilon):
-            elected.append(k)
-    return tuple(sorted(elected))
 
 
 def run_search(
@@ -309,14 +277,7 @@ def run_search(
     final_profile = StrategyProfile.from_mapping(
         game.n_agents, {k: s.theta for k, s in states.items()}
     )
-    resolution = max(
-        (
-            game.agent(k).strategy_space.width / (cfg.scalar.coarse_points - 1)
-            for k in game.active_indices
-            if game.agent(k).strategy_space.width > 0
-        ),
-        default=1e-6,
-    )
+    resolution = scan_resolution(game, cfg.scalar)
     certification = certify_epsilon_equilibrium(
         game, final_profile, cfg.epsilon, resolution, refine=cfg.scalar
     )
@@ -326,6 +287,23 @@ def run_search(
         traces=tuple(traces),
         certified=certification.certified,
         certification=certification,
+    )
+
+
+def scan_resolution(game: GameInstance, scalar: ScalarMaximizerConfig) -> float:
+    """Certification scan resolution matching the engine's own scan grid.
+
+    The coarsest best-response pre-scan step over the active agents; agents
+    with a single admissible strategy scan nothing, so when every interval
+    is a point the resolution falls back to a small positive placeholder.
+    """
+    return max(
+        (
+            game.agent(k).strategy_space.width / (scalar.coarse_points - 1)
+            for k in game.active_indices
+            if game.agent(k).strategy_space.width > 0
+        ),
+        default=1e-6,
     )
 
 

@@ -1,9 +1,14 @@
 """Command-line interface: verbs, files, exit codes."""
+import csv
 import json
 
 import pytest
 
+from covgame import harness
 from covgame.cli import main
+from covgame.scenario import parse_scenario
+
+from conftest import mini_scenario_doc
 
 
 def run_cli(*args):
@@ -60,6 +65,36 @@ class TestRunVerb:
     def test_bad_usage_is_error_exit(self, capsys):
         assert run_cli("run", "--method", "nonsense") == 1
 
+    def test_zero_width_strategy_bounds_certify_centralized(self, tmp_path, capsys):
+        # A point strategy interval leaves nothing to scan; certification must
+        # still run at a positive resolution.
+        doc = mini_scenario_doc()
+        doc["game"]["strategy_bounds_deg"] = [0, 0]
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(
+            "run", "--scenario", path, "--out", tmp_path / "out", "--method", "centralized"
+        )
+        assert code == 0
+        assert "certified=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("constellation", "semi_major_axis_km", float("nan")),
+            ("grid", "duration_s", float("inf")),
+            ("game", "gamma", -5.0),
+        ],
+    )
+    def test_invalid_number_is_error_exit(self, tmp_path, capsys, section, key, value):
+        doc = mini_scenario_doc()
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
+        assert code == 1
+        assert f"error: {section}.{key}" in capsys.readouterr().err
+
 
 class TestSweepVerbs:
     def test_sweep_n_writes_rows(self, tmp_path, mini_scenario_file):
@@ -69,8 +104,24 @@ class TestSweepVerbs:
             "--counts", "4,6", "--quiet",
         )
         assert code == 0
-        lines = (out / "sweep_counts.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 4  # header + 2 methods x 2 counts
+        rows = harness.sweep_satellite_count(parse_scenario(mini_scenario_doc()), [4, 6])
+        expected = harness.write_sweep_counts_csv(tmp_path / "expected", rows)
+
+        def without_time(path):
+            with path.open() as fh:
+                return [{k: v for k, v in r.items() if k != "time_s"} for r in csv.DictReader(fh)]
+
+        got = without_time(out / "sweep_counts.csv")
+        assert len(got) == 4  # 2 methods x 2 counts
+        assert got == without_time(expected)
+
+        empty = tmp_path / "empty"
+        code = run_cli(
+            "sweep-n", "--scenario", mini_scenario_file, "--out", empty, "--counts", "", "--quiet"
+        )
+        assert code == 0
+        lines = (empty / "sweep_counts.csv").read_text().strip().splitlines()
+        assert lines == ["N,method,value_s,time_s,iters,certified"]
 
     def test_sweep_energy_writes_rows(self, tmp_path, mini_scenario_file):
         out = tmp_path / "out"

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgame.game import StrategyInterval, StrategyProfile, global_value
 from covgame.measure import TimeGrid, union_many
@@ -17,7 +19,6 @@ from covgame.orbit import (
     OrbitConstants,
     TargetSpec,
     build_constellation_game,
-    coverage_set,
     drift_rates,
     geocentric_angle,
     mean_motion,
@@ -53,6 +54,17 @@ GOLDEN_S1_DAY_MEASURE = 360.0
 GOLDEN_S1_DAY_WINDOWS = 2
 GOLDEN_UNION_NOMINAL = 9435.0
 GOLDEN_UNION_DAMAGED_10_23 = 8795.0
+
+# Coverage models shared by the batch-scan property: the table target, and a
+# target whose view half-angle exceeds 90 degrees.
+SCAN_GRID = TimeGrid(0.0, 86400.0, 120.0)
+TABLE_COVERAGE = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID)
+WIDE_COVERAGE = ConstellationCoverage(
+    CONSTANTS,
+    TABLE_SPEC,
+    TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 150.0 * DEG),
+    SCAN_GRID,
+)
 
 
 class TestRotations:
@@ -185,16 +197,16 @@ class TestCoverage:
     def test_degenerate_full_visibility(self):
         grid = TimeGrid(0.0, 600.0, 5.0)
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, math.pi)
-        c = coverage_set(CONSTANTS, TABLE_SPEC, tgt, grid, 1, 0.0)
+        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid)(1, 0.0)
         assert c.measure == grid.duration
 
     def test_vanishing_aperture_empty(self):
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 1e-9)
-        c = coverage_set(CONSTANTS, TABLE_SPEC, tgt, DAY_GRID, 1, 0.0)
+        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, DAY_GRID)(1, 0.0)
         assert c.measure == 0.0
 
     def test_golden_day_measure_and_window_shape(self):
-        c = coverage_set(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 1, 0.0)
+        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(1, 0.0)
         assert c.measure == GOLDEN_S1_DAY_MEASURE
         runs = np.diff(np.flatnonzero(np.diff(np.r_[0, c.mask.view(np.int8), 0])))
         window_lengths = runs[::2]
@@ -206,6 +218,7 @@ class TestCoverage:
         # Independent route: explicit per-cell positions and angle threshold.
         rates = drift_rates(CONSTANTS, TABLE_SPEC)
         tgt_pos = target_position_ecf(CONSTANTS, TABLE_TARGET)
+        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
         for k, theta in ((1, 0.0), (7, 0.21), (16, -0.26)):
             expected = np.array(
                 [
@@ -217,7 +230,7 @@ class TestCoverage:
                     for t in DAY_GRID.cell_starts()
                 ]
             )
-            got = coverage_set(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, k, theta)
+            got = cov(k, theta)
             assert np.array_equal(got.mask, expected)
 
     def test_phase_shift_consistency(self):
@@ -233,20 +246,41 @@ class TestCoverage:
                 for i, m in enumerate(TABLE_SPEC.mean_anomalies0)
             ),
         )
-        direct = coverage_set(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 5, theta)
-        rebased = coverage_set(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID, 5, 0.0)
+        direct = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(5, theta)
+        rebased = ConstellationCoverage(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID)(5, 0.0)
         assert np.array_equal(direct.mask, rebased.mask)
 
-    def test_mask_matrix_and_counts_agree_with_single_masks(self, rng):
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
-        thetas = np.sort(rng.uniform(-15.0 * DEG, 15.0 * DEG, 64))
-        matrix = cov.mask_matrix(3, thetas)
-        within = rng.random(DAY_GRID.n_steps) < 0.5
-        counts = cov.masked_cell_counts(3, thetas, within)
-        for i, theta in enumerate(thetas):
-            single = cov(3, float(theta)).mask
-            assert np.array_equal(matrix[i], single)
-            assert counts[i] == int(np.count_nonzero(single & within))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wide=st.booleans(),
+        k=st.integers(1, 24),
+        thetas=st.lists(
+            st.one_of(
+                st.just(math.pi),
+                st.floats(-math.pi, math.pi, exclude_min=True),
+            ),
+            min_size=1,
+            max_size=24,
+        ).map(sorted),
+        within_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_agree_with_single_masks(self, wide, k, thetas, within_seed):
+        # The batch scan against the per-mask path on sorted grids anywhere in
+        # (-pi, pi], including the +-pi alias and, through a view half-angle
+        # above 90 deg, cells visible for every phase (half_width == pi).
+        cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
+        within = np.random.default_rng(within_seed).random(cov.grid.n_steps) < 0.5
+        counts = cov.masked_cell_counts(k, np.array(thetas), within)
+        for theta, count in zip(thetas, counts):
+            assert count == np.count_nonzero(cov(k, theta).mask & within)
+
+    def test_wide_target_reaches_full_phase_arcs(self):
+        # Guard for the property above: some cells of the wide target are
+        # covered for every phase, so the half_width == pi branch is exercised.
+        always = np.logical_and.reduce(
+            [WIDE_COVERAGE(1, float(t)).mask for t in np.linspace(-math.pi, math.pi, 37)]
+        )
+        assert always.any()
 
     def test_counts_fall_back_on_unsorted_input(self, rng):
         cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
