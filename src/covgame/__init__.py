@@ -29,7 +29,7 @@ from .harness import (
     sweep_energy_coefficient,
     sweep_satellite_count,
 )
-from .measure import CoverageSet, TimeGrid, difference, intersect, measure, union, union_many
+from .measure import TimeGrid, union_many
 from .optimize import (
     PatternSearchConfig,
     ScalarMaximizerConfig,
@@ -71,7 +71,6 @@ __all__ = [
     "ComparisonReport",
     "ConstellationCoverage",
     "ConstellationSpec",
-    "CoverageSet",
     "DriftRates",
     "GameInstance",
     "OrbitConstants",
@@ -89,18 +88,15 @@ __all__ = [
     "build_constellation_game",
     "bundled_scenario_path",
     "certify_epsilon_equilibrium",
-    "difference",
     "drift_rates",
     "elect_innovators",
     "energy_penalty",
     "geocentric_angle",
     "global_value",
-    "intersect",
     "iteration_bound",
     "load_scenario",
     "local_value",
     "maximize_scalar",
-    "measure",
     "neighbor_graph_from_reach",
     "pattern_search",
     "regret",
@@ -112,6 +108,5 @@ __all__ = [
     "sweep_energy_coefficient",
     "sweep_satellite_count",
     "target_position_ecf",
-    "union",
     "union_many",
 ]

@@ -1,25 +1,26 @@
 """Coverage game objects: strategy spaces, objectives, neighbor graph, regret.
 
 The game couples a per-agent coverage generator (a pure map from an agent's
-scalar strategy to a :class:`~covgame.measure.CoverageSet`) with a quadratic
-energy penalty. The global objective is the measure of the union of all active
-agents' coverage minus the scaled penalty sum; each agent's local objective is
-the measure of its coverage exclusive of its graph neighbors minus its own
-penalty. With a neighbor graph that contains every pair whose coverages can
-ever overlap, a unilateral strategy change moves both objectives by exactly
-the same amount, which is what the distributed search engine relies on.
+scalar strategy to a boolean mask over the cells of a
+:class:`~covgame.measure.TimeGrid`) with a quadratic energy penalty. The
+global objective is the measure of the union of all active agents' coverage
+minus the scaled penalty sum; each agent's local objective is the measure of
+its coverage exclusive of its graph neighbors minus its own penalty. With a
+neighbor graph that contains every pair whose coverages can ever overlap, a
+unilateral strategy change moves both objectives by exactly the same amount,
+which is what the distributed search engine relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .measure import CoverageSet, TimeGrid, union_many
+from .measure import TimeGrid, union_many
 from .optimize import ScalarMaximizerConfig, maximize_scalar
 
-CoverageFn = Callable[[int, float], CoverageSet]
+CoverageFn = Callable[[int, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,6 @@ class StrategyInterval:
 
     def contains(self, theta: float, tol: float = 1e-12) -> bool:
         return self.lo - tol <= theta <= self.hi + tol
-
-    def sample(self, n: int) -> np.ndarray:
-        """Uniform n-point sample including both endpoints."""
-        return np.linspace(self.lo, self.hi, max(n, 2))
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,9 @@ class StrategyProfile:
 class GameInstance:
     """Immutable bundle of agents, coverage generator, penalty scale and graph.
 
-    ``coverage_fn(k, theta)`` must be pure; results are memoized per
-    ``(index, theta)`` for the life of the instance. The neighbor
+    ``coverage_fn(k, theta)`` must be pure and return a boolean mask with one
+    entry per grid cell; the instance takes ownership of each mask, freezes
+    it and memoizes it per ``(index, theta)`` for its life. The neighbor
     graph maps each active agent index to the set of active agents whose
     coverage can overlap its own; it must be symmetric and irreflexive.
     """
@@ -141,7 +139,7 @@ class GameInstance:
                 if k not in graph[l]:
                     raise ValueError(f"neighbor graph is not symmetric at ({k},{l})")
         self.neighbor_graph: dict[int, frozenset[int]] = graph
-        self._coverage_cache: dict[tuple[int, float], CoverageSet] = {}
+        self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
 
     @property
     def n_agents(self) -> int:
@@ -157,17 +155,21 @@ class GameInstance:
     def neighbors(self, index: int) -> frozenset[int]:
         return self.neighbor_graph[index]
 
-    def coverage(self, index: int, theta: float) -> CoverageSet:
-        """Memoized coverage for agent ``index`` playing ``theta``."""
+    def coverage(self, index: int, theta: float) -> np.ndarray:
+        """Memoized read-only coverage mask for agent ``index`` playing ``theta``."""
         key = (index, float(theta))
         hit = self._coverage_cache.get(key)
         if hit is not None:
             return hit
-        result = self.coverage_fn(index, float(theta))
-        if result.grid != self.grid:
-            raise ValueError(f"coverage_fn returned a set on a foreign grid for agent {index}")
-        self._coverage_cache[key] = result
-        return result
+        mask = np.asarray(self.coverage_fn(index, float(theta)), dtype=bool)
+        if mask.shape != (self.grid.n_steps,):
+            raise ValueError(
+                f"coverage_fn returned a {mask.shape} mask for agent {index}: a foreign "
+                f"grid, the game's has {self.grid.n_steps} cells"
+            )
+        mask.flags.writeable = False
+        self._coverage_cache[key] = mask
+        return mask
 
     def validate_profile(self, profile: StrategyProfile) -> None:
         if len(profile) != self.n_agents:
@@ -191,7 +193,8 @@ def energy_penalty(agent: AgentSpec, theta: float) -> float:
 def global_value(game: GameInstance, profile: StrategyProfile) -> float:
     """Union coverage of all active agents minus the scaled penalty sum, seconds."""
     sets = [game.coverage(k, profile.for_agent(k)) for k in game.active_indices]
-    covered = union_many(sets, grid=game.grid).measure
+    union = union_many(sets, game.grid.n_steps)
+    covered = game.grid.dt * int(np.count_nonzero(union))
     penalty = sum(
         energy_penalty(game.agent(k), profile.for_agent(k))
         for k in game.active_indices
@@ -248,12 +251,12 @@ def best_response_objective(
     neighbor_sets = [
         game.coverage(l, neighbor_thetas[l]) for l in sorted(game.neighbors(index))
     ]
-    uncovered = ~union_many(neighbor_sets, grid=game.grid).mask
+    uncovered = ~union_many(neighbor_sets, game.grid.n_steps)
     dt = game.grid.dt
     gamma = game.gamma
 
     def f(theta: float) -> float:
-        own = game.coverage(index, theta).mask
+        own = game.coverage(index, theta)
         gain = dt * float(np.count_nonzero(own & uncovered))
         return gain - gamma * energy_penalty(agent, theta)
 
@@ -312,7 +315,7 @@ def neighbor_graph_from_reach(
     """Frozen neighbor graph from strategy-reachable coverage overlap.
 
     ``reach_k`` is the union of agent ``k``'s coverage over a uniform sample
-    of its strategy interval (``samples`` points plus both endpoints); two
+    of its strategy interval (``samples`` points including both endpoints); two
     active agents are neighbors iff their reaches intersect. The graph is a
     superset of the instantaneous-overlap graph at any fixed profile, so it
     stays valid for the whole run; spurious members only ever contribute
@@ -322,16 +325,10 @@ def neighbor_graph_from_reach(
     for a in agents:
         if not a.active:
             continue
-        thetas = np.unique(
-            np.concatenate(
-                [
-                    a.strategy_space.sample(samples),
-                    [a.strategy_space.lo, a.strategy_space.hi],
-                ]
-            )
-        )
+        space = a.strategy_space
+        thetas = np.linspace(space.lo, space.hi, max(samples, 2))
         sets = [coverage_fn(a.index, float(t)) for t in thetas]
-        reach[a.index] = union_many(sets, grid=grid).mask
+        reach[a.index] = union_many(sets, grid.n_steps)
     return neighbor_graph_from_masks(reach)
 
 
@@ -375,11 +372,7 @@ def certify_epsilon_equilibrium(
     for k in game.active_indices:
         agent = game.agent(k)
         points = max(3, int(round(agent.strategy_space.width / scan_resolution)) + 1)
-        cfg = ScalarMaximizerConfig(
-            coarse_points=points,
-            refine_tolerance=refine.refine_tolerance if refine else 1e-5,
-            max_refine_iters=refine.max_refine_iters if refine else 64,
-        )
+        cfg = replace(refine or ScalarMaximizerConfig(), coarse_points=points)
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
         _, gain = best_response_gain(game, k, view, profile.for_agent(k), cfg)
         gains[k] = gain

@@ -47,9 +47,7 @@ class PatternSearchConfig:
     """Settings for compass search over a box.
 
     ``step_expand`` regrows the step after a successful poll (capped at the
-    initial step); 1.0 disables expansion. ``poll`` chooses between scoring
-    the full stencil and moving to its best improvement (``complete``) and
-    moving to the first improvement found (``opportunistic``).
+    initial step); 1.0 disables expansion.
     """
 
     initial_step: float = 0.0654498469497874  # 3.75 degrees
@@ -57,7 +55,6 @@ class PatternSearchConfig:
     step_expand: float = 2.0
     min_step: float = 1.7453292519943296e-4  # 0.01 degrees
     max_evals: int = 20000
-    poll: str = "complete"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.step_shrink < 1.0):
@@ -70,8 +67,6 @@ class PatternSearchConfig:
             raise ValueError("initial_step must be at least min_step")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.poll not in ("complete", "opportunistic"):
-            raise ValueError("poll must be 'complete' or 'opportunistic'")
 
 
 def _check_finite(value: float, point) -> float:
@@ -157,9 +152,8 @@ def pattern_search(
 ) -> tuple[np.ndarray, float, int]:
     """Compass-search maximization of ``f`` over a box.
 
-    Probes ``+/-step`` along each coordinate; depending on ``cfg.poll`` it
-    moves to the best improving probe of the whole stencil or to the first
-    one found. After a successful poll the step regrows by
+    Probes ``+/-step`` along each coordinate and moves to the best improving
+    probe of the whole stencil. After a successful poll the step regrows by
     ``cfg.step_expand``; after a failed one it shrinks by
     ``cfg.step_shrink``. Every accepted move strictly increases ``f``; stops
     when the step drops below ``cfg.min_step`` or the evaluation budget runs
@@ -179,7 +173,6 @@ def pattern_search(
     evals = 1
     step = cfg.initial_step
     n = x.size
-    first_improvement = cfg.poll == "opportunistic"
 
     while step >= cfg.min_step and evals < cfg.max_evals:
         best_cand: np.ndarray | None = None
@@ -198,9 +191,7 @@ def pattern_search(
                 if evals >= cfg.max_evals:
                     budget_hit = True
                     break
-                if first_improvement and best_cand is not None:
-                    break
-            if budget_hit or (first_improvement and best_cand is not None):
+            if budget_hit:
                 break
         if best_cand is not None:
             x, fx = best_cand, best_val

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_masks
-from .measure import CoverageSet, TimeGrid
+from .measure import TimeGrid
 
 TWO_PI = 2.0 * math.pi
 
@@ -314,9 +314,9 @@ class ConstellationCoverage:
         inside |= theta <= hi - TWO_PI
         return inside & self._visible
 
-    def __call__(self, k: int, theta: float) -> CoverageSet:
-        """Coverage of satellite ``k`` (1-based) playing phase offset ``theta``."""
-        return CoverageSet(self.grid, self._mask(k, theta))
+    def __call__(self, k: int, theta: float) -> np.ndarray:
+        """Coverage mask of satellite ``k`` (1-based) playing phase offset ``theta``."""
+        return self._mask(k, theta)
 
     def masked_cell_counts(
         self, k: int, thetas: np.ndarray, within: np.ndarray

@@ -31,26 +31,58 @@ class ScenarioError(ValueError):
     """Scenario file failed to parse or validate; message carries the field path."""
 
 
-def _get(data: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in data:
+def _get(data: Mapping[str, Any], key: str, path: str, default: Any = None) -> Any:
+    """``data[key]``; a missing key is an error unless a default is given."""
+    if key in data:
+        return data[key]
+    if default is None:
         raise ScenarioError(f"{path}.{key}: missing required field")
-    return data[key]
+    return default
 
 
-def _number(data: Mapping[str, Any], key: str, path: str) -> float:
-    value = _get(data, key, path)
+def _section(
+    data: Mapping[str, Any], key: str, path: str, required: bool = True
+) -> Mapping[str, Any]:
+    """An object-valued field; an absent optional one reads as ``{}``."""
+    value = _get(data, key, path, None if required else {})
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{path}.{key}: expected an object")
+    return value
+
+
+def _finite(value: Any, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
     if not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}: expected a finite number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _int(data: Mapping[str, Any], key: str, path: str) -> int:
-    value = _get(data, key, path)
+def _number(
+    data: Mapping[str, Any], key: str, path: str, default: float | None = None
+) -> float:
+    return _finite(_get(data, key, path, default), f"{path}.{key}")
+
+
+def _int(data: Mapping[str, Any], key: str, path: str, default: int | None = None) -> int:
+    value = _get(data, key, path, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
     return value
+
+
+def _positive(value: float, path: str) -> float:
+    if not value > 0.0:
+        raise ScenarioError(f"{path}: must be positive, got {value!r}")
+    return value
+
+
+def _build(path: str, factory: Any, **kwargs: Any) -> Any:
+    """``factory(**kwargs)``, with its validation errors tagged by ``path``."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -157,12 +189,15 @@ def _parse_theta_max(data: Mapping[str, Any], n: int, path: str) -> tuple[float,
     if "value" in data and "values" in data:
         raise ScenarioError(f"{path}: give either 'value' or 'values', not both")
     if "value" in data:
-        return (float(data["value"]) * scale,) * n
+        return (_positive(_number(data, "value", path), f"{path}.value") * scale,) * n
     if "values" in data:
         values = data["values"]
         if not isinstance(values, list) or len(values) != n:
             raise ScenarioError(f"{path}.values: expected a list of {n} numbers")
-        return tuple(float(v) * scale for v in values)
+        return tuple(
+            _positive(_finite(v, f"{path}.values[{i}]"), f"{path}.values[{i}]") * scale
+            for i, v in enumerate(values)
+        )
     raise ScenarioError(f"{path}: missing 'value' or 'values'")
 
 
@@ -170,17 +205,24 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     """Validate and convert a parsed JSON document into a ScenarioConfig."""
     deg = math.pi / 180.0
 
-    constants_doc = doc.get("constants", {})
-    constants = OrbitConstants(
-        mu=float(constants_doc.get("mu_km3_s2", OrbitConstants.mu)),
-        j2=float(constants_doc.get("j2", OrbitConstants.j2)),
-        earth_radius=float(constants_doc.get("earth_radius_km", OrbitConstants.earth_radius)),
-        earth_rotation_rate=float(
-            constants_doc.get("earth_rotation_rad_s", OrbitConstants.earth_rotation_rate)
+    constants_doc = _section(doc, "constants", name_hint, required=False)
+    constants = _build(
+        "constants",
+        OrbitConstants,
+        mu=_number(constants_doc, "mu_km3_s2", "constants", OrbitConstants.mu),
+        j2=_number(constants_doc, "j2", "constants", OrbitConstants.j2),
+        earth_radius=_number(
+            constants_doc, "earth_radius_km", "constants", OrbitConstants.earth_radius
+        ),
+        earth_rotation_rate=_number(
+            constants_doc,
+            "earth_rotation_rad_s",
+            "constants",
+            OrbitConstants.earth_rotation_rate,
         ),
     )
 
-    con = _get(doc, "constellation", name_hint)
+    con = _section(doc, "constellation", name_hint)
     n = _int(con, "n_satellites", "constellation")
     if n < 1:
         raise ScenarioError("constellation.n_satellites: must be positive")
@@ -190,11 +232,16 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             raise ScenarioError(
                 f"constellation.mean_anomalies_deg: expected {n} values"
             )
-        mean_anomalies = tuple(float(v) * deg for v in anomalies)
+        mean_anomalies = tuple(
+            _finite(v, f"constellation.mean_anomalies_deg[{i}]") * deg
+            for i, v in enumerate(anomalies)
+        )
     else:
         spacing = _number(con, "phase_spacing_deg", "constellation") * deg
         mean_anomalies = tuple(k * spacing for k in range(n))
-    constellation = ConstellationSpec(
+    constellation = _build(
+        "constellation",
+        ConstellationSpec,
         semi_major_axis=_number(con, "semi_major_axis_km", "constellation"),
         inclination=_number(con, "inclination_deg", "constellation") * deg,
         raan0=_number(con, "raan_deg", "constellation") * deg,
@@ -206,55 +253,64 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             "constellation.semi_major_axis_km: orbit must be above the Earth's surface"
         )
 
-    tgt = _get(doc, "target", name_hint)
-    target = TargetSpec(
+    tgt = _section(doc, "target", name_hint)
+    target = _build(
+        "target",
+        TargetSpec,
         longitude=_number(tgt, "longitude_deg", "target") * deg,
         latitude=_number(tgt, "latitude_deg", "target") * deg,
         view_half_angle=_number(tgt, "view_half_angle_deg", "target") * deg,
     )
 
-    grid_doc = _get(doc, "grid", name_hint)
-    grid = TimeGrid(
+    grid_doc = _section(doc, "grid", name_hint)
+    grid = _build(
+        "grid.step_s",
+        TimeGrid,
         t0=0.0,
-        tf=_number(grid_doc, "duration_s", "grid"),
+        tf=_positive(_number(grid_doc, "duration_s", "grid"), "grid.duration_s"),
         dt=_number(grid_doc, "step_s", "grid"),
     )
 
-    game_doc = _get(doc, "game", name_hint)
+    game_doc = _section(doc, "game", name_hint)
     bounds = _get(game_doc, "strategy_bounds_deg", "game")
-    if (
-        not isinstance(bounds, list)
-        or len(bounds) != 2
-        or not all(isinstance(b, (int, float)) for b in bounds)
-    ):
+    if not isinstance(bounds, list) or len(bounds) != 2:
         raise ScenarioError("game.strategy_bounds_deg: expected [lo, hi] in degrees")
-    strategy_space = StrategyInterval(bounds[0] * deg, bounds[1] * deg)
+    lo, hi = (
+        _finite(b, f"game.strategy_bounds_deg[{i}]") * deg for i, b in enumerate(bounds)
+    )
+    strategy_space = _build("game.strategy_bounds_deg", StrategyInterval, lo=lo, hi=hi)
     gamma = _number(game_doc, "gamma", "game")
     if gamma < 0.0:
         raise ScenarioError(f"game.gamma: must be non-negative, got {gamma!r}")
     theta_max = _parse_theta_max(_get(game_doc, "theta_max", "game"), n, "game.theta_max")
 
-    search_doc = _get(doc, "search", name_hint)
-    scalar_doc = search_doc.get("scalar", {})
-    scalar = ScalarMaximizerConfig(
-        coarse_points=int(scalar_doc.get("coarse_points", 181)),
-        refine_tolerance=float(scalar_doc.get("refine_tolerance_deg", 5e-3)) * deg,
-        max_refine_iters=int(scalar_doc.get("max_refine_iters", 64)),
+    search_doc = _section(doc, "search", name_hint)
+    scalar_doc = _section(search_doc, "scalar", "search", required=False)
+    scalar = _build(
+        "search.scalar",
+        ScalarMaximizerConfig,
+        coarse_points=_int(scalar_doc, "coarse_points", "search.scalar", 181),
+        refine_tolerance=_number(scalar_doc, "refine_tolerance_deg", "search.scalar", 5e-3)
+        * deg,
+        max_refine_iters=_int(scalar_doc, "max_refine_iters", "search.scalar", 64),
     )
-    search = SearchConfig(
+    search = _build(
+        "search",
+        SearchConfig,
         epsilon=_number(search_doc, "epsilon_s", "search"),
         max_rounds=_int(search_doc, "max_rounds", "search"),
         scalar=scalar,
     )
 
-    cen = doc.get("centralized", {})
-    centralized = PatternSearchConfig(
-        initial_step=float(cen.get("initial_step_deg", 3.75)) * deg,
-        step_shrink=float(cen.get("step_shrink", 0.5)),
-        step_expand=float(cen.get("step_expand", 2.0)),
-        min_step=float(cen.get("min_step_deg", 0.01)) * deg,
-        max_evals=int(cen.get("max_evals", 20000)),
-        poll=str(cen.get("poll", "complete")),
+    cen = _section(doc, "centralized", name_hint, required=False)
+    centralized = _build(
+        "centralized",
+        PatternSearchConfig,
+        initial_step=_number(cen, "initial_step_deg", "centralized", 3.75) * deg,
+        step_shrink=_number(cen, "step_shrink", "centralized", 0.5),
+        step_expand=_number(cen, "step_expand", "centralized", 2.0),
+        min_step=_number(cen, "min_step_deg", "centralized", 0.01) * deg,
+        max_evals=_int(cen, "max_evals", "centralized", 20000),
     )
 
     damaged_doc = doc.get("damaged", [])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from covgame.game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_reach
-from covgame.measure import CoverageSet, TimeGrid
+from covgame.measure import TimeGrid
 
 
 def window_mask(grid: TimeGrid, start: int, width: int) -> np.ndarray:
@@ -39,9 +39,9 @@ def sliding_window_game(
     grid = TimeGrid(0.0, n_cells * dt, dt)
     space = StrategyInterval(-span, span)
 
-    def coverage(k: int, theta: float) -> CoverageSet:
+    def coverage(k: int, theta: float) -> np.ndarray:
         shift = int(np.round(theta / quantum))
-        return CoverageSet(grid, window_mask(grid, (k - 1) * spacing + shift, width))
+        return window_mask(grid, (k - 1) * spacing + shift, width)
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max)
@@ -63,9 +63,9 @@ def two_cluster_game(gamma: float = 0.01) -> GameInstance:
     width = {1: 12, 2: 10, 3: 10, 4: 8}
     base = {1: 10, 2: 14, 3: 60, 4: 63}
 
-    def coverage(k: int, theta: float) -> CoverageSet:
+    def coverage(k: int, theta: float) -> np.ndarray:
         shift = int(np.round(theta))
-        return CoverageSet(grid, window_mask(grid, base[k] + shift, width[k]))
+        return window_mask(grid, base[k] + shift, width[k])
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=1.0) for k in range(1, 5)

@@ -84,16 +84,52 @@ class TestRunVerb:
             ("constellation", "semi_major_axis_km", float("nan")),
             ("grid", "duration_s", float("inf")),
             ("game", "gamma", -5.0),
+            pytest.param("constants", "j2", float("nan"), id="constants-j2-nan"),
+            pytest.param(
+                "constellation",
+                "mean_anomalies_deg",
+                [30.0 * k for k in range(11)] + [float("nan")],
+                id="constellation-mean_anomalies_deg-item-nan",
+            ),
+            pytest.param(
+                "game", "strategy_bounds_deg", [float("nan"), 15.0], id="bounds-item-nan"
+            ),
+            pytest.param("game.theta_max", "value", float("nan"), id="theta_max-value-nan"),
+            pytest.param(
+                "game",
+                "theta_max",
+                {"unit": "radian", "values": [1.0] * 11 + [float("nan")]},
+                id="theta_max-item-nan",
+            ),
+            pytest.param("search.scalar", "coarse_points", 3.7, id="coarse_points-3.7"),
+            pytest.param(
+                "search.scalar", "refine_tolerance_deg", float("nan"), id="refine-nan"
+            ),
+            pytest.param("centralized", "max_evals", "x", id="max_evals-x"),
+            pytest.param("centralized", "step_shrink", float("inf"), id="step_shrink-inf"),
         ],
     )
     def test_invalid_number_is_error_exit(self, tmp_path, capsys, section, key, value):
         doc = mini_scenario_doc()
-        doc[section][key] = value
+        node = doc
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
         code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
         assert code == 1
         assert f"error: {section}.{key}" in capsys.readouterr().err
+
+    def test_step_that_does_not_divide_the_horizon_is_error_exit(self, tmp_path, capsys):
+        # 12000 s at 7 s would silently become 1714 cells, 11998 s.
+        doc = mini_scenario_doc()
+        doc["grid"]["step_s"] = 7.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
+        assert code == 1
+        assert "error: grid.step_s" in capsys.readouterr().err
 
 
 class TestSweepVerbs:

@@ -15,7 +15,7 @@ from covgame.game import (
     neighbor_graph_from_reach,
     regret,
 )
-from covgame.measure import CoverageSet, TimeGrid
+from covgame.measure import TimeGrid
 from covgame.optimize import ScalarMaximizerConfig, maximize_scalar
 
 from conftest import random_profile, sliding_window_game, window_mask
@@ -44,7 +44,7 @@ def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
     space = StrategyInterval(-1.0, 1.0)
 
     def coverage(k, theta):
-        return CoverageSet(grid, np.array(masks[k], dtype=bool))
+        return np.array(masks[k], dtype=bool)
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max) for k in sorted(masks)
@@ -100,10 +100,10 @@ class TestLocalValue:
     def test_three_agent_line_against_explicit_masks(self, toy_game):
         profile = StrategyProfile(np.array([0.6, -1.2, 0.0, 2.0, -2.0, 1.0]))
         k = 3
-        own = toy_game.coverage(k, profile.for_agent(k)).mask
+        own = toy_game.coverage(k, profile.for_agent(k))
         neigh = np.zeros_like(own)
         for l in toy_game.neighbors(k):
-            neigh |= toy_game.coverage(l, profile.for_agent(l)).mask
+            neigh |= toy_game.coverage(l, profile.for_agent(l))
         expected = float((own & ~neigh).sum()) * toy_game.grid.dt
         expected -= toy_game.gamma * profile.for_agent(k) ** 2
         assert local_value(toy_game, k, profile) == pytest.approx(expected, abs=1e-12)
@@ -183,7 +183,7 @@ class TestNeighborGraph:
         samples = np.linspace(-3.0, 3.0, 66)
         reach = {}
         for a in toy_game.agents:
-            masks = [toy_game.coverage_fn(a.index, float(t)).mask for t in samples]
+            masks = [toy_game.coverage_fn(a.index, float(t)) for t in samples]
             reach[a.index] = np.any(masks, axis=0)
         for k in reach:
             for l in reach:
@@ -213,10 +213,9 @@ class TestGameValidation:
 
     def test_foreign_grid_coverage_rejected(self):
         grid = TimeGrid(0.0, 4.0, 1.0)
-        other = TimeGrid(0.0, 8.0, 1.0)
 
         def coverage(k, theta):
-            return CoverageSet(other, np.zeros(8, dtype=bool))
+            return np.zeros(8, dtype=bool)
 
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.1, {1: ()})
@@ -237,8 +236,8 @@ class TestCertification:
 
         def coverage(k, theta):
             if k == 2:
-                return CoverageSet(grid, window_mask(grid, 0, 20))
-            return CoverageSet(grid, window_mask(grid, 10 + int(np.round(theta)), 10))
+                return window_mask(grid, 0, 20)
+            return window_mask(grid, 10 + int(np.round(theta)), 10)
 
         agents = tuple(AgentSpec(k, space, 100.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.0, {1: {2}, 2: {1}})

@@ -114,8 +114,7 @@ class TestPatternSearch:
         assert abs(float(xp[0]) - xs) < 1e-4
         assert abs(vp - vs) < 1e-6
 
-    @pytest.mark.parametrize("poll", ["complete", "opportunistic"])
-    def test_returns_the_best_point_it_ever_saw(self, poll):
+    def test_returns_the_best_point_it_ever_saw(self):
         history = []
 
         def f(p):
@@ -123,23 +122,10 @@ class TestPatternSearch:
             history.append(v)
             return v
 
-        cfg = PatternSearchConfig(
-            initial_step=0.5, min_step=1e-4, max_evals=3000, poll=poll
-        )
+        cfg = PatternSearchConfig(initial_step=0.5, min_step=1e-4, max_evals=3000)
         _, value, evals = pattern_search(f, self.box3[:2], [1.0, -1.0], cfg)
         assert evals == len(history)
         assert value == max(history)
-
-    def test_opportunistic_poll_uses_fewer_evals_per_gain(self):
-        def f(p):
-            return -float(p @ p)
-
-        cfg_c = PatternSearchConfig(initial_step=0.5, min_step=1e-4, poll="complete")
-        cfg_o = PatternSearchConfig(initial_step=0.5, min_step=1e-4, poll="opportunistic")
-        x_c, v_c, _ = pattern_search(f, self.box3, [1.0, 1.0, 1.0], cfg_c)
-        x_o, v_o, _ = pattern_search(f, self.box3, [1.0, 1.0, 1.0], cfg_o)
-        assert v_c == pytest.approx(0.0, abs=1e-6)
-        assert v_o == pytest.approx(0.0, abs=1e-6)
 
     def test_result_stays_in_box(self):
         x, _, _ = pattern_search(
@@ -177,7 +163,6 @@ class TestPatternSearch:
             {"max_evals": 0},
             {"initial_step": 1e-9, "min_step": 1e-3},
             {"step_expand": 0.5},
-            {"poll": "random"},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgame.game import StrategyInterval, StrategyProfile, global_value
-from covgame.measure import TimeGrid, union_many
+from covgame.measure import TimeGrid
 from covgame.orbit import (
     ConstellationCoverage,
     ConstellationSpec,
@@ -198,17 +198,17 @@ class TestCoverage:
         grid = TimeGrid(0.0, 600.0, 5.0)
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, math.pi)
         c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid)(1, 0.0)
-        assert c.measure == grid.duration
+        assert grid.dt * np.count_nonzero(c) == grid.duration
 
     def test_vanishing_aperture_empty(self):
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 1e-9)
         c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, DAY_GRID)(1, 0.0)
-        assert c.measure == 0.0
+        assert not c.any()
 
     def test_golden_day_measure_and_window_shape(self):
         c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(1, 0.0)
-        assert c.measure == GOLDEN_S1_DAY_MEASURE
-        runs = np.diff(np.flatnonzero(np.diff(np.r_[0, c.mask.view(np.int8), 0])))
+        assert DAY_GRID.dt * np.count_nonzero(c) == GOLDEN_S1_DAY_MEASURE
+        runs = np.diff(np.flatnonzero(np.diff(np.r_[0, c.view(np.int8), 0])))
         window_lengths = runs[::2]
         assert len(window_lengths) == GOLDEN_S1_DAY_WINDOWS
         # Each pass is shorter than half an hour of grid cells.
@@ -231,7 +231,7 @@ class TestCoverage:
                 ]
             )
             got = cov(k, theta)
-            assert np.array_equal(got.mask, expected)
+            assert np.array_equal(got, expected)
 
     def test_phase_shift_consistency(self):
         # The strategy enters only through the initial phase.
@@ -248,7 +248,7 @@ class TestCoverage:
         )
         direct = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(5, theta)
         rebased = ConstellationCoverage(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID)(5, 0.0)
-        assert np.array_equal(direct.mask, rebased.mask)
+        assert np.array_equal(direct, rebased)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -272,13 +272,13 @@ class TestCoverage:
         within = np.random.default_rng(within_seed).random(cov.grid.n_steps) < 0.5
         counts = cov.masked_cell_counts(k, np.array(thetas), within)
         for theta, count in zip(thetas, counts):
-            assert count == np.count_nonzero(cov(k, theta).mask & within)
+            assert count == np.count_nonzero(cov(k, theta) & within)
 
     def test_wide_target_reaches_full_phase_arcs(self):
         # Guard for the property above: some cells of the wide target are
         # covered for every phase, so the half_width == pi branch is exercised.
         always = np.logical_and.reduce(
-            [WIDE_COVERAGE(1, float(t)).mask for t in np.linspace(-math.pi, math.pi, 37)]
+            [WIDE_COVERAGE(1, float(t)) for t in np.linspace(-math.pi, math.pi, 37)]
         )
         assert always.any()
 
@@ -288,31 +288,15 @@ class TestCoverage:
         within = np.ones(DAY_GRID.n_steps, dtype=bool)
         counts = cov.masked_cell_counts(1, thetas, within)
         for theta, count in zip(thetas, counts):
-            assert count == cov(1, float(theta)).cell_count
+            assert count == np.count_nonzero(cov(1, float(theta)))
 
     def test_reachable_mask_covers_every_strategy(self, rng):
         cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
         reach = cov.reachable_mask(9, interval)
         for theta in rng.uniform(interval.lo, interval.hi, 40):
-            mask = cov(9, float(theta)).mask
+            mask = cov(9, float(theta))
             assert not np.any(mask & ~reach)
-
-
-class TestPeakShaving:
-    def test_union_equals_clipped_indicator_sum(self, rng):
-        # Clipping the per-cell multiplicity at one and integrating is the
-        # union measure, exactly, on every random mask family.
-        grid = TimeGrid(0.0, 200.0, 2.0)
-        from covgame.measure import CoverageSet
-
-        for _ in range(1000):
-            n_sets = int(rng.integers(1, 7))
-            masks = rng.random((n_sets, grid.n_steps)) < rng.uniform(0.05, 0.6)
-            sets = [CoverageSet(grid, m) for m in masks]
-            union_measure = union_many(sets, grid=grid).measure
-            clipped = np.minimum(masks.sum(axis=0), 1)
-            assert union_measure == clipped.sum() * grid.dt
 
 
 class TestConstellationGame:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from covgame.optimize import PatternSearchConfig, ScalarMaximizerConfig
 from covgame.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -95,6 +96,22 @@ class TestParsing:
         cfg = parse_scenario(doc)
         assert cfg.constants.mu == 400000.0
         assert cfg.constants.j2 == pytest.approx(1.08262668e-3)
+
+    def test_optional_blocks_default(self):
+        doc = mini_scenario_doc()
+        del doc["centralized"], doc["search"]["scalar"]
+        cfg = parse_scenario(doc)
+        assert cfg.centralized == PatternSearchConfig(
+            initial_step=3.75 * DEG, min_step=0.01 * DEG, max_evals=20000
+        )
+        assert cfg.search.scalar == ScalarMaximizerConfig(refine_tolerance=5e-3 * DEG)
+
+    @pytest.mark.parametrize("section", ["constants", "grid", "centralized"])
+    def test_section_must_be_an_object(self, section):
+        doc = mini_scenario_doc()
+        doc[section] = 5
+        with pytest.raises(ScenarioError, match=f"{section}: expected an object"):
+            parse_scenario(doc)
 
     def test_orbit_below_surface_rejected(self):
         doc = mini_scenario_doc()

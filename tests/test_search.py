@@ -9,7 +9,7 @@ from covgame.game import (
     StrategyProfile,
     global_value,
 )
-from covgame.measure import CoverageSet, TimeGrid
+from covgame.measure import TimeGrid
 from covgame.optimize import ScalarMaximizerConfig
 from covgame.search import (
     AccessAudit,
@@ -95,7 +95,7 @@ def single_agent_game():
 
     def coverage(k, theta):
         start = int(np.round(theta))
-        return CoverageSet(grid, window_mask(grid, 25 + start, 10))
+        return window_mask(grid, 25 + start, 10)
 
     agents = (AgentSpec(1, StrategyInterval(-10.0, 0.0), 100.0),)
     return GameInstance(agents, grid, coverage, 0.0, {1: ()})
@@ -142,7 +142,7 @@ class TestRunRound:
         def coverage(k, theta):
             if theta > 0.5:
                 raise ValueError("model blew up")
-            return CoverageSet.empty(grid)
+            return np.zeros(grid.n_steps, dtype=bool)
 
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
@@ -179,7 +179,7 @@ class TestRunSearch:
         grid = TimeGrid(0.0, 40.0, 1.0)
 
         def coverage(k, theta):
-            return CoverageSet(grid, window_mask(grid, 0 if k == 1 else 25, 10))
+            return window_mask(grid, 0 if k == 1 else 25, 10)
 
         agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.1, {1: (), 2: ()})
