@@ -171,13 +171,32 @@ def _cmd_sweep_energy(args: argparse.Namespace) -> int:
 
 
 def _read_profile_csv(path: Path, n_agents: int) -> StrategyProfile:
+    """Strategies of a stored ``profile.csv``; every fault names the file."""
     theta = np.zeros(n_agents)
+    seen: set[int] = set()
     with path.open() as fh:
-        for row in csv.DictReader(fh):
-            agent = int(row["agent"])
+        reader = csv.DictReader(fh)
+        for column in ("agent", "theta_deg"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: missing column {column!r}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            try:
+                agent = int(row["agent"])
+                value = math.radians(float(row["theta_deg"]))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where}: expected an integer agent and a number theta_deg"
+                ) from None
             if not (1 <= agent <= n_agents):
-                raise ValueError(f"profile row for agent {agent} outside 1..{n_agents}")
-            theta[agent - 1] = math.radians(float(row["theta_deg"]))
+                raise ValueError(f"{where}: agent {agent} outside 1..{n_agents}")
+            if agent in seen:
+                raise ValueError(f"{where}: agent {agent} appears twice")
+            seen.add(agent)
+            theta[agent - 1] = value
+    missing = sorted(set(range(1, n_agents + 1)) - seen)
+    if missing:
+        raise ValueError(f"{path}: no row for agents {missing}")
     return StrategyProfile(theta)
 
 

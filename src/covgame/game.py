@@ -2,7 +2,10 @@
 
 The game couples a per-agent coverage generator (a pure map from an agent's
 scalar strategy to a boolean mask over the cells of a
-:class:`~covgame.measure.TimeGrid`) with a quadratic energy penalty. The
+:class:`~covgame.measure.TimeGrid`) with a quadratic energy penalty. A
+generator may leave out cells that no agent can ever cover: one that exposes
+``cells`` (the sorted grid indices of its mask axis) returns masks of
+``len(cells)`` entries, and measures are ``dt`` times a count either way. The
 global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
 its coverage exclusive of its graph neighbors minus its own penalty. With a
@@ -62,8 +65,8 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise ValueError("agent index is 1-based")
-        if not (self.theta_max > 0.0):
-            raise ValueError(f"theta_max must be positive, got {self.theta_max}")
+        if not (0.0 < self.theta_max < np.inf):
+            raise ValueError(f"theta_max must be positive and finite, got {self.theta_max}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,13 @@ class StrategyProfile:
 class GameInstance:
     """Immutable bundle of agents, coverage generator, penalty scale and graph.
 
-    ``coverage_fn(k, theta)`` must be pure and return a boolean mask with one
-    entry per grid cell; the instance takes ownership of each mask, freezes
-    it and memoizes it per ``(index, theta)`` for its life. The neighbor
-    graph maps each active agent index to the set of active agents whose
-    coverage can overlap its own; it must be symmetric and irreflexive.
+    ``coverage_fn(k, theta)`` must be pure and return a boolean mask of
+    ``n_cells`` entries: one per grid cell, or one per entry of the
+    generator's ``cells`` when it has them. The instance takes ownership of
+    each mask, freezes it and memoizes it per ``(index, theta)`` for its
+    life. The neighbor graph maps each active agent index to the set of
+    active agents whose coverage can overlap its own; it must be symmetric
+    and irreflexive.
     """
 
     def __init__(
@@ -124,6 +129,7 @@ class GameInstance:
         self.agents = tuple(agents)
         self.grid = grid
         self.coverage_fn = coverage_fn
+        self.n_cells = _mask_length(coverage_fn, grid)
         self.gamma = float(gamma)
         indices = [a.index for a in self.agents]
         if indices != list(range(1, len(self.agents) + 1)):
@@ -162,10 +168,10 @@ class GameInstance:
         if hit is not None:
             return hit
         mask = np.asarray(self.coverage_fn(index, float(theta)), dtype=bool)
-        if mask.shape != (self.grid.n_steps,):
+        if mask.shape != (self.n_cells,):
             raise ValueError(
                 f"coverage_fn returned a {mask.shape} mask for agent {index}: a foreign "
-                f"grid, the game's has {self.grid.n_steps} cells"
+                f"grid, the game's has {self.n_cells} cells"
             )
         mask.flags.writeable = False
         self._coverage_cache[key] = mask
@@ -184,6 +190,12 @@ class GameInstance:
                 )
 
 
+def _mask_length(coverage_fn: CoverageFn, grid: TimeGrid) -> int:
+    """Entries per coverage mask: the generator's ``cells``, else the grid's."""
+    cells = getattr(coverage_fn, "cells", None)
+    return grid.n_steps if cells is None else len(cells)
+
+
 def energy_penalty(agent: AgentSpec, theta: float) -> float:
     """Quadratic maneuver cost ``(theta / theta_max) ** 2``, dimensionless."""
     ratio = theta / agent.theta_max
@@ -193,7 +205,7 @@ def energy_penalty(agent: AgentSpec, theta: float) -> float:
 def global_value(game: GameInstance, profile: StrategyProfile) -> float:
     """Union coverage of all active agents minus the scaled penalty sum, seconds."""
     sets = [game.coverage(k, profile.for_agent(k)) for k in game.active_indices]
-    union = union_many(sets, game.grid.n_steps)
+    union = union_many(sets, game.n_cells)
     covered = game.grid.dt * int(np.count_nonzero(union))
     penalty = sum(
         energy_penalty(game.agent(k), profile.for_agent(k))
@@ -251,7 +263,7 @@ def best_response_objective(
     neighbor_sets = [
         game.coverage(l, neighbor_thetas[l]) for l in sorted(game.neighbors(index))
     ]
-    uncovered = ~union_many(neighbor_sets, game.grid.n_steps)
+    uncovered = ~union_many(neighbor_sets, game.n_cells)
     dt = game.grid.dt
     gamma = game.gamma
 
@@ -328,7 +340,7 @@ def neighbor_graph_from_reach(
         space = a.strategy_space
         thetas = np.linspace(space.lo, space.hi, max(samples, 2))
         sets = [coverage_fn(a.index, float(t)) for t in thetas]
-        reach[a.index] = union_many(sets, grid.n_steps)
+        reach[a.index] = union_many(sets, _mask_length(coverage_fn, grid))
     return neighbor_graph_from_masks(reach)
 
 
@@ -361,10 +373,12 @@ def certify_epsilon_equilibrium(
     (plus golden-section refinement around the best probe) against the frozen
     strategies of its neighbors.
     """
-    if not (epsilon > 0.0):
-        raise ValueError("epsilon must be positive")
-    if not (scan_resolution > 0.0):
-        raise ValueError("scan_resolution must be positive")
+    if not (0.0 < epsilon < np.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not (0.0 < scan_resolution < np.inf):
+        raise ValueError(
+            f"scan_resolution must be positive and finite, got {scan_resolution}"
+        )
     game.validate_profile(profile)
     gains: dict[int, float] = {}
     worst_agent: int | None = None

@@ -181,9 +181,10 @@ def sweep_energy_coefficient(
     if not (1 <= agent <= cfg.n_satellites):
         raise ValueError(f"agent {agent} outside 1..{cfg.n_satellites}")
     neighbor = agent + 1 if agent < cfg.n_satellites else 1
+    # Every value is checked before the first run.
+    point_cfgs = [cfg.with_theta_max(agent, value) for value in values]
     points: list[EnergySweepPoint] = []
-    for value in values:
-        point_cfg = cfg.with_theta_max(agent, value)
+    for value, point_cfg in zip(values, point_cfgs):
         report, _ = run_distributed(point_cfg)
         points.append(
             EnergySweepPoint(

@@ -6,7 +6,8 @@ A satellite's strategy is a one-time phase offset added to its initial mean
 anomaly. Ground-target visibility is a pure geocentric-angle threshold between
 the satellite and target position vectors in the Earth-fixed frame, sampled at
 the left edge of every grid cell, which makes each satellite's coverage a
-union of short time windows.
+union of short time windows. Masks run over the cells some phase can see,
+not over the whole grid (see :class:`ConstellationCoverage`).
 
 Frames follow the usual chain: orbital plane -> inertial via node and
 inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
@@ -229,21 +230,28 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
 
 
 class ConstellationCoverage:
-    """Per-satellite target-visibility masks over a shared time grid.
+    """Per-satellite target-visibility masks over the grid's visible cells.
 
     Visibility of satellite ``k`` at phase ``M`` reduces, after pulling the
     target direction back through the time-dependent frame rotations, to
     ``amp(t) * cos(M - psi(t)) >= cos(view_half_angle)``: at each time the
-    visible phases form one arc. Re-expressed in the strategy variable, every
-    grid cell ``j`` is covered exactly for the offsets in
-    ``[lo_j, hi_j]`` (plus its ``2 pi`` aliases), where the interval bounds
-    are precomputed once per grid. A single mask then costs two comparisons
-    per cell, and a whole best-response scan over a sorted strategy grid
-    costs one ``searchsorted`` pass that reproduces those comparisons
-    exactly, so the two can never disagree on a boundary cell. The
-    reachable-coverage mask over a full strategy interval (used to freeze the
-    neighbor graph) is an interval-intersection test on the same bounds, and
-    so contains every single mask of a strategy in that interval.
+    visible phases form one arc, or none when the target is out of reach of
+    the whole orbit. Only the cells with an arc can ever be covered, so every
+    mask runs over those alone: ``cells`` holds their sorted grid indices,
+    and entry ``i`` of a mask stands for grid cell ``cells[i]``. A measure is
+    ``dt`` times a count either way.
+
+    Re-expressed in the strategy variable, every visible cell ``j`` is
+    covered exactly for the offsets in ``[lo_j, hi_j]`` (plus its ``2 pi``
+    aliases), where the interval bounds are precomputed once per grid. A
+    single mask then costs two comparisons per cell, and a whole
+    best-response scan over a sorted strategy grid costs one
+    ``searchsorted`` pass, over the cells whose interval meets the span of
+    the grid, that reproduces those comparisons exactly, so the two can never
+    disagree on a boundary cell. The reachable-coverage mask over a full
+    strategy interval (used to freeze the neighbor graph) is an
+    interval-intersection test on the same bounds, and so contains every
+    single mask of a strategy in that interval.
     """
 
     def __init__(
@@ -289,14 +297,20 @@ class ConstellationCoverage:
         half_width = np.where(ratio > 1.0, -1.0, np.arccos(np.clip(ratio, -1.0, 1.0)))
         if cos_bar <= 0.0:
             half_width = np.where(amp == 0.0, np.pi, half_width)
-        self._visible = half_width >= 0.0
+        # The mask axis: cells some phase can see. No satellite covers any
+        # other cell, and every measure is dt times a count, so dropping
+        # them changes no value.
+        self.cells = np.flatnonzero(half_width >= 0.0)
+        half_width = half_width[self.cells]
+        elapsed = elapsed[self.cells]
+        psi = psi[self.cells]
 
         # Strategy interval covering each cell, per satellite: a cell is
         # covered iff wrap(theta) lands in [lo, hi] or one of the 2 pi
         # aliases of that interval.
         n_sats = spec.n_satellites
-        self._theta_lo = np.empty((n_sats, grid.n_steps))
-        self._theta_hi = np.empty((n_sats, grid.n_steps))
+        self._theta_lo = np.empty((n_sats, self.cells.size))
+        self._theta_hi = np.empty((n_sats, self.cells.size))
         for i, m0 in enumerate(spec.mean_anomalies0):
             base = _wrap_pi(m0 + self.rates.phase_rate * elapsed - psi)
             self._theta_lo[i] = -base - half_width
@@ -312,10 +326,10 @@ class ConstellationCoverage:
         inside = (lo <= theta) & (theta <= hi)
         inside |= theta >= lo + TWO_PI
         inside |= theta <= hi - TWO_PI
-        return inside & self._visible
+        return inside
 
     def __call__(self, k: int, theta: float) -> np.ndarray:
-        """Coverage mask of satellite ``k`` (1-based) playing phase offset ``theta``."""
+        """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
         return self._mask(k, theta)
 
     def masked_cell_counts(
@@ -324,11 +338,11 @@ class ConstellationCoverage:
         """Covered-cell counts restricted to ``within``, for many strategies.
 
         Counts ``|coverage(k, theta) & within|`` for every entry of a sorted
-        ``thetas`` array in one pass over the grid cells: each relevant cell
-        contributes its strategy interval (and aliases) to a difference
+        ``thetas`` array in one pass over the visible cells: each relevant
+        cell contributes its strategy interval (and aliases) to a difference
         array indexed by ``searchsorted``, whose comparisons agree exactly
-        with the per-mask path. Requires ``thetas`` sorted ascending within
-        ``(-pi, pi]``.
+        with the per-mask path. ``within`` is a mask over ``cells``. Requires
+        ``thetas`` sorted ascending within ``(-pi, pi]``.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
@@ -337,7 +351,9 @@ class ConstellationCoverage:
             return np.array(
                 [int(np.count_nonzero(self._mask(k, t) & within)) for t in thetas]
             )
-        select = within & self._visible
+        # A cell whose covering interval and aliases all miss the span of
+        # thetas adds to no count; dropping it first is exact.
+        select = within & self._meets(k, thetas[0], thetas[-1])
         lo = self._theta_lo[k - 1][select]
         hi = self._theta_hi[k - 1][select]
         m = thetas.size
@@ -371,12 +387,16 @@ class ConstellationCoverage:
         """
         if interval.lo < -math.pi or interval.hi > math.pi:
             raise ValueError("strategy interval must lie within [-pi, pi]")
+        return self._meets(k, interval.lo, interval.hi)
+
+    def _meets(self, k: int, a: float, b: float) -> np.ndarray:
+        """Cells whose covering interval, or an alias of it, meets ``[a, b]``."""
         lo = self._theta_lo[k - 1]
         hi = self._theta_hi[k - 1]
-        meets = (lo <= interval.hi) & (hi >= interval.lo)
-        meets |= lo + TWO_PI <= interval.hi
-        meets |= hi - TWO_PI >= interval.lo
-        return meets & self._visible
+        meets = (lo <= b) & (hi >= a)
+        meets |= lo + TWO_PI <= b
+        meets |= hi - TWO_PI >= a
+        return meets
 
 
 def build_constellation_game(

@@ -158,8 +158,8 @@ class ScenarioConfig:
         """Same scenario with agent ``index``'s energy surplus set to ``value``."""
         if not (1 <= index <= self.n_satellites):
             raise ScenarioError(f"agent {index} outside 1..{self.n_satellites}")
-        if not (value > 0.0):
-            raise ScenarioError(f"theta_max must be positive, got {value}")
+        if not (0.0 < value < math.inf):
+            raise ScenarioError(f"theta_max must be positive and finite, got {value}")
         values = list(self.theta_max)
         values[index - 1] = float(value)
         return replace(self, theta_max=tuple(values))

@@ -43,8 +43,8 @@ class SearchConfig:
     scalar: ScalarMaximizerConfig = ScalarMaximizerConfig()
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 

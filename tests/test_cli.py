@@ -121,6 +121,15 @@ class TestRunVerb:
         assert code == 1
         assert f"error: {section}.{key}" in capsys.readouterr().err
 
+    def test_infinite_epsilon_is_error_exit(self, tmp_path, mini_scenario_file, capsys):
+        # An infinite accuracy would certify any profile after one round.
+        code = run_cli(
+            "run", "--scenario", mini_scenario_file, "--out", tmp_path / "out",
+            "--method", "distributed", "--max-iter", "1", "--epsilon", "inf", "--quiet",
+        )
+        assert code == 1
+        assert "error: epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_step_that_does_not_divide_the_horizon_is_error_exit(self, tmp_path, capsys):
         # 12000 s at 7 s would silently become 1714 cells, 11998 s.
         doc = mini_scenario_doc()
@@ -169,6 +178,25 @@ class TestSweepVerbs:
         lines = (out / "sweep_energy.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_infinite_surplus_is_error_exit(self, tmp_path, mini_scenario_file, capsys):
+        # A scenario's theta_max may not be Infinity, and neither may a swept one.
+        out = tmp_path / "out"
+        code = run_cli(
+            "sweep-energy", "--scenario", mini_scenario_file, "--out", out,
+            "--agent", "6", "--values", "0.01,inf", "--quiet",
+        )
+        assert code == 1
+        assert "error: theta_max must be positive and finite" in capsys.readouterr().err
+        assert not (out / "sweep_energy.csv").exists()
+
+
+def write_profile(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+NOMINAL_ROWS = [f"{k},0.0,0.0" for k in range(1, 13)]
+
 
 class TestCertifyVerb:
     def test_roundtrip_certifies_stored_profile(self, tmp_path, mini_scenario_file, capsys):
@@ -196,6 +224,56 @@ class TestCertifyVerb:
         )
         assert code == 2
         assert "not certified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--epsilon", "epsilon must be positive and finite"),
+            ("--resolution-deg", "scan_resolution must be positive and finite"),
+        ],
+    )
+    def test_infinite_setting_is_error_exit(
+        self, tmp_path, mini_scenario_file, capsys, flag, message
+    ):
+        # An infinite epsilon certified anything; an infinite resolution
+        # scanned three points.
+        profile = write_profile(
+            tmp_path / "profile.csv", "agent,theta_deg,energy_penalty", NOMINAL_ROWS
+        )
+        code = run_cli(
+            "certify", "--scenario", mini_scenario_file,
+            "--profile", profile, flag, "inf", "--quiet",
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("id,theta_deg", NOMINAL_ROWS, "missing column 'agent'"),
+            ("agent,theta", NOMINAL_ROWS, "missing column 'theta_deg'"),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS + ["3,5.0,0.0"],
+                "line 14: agent 3 appears twice",
+            ),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS[:4],
+                "no row for agents [5, 6, 7, 8, 9, 10, 11, 12]",
+            ),
+        ],
+        ids=["no-agent-column", "no-theta-column", "repeated-agent", "missing-agents"],
+    )
+    def test_malformed_profile_is_error_exit(
+        self, tmp_path, mini_scenario_file, capsys, header, rows, message
+    ):
+        profile = write_profile(tmp_path / "profile.csv", header, rows)
+        code = run_cli(
+            "certify", "--scenario", mini_scenario_file, "--profile", profile, "--quiet"
+        )
+        assert code == 1
+        assert f"error: {profile}: {message}" in capsys.readouterr().err
 
 
 class TestBoundVerb:

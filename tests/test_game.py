@@ -193,6 +193,15 @@ class TestNeighborGraph:
 
 
 class TestGameValidation:
+    @pytest.mark.parametrize("theta_max", [0.0, np.inf, np.nan])
+    def test_theta_max_must_be_positive_and_finite(self, theta_max):
+        # An infinite surplus would make every maneuver free.
+        with pytest.raises(ValueError, match="theta_max must be positive and finite"):
+            AgentSpec(1, StrategyInterval(-1.0, 1.0), theta_max)
+
+    def test_mask_length_is_the_grid_without_cells(self, toy_game):
+        assert toy_game.n_cells == toy_game.grid.n_steps
+
     def test_asymmetric_graph_rejected(self):
         masks = {1: [1, 0], 2: [0, 1]}
         with pytest.raises(ValueError, match="symmetric"):
@@ -256,6 +265,15 @@ class TestCertification:
         with pytest.raises(ValueError):
             certify_epsilon_equilibrium(
                 toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.0, 0.05
+            )
+
+    @pytest.mark.parametrize(
+        "epsilon, resolution", [(np.inf, 0.05), (np.nan, 0.05), (1.0, np.inf)]
+    )
+    def test_non_finite_settings_rejected(self, toy_game, epsilon, resolution):
+        with pytest.raises(ValueError, match="positive and finite"):
+            certify_epsilon_equilibrium(
+                toy_game, StrategyProfile.zeros(toy_game.n_agents), epsilon, resolution
             )
 
 

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covgame.game import StrategyInterval, StrategyProfile, global_value
+from covgame.game import (
+    StrategyInterval,
+    StrategyProfile,
+    global_value,
+    neighbor_graph_from_reach,
+)
 from covgame.measure import TimeGrid
 from covgame.orbit import (
     ConstellationCoverage,
@@ -55,6 +60,15 @@ GOLDEN_S1_DAY_WINDOWS = 2
 GOLDEN_UNION_NOMINAL = 9435.0
 GOLDEN_UNION_DAMAGED_10_23 = 8795.0
 
+# A smaller ring for the graph property, which builds a game per example.
+RING_SPEC = ConstellationSpec.equally_spaced(
+    n_satellites=8,
+    semi_major_axis=6896.27,
+    inclination=98.0 * DEG,
+    raan0=284.507 * DEG,
+    greenwich_angle0=284.507 * DEG,
+)
+
 # Coverage models shared by the batch-scan property: the table target, and a
 # target whose view half-angle exceeds 90 degrees.
 SCAN_GRID = TimeGrid(0.0, 86400.0, 120.0)
@@ -65,6 +79,13 @@ WIDE_COVERAGE = ConstellationCoverage(
     TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 150.0 * DEG),
     SCAN_GRID,
 )
+
+
+def on_grid(cov, mask):
+    """Scatter a mask over ``cov.cells`` into one entry per grid cell."""
+    full = np.zeros(cov.grid.n_steps, dtype=bool)
+    full[cov.cells] = mask
+    return full
 
 
 class TestRotations:
@@ -197,7 +218,8 @@ class TestCoverage:
     def test_degenerate_full_visibility(self):
         grid = TimeGrid(0.0, 600.0, 5.0)
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, math.pi)
-        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid)(1, 0.0)
+        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid)
+        c = on_grid(cov, cov(1, 0.0))
         assert grid.dt * np.count_nonzero(c) == grid.duration
 
     def test_vanishing_aperture_empty(self):
@@ -206,7 +228,8 @@ class TestCoverage:
         assert not c.any()
 
     def test_golden_day_measure_and_window_shape(self):
-        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(1, 0.0)
+        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
+        c = on_grid(cov, cov(1, 0.0))
         assert DAY_GRID.dt * np.count_nonzero(c) == GOLDEN_S1_DAY_MEASURE
         runs = np.diff(np.flatnonzero(np.diff(np.r_[0, c.view(np.int8), 0])))
         window_lengths = runs[::2]
@@ -230,7 +253,7 @@ class TestCoverage:
                     for t in DAY_GRID.cell_starts()
                 ]
             )
-            got = cov(k, theta)
+            got = on_grid(cov, cov(k, theta))
             assert np.array_equal(got, expected)
 
     def test_phase_shift_consistency(self):
@@ -246,9 +269,11 @@ class TestCoverage:
                 for i, m in enumerate(TABLE_SPEC.mean_anomalies0)
             ),
         )
-        direct = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)(5, theta)
-        rebased = ConstellationCoverage(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID)(5, 0.0)
-        assert np.array_equal(direct, rebased)
+        direct = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
+        rebased = ConstellationCoverage(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID)
+        assert np.array_equal(
+            on_grid(direct, direct(5, theta)), on_grid(rebased, rebased(5, 0.0))
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -269,7 +294,29 @@ class TestCoverage:
         # (-pi, pi], including the +-pi alias and, through a view half-angle
         # above 90 deg, cells visible for every phase (half_width == pi).
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
-        within = np.random.default_rng(within_seed).random(cov.grid.n_steps) < 0.5
+        within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
+        counts = cov.masked_cell_counts(k, np.array(thetas), within)
+        for theta, count in zip(thetas, counts):
+            assert count == np.count_nonzero(cov(k, theta) & within)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wide=st.booleans(),
+        k=st.integers(1, 24),
+        start=st.floats(-math.pi, math.pi, exclude_min=True),
+        span=st.floats(0.0, 0.05),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),
+        within_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_agree_on_a_narrow_span(
+        self, wide, k, start, span, fractions, within_seed
+    ):
+        # All thetas in a sub-span of at most 0.05 rad, so the scan drops
+        # most cells before its searchsorted passes; spans that reach pi
+        # are clipped there and exercise the aliases.
+        cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
+        thetas = sorted(min(start + f * span, math.pi) for f in fractions)
+        within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
         counts = cov.masked_cell_counts(k, np.array(thetas), within)
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(k, theta) & within)
@@ -285,7 +332,7 @@ class TestCoverage:
     def test_counts_fall_back_on_unsorted_input(self, rng):
         cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
         thetas = rng.uniform(-0.2, 0.2, 17)  # unsorted
-        within = np.ones(DAY_GRID.n_steps, dtype=bool)
+        within = np.ones(cov.cells.size, dtype=bool)
         counts = cov.masked_cell_counts(1, thetas, within)
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(1, float(theta)))
@@ -293,9 +340,9 @@ class TestCoverage:
     def test_reachable_mask_covers_every_strategy(self, rng):
         cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
-        reach = cov.reachable_mask(9, interval)
+        reach = on_grid(cov, cov.reachable_mask(9, interval))
         for theta in rng.uniform(interval.lo, interval.hi, 40):
-            mask = cov(9, float(theta))
+            mask = on_grid(cov, cov(9, float(theta)))
             assert not np.any(mask & ~reach)
 
 
@@ -363,14 +410,52 @@ class TestConstellationGame:
     def test_exact_reach_graph_matches_sampled_closure(self):
         # Two independent constructions: per-cell strategy-interval
         # intersection vs a 64-point union of coverage samples.
-        from covgame.game import neighbor_graph_from_reach
-
         game = build_constellation_game(
             CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,
             StrategyInterval(-15 * DEG, 15 * DEG), 1.0, damaged={10, 23},
         )
         sampled = neighbor_graph_from_reach(game.agents, game.coverage_fn, game.grid)
         assert sampled == game.neighbor_graph
+
+    def test_masks_run_over_the_visible_cells(self):
+        game = build_constellation_game(
+            CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,
+            StrategyInterval(-15 * DEG, 15 * DEG), 1.0,
+        )
+        cells = game.coverage_fn.cells
+        assert game.n_cells == cells.size < DAY_GRID.n_steps
+        assert np.all(np.diff(cells) > 0)
+        assert game.coverage(1, 0.0).shape == (cells.size,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        longitude=st.floats(-math.pi, math.pi),
+        latitude=st.floats(-math.pi / 2.0, math.pi / 2.0),
+        half_angle=st.floats(1.0 * DEG, math.pi),
+        lo=st.floats(-math.pi, math.pi),
+        width=st.floats(0.0, 2.0 * math.pi),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_reach_bounds_masks_and_sampled_graph(
+        self, longitude, latitude, half_angle, lo, width, fractions
+    ):
+        # Any target (view half-angles above 90 deg included) and strategy
+        # interval: every mask of a strategy in the interval lies inside the
+        # exact reach, so the sampled graph is a subgraph of the exact one.
+        interval = StrategyInterval(lo, min(lo + width, math.pi))
+        game = build_constellation_game(
+            CONSTANTS, RING_SPEC, TargetSpec(longitude, latitude, half_angle),
+            SCAN_GRID, 0.2, interval, 1.0,
+        )
+        cov = game.coverage_fn
+        for k in game.active_indices:
+            reach = cov.reachable_mask(k, interval)
+            for f in [0.0, 1.0, *fractions]:
+                theta = min(interval.lo + f * interval.width, interval.hi)
+                assert not np.any(cov(k, theta) & ~reach)
+        sampled = neighbor_graph_from_reach(game.agents, cov, game.grid)
+        for k, neigh in sampled.items():
+            assert neigh <= game.neighbor_graph[k]
 
     def test_local_value_ignores_far_satellites(self, rng):
         from covgame.game import local_value

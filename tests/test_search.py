@@ -87,6 +87,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(epsilon=0.0, max_rounds=5)
 
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SearchConfig(epsilon=epsilon, max_rounds=5)
+
 
 def single_agent_game():
     """One agent whose nominal window hangs off the grid edge: sliding it
