@@ -25,6 +25,9 @@ from .optimize import ScalarMaximizerConfig, maximize_scalar
 
 CoverageFn = Callable[[int, float], np.ndarray]
 
+# Slack with which a strategy still counts as inside its interval, radians.
+CONTAINS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class StrategyInterval:
@@ -43,7 +46,7 @@ class StrategyInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, theta: float, tol: float = 1e-12) -> bool:
+    def contains(self, theta: float, tol: float = CONTAINS_TOL) -> bool:
         return self.lo - tol <= theta <= self.hi + tol
 
 

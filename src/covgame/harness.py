@@ -215,6 +215,19 @@ def phase_linearity_residual(
     return float(np.sqrt(np.mean((np.unwrap(phases) - fit) ** 2)))
 
 
+def stop_reason(cfg: ScenarioConfig, report: ComparisonReport) -> str:
+    """Why a method run stopped: it converged, or its budget ran out.
+
+    The distributed engine converged once a round elected nobody; the
+    compass search converged once its step fell below the minimum.
+    """
+    if report.method == DISTRIBUTED:
+        return "converged" if report.converged_at is not None else "round budget exhausted"
+    if report.iterations >= cfg.centralized.max_evals:
+        return "evaluation budget exhausted"
+    return "converged"
+
+
 def emit_results(
     out_dir: str | Path,
     cfg: ScenarioConfig,
@@ -224,7 +237,9 @@ def emit_results(
     """Write comparison, trace, profile CSVs and a machine-readable summary.
 
     File contents are deterministic for deterministic runs except for the
-    wall-time columns.
+    wall-time columns. The summary gives each method's ``stop_reason`` (see
+    :func:`stop_reason`) next to ``certified``, and for the distributed
+    method the largest regret of the last round in ``traces``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,6 +317,10 @@ def emit_results(
             "iterations": r.iterations,
             "certified": r.certified,
             "converged_at": r.converged_at,
+            "stop_reason": stop_reason(cfg, r),
+            "last_max_regret_s": (
+                traces[-1].max_regret if r.method == DISTRIBUTED and traces else None
+            ),
             "phase_linearity_residual_rad": phase_linearity_residual(
                 r.final_theta, cfg.constellation.mean_anomalies0, active
             ),

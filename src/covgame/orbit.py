@@ -7,7 +7,10 @@ anomaly. Ground-target visibility is a pure geocentric-angle threshold between
 the satellite and target position vectors in the Earth-fixed frame, sampled at
 the left edge of every grid cell, which makes each satellite's coverage a
 union of short time windows. Masks run over the cells some phase can see,
-not over the whole grid (see :class:`ConstellationCoverage`).
+not over the whole grid. The coverage is built for the game's strategy
+interval, and each satellite stores the covering bounds of its reach alone:
+the cells some strategy in that interval covers (see
+:class:`ConstellationCoverage`).
 
 Frames follow the usual chain: orbital plane -> inertial via node and
 inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
@@ -17,10 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_masks
+from .game import (
+    CONTAINS_TOL,
+    AgentSpec,
+    GameInstance,
+    StrategyInterval,
+    neighbor_graph_from_masks,
+)
 from .measure import TimeGrid
 
 TWO_PI = 2.0 * math.pi
@@ -229,6 +239,29 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
     return np.pi - np.mod(np.pi - x, TWO_PI)
 
 
+class _Reach(NamedTuple):
+    """One satellite's reach: the cells some strategy in the interval covers.
+
+    ``index`` holds their sorted positions on the mask axis, ``lo`` and
+    ``hi`` their covering-interval bounds, and ``alias`` the positions (into
+    ``index``) of the few cells that an offset in the interval can cover
+    through a ``2 pi`` alias of their bounds.
+    """
+
+    index: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    alias: np.ndarray
+
+
+def _meets(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Cells whose covering interval ``[lo, hi]``, or an alias of it, meets ``[a, b]``."""
+    meets = (lo <= b) & (hi >= a)
+    meets |= lo + TWO_PI <= b
+    meets |= hi - TWO_PI >= a
+    return meets
+
+
 class ConstellationCoverage:
     """Per-satellite target-visibility masks over the grid's visible cells.
 
@@ -243,15 +276,18 @@ class ConstellationCoverage:
 
     Re-expressed in the strategy variable, every visible cell ``j`` is
     covered exactly for the offsets in ``[lo_j, hi_j]`` (plus its ``2 pi``
-    aliases), where the interval bounds are precomputed once per grid. A
-    single mask then costs two comparisons per cell, and a whole
-    best-response scan over a sorted strategy grid costs one
-    ``searchsorted`` pass, over the cells whose interval meets the span of
-    the grid, that reproduces those comparisons exactly, so the two can never
-    disagree on a boundary cell. The reachable-coverage mask over a full
-    strategy interval (used to freeze the neighbor graph) is an
-    interval-intersection test on the same bounds, and so contains every
-    single mask of a strategy in that interval.
+    aliases). The coverage is built for one strategy ``interval``, which the
+    game's agents share: each satellite keeps the bounds of its *reach*
+    alone, the cells whose covering interval (or an alias) meets the
+    interval widened by :data:`~covgame.game.CONTAINS_TOL`, so every offset
+    that ``interval.contains`` accepts gets an exact mask. An offset outside
+    it raises ``ValueError``. A single mask costs two comparisons per reach
+    cell, scattered into a mask that still has one entry per visible cell. A
+    whole best-response scan over a sorted strategy grid costs one
+    ``searchsorted`` pass over the reach that reproduces those comparisons
+    exactly, so the two can never disagree on a boundary cell. The reach
+    itself (used to freeze the neighbor graph) contains every single mask of
+    a strategy in the interval.
     """
 
     def __init__(
@@ -260,11 +296,15 @@ class ConstellationCoverage:
         spec: ConstellationSpec,
         target: TargetSpec,
         grid: TimeGrid,
+        interval: StrategyInterval,
     ) -> None:
+        if interval.lo < -math.pi or interval.hi > math.pi:
+            raise ValueError("strategy interval must lie within [-pi, pi]")
         self.constants = constants
         self.spec = spec
         self.target = target
         self.grid = grid
+        self.interval = interval
         self.rates = drift_rates(constants, spec)
 
         elapsed = grid.cell_starts() - grid.t0
@@ -305,28 +345,56 @@ class ConstellationCoverage:
         elapsed = elapsed[self.cells]
         psi = psi[self.cells]
 
+        # The offsets a mask is ever computed at: the accepted interval, and
+        # where it reaches past +-pi, the wrapped images _mask compares. A
+        # cell can be covered through an alias only if lo + 2 pi <= last or
+        # hi - 2 pi >= first.
+        a = interval.lo - CONTAINS_TOL
+        b = interval.hi + CONTAINS_TOL
+        spans = [(a, b)]
+        if a <= -math.pi:
+            spans.append((float(_wrap_pi(a)), math.pi))
+        if b > math.pi:
+            spans.append((-math.pi, float(_wrap_pi(b))))
+        first = min(x for x, _ in spans)
+        last = max(y for _, y in spans)
+
         # Strategy interval covering each cell, per satellite: a cell is
         # covered iff wrap(theta) lands in [lo, hi] or one of the 2 pi
         # aliases of that interval.
-        n_sats = spec.n_satellites
-        self._theta_lo = np.empty((n_sats, self.cells.size))
-        self._theta_hi = np.empty((n_sats, self.cells.size))
-        for i, m0 in enumerate(spec.mean_anomalies0):
+        self._reach: list[_Reach] = []
+        for m0 in spec.mean_anomalies0:
             base = _wrap_pi(m0 + self.rates.phase_rate * elapsed - psi)
-            self._theta_lo[i] = -base - half_width
-            self._theta_hi[i] = -base + half_width
+            lo = -base - half_width
+            hi = -base + half_width
+            index = np.flatnonzero(
+                np.logical_or.reduce([_meets(lo, hi, x, y) for x, y in spans])
+            )
+            lo, hi = lo[index], hi[index]
+            alias = np.flatnonzero((lo + TWO_PI <= last) | (hi - TWO_PI >= first))
+            self._reach.append(_Reach(index, lo, hi, alias))
+
+    def _check(self, k: int, theta: float) -> None:
+        if not self.interval.contains(theta):
+            raise ValueError(
+                f"strategy {theta!r} of agent {k} is outside the interval "
+                f"[{self.interval.lo!r}, {self.interval.hi!r}] the coverage was built for"
+            )
 
     def _mask(self, k: int, theta: float) -> np.ndarray:
+        self._check(k, theta)
         if not (-math.pi < theta <= math.pi):
             # Keep in-range strategies bit-identical to the batch comparisons;
             # wrapping would perturb them by an ulp.
             theta = float(_wrap_pi(theta))
-        lo = self._theta_lo[k - 1]
-        hi = self._theta_hi[k - 1]
-        inside = (lo <= theta) & (theta <= hi)
-        inside |= theta >= lo + TWO_PI
-        inside |= theta <= hi - TWO_PI
-        return inside
+        reach = self._reach[k - 1]
+        inside = (reach.lo <= theta) & (theta <= reach.hi)
+        lo = reach.lo[reach.alias]
+        hi = reach.hi[reach.alias]
+        inside[reach.alias] |= (theta >= lo + TWO_PI) | (theta <= hi - TWO_PI)
+        mask = np.zeros(self.cells.size, dtype=bool)
+        mask[reach.index[inside]] = True
+        return mask
 
     def __call__(self, k: int, theta: float) -> np.ndarray:
         """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
@@ -338,11 +406,12 @@ class ConstellationCoverage:
         """Covered-cell counts restricted to ``within``, for many strategies.
 
         Counts ``|coverage(k, theta) & within|`` for every entry of a sorted
-        ``thetas`` array in one pass over the visible cells: each relevant
-        cell contributes its strategy interval (and aliases) to a difference
+        ``thetas`` array in one pass over the reach of ``k``: each cell
+        contributes its strategy interval (and aliases) to a difference
         array indexed by ``searchsorted``, whose comparisons agree exactly
-        with the per-mask path. ``within`` is a mask over ``cells``. Requires
-        ``thetas`` sorted ascending within ``(-pi, pi]``.
+        with the per-mask path. ``within`` is a mask over ``cells``. Every
+        theta must lie in the built interval; a grid that is not sorted
+        ascending within ``(-pi, pi]`` is counted one mask at a time.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
@@ -351,52 +420,55 @@ class ConstellationCoverage:
             return np.array(
                 [int(np.count_nonzero(self._mask(k, t) & within)) for t in thetas]
             )
-        # A cell whose covering interval and aliases all miss the span of
-        # thetas adds to no count; dropping it first is exact.
-        select = within & self._meets(k, thetas[0], thetas[-1])
-        lo = self._theta_lo[k - 1][select]
-        hi = self._theta_hi[k - 1][select]
-        m = thetas.size
-        diff = np.zeros(m + 1, dtype=np.int64)
+        self._check(k, thetas[0])
+        self._check(k, thetas[-1])
+        reach = self._reach[k - 1]
+        select = within[reach.index]
+        lo = reach.lo[select]
+        hi = reach.hi[select]
+        # Every theta lies in the built interval, so a cell outside
+        # reach.alias adds nothing through an alias; leaving it out is exact.
+        alias = reach.alias[select[reach.alias]]
+        alo = reach.lo[alias]
+        ahi = reach.hi[alias]
+        alo_up = alo + TWO_PI
+        ahi_down = ahi - TWO_PI
+        # Closed intervals [start, stop] in theta: the main interval and its
+        # two aliases add; the inclusion-exclusion terms for the
+        # (degenerate, half_width == pi) case in which an alias overlaps the
+        # main interval subtract.
+        starts = np.concatenate(
+            (lo, alo_up, np.full(alias.size, -math.inf), alo_up, alo)
+        )
+        stops = np.concatenate(
+            (hi, np.full(alias.size, math.inf), ahi_down, ahi, ahi_down)
+        )
+        # searchsorted reproduces the exact (theta >= start) & (theta <= stop)
+        # comparisons. An added interval opens at i0 and closes at i1, a
+        # subtracted one the other way round; an interval that misses every
+        # theta gets i1 = i0 and so opens and closes at the same index. One
+        # bincount makes the difference array, with the closing events in
+        # its second half.
+        i0 = np.searchsorted(thetas, starts, side="left")
+        i1 = np.searchsorted(thetas, stops, side="right")
+        np.maximum(i0, i1, out=i1)
+        m = thetas.size + 1
+        added = lo.size + 2 * alias.size
+        events = np.concatenate((i0[:added], i1[added:], i1[:added] + m, i0[added:] + m))
+        counts = np.bincount(events, minlength=2 * m)
+        return np.cumsum(counts[: m - 1] - counts[m : 2 * m - 1])
 
-        def add(starts: np.ndarray, stops: np.ndarray, sign: int) -> None:
-            # Interval [start, stop] in theta; searchsorted reproduces the
-            # exact (theta >= start) & (theta <= stop) comparisons.
-            i0 = np.searchsorted(thetas, starts, side="left")
-            i1 = np.searchsorted(thetas, stops, side="right")
-            keep = i0 < i1
-            np.add.at(diff, i0[keep], sign)
-            np.add.at(diff, i1[keep], -sign)
+    def reachable_mask(self, k: int) -> np.ndarray:
+        """Cells satellite ``k`` can cover for some strategy in the interval.
 
-        add(lo, hi, 1)
-        add(lo + TWO_PI, np.full_like(lo, math.inf), 1)
-        add(np.full_like(hi, -math.inf), hi - TWO_PI, 1)
-        # Inclusion-exclusion for the (degenerate, half_width == pi) case in
-        # which an alias overlaps the main interval.
-        add(lo + TWO_PI, hi, -1)
-        add(lo, hi - TWO_PI, -1)
-        return np.cumsum(diff[:-1])
-
-    def reachable_mask(self, k: int, interval: StrategyInterval) -> np.ndarray:
-        """Cells satellite ``k`` can cover for some strategy in ``interval``.
-
-        Exact over the whole continuum of strategies: cell ``j`` is reachable
-        iff its covering interval (or an alias) meets ``interval``. Covers
-        every per-strategy mask by construction. Requires the interval to lie
-        within ``[-pi, pi]``.
+        Exact over the whole continuum of strategies that the interval
+        accepts: cell ``j`` is reachable iff its covering interval (or an
+        alias) meets the interval. Covers every per-strategy mask by
+        construction.
         """
-        if interval.lo < -math.pi or interval.hi > math.pi:
-            raise ValueError("strategy interval must lie within [-pi, pi]")
-        return self._meets(k, interval.lo, interval.hi)
-
-    def _meets(self, k: int, a: float, b: float) -> np.ndarray:
-        """Cells whose covering interval, or an alias of it, meets ``[a, b]``."""
-        lo = self._theta_lo[k - 1]
-        hi = self._theta_hi[k - 1]
-        meets = (lo <= b) & (hi >= a)
-        meets |= lo + TWO_PI <= b
-        meets |= hi - TWO_PI >= a
-        return meets
+        mask = np.zeros(self.cells.size, dtype=bool)
+        mask[self._reach[k - 1].index] = True
+        return mask
 
 
 def build_constellation_game(
@@ -440,12 +512,8 @@ def build_constellation_game(
         )
         for k in range(1, n + 1)
     )
-    coverage = ConstellationCoverage(constants, spec, target, grid)
-    reach = {
-        a.index: coverage.reachable_mask(a.index, a.strategy_space)
-        for a in agents
-        if a.active
-    }
+    coverage = ConstellationCoverage(constants, spec, target, grid, strategy_space)
+    reach = {a.index: coverage.reachable_mask(a.index) for a in agents if a.active}
     return GameInstance(
         agents=agents,
         grid=grid,

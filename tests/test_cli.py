@@ -1,6 +1,7 @@
 """Command-line interface: verbs, files, exit codes."""
 import csv
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,36 @@ class TestRunVerb:
             "--method", "distributed", "--max-iter", "1", "--quiet",
         )
         assert code == 2
+
+    def test_summary_says_why_each_method_stopped(self, tmp_path, mini_scenario_file):
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", mini_scenario_file, "--out", out, "--quiet") == 0
+        methods = json.loads((out / "summary.json").read_text())["methods"]
+        with (out / "trace.csv").open() as fh:
+            last_round = list(csv.DictReader(fh))[-1]
+        distributed = methods["distributed"]
+        assert distributed["stop_reason"] == "converged"
+        assert distributed["certified"] is True
+        assert distributed["last_max_regret_s"] == pytest.approx(
+            float(last_round["max_regret_s"]), abs=1e-6
+        )
+        assert methods["centralized"]["stop_reason"] == "converged"
+        assert methods["centralized"]["last_max_regret_s"] is None
+
+    def test_summary_names_an_exhausted_budget(self, tmp_path):
+        doc = mini_scenario_doc()
+        doc["search"]["max_rounds"] = 1
+        doc["centralized"]["max_evals"] = 3
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", path, "--out", out, "--quiet") == 2
+        methods = json.loads((out / "summary.json").read_text())["methods"]
+        distributed = methods["distributed"]
+        assert distributed["stop_reason"] == "round budget exhausted"
+        assert distributed["certified"] is False
+        assert distributed["last_max_regret_s"] > doc["search"]["epsilon_s"]
+        assert methods["centralized"]["stop_reason"] == "evaluation budget exhausted"
 
     def test_missing_scenario_is_error_exit(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", tmp_path / "nope.json", "--out", tmp_path)
@@ -274,6 +305,30 @@ class TestCertifyVerb:
         )
         assert code == 1
         assert f"error: {profile}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["0.1", "1000"])
+    def test_strategy_within_the_interval_slack_certifies_like_the_end(
+        self, tmp_path, mini_scenario_file, capsys, epsilon
+    ):
+        # StrategyInterval.contains accepts a strategy up to 1e-12 rad past
+        # an end of the interval; the coverage must give it an exact mask
+        # rather than an error, and the verdict must match the end's.
+        hi = parse_scenario(mini_scenario_doc()).strategy_space.hi
+        outputs = []
+        for theta in (hi, hi + 1e-13):
+            degrees = repr(math.degrees(theta))
+            assert (math.radians(float(degrees)) > hi) == (theta > hi)
+            rows = [f"{k},{degrees if k == 4 else 0.0},0.0" for k in range(1, 13)]
+            profile = write_profile(
+                tmp_path / "profile.csv", "agent,theta_deg,energy_penalty", rows
+            )
+            code = run_cli(
+                "certify", "--scenario", mini_scenario_file,
+                "--profile", profile, "--epsilon", epsilon,
+            )
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (0 if epsilon == "1000" else 2)
 
 
 class TestBoundVerb:

@@ -69,16 +69,27 @@ RING_SPEC = ConstellationSpec.equally_spaced(
     greenwich_angle0=284.507 * DEG,
 )
 
+# Every strategy a phase offset can take.
+FULL_CIRCLE = StrategyInterval(-math.pi, math.pi)
+
 # Coverage models shared by the batch-scan property: the table target, and a
 # target whose view half-angle exceeds 90 degrees.
 SCAN_GRID = TimeGrid(0.0, 86400.0, 120.0)
-TABLE_COVERAGE = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID)
+TABLE_COVERAGE = ConstellationCoverage(
+    CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID, FULL_CIRCLE
+)
 WIDE_COVERAGE = ConstellationCoverage(
     CONSTANTS,
     TABLE_SPEC,
     TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 150.0 * DEG),
     SCAN_GRID,
+    FULL_CIRCLE,
 )
+
+
+def day_coverage(spec=TABLE_SPEC, interval=FULL_CIRCLE):
+    """Coverage of the table target over one day at 5 s."""
+    return ConstellationCoverage(CONSTANTS, spec, TABLE_TARGET, DAY_GRID, interval)
 
 
 def on_grid(cov, mask):
@@ -218,17 +229,18 @@ class TestCoverage:
     def test_degenerate_full_visibility(self):
         grid = TimeGrid(0.0, 600.0, 5.0)
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, math.pi)
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid)
+        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, grid, FULL_CIRCLE)
         c = on_grid(cov, cov(1, 0.0))
         assert grid.dt * np.count_nonzero(c) == grid.duration
 
     def test_vanishing_aperture_empty(self):
         tgt = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 1e-9)
-        c = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, DAY_GRID)(1, 0.0)
+        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, tgt, DAY_GRID, FULL_CIRCLE)
+        c = cov(1, 0.0)
         assert not c.any()
 
     def test_golden_day_measure_and_window_shape(self):
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
+        cov = day_coverage()
         c = on_grid(cov, cov(1, 0.0))
         assert DAY_GRID.dt * np.count_nonzero(c) == GOLDEN_S1_DAY_MEASURE
         runs = np.diff(np.flatnonzero(np.diff(np.r_[0, c.view(np.int8), 0])))
@@ -241,7 +253,7 @@ class TestCoverage:
         # Independent route: explicit per-cell positions and angle threshold.
         rates = drift_rates(CONSTANTS, TABLE_SPEC)
         tgt_pos = target_position_ecf(CONSTANTS, TABLE_TARGET)
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
+        cov = day_coverage()
         for k, theta in ((1, 0.0), (7, 0.21), (16, -0.26)):
             expected = np.array(
                 [
@@ -269,8 +281,8 @@ class TestCoverage:
                 for i, m in enumerate(TABLE_SPEC.mean_anomalies0)
             ),
         )
-        direct = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
-        rebased = ConstellationCoverage(CONSTANTS, shifted, TABLE_TARGET, DAY_GRID)
+        direct = day_coverage()
+        rebased = day_coverage(spec=shifted)
         assert np.array_equal(
             on_grid(direct, direct(5, theta)), on_grid(rebased, rebased(5, 0.0))
         )
@@ -330,7 +342,7 @@ class TestCoverage:
         assert always.any()
 
     def test_counts_fall_back_on_unsorted_input(self, rng):
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
+        cov = day_coverage()
         thetas = rng.uniform(-0.2, 0.2, 17)  # unsorted
         within = np.ones(cov.cells.size, dtype=bool)
         counts = cov.masked_cell_counts(1, thetas, within)
@@ -338,12 +350,137 @@ class TestCoverage:
             assert count == np.count_nonzero(cov(1, float(theta)))
 
     def test_reachable_mask_covers_every_strategy(self, rng):
-        cov = ConstellationCoverage(CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID)
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
-        reach = on_grid(cov, cov.reachable_mask(9, interval))
+        cov = day_coverage(interval=interval)
+        reach = on_grid(cov, cov.reachable_mask(9))
         for theta in rng.uniform(interval.lo, interval.hi, 40):
             mask = on_grid(cov, cov(9, float(theta)))
             assert not np.any(mask & ~reach)
+
+
+class TestBuiltInterval:
+    """A coverage built for one strategy interval against the full circle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wide=st.booleans(),
+        k=st.integers(1, 24),
+        ends=st.tuples(
+            st.one_of(
+                st.just(-math.pi),
+                st.floats(-math.pi, -math.pi + 0.1),
+                st.floats(-math.pi, math.pi),
+            ),
+            st.one_of(
+                st.just(math.pi),
+                st.floats(math.pi - 0.1, math.pi),
+                st.floats(-math.pi, math.pi),
+            ),
+        ).map(sorted),
+        start=st.floats(0.0, 1.0),
+        span=st.floats(0.0, 1.0),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+        within_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_circle(
+        self, wide, k, ends, start, span, fractions, within_seed
+    ):
+        # Masks, batch counts and reach over strategies in the interval,
+        # both ends included, on sub-spans of any width; intervals that end
+        # near +-pi keep the 2 pi alias terms live.
+        full = WIDE_COVERAGE if wide else TABLE_COVERAGE
+        interval = StrategyInterval(*ends)
+        cov = ConstellationCoverage(
+            CONSTANTS, TABLE_SPEC, full.target, SCAN_GRID, interval
+        )
+        assert np.array_equal(cov.cells, full.cells)
+        lo, width = interval.lo, interval.width
+        inner = [
+            min(lo + (start + f * span * (1.0 - start)) * width, interval.hi)
+            for f in fractions
+        ]
+        within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
+        reach = cov.reachable_mask(k)
+        for thetas in (sorted(inner), [interval.lo, *sorted(inner), interval.hi]):
+            for theta in thetas:
+                mask = cov(k, theta)
+                assert np.array_equal(mask, full(k, theta))
+                assert not np.any(mask & ~reach)
+            thetas = np.array(thetas)
+            assert np.array_equal(
+                cov.masked_cell_counts(k, thetas, within),
+                full.masked_cell_counts(k, thetas, within),
+            )
+
+    @pytest.mark.parametrize(
+        "interval, thetas",
+        [
+            (StrategyInterval(math.pi - 0.1, math.pi), (math.pi, math.pi - 0.05)),
+            (StrategyInterval(-math.pi, -math.pi + 0.1), (-math.pi, -math.pi + 0.05)),
+        ],
+    )
+    def test_masks_near_the_seam_match_the_position_chain(self, interval, thetas):
+        # Offsets near +-pi cover many cells only through a 2 pi alias of
+        # their covering interval. An independent route: explicit positions
+        # and the angle threshold, away from cells within 1e-9 rad of it.
+        rates = drift_rates(CONSTANTS, TABLE_SPEC)
+        tgt_pos = target_position_ecf(CONSTANTS, TABLE_TARGET)
+        cov = ConstellationCoverage(
+            CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID, interval
+        )
+        for k in (1, 5, 9, 13, 17, 21):
+            for theta in thetas:
+                angles = np.array(
+                    [
+                        geocentric_angle(
+                            satellite_position_ecf(
+                                CONSTANTS, TABLE_SPEC, rates, k, theta, t
+                            ),
+                            tgt_pos,
+                        )
+                        for t in SCAN_GRID.cell_starts()
+                    ]
+                )
+                clear = np.abs(angles - TABLE_TARGET.view_half_angle) > 1e-9
+                got = on_grid(cov, cov(k, theta))
+                expected = angles <= TABLE_TARGET.view_half_angle
+                assert np.array_equal(got[clear], expected[clear])
+
+    def test_outside_the_interval_is_an_error(self):
+        interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
+        cov = day_coverage(interval=interval)
+        within = np.ones(cov.cells.size, dtype=bool)
+        for theta in (interval.hi + 1e-9, interval.lo - 1e-9, 1.0, math.nan):
+            with pytest.raises(ValueError, match="agent 3"):
+                cov(3, theta)
+        with pytest.raises(ValueError, match="agent 3"):
+            cov.masked_cell_counts(3, np.array([0.0, interval.hi + 1e-9]), within)
+
+    def test_interval_must_lie_on_the_circle(self):
+        with pytest.raises(ValueError, match="within"):
+            day_coverage(interval=StrategyInterval(0.0, 4.0))
+
+    def test_slack_past_the_end_gets_the_exact_mask(self):
+        # Find the exact offset at which a cell of satellite 1 starts being
+        # covered, end an interval just short of it, and probe inside the
+        # 1e-12 slack that StrategyInterval.contains grants past that end.
+        full = day_coverage()
+        before, after = full(1, 0.0), full(1, 0.05)
+        j = int(np.flatnonzero(after & ~before)[0])
+        a, b = 0.0, 0.05
+        while (mid := 0.5 * (a + b)) not in (a, b):
+            if full(1, mid)[j]:
+                b = mid
+            else:
+                a = mid
+        interval = StrategyInterval(-0.1, b - 5e-14)
+        theta = interval.hi + 1e-13
+        assert interval.contains(theta) and not full(1, interval.hi)[j]
+        cov = day_coverage(interval=interval)
+        mask = cov(1, theta)
+        assert mask[j]
+        assert np.array_equal(mask, full(1, theta))
+        assert cov.reachable_mask(1)[j]
 
 
 class TestConstellationGame:
@@ -449,7 +586,7 @@ class TestConstellationGame:
         )
         cov = game.coverage_fn
         for k in game.active_indices:
-            reach = cov.reachable_mask(k, interval)
+            reach = cov.reachable_mask(k)
             for f in [0.0, 1.0, *fractions]:
                 theta = min(interval.lo + f * interval.width, interval.hi)
                 assert not np.any(cov(k, theta) & ~reach)
