@@ -30,12 +30,7 @@ from .harness import (
     sweep_satellite_count,
 )
 from .measure import TimeGrid, union_many
-from .optimize import (
-    PatternSearchConfig,
-    ScalarMaximizerConfig,
-    maximize_scalar,
-    pattern_search,
-)
+from .optimize import PatternSearchConfig, maximize_scalar, pattern_search
 from .orbit import (
     ConstellationCoverage,
     ConstellationSpec,
@@ -76,7 +71,6 @@ __all__ = [
     "OrbitConstants",
     "PatternSearchConfig",
     "RoundTrace",
-    "ScalarMaximizerConfig",
     "ScenarioConfig",
     "ScenarioError",
     "SearchConfig",

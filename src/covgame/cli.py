@@ -78,9 +78,6 @@ def _build_parser() -> _Parser:
     common(certify)
     certify.add_argument("--profile", type=Path, required=True, help="profile.csv to check")
     certify.add_argument("--epsilon", type=float, default=None)
-    certify.add_argument(
-        "--resolution-deg", type=float, default=0.05, help="scan resolution, degrees"
-    )
 
     bound = sub.add_parser("bound", help="print the guaranteed-convergence round count")
     common(bound)
@@ -171,23 +168,30 @@ def _cmd_sweep_energy(args: argparse.Namespace) -> int:
 
 
 def _read_profile_csv(path: Path, n_agents: int) -> StrategyProfile:
-    """Strategies of a stored ``profile.csv``; every fault names the file."""
+    """Strategies of a stored ``profile.csv``; every fault names the file.
+
+    The exact ``theta_rad`` column is read when present, else ``theta_deg``.
+    """
     theta = np.zeros(n_agents)
     seen: set[int] = set()
     with path.open() as fh:
         reader = csv.DictReader(fh)
-        for column in ("agent", "theta_deg"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: missing column {column!r}")
+        fields = reader.fieldnames or ()
+        column = "theta_rad" if "theta_rad" in fields else "theta_deg"
+        for name in ("agent", column):
+            if name not in fields:
+                raise ValueError(f"{path}: missing column {name!r}")
         for row in reader:
             where = f"{path}: line {reader.line_num}"
             try:
                 agent = int(row["agent"])
-                value = math.radians(float(row["theta_deg"]))
+                value = float(row[column])
             except (TypeError, ValueError):
                 raise ValueError(
-                    f"{where}: expected an integer agent and a number theta_deg"
+                    f"{where}: expected an integer agent and a number {column}"
                 ) from None
+            if column == "theta_deg":
+                value = math.radians(value)
             if not (1 <= agent <= n_agents):
                 raise ValueError(f"{where}: agent {agent} outside 1..{n_agents}")
             if agent in seen:
@@ -205,13 +209,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     game = cfg.build_game()
     profile = _read_profile_csv(args.profile, game.n_agents)
     epsilon = args.epsilon if args.epsilon is not None else cfg.search.epsilon
-    report = certify_epsilon_equilibrium(
-        game,
-        profile,
-        epsilon,
-        math.radians(args.resolution_deg),
-        refine=cfg.search.scalar,
-    )
+    report = certify_epsilon_equilibrium(game, profile, epsilon)
     _say(
         args,
         f"worst unilateral gain {report.worst_gain:.6f} s by agent "

@@ -15,13 +15,13 @@ which is what the distributed search engine relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .measure import TimeGrid, union_many
-from .optimize import ScalarMaximizerConfig, maximize_scalar
+from .optimize import maximize_scalar
 
 CoverageFn = Callable[[int, float], np.ndarray]
 
@@ -116,7 +116,13 @@ class GameInstance:
     ``n_cells`` entries: one per grid cell, or one per entry of the
     generator's ``cells`` when it has them. The instance takes ownership of
     each mask, freezes it and memoizes it per ``(index, theta)`` for its
-    life. The neighbor graph maps each active agent index to the set of
+    life. The generator must also expose ``breakpoints(k, within)``, which
+    returns arrays ``(starts, stops)`` such that agent ``k``'s count
+    ``|coverage(k, theta) & within|`` does not fall while ``theta`` moves
+    toward 0, until it passes a start (from above 0) or a stop (from below
+    0). The ends of the closed strategy intervals on which ``k`` covers each
+    cell of ``within`` are such a set; :func:`best_response_gain` scores
+    them. The neighbor graph maps each active agent index to the set of
     active agents whose coverage can overlap its own; it must be symmetric
     and irreflexive.
     """
@@ -131,6 +137,8 @@ class GameInstance:
     ) -> None:
         self.agents = tuple(agents)
         self.grid = grid
+        if not callable(getattr(coverage_fn, "breakpoints", None)):
+            raise TypeError("coverage_fn must expose breakpoints(k, within)")
         self.coverage_fn = coverage_fn
         self.n_cells = _mask_length(coverage_fn, grid)
         self.gamma = float(gamma)
@@ -224,7 +232,7 @@ def local_value_view(
     neighbor_thetas: Mapping[int, float],
 ) -> float:
     """Local objective of one agent from its own strategy and its neighbors'."""
-    f, _ = best_response_objective(game, index, neighbor_thetas)
+    f, _, _ = best_response_objective(game, index, neighbor_thetas)
     return f(theta)
 
 
@@ -244,23 +252,28 @@ def regret(
 ) -> float:
     """Local-objective change if ``index`` unilaterally switches to ``theta_new``."""
     view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    f, _ = best_response_objective(game, index, view)
+    f, _, _ = best_response_objective(game, index, view)
     return f(theta_new) - f(profile.for_agent(index))
 
 
 def best_response_objective(
     game: GameInstance, index: int, neighbor_thetas: Mapping[int, float]
-) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray] | None]:
-    """Scalar and optional vectorized local objective with neighbors frozen.
+) -> tuple[
+    Callable[[float], float], Callable[[np.ndarray], np.ndarray] | None, np.ndarray
+]:
+    """Local objective of one agent with its neighbors frozen.
 
     This is the one local-objective formula, ``dt * count - gamma * penalty``,
     and the information-restricted entry point: it reads nothing beyond the
     supplied neighbor strategies, which must cover every graph neighbor of
-    ``index``. The neighbor union is fixed while one agent scans its own
-    strategy, so it is folded once; each probe then costs one coverage mask
-    and one masked count. When the coverage generator exposes
-    ``masked_cell_counts`` (as the orbital one does), a batch evaluator over
-    a sorted strategy grid is returned too.
+    ``index``. The neighbor union is fixed while one agent varies its own
+    strategy, so it is folded once; each scalar evaluation then costs one
+    coverage mask and one masked count.
+
+    Returns ``(f, batch, uncovered)``: the scalar objective; a vectorized one
+    over a sorted strategy array when the coverage generator exposes
+    ``masked_cell_counts`` (as the orbital one does), else ``None``; and the
+    mask of cells no neighbor covers, which is what ``f`` counts.
     """
     agent = game.agent(index)
     neighbor_sets = [
@@ -283,7 +296,7 @@ def best_response_objective(
             gains = dt * cell_counts(index, thetas, uncovered)
             return gains - gamma * (thetas / agent.theta_max) ** 2
 
-    return f, batch
+    return f, batch, uncovered
 
 
 def best_response_gain(
@@ -291,18 +304,37 @@ def best_response_gain(
     index: int,
     neighbor_thetas: Mapping[int, float],
     theta: float,
-    cfg: ScalarMaximizerConfig,
 ) -> tuple[float, float]:
-    """Best response of agent ``index`` to frozen neighbors, and its gain.
+    """Exact best response of agent ``index`` to frozen neighbors, and its gain.
 
-    Returns ``(theta_star, gain)``: the maximizer found over the agent's
-    strategy interval and its local-objective improvement over ``theta``.
+    The agent's count of uncovered cells changes only at the closed ends of
+    those cells' covering intervals, which the generator's ``breakpoints``
+    lists, and the penalty is even and rises with ``|theta|``. Let ``z`` be
+    the point of the strategy interval ``[lo, hi]`` nearest 0. From any
+    strategy above ``z``, moving down to the nearest start at or below it
+    (or to ``z``) keeps every cell and costs no more, and symmetrically
+    below ``z``. So a maximizer lies among ``z``, the starts in ``(z, hi]``
+    and the stops in ``[lo, z)``, and scoring them all is exact.
+
+    Returns ``(theta_star, gain)``: the first maximizer in ascending order
+    and its local-objective improvement over ``theta``, which is never
+    negative.
     """
-    f, batch = best_response_objective(game, index, neighbor_thetas)
-    incumbent = f(theta)
+    f, batch, uncovered = best_response_objective(game, index, neighbor_thetas)
     space = game.agent(index).strategy_space
-    theta_star, best = maximize_scalar(f, space.lo, space.hi, cfg, batch_f=batch)
-    return theta_star, best - incumbent
+    starts, stops = game.coverage_fn.breakpoints(index, uncovered)
+    z = min(max(0.0, space.lo), space.hi)
+    candidates = np.unique(
+        np.concatenate(
+            (
+                [z],
+                starts[(starts > z) & (starts <= space.hi)],
+                stops[(stops >= space.lo) & (stops < z)],
+            )
+        )
+    )
+    theta_star, best = maximize_scalar(f, candidates, batch_f=batch)
+    return theta_star, best - f(theta)
 
 
 def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, frozenset[int]]:
@@ -349,11 +381,11 @@ def neighbor_graph_from_reach(
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of an approximate-equilibrium scan.
+    """Outcome of an equilibrium check.
 
-    ``worst_gain`` is the largest unilateral local-objective improvement found
-    over all active agents; the profile is certified iff it does not exceed
-    ``epsilon``.
+    ``worst_gain`` is the largest unilateral local-objective improvement over
+    all active agents (0 when there are none); the profile is certified iff
+    it does not exceed ``epsilon``.
     """
 
     certified: bool
@@ -364,34 +396,23 @@ class CertificationReport:
 
 
 def certify_epsilon_equilibrium(
-    game: GameInstance,
-    profile: StrategyProfile,
-    epsilon: float,
-    scan_resolution: float,
-    refine: ScalarMaximizerConfig | None = None,
+    game: GameInstance, profile: StrategyProfile, epsilon: float
 ) -> CertificationReport:
     """Check that no active agent can gain more than ``epsilon`` unilaterally.
 
-    Each agent's strategy interval is scanned at ``scan_resolution`` radians
-    (plus golden-section refinement around the best probe) against the frozen
-    strategies of its neighbors.
+    Each agent's gain is its exact best-response gain against the frozen
+    strategies of its neighbors (see :func:`best_response_gain`), so the
+    verdict does not depend on any sampling of the strategy interval.
     """
     if not (0.0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (0.0 < scan_resolution < np.inf):
-        raise ValueError(
-            f"scan_resolution must be positive and finite, got {scan_resolution}"
-        )
     game.validate_profile(profile)
     gains: dict[int, float] = {}
     worst_agent: int | None = None
     worst_gain = -np.inf
     for k in game.active_indices:
-        agent = game.agent(k)
-        points = max(3, int(round(agent.strategy_space.width / scan_resolution)) + 1)
-        cfg = replace(refine or ScalarMaximizerConfig(), coarse_points=points)
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-        _, gain = best_response_gain(game, k, view, profile.for_agent(k), cfg)
+        _, gain = best_response_gain(game, k, view, profile.for_agent(k))
         gains[k] = gain
         if gain > worst_gain:
             worst_gain = gain

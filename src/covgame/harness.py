@@ -21,6 +21,7 @@ from .game import (
     CertificationReport,
     GameInstance,
     StrategyProfile,
+    best_response_gain,
     certify_epsilon_equilibrium,
     global_value,
 )
@@ -33,7 +34,6 @@ from .search import (
     SearchResult,
     iteration_bound,
     run_search,
-    scan_resolution,
 )
 
 DISTRIBUTED = "distributed"
@@ -49,6 +49,7 @@ class ComparisonReport:
     wall_time: float                # optimization loop only, seconds
     iterations: int                 # rounds (distributed) or evaluations (centralized)
     certified: bool
+    worst_gain: float               # the certificate's largest unilateral gain, seconds
     final_theta: tuple[float, ...]  # radians, one entry per satellite
     converged_at: int | None = None
 
@@ -104,16 +105,43 @@ def run_distributed(
         wall_time=wall,
         iterations=len(result.traces),
         certified=result.certified,
+        worst_gain=result.certification.worst_gain,
         final_theta=tuple(float(v) for v in result.final_profile.theta),
         converged_at=result.converged_at,
     )
     return report, result
 
 
+def _polish(game: GameInstance, profile: StrategyProfile) -> StrategyProfile:
+    """Exact coordinate ascent: adopt each improving best response in turn.
+
+    By the potential identity, an agent's exact best response is an exact
+    line search of the global objective along its coordinate. Sweeps repeat
+    until one changes nothing; every adoption raises the global objective,
+    so this ends.
+    """
+    moved = True
+    while moved:
+        moved = False
+        for k in game.active_indices:
+            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            theta, gain = best_response_gain(game, k, view, profile.for_agent(k))
+            if gain > 0.0:
+                profile = profile.replace(k, theta)
+                moved = True
+    return profile
+
+
 def run_centralized(
     cfg: ScenarioConfig, game: GameInstance | None = None
 ) -> tuple[ComparisonReport, CertificationReport]:
-    """Pattern-search the full active-strategy box from the zero profile."""
+    """Pattern-search the full active-strategy box from the zero profile.
+
+    A compass search that converges, rather than exhausting its evaluation
+    budget, is finished by :func:`_polish`: its polls cannot see a plateau
+    narrower than their step, and an exact line search along each
+    coordinate can.
+    """
     game = cfg.build_game() if game is None else game
     active = game.active_indices
     bounds = [
@@ -133,24 +161,21 @@ def run_centralized(
         x_star, _, evals = pattern_search(objective, bounds, start, cfg.centralized)
     else:
         x_star, evals = start, 0
-    wall = time.perf_counter() - t_start
-
     final = StrategyProfile.from_mapping(
         game.n_agents, dict(zip(active, x_star.tolist()))
     )
-    certification = certify_epsilon_equilibrium(
-        game,
-        final,
-        cfg.search.epsilon,
-        scan_resolution(game, cfg.search.scalar),
-        refine=cfg.search.scalar,
-    )
+    if evals < cfg.centralized.max_evals:
+        final = _polish(game, final)
+    wall = time.perf_counter() - t_start
+
+    certification = certify_epsilon_equilibrium(game, final, cfg.search.epsilon)
     report = ComparisonReport(
         method=CENTRALIZED,
         value=global_value(game, final),
         wall_time=wall,
         iterations=evals,
         certified=certification.certified,
+        worst_gain=certification.worst_gain,
         final_theta=tuple(float(v) for v in final.theta),
     )
     return report, certification
@@ -238,8 +263,11 @@ def emit_results(
 
     File contents are deterministic for deterministic runs except for the
     wall-time columns. The summary gives each method's ``stop_reason`` (see
-    :func:`stop_reason`) next to ``certified``, and for the distributed
-    method the largest regret of the last round in ``traces``.
+    :func:`stop_reason`) next to ``certified`` and the certificate's
+    ``worst_gain_s``, and for the distributed method the largest regret of
+    the last round in ``traces``. Each profile CSV carries every strategy
+    twice: ``theta_deg`` rounded for reading, ``theta_rad`` exact for
+    ``covgame certify``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,12 +304,15 @@ def emit_results(
         profile_path = out / name
         with profile_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["agent", "theta_deg", "energy_penalty"])
-            game_agents = cfg.n_satellites
-            for k in range(1, game_agents + 1):
+            # theta_rad holds the exact strategy: an exact best response sits
+            # on a closed interval end, which a rounded theta_deg can miss.
+            writer.writerow(["agent", "theta_deg", "energy_penalty", "theta_rad"])
+            for k in range(1, cfg.n_satellites + 1):
                 theta = r.final_theta[k - 1]
                 penalty = (theta / cfg.theta_max[k - 1]) ** 2 if k not in cfg.damaged else 0.0
-                writer.writerow([k, f"{np.degrees(theta):.9f}", f"{penalty:.9f}"])
+                writer.writerow(
+                    [k, f"{np.degrees(theta):.9f}", f"{penalty:.9f}", repr(theta)]
+                )
         written[f"profile_{r.method}"] = profile_path
 
     phi_min, phi_max = assumption_envelopes(cfg)
@@ -316,6 +347,7 @@ def emit_results(
             "wall_time_s": r.wall_time,
             "iterations": r.iterations,
             "certified": r.certified,
+            "worst_gain_s": r.worst_gain,
             "converged_at": r.converged_at,
             "stop_reason": stop_reason(cfg, r),
             "last_max_regret_s": (

@@ -1,11 +1,12 @@
 """Derivative-free maximizers.
 
-Two solvers cover the project's needs: a bounded scalar maximizer for each
-agent's one-dimensional best response, and a compass (pattern) search over a
-box for the centralized baseline. Objectives here are typically
-piecewise-constant window integrals with a quadratic penalty, so the scalar
-maximizer runs a dense uniform pre-scan (plateaus) before golden-section
-refinement (the quadratic tilt).
+Two solvers cover the project's needs: an exhaustive scalar maximizer that
+scores a finite candidate set, for each agent's one-dimensional best
+response, and a compass (pattern) search over a box for the centralized
+baseline. The best-response objective is a piecewise-constant window count
+with a quadratic penalty, so a finite set of strategies (the agent's coverage
+breakpoints, see :func:`covgame.game.best_response_gain`) holds a maximizer,
+and scoring each of them is exact.
 
 Both solvers are deterministic: identical inputs produce identical outputs.
 """
@@ -16,30 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
-
-
-@dataclass(frozen=True)
-class ScalarMaximizerConfig:
-    """Settings for the bounded scalar maximizer.
-
-    coarse_points: size of the uniform pre-scan over the interval.
-    refine_tolerance: stop refining when the bracket is this narrow (radians).
-    max_refine_iters: hard cap on golden-section steps.
-    """
-
-    coarse_points: int = 181
-    refine_tolerance: float = 1e-5
-    max_refine_iters: int = 64
-
-    def __post_init__(self) -> None:
-        if self.coarse_points < 3:
-            raise ValueError("coarse_points must be at least 3")
-        if not (self.refine_tolerance > 0.0):
-            raise ValueError("refine_tolerance must be positive")
-        if self.max_refine_iters < 0:
-            raise ValueError("max_refine_iters must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -78,70 +55,35 @@ def _check_finite(value: float, point) -> float:
 
 def maximize_scalar(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: ScalarMaximizerConfig = ScalarMaximizerConfig(),
+    candidates: np.ndarray,
     batch_f: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
-    """Maximize ``f`` over ``[lo, hi]``.
+    """Maximize ``f`` over a finite, non-empty set of ``candidates``.
 
-    Uniform pre-scan of ``cfg.coarse_points`` probes, then golden-section
-    refinement inside the bracket around the best sample. The result is never
-    worse than the best pre-scan probe.
-
-    ``batch_f``, when given, must evaluate ``f`` elementwise on an array; it is
-    used for the pre-scan only and must agree with ``f`` point by point.
+    Scores every candidate, checks that each value is finite and returns the
+    first argmax, so ties go to the earliest candidate. ``batch_f``, when
+    given, must evaluate ``f`` elementwise on the candidate array and is used
+    in its place.
 
     Returns ``(argmax, value)``.
 
     Raises:
-        ValueError: if ``lo > hi`` or the objective returns a non-finite value.
+        ValueError: if there are no candidates or a value is not finite.
     """
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if lo == hi:
-        return lo, _check_finite(f(lo), lo)
-
-    xs = np.linspace(lo, hi, cfg.coarse_points)
+    xs = np.asarray(candidates, dtype=float)
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError("no candidates to maximize over")
     if batch_f is not None:
         fs = np.asarray(batch_f(xs), dtype=float)
         if fs.shape != xs.shape:
             raise ValueError("batch objective returned a wrong-shaped array")
-        if not np.isfinite(fs).all():
-            bad = int(np.flatnonzero(~np.isfinite(fs))[0])
-            raise ValueError(
-                f"objective returned non-finite value at {xs[bad]!r}"
-            )
     else:
-        fs = np.array([_check_finite(f(x), x) for x in xs])
-
-    best_i = int(np.argmax(fs))
-    best_x = float(xs[best_i])
-    best_v = float(fs[best_i])
-
-    # Golden-section refinement inside the bracketing triple.
-    a = float(xs[max(best_i - 1, 0)])
-    b = float(xs[min(best_i + 1, cfg.coarse_points - 1)])
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = _check_finite(f(x1), x1)
-    f2 = _check_finite(f(x2), x2)
-    for _ in range(cfg.max_refine_iters):
-        if (b - a) <= cfg.refine_tolerance:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = _check_finite(f(x1), x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = _check_finite(f(x2), x2)
-
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+        fs = np.array([float(f(x)) for x in xs])
+    if not np.isfinite(fs).all():
+        bad = int(np.flatnonzero(~np.isfinite(fs))[0])
+        raise ValueError(f"objective returned non-finite value {fs[bad]} at {xs[bad]!r}")
+    best = int(np.argmax(fs))
+    return float(xs[best]), float(fs[best])
 
 
 def pattern_search(

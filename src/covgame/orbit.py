@@ -282,12 +282,13 @@ class ConstellationCoverage:
     interval widened by :data:`~covgame.game.CONTAINS_TOL`, so every offset
     that ``interval.contains`` accepts gets an exact mask. An offset outside
     it raises ``ValueError``. A single mask costs two comparisons per reach
-    cell, scattered into a mask that still has one entry per visible cell. A
-    whole best-response scan over a sorted strategy grid costs one
-    ``searchsorted`` pass over the reach that reproduces those comparisons
-    exactly, so the two can never disagree on a boundary cell. The reach
-    itself (used to freeze the neighbor graph) contains every single mask of
-    a strategy in the interval.
+    cell, scattered into a mask that still has one entry per visible cell.
+    The interval ends are also what an exact best response scores
+    (:meth:`breakpoints`), and scoring a sorted array of strategies costs
+    one ``searchsorted`` pass over the reach that reproduces those
+    comparisons exactly, so the two can never disagree on a boundary cell.
+    The reach itself (used to freeze the neighbor graph) contains every
+    single mask of a strategy in the interval.
     """
 
     def __init__(
@@ -457,6 +458,23 @@ class ConstellationCoverage:
         events = np.concatenate((i0[:added], i1[added:], i1[:added] + m, i0[added:] + m))
         counts = np.bincount(events, minlength=2 * m)
         return np.cumsum(counts[: m - 1] - counts[m : 2 * m - 1])
+
+    def breakpoints(self, k: int, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the count of :meth:`masked_cell_counts` can change.
+
+        Returns ``(starts, stops)``: the ends of the closed strategy
+        intervals on which satellite ``k`` covers the reach cells of
+        ``within``, counting the ``2 pi`` aliases the built interval can
+        meet as :meth:`masked_cell_counts` does. A cell is covered exactly on
+        the union of its intervals, so the count changes only at these ends,
+        and moving toward 0 it cannot fall before it passes one of them.
+        """
+        reach = self._reach[k - 1]
+        select = within[reach.index]
+        alias = reach.alias[select[reach.alias]]
+        starts = np.concatenate((reach.lo[select], reach.lo[alias] + TWO_PI))
+        stops = np.concatenate((reach.hi[select], reach.hi[alias] - TWO_PI))
+        return starts, stops
 
     def reachable_mask(self, k: int) -> np.ndarray:
         """Cells satellite ``k`` can cover for some strategy in the interval.

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from .game import GameInstance, StrategyInterval
 from .measure import TimeGrid
-from .optimize import PatternSearchConfig, ScalarMaximizerConfig
+from .optimize import PatternSearchConfig
 from .orbit import (
     ConstellationSpec,
     OrbitConstants,
@@ -170,7 +170,6 @@ class ScenarioConfig:
         search = SearchConfig(
             epsilon=self.search.epsilon if epsilon is None else epsilon,
             max_rounds=self.search.max_rounds if max_rounds is None else max_rounds,
-            scalar=self.search.scalar,
         )
         return replace(self, search=search)
 
@@ -285,21 +284,11 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     theta_max = _parse_theta_max(_get(game_doc, "theta_max", "game"), n, "game.theta_max")
 
     search_doc = _section(doc, "search", name_hint)
-    scalar_doc = _section(search_doc, "scalar", "search", required=False)
-    scalar = _build(
-        "search.scalar",
-        ScalarMaximizerConfig,
-        coarse_points=_int(scalar_doc, "coarse_points", "search.scalar", 181),
-        refine_tolerance=_number(scalar_doc, "refine_tolerance_deg", "search.scalar", 5e-3)
-        * deg,
-        max_refine_iters=_int(scalar_doc, "max_refine_iters", "search.scalar", 64),
-    )
     search = _build(
         "search",
         SearchConfig,
         epsilon=_number(search_doc, "epsilon_s", "search"),
         max_rounds=_int(search_doc, "max_rounds", "search"),
-        scalar=scalar,
     )
 
     cen = _section(doc, "centralized", name_hint, required=False)

@@ -31,16 +31,14 @@ from .game import (
     certify_epsilon_equilibrium,
     global_value,
 )
-from .optimize import ScalarMaximizerConfig
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Engine settings: accuracy, round budget, scalar-solver settings."""
+    """Engine settings: accuracy and round budget."""
 
     epsilon: float
     max_rounds: int
-    scalar: ScalarMaximizerConfig = ScalarMaximizerConfig()
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < math.inf):
@@ -205,9 +203,7 @@ def run_round(
                 k, {l: thetas[l] for l in game.neighbors(k)}, "theta", audit
             )
             try:
-                proposals[k], regrets[k] = best_response_gain(
-                    game, k, view, state.theta, cfg.scalar
-                )
+                proposals[k], regrets[k] = best_response_gain(game, k, view, state.theta)
             except ValueError as exc:
                 raise RuntimeError(f"best-response solve failed for agent {k}") from exc
         else:
@@ -258,8 +254,9 @@ def run_search(
     All gates start open. ``converged_at`` is the index into ``traces`` of the
     first round that elected nobody; later rounds still run (they are cheap
     once the gates close) and never change the profile. The final profile is
-    certified at ``cfg.epsilon`` with a scan resolution matching the engine's
-    own best-response scan, so a run that converged always certifies.
+    certified at ``cfg.epsilon`` by the same exact best response the rounds
+    use, so a run that converged always certifies, and a certified profile
+    leaves no agent a unilateral gain above ``cfg.epsilon``.
     """
     game.validate_profile(initial_profile)
     states = {
@@ -277,33 +274,13 @@ def run_search(
     final_profile = StrategyProfile.from_mapping(
         game.n_agents, {k: s.theta for k, s in states.items()}
     )
-    resolution = scan_resolution(game, cfg.scalar)
-    certification = certify_epsilon_equilibrium(
-        game, final_profile, cfg.epsilon, resolution, refine=cfg.scalar
-    )
+    certification = certify_epsilon_equilibrium(game, final_profile, cfg.epsilon)
     return SearchResult(
         final_profile=final_profile,
         converged_at=converged_at,
         traces=tuple(traces),
         certified=certification.certified,
         certification=certification,
-    )
-
-
-def scan_resolution(game: GameInstance, scalar: ScalarMaximizerConfig) -> float:
-    """Certification scan resolution matching the engine's own scan grid.
-
-    The coarsest best-response pre-scan step over the active agents; agents
-    with a single admissible strategy scan nothing, so when every interval
-    is a point the resolution falls back to a small positive placeholder.
-    """
-    return max(
-        (
-            game.agent(k).strategy_space.width / (scalar.coarse_points - 1)
-            for k in game.active_indices
-            if game.agent(k).strategy_space.width > 0
-        ),
-        default=1e-6,
     )
 
 

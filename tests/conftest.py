@@ -8,6 +8,28 @@ from covgame.game import AgentSpec, GameInstance, StrategyInterval, neighbor_gra
 from covgame.measure import TimeGrid
 
 
+def with_breakpoints(coverage, points=()):
+    """Give a test coverage function the ``breakpoints`` a game requires.
+
+    ``points`` serve as both the starts and the stops, whatever ``within``
+    is; a coverage that ignores theta needs none.
+    """
+    points = np.asarray(points, dtype=float)
+    coverage.breakpoints = lambda k, within: (points, points)
+    return coverage
+
+
+def lattice(span: float, quantum: float) -> np.ndarray:
+    """The points ``j * quantum`` within ``[-span, span]``.
+
+    A window that slides by ``round(theta / quantum)`` cells takes its
+    ``j``-th position at ``j * quantum``; offering these points as the
+    breakpoints makes every best response the best lattice strategy.
+    """
+    n = int(np.floor(span / quantum))
+    return quantum * np.arange(-n, n + 1)
+
+
 def window_mask(grid: TimeGrid, start: int, width: int) -> np.ndarray:
     """Mask covering ``width`` cells from cell ``start``, clipped to the grid."""
     mask = np.zeros(grid.n_steps, dtype=bool)
@@ -34,7 +56,8 @@ def sliding_window_game(
     Agent k's window starts at ``(k-1)*spacing + round(theta/quantum)`` cells,
     so coverage is piecewise constant in theta with plateaus ``quantum`` wide;
     any strategy-space sample finer than ``quantum`` sees every plateau, which
-    makes the sampled reach graph exact.
+    makes the sampled reach graph exact. Best responses range over the
+    lattice ``j * quantum``.
     """
     grid = TimeGrid(0.0, n_cells * dt, dt)
     space = StrategyInterval(-span, span)
@@ -42,6 +65,8 @@ def sliding_window_game(
     def coverage(k: int, theta: float) -> np.ndarray:
         shift = int(np.round(theta / quantum))
         return window_mask(grid, (k - 1) * spacing + shift, width)
+
+    with_breakpoints(coverage, lattice(span, quantum))
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max)
@@ -66,6 +91,8 @@ def two_cluster_game(gamma: float = 0.01) -> GameInstance:
     def coverage(k: int, theta: float) -> np.ndarray:
         shift = int(np.round(theta))
         return window_mask(grid, base[k] + shift, width[k])
+
+    with_breakpoints(coverage, lattice(4.0, 1.0))
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=1.0) for k in range(1, 5)

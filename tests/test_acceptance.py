@@ -26,7 +26,6 @@ from covgame.harness import (
 )
 from covgame.measure import TimeGrid, union_many
 from covgame.orbit import orbital_period, rot_x, rot_y, rot_z, satellite_position_ecf, drift_rates
-from covgame.optimize import ScalarMaximizerConfig
 from covgame.scenario import bundled_scenario_path, load_scenario
 from covgame.search import AccessAudit, AgentRoundState, SearchConfig, run_round, run_search
 
@@ -152,13 +151,9 @@ def test_criterion_3_convergence_within_budget_and_certification(
     assert rounds_to_converge <= baseline_cfg.search.max_rounds == 20
     assert rounds_to_converge <= round_bound(baseline_cfg)
     assert result.traces[result.converged_at].innovators == ()
-    # Explicit re-certification at the stated accuracy and scan resolution.
+    # Explicit re-certification at the stated accuracy.
     certification = certify_epsilon_equilibrium(
-        baseline_game,
-        result.final_profile,
-        epsilon=0.1,
-        scan_resolution=0.05 * DEG,
-        refine=baseline_cfg.search.scalar,
+        baseline_game, result.final_profile, epsilon=0.1
     )
     assert certification.certified
     assert report.certified
@@ -166,7 +161,7 @@ def test_criterion_3_convergence_within_budget_and_certification(
     print(
         f"\nPASS criterion 3: converged in {rounds_to_converge} rounds "
         f"(budget 20, guarantee {round_bound(baseline_cfg)}), certified at "
-        f"0.1 s with 0.05 deg scan (worst gain {certification.worst_gain:.3g} s), "
+        f"0.1 s (exact worst gain {certification.worst_gain:.3g} s), "
         f"{elapsed:.1f} s"
     )
 
@@ -174,7 +169,7 @@ def test_criterion_3_convergence_within_budget_and_certification(
 def lattice_toy_game():
     """Four window-sliding agents whose strategies quantize to a 9-point grid."""
     from covgame.game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_reach
-    from conftest import window_mask
+    from conftest import lattice, window_mask, with_breakpoints
 
     grid = TimeGrid(0.0, 60.0, 1.0)
     space = StrategyInterval(-1.0, 1.0)
@@ -184,6 +179,8 @@ def lattice_toy_game():
     def coverage(k, theta):
         shift = int(np.round(theta / 0.25))
         return window_mask(grid, bases[k - 1] + shift, width)
+
+    with_breakpoints(coverage, lattice(1.0, 0.25))
 
     agents = tuple(AgentSpec(k, space, 1.0) for k in (1, 2, 3, 4))
     graph = neighbor_graph_from_reach(agents, coverage, grid)
@@ -208,11 +205,7 @@ def test_criterion_4_exhaustive_lattice_oracle():
     for combo in itertools.product(lattice, repeat=4):
         global_max = max(global_max, lattice_objective(np.array(combo)))
 
-    cfg = SearchConfig(
-        epsilon=1e-4,
-        max_rounds=30,
-        scalar=ScalarMaximizerConfig(coarse_points=33, refine_tolerance=1e-6),
-    )
+    cfg = SearchConfig(epsilon=1e-4, max_rounds=30)
     corners = list(itertools.product((-1.0, 1.0), repeat=4))[:10]
     tol = 2 * cfg.epsilon
     reached = []
@@ -285,7 +278,7 @@ def test_criterion_7_energy_surplus_trend(baseline_cfg):
     values = [0.005 * 2**k for k in range(6)]
     points = sweep_energy_coefficient(baseline_cfg, 11, values)
     magnitudes = [p.abs_theta_agent for p in points]
-    tol = baseline_cfg.search.scalar.refine_tolerance
+    tol = 5e-3 * DEG
     for prev, nxt in zip(magnitudes, magnitudes[1:]):
         assert nxt >= prev - tol
     assert abs(magnitudes[-1] - magnitudes[-2]) <= tol

@@ -67,6 +67,7 @@ class TestRunVerb:
         distributed = methods["distributed"]
         assert distributed["stop_reason"] == "converged"
         assert distributed["certified"] is True
+        assert 0.0 <= distributed["worst_gain_s"] <= mini_scenario_doc()["search"]["epsilon_s"]
         assert distributed["last_max_regret_s"] == pytest.approx(
             float(last_round["max_regret_s"]), abs=1e-6
         )
@@ -85,6 +86,7 @@ class TestRunVerb:
         distributed = methods["distributed"]
         assert distributed["stop_reason"] == "round budget exhausted"
         assert distributed["certified"] is False
+        assert distributed["worst_gain_s"] > doc["search"]["epsilon_s"]
         assert distributed["last_max_regret_s"] > doc["search"]["epsilon_s"]
         assert methods["centralized"]["stop_reason"] == "evaluation budget exhausted"
 
@@ -131,10 +133,6 @@ class TestRunVerb:
                 "theta_max",
                 {"unit": "radian", "values": [1.0] * 11 + [float("nan")]},
                 id="theta_max-item-nan",
-            ),
-            pytest.param("search.scalar", "coarse_points", 3.7, id="coarse_points-3.7"),
-            pytest.param(
-                "search.scalar", "refine_tolerance_deg", float("nan"), id="refine-nan"
             ),
             pytest.param("centralized", "max_evals", "x", id="max_evals-x"),
             pytest.param("centralized", "step_shrink", float("inf"), id="step_shrink-inf"),
@@ -260,14 +258,12 @@ class TestCertifyVerb:
         "flag, message",
         [
             ("--epsilon", "epsilon must be positive and finite"),
-            ("--resolution-deg", "scan_resolution must be positive and finite"),
         ],
     )
     def test_infinite_setting_is_error_exit(
         self, tmp_path, mini_scenario_file, capsys, flag, message
     ):
-        # An infinite epsilon certified anything; an infinite resolution
-        # scanned three points.
+        # An infinite epsilon certified anything.
         profile = write_profile(
             tmp_path / "profile.csv", "agent,theta_deg,energy_penalty", NOMINAL_ROWS
         )

@@ -7,7 +7,7 @@ from covgame.game import (
     GameInstance,
     StrategyInterval,
     StrategyProfile,
-    best_response_objective,
+    best_response_gain,
     certify_epsilon_equilibrium,
     energy_penalty,
     global_value,
@@ -16,9 +16,8 @@ from covgame.game import (
     regret,
 )
 from covgame.measure import TimeGrid
-from covgame.optimize import ScalarMaximizerConfig, maximize_scalar
 
-from conftest import random_profile, sliding_window_game, window_mask
+from conftest import lattice, random_profile, sliding_window_game, window_mask, with_breakpoints
 
 
 class TestEnergyPenalty:
@@ -46,6 +45,7 @@ def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
     def coverage(k, theta):
         return np.array(masks[k], dtype=bool)
 
+    with_breakpoints(coverage)
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max) for k in sorted(masks)
     )
@@ -140,9 +140,9 @@ class TestRegret:
         k = 4
         space = toy_game.agent(k).strategy_space
         view = {l: profile.for_agent(l) for l in toy_game.neighbors(k)}
-        f, batch = best_response_objective(toy_game, k, view)
-        theta_star, _ = maximize_scalar(f, space.lo, space.hi, batch_f=batch)
-        assert regret(toy_game, k, theta_star, profile) >= -1e-12
+        theta_star, gain = best_response_gain(toy_game, k, view, profile.for_agent(k))
+        assert space.contains(theta_star)
+        assert regret(toy_game, k, theta_star, profile) == gain >= 0.0
 
     def test_regret_equals_potential_difference(self, toy_game, rng):
         # Unilateral deviations move the global objective by the same amount.
@@ -220,12 +220,21 @@ class TestGameValidation:
         with pytest.raises(ValueError, match="outside"):
             toy_game.validate_profile(bad)
 
+    def test_coverage_without_breakpoints_rejected(self):
+        def coverage(k, theta):
+            return np.zeros(4, dtype=bool)
+
+        agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
+        with pytest.raises(TypeError, match="breakpoints"):
+            GameInstance(agents, TimeGrid(0.0, 4.0, 1.0), coverage, 0.1, {1: ()})
+
     def test_foreign_grid_coverage_rejected(self):
         grid = TimeGrid(0.0, 4.0, 1.0)
 
         def coverage(k, theta):
             return np.zeros(8, dtype=bool)
 
+        with_breakpoints(coverage)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.1, {1: ()})
         with pytest.raises(ValueError, match="foreign grid"):
@@ -235,7 +244,7 @@ class TestGameValidation:
 class TestCertification:
     def test_huge_epsilon_always_certifies(self, toy_game, rng):
         profile = random_profile(toy_game, rng)
-        report = certify_epsilon_equilibrium(toy_game, profile, 1e9, 0.05)
+        report = certify_epsilon_equilibrium(toy_game, profile, 1e9)
         assert report.certified
 
     def test_known_improvement_detected(self):
@@ -248,32 +257,31 @@ class TestCertification:
                 return window_mask(grid, 0, 20)
             return window_mask(grid, 10 + int(np.round(theta)), 10)
 
+        with_breakpoints(coverage, lattice(10.0, 1.0))
         agents = tuple(AgentSpec(k, space, 100.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.0, {1: {2}, 2: {1}})
-        report = certify_epsilon_equilibrium(game, StrategyProfile.zeros(2), 1.0, 0.05)
+        report = certify_epsilon_equilibrium(game, StrategyProfile.zeros(2), 1.0)
         assert not report.certified
         assert report.worst_agent == 1
         assert report.worst_gain == pytest.approx(10.0, abs=1e-6)
 
     def test_gains_reported_for_all_active(self, toy_game):
         report = certify_epsilon_equilibrium(
-            toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.5, 0.05
+            toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.5
         )
         assert sorted(report.gains) == list(range(1, toy_game.n_agents + 1))
 
     def test_epsilon_validation(self, toy_game):
         with pytest.raises(ValueError):
             certify_epsilon_equilibrium(
-                toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.0, 0.05
+                toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.0
             )
 
-    @pytest.mark.parametrize(
-        "epsilon, resolution", [(np.inf, 0.05), (np.nan, 0.05), (1.0, np.inf)]
-    )
-    def test_non_finite_settings_rejected(self, toy_game, epsilon, resolution):
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_non_finite_settings_rejected(self, toy_game, epsilon):
         with pytest.raises(ValueError, match="positive and finite"):
             certify_epsilon_equilibrium(
-                toy_game, StrategyProfile.zeros(toy_game.n_agents), epsilon, resolution
+                toy_game, StrategyProfile.zeros(toy_game.n_agents), epsilon
             )
 
 

@@ -145,10 +145,13 @@ class TestEmission:
         with (tmp_path / "profile.csv").open() as fh:
             profile_rows = list(csv.DictReader(fh))
         assert len(profile_rows) == mini_cfg.n_satellites
-        assert {"agent", "theta_deg", "energy_penalty"} <= set(profile_rows[0])
+        assert {"agent", "theta_deg", "energy_penalty", "theta_rad"} <= set(profile_rows[0])
+        assert tuple(float(row["theta_rad"]) for row in profile_rows) == rd.final_theta
         summary = json.loads(written["summary"].read_text())
         assert summary["bound"]["rounds"] == round_bound(mini_cfg)
         assert summary["methods"]["distributed"]["certified"] is True
+        for method, report in (("distributed", rd), ("centralized", rc)):
+            assert summary["methods"][method]["worst_gain_s"] == report.worst_gain
         assert "phase_linearity_residual_rad" in summary["methods"]["distributed"]
 
     def test_summary_reports_actual_vs_bound_rounds(self, tmp_path, mini_cfg):
@@ -159,7 +162,7 @@ class TestEmission:
 
     def test_sweep_csv_writers(self, tmp_path):
         rows = [
-            (4, ComparisonReport("distributed", 1.0, 0.1, 3, True, (0.0,) * 4)),
+            (4, ComparisonReport("distributed", 1.0, 0.1, 3, True, 0.0, (0.0,) * 4)),
         ]
         path = write_sweep_counts_csv(tmp_path, rows)
         lines = path.read_text().strip().splitlines()

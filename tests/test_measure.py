@@ -5,6 +5,8 @@ import pytest
 from covgame.game import AgentSpec, GameInstance, StrategyInterval
 from covgame.measure import TimeGrid, union_many
 
+from conftest import with_breakpoints
+
 
 def make(bits):
     return np.array([b == "1" for b in bits])
@@ -67,6 +69,7 @@ class TestSetOps:
         def coverage(k, theta):
             return make("1100")
 
+        with_breakpoints(coverage)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, self.grid, coverage, 0.1, {1: ()})
         mask = game.coverage(1, 0.0)

@@ -1,48 +1,43 @@
-"""Scalar maximizer and compass search: exactness on plateaus, determinism."""
+"""Candidate maximizer and compass search: exactness on plateaus, determinism."""
 import math
 
 import numpy as np
 import pytest
 
-from covgame.optimize import (
-    PatternSearchConfig,
-    ScalarMaximizerConfig,
-    maximize_scalar,
-    pattern_search,
-)
+from covgame.optimize import PatternSearchConfig, maximize_scalar, pattern_search
 
 
 class TestScalarMaximizer:
     def test_interior_quadratic_maximum(self):
-        cfg = ScalarMaximizerConfig(coarse_points=21, refine_tolerance=1e-8)
-        x, v = maximize_scalar(lambda t: -t * t, -1.0, 1.0, cfg)
+        x, v = maximize_scalar(lambda t: -t * t, np.linspace(-1.0, 1.0, 21))
         assert abs(x) < 1e-4
         assert v == pytest.approx(0.0, abs=1e-8)
 
     def test_endpoint_maximum_exact(self):
-        x, v = maximize_scalar(lambda t: t, -1.0, 1.0)
+        x, v = maximize_scalar(lambda t: t, np.linspace(-1.0, 1.0, 5))
         assert x == 1.0 and v == 1.0
 
     def test_degenerate_interval(self):
-        x, v = maximize_scalar(lambda t: 7.0 - t, 2.0, 2.0)
+        x, v = maximize_scalar(lambda t: 7.0 - t, np.array([2.0]))
         assert (x, v) == (2.0, 5.0)
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            maximize_scalar(lambda t: t, 1.0, -1.0)
+        with pytest.raises(ValueError, match="no candidates"):
+            maximize_scalar(lambda t: t, np.array([]))
 
     def test_plateau_objective_matches_dense_oracle(self):
-        # Step function of theta: value is the plateau height, found exactly.
+        # A right-continuous step function of theta attains each plateau's
+        # height at the plateau's left end, so its breakpoints and the
+        # interval's ends hold the maximum.
         def f(t):
             return float(int(math.floor(t * 3.0)) % 5)
 
-        cfg = ScalarMaximizerConfig(coarse_points=61)
-        _, v = maximize_scalar(f, -2.0, 2.0, cfg)
+        breakpoints = np.arange(-6, 7) / 3.0
+        _, v = maximize_scalar(f, breakpoints)
         dense = max(f(t) for t in np.linspace(-2.0, 2.0, 601))
         assert v == dense
 
     def test_never_below_best_coarse_sample(self, rng):
-        cfg = ScalarMaximizerConfig(coarse_points=31)
         for _ in range(50):
             knots = np.sort(rng.uniform(-1.0, 1.0, 8))
             heights = rng.uniform(0.0, 10.0, 9)
@@ -50,18 +45,21 @@ class TestScalarMaximizer:
             def f(t):
                 return float(heights[np.searchsorted(knots, t)])
 
-            xs = np.linspace(-1.0, 1.0, cfg.coarse_points)
+            xs = np.linspace(-1.0, 1.0, 31)
             coarse_best = max(f(x) for x in xs)
-            _, v = maximize_scalar(f, -1.0, 1.0, cfg)
+            _, v = maximize_scalar(f, xs)
             assert v >= coarse_best
+
+    def test_first_of_tied_candidates_wins(self):
+        x, v = maximize_scalar(lambda t: float(abs(t) <= 0.5), np.linspace(-1.0, 1.0, 9))
+        assert (x, v) == (-0.5, 1.0)
 
     def test_deterministic(self):
         def f(t):
             return math.sin(3.0 * t) - 0.1 * t * t
 
-        a = maximize_scalar(f, -2.0, 2.0)
-        b = maximize_scalar(f, -2.0, 2.0)
-        assert a == b
+        xs = np.linspace(-2.0, 2.0, 101)
+        assert maximize_scalar(f, xs) == maximize_scalar(f, xs)
 
     def test_batch_path_matches_scalar_path(self):
         def f(t):
@@ -70,21 +68,17 @@ class TestScalarMaximizer:
         def batch(ts):
             return -(ts - 0.3) ** 2
 
-        assert maximize_scalar(f, -1.0, 1.0) == maximize_scalar(
-            f, -1.0, 1.0, batch_f=batch
-        )
+        xs = np.linspace(-1.0, 1.0, 41)
+        assert maximize_scalar(f, xs) == maximize_scalar(f, xs, batch_f=batch)
 
     def test_non_finite_probe_reported(self):
         def f(t):
             return math.nan if t > 0.5 else 0.0
 
         with pytest.raises(ValueError, match="non-finite"):
-            maximize_scalar(f, 0.0, 1.0)
-
-    @pytest.mark.parametrize("points,tol", [(2, 1e-5), (3, 0.0), (3, -1.0)])
-    def test_config_validation(self, points, tol):
-        with pytest.raises(ValueError):
-            ScalarMaximizerConfig(coarse_points=points, refine_tolerance=tol)
+            maximize_scalar(f, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize_scalar(f, np.linspace(0.0, 1.0, 3), batch_f=lambda ts: np.vectorize(f)(ts))
 
 
 class TestPatternSearch:
@@ -108,7 +102,7 @@ class TestPatternSearch:
         def f(t):
             return math.cos(t) + 0.2 * t
 
-        xs, vs = maximize_scalar(f, -2.0, 2.0)
+        xs, vs = maximize_scalar(f, np.linspace(-2.0, 2.0, 40001))
         cfg = PatternSearchConfig(initial_step=0.5, min_step=1e-7, max_evals=50000)
         xp, vp, _ = pattern_search(lambda p: f(float(p[0])), [(-2.0, 2.0)], [0.0], cfg)
         assert abs(float(xp[0]) - xs) < 1e-4

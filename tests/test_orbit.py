@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from covgame.game import (
     StrategyInterval,
     StrategyProfile,
+    best_response_gain,
+    best_response_objective,
+    certify_epsilon_equilibrium,
     global_value,
     neighbor_graph_from_reach,
 )
@@ -630,3 +633,96 @@ class TestConstellationGame:
                 CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,
                 StrategyInterval(-15 * DEG, 15 * DEG), 1.0, damaged={99},
             )
+
+
+# Strategy-interval ends at and near +-pi, where the 2 pi alias terms of the
+# covering intervals are live, or anywhere on the circle.
+INTERVAL_ENDS = st.tuples(
+    st.one_of(
+        st.just(-math.pi),
+        st.floats(-math.pi, -math.pi + 0.1),
+        st.floats(-math.pi, math.pi),
+    ),
+    st.one_of(
+        st.just(math.pi),
+        st.floats(math.pi - 0.1, math.pi),
+        st.floats(-math.pi, math.pi),
+    ),
+).map(sorted)
+
+
+class TestExactBestResponse:
+    """The breakpoint maximizer against dense probes and brute force."""
+
+    @staticmethod
+    def ring_game(longitude, latitude, half_angle, ends, gamma, positions):
+        interval = StrategyInterval(*ends)
+        game = build_constellation_game(
+            CONSTANTS, RING_SPEC, TargetSpec(longitude, latitude, half_angle),
+            SCAN_GRID, gamma, interval, 0.05,
+        )
+        theta = [interval.lo + p * interval.width for p in positions]
+        return game, StrategyProfile(np.minimum(theta, interval.hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        longitude=st.floats(-math.pi, math.pi),
+        latitude=st.floats(-math.pi / 2.0, math.pi / 2.0),
+        half_angle=st.floats(1.0 * DEG, math.pi),
+        ends=INTERVAL_ENDS,
+        gamma=st.floats(0.0, 200.0),
+        positions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+        k=st.integers(1, 8),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=16),
+    )
+    def test_best_response_beats_every_dense_probe(
+        self, longitude, latitude, half_angle, ends, gamma, positions, k, fractions
+    ):
+        game, profile = self.ring_game(
+            longitude, latitude, half_angle, ends, gamma, positions
+        )
+        space = game.agent(k).strategy_space
+        view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+        theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k))
+        f, _, _ = best_response_objective(game, k, view)
+        best = f(theta_star)
+        assert space.contains(theta_star, tol=0.0)
+        assert gain == best - f(profile.for_agent(k)) >= 0.0
+        probes = [*np.linspace(space.lo, space.hi, 401), 0.0]
+        probes += [space.lo + x * space.width for x in fractions]
+        for theta in probes:
+            theta = min(max(theta, space.lo), space.hi)
+            assert f(theta) <= best
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        longitude=st.floats(-math.pi, math.pi),
+        latitude=st.floats(-math.pi / 2.0, math.pi / 2.0),
+        half_angle=st.floats(1.0 * DEG, math.pi),
+        ends=INTERVAL_ENDS,
+        gamma=st.floats(0.0, 200.0),
+        positions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_certificate_matches_brute_force_over_all_breakpoints(
+        self, longitude, latitude, half_angle, ends, gamma, positions
+    ):
+        game, profile = self.ring_game(
+            longitude, latitude, half_angle, ends, gamma, positions
+        )
+        report = certify_epsilon_equilibrium(game, profile, 0.1)
+        everywhere = np.ones(game.n_cells, dtype=bool)
+        for k in game.active_indices:
+            space = game.agent(k).strategy_space
+            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            f, _, _ = best_response_objective(game, k, view)
+            # Every end of every reach cell's covering interval with all its
+            # 2 pi aliases, unpruned, and the three points the pruned set is
+            # built around.
+            ends = np.concatenate(game.coverage_fn.breakpoints(k, everywhere))
+            candidates = [space.lo, space.hi, *ends, *(ends + 2 * math.pi)]
+            candidates += list(ends - 2 * math.pi)
+            if space.contains(0.0, tol=0.0):
+                candidates.append(0.0)
+            brute = max(f(t) for t in candidates if space.lo <= t <= space.hi)
+            assert report.gains[k] == brute - f(profile.for_agent(k))
+        assert report.worst_gain == max(report.gains.values())

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from covgame.optimize import PatternSearchConfig, ScalarMaximizerConfig
+from covgame.optimize import PatternSearchConfig
 from covgame.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -104,7 +104,15 @@ class TestParsing:
         assert cfg.centralized == PatternSearchConfig(
             initial_step=3.75 * DEG, min_step=0.01 * DEG, max_evals=20000
         )
-        assert cfg.search.scalar == ScalarMaximizerConfig(refine_tolerance=5e-3 * DEG)
+
+    def test_scalar_block_is_ignored(self):
+        # The bundled scenario and the benchmark's still carry this block;
+        # whatever it holds, it tunes nothing.
+        doc = mini_scenario_doc()
+        doc["search"]["scalar"] = {"coarse_points": 3.7, "refine_tolerance_deg": "x"}
+        bare = mini_scenario_doc()
+        del bare["search"]["scalar"]
+        assert parse_scenario(doc) == parse_scenario(bare)
 
     @pytest.mark.parametrize("section", ["constants", "grid", "centralized"])
     def test_section_must_be_an_object(self, section):
@@ -159,4 +167,3 @@ class TestDerivedConfigs:
         cfg = mini_cfg.with_search_overrides(epsilon=0.5, max_rounds=3)
         assert cfg.search.epsilon == 0.5
         assert cfg.search.max_rounds == 3
-        assert cfg.search.scalar == mini_cfg.search.scalar

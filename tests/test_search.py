@@ -10,7 +10,6 @@ from covgame.game import (
     global_value,
 )
 from covgame.measure import TimeGrid
-from covgame.optimize import ScalarMaximizerConfig
 from covgame.search import (
     AccessAudit,
     AgentRoundState,
@@ -21,7 +20,7 @@ from covgame.search import (
     run_search,
 )
 
-from conftest import sliding_window_game, two_cluster_game, window_mask
+from conftest import lattice, sliding_window_game, two_cluster_game, window_mask, with_breakpoints
 
 
 PATH_GRAPH = {1: frozenset({2}), 2: frozenset({1, 3}), 3: frozenset({2})}
@@ -102,12 +101,13 @@ def single_agent_game():
         start = int(np.round(theta))
         return window_mask(grid, 25 + start, 10)
 
+    with_breakpoints(coverage, lattice(10.0, 1.0))
     agents = (AgentSpec(1, StrategyInterval(-10.0, 0.0), 100.0),)
     return GameInstance(agents, grid, coverage, 0.0, {1: ()})
 
 
 class TestRunRound:
-    cfg = SearchConfig(epsilon=0.1, max_rounds=5, scalar=ScalarMaximizerConfig(coarse_points=41))
+    cfg = SearchConfig(epsilon=0.1, max_rounds=5)
 
     def test_all_gates_closed_is_noop(self, toy_game):
         states = {
@@ -149,6 +149,8 @@ class TestRunRound:
                 raise ValueError("model blew up")
             return np.zeros(grid.n_steps, dtype=bool)
 
+        # A breakpoint above 0.5 makes the best response evaluate there.
+        with_breakpoints(coverage, [0.75])
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
         states = {1: AgentRoundState(theta=0.0, zeta=True)}
@@ -186,6 +188,7 @@ class TestRunSearch:
         def coverage(k, theta):
             return window_mask(grid, 0 if k == 1 else 25, 10)
 
+        with_breakpoints(coverage)
         agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.1, {1: (), 2: ()})
         result = run_search(game, StrategyProfile.zeros(2), SearchConfig(0.01, 4))
