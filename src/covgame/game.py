@@ -225,17 +225,6 @@ def global_value(game: GameInstance, profile: StrategyProfile) -> float:
     return covered - game.gamma * penalty
 
 
-def local_value_view(
-    game: GameInstance,
-    index: int,
-    theta: float,
-    neighbor_thetas: Mapping[int, float],
-) -> float:
-    """Local objective of one agent from its own strategy and its neighbors'."""
-    f, _, _ = best_response_objective(game, index, neighbor_thetas)
-    return f(theta)
-
-
 def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> float:
     """Local objective of agent ``index`` under ``profile``.
 
@@ -244,7 +233,8 @@ def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> flo
     if not game.agent(index).active:
         raise ValueError(f"agent {index} is not active")
     view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    return local_value_view(game, index, profile.for_agent(index), view)
+    f, _, _ = best_response_objective(game, index, view)
+    return f(profile.for_agent(index))
 
 
 def regret(
@@ -353,27 +343,30 @@ def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, froz
     return {k: frozenset(v) for k, v in graph.items()}
 
 
+# Strategies per agent that neighbor_graph_from_reach samples.
+REACH_SAMPLES = 64
+
+
 def neighbor_graph_from_reach(
     agents: Sequence[AgentSpec],
     coverage_fn: CoverageFn,
     grid: TimeGrid,
-    samples: int = 64,
 ) -> dict[int, frozenset[int]]:
     """Frozen neighbor graph from strategy-reachable coverage overlap.
 
     ``reach_k`` is the union of agent ``k``'s coverage over a uniform sample
-    of its strategy interval (``samples`` points including both endpoints); two
-    active agents are neighbors iff their reaches intersect. The graph is a
-    superset of the instantaneous-overlap graph at any fixed profile, so it
-    stays valid for the whole run; spurious members only ever contribute
-    empty-overlap terms.
+    of its strategy interval (:data:`REACH_SAMPLES` points including both
+    endpoints); two active agents are neighbors iff their reaches intersect.
+    The graph is a superset of the instantaneous-overlap graph at any fixed
+    profile, so it stays valid for the whole run; spurious members only ever
+    contribute empty-overlap terms.
     """
     reach: dict[int, np.ndarray] = {}
     for a in agents:
         if not a.active:
             continue
         space = a.strategy_space
-        thetas = np.linspace(space.lo, space.hi, max(samples, 2))
+        thetas = np.linspace(space.lo, space.hi, REACH_SAMPLES)
         sets = [coverage_fn(a.index, float(t)) for t in thetas]
         reach[a.index] = union_many(sets, _mask_length(coverage_fn, grid))
     return neighbor_graph_from_masks(reach)

@@ -8,9 +8,9 @@ the satellite and target position vectors in the Earth-fixed frame, sampled at
 the left edge of every grid cell, which makes each satellite's coverage a
 union of short time windows. Masks run over the cells some phase can see,
 not over the whole grid. The coverage is built for the game's strategy
-interval, and each satellite stores the covering bounds of its reach alone:
-the cells some strategy in that interval covers (see
-:class:`ConstellationCoverage`).
+interval, and each satellite stores one table of closed segments, a row per
+cell and ``2 pi`` shift of its covering interval that meets the interval
+(see :class:`ConstellationCoverage`).
 
 Frames follow the usual chain: orbital plane -> inertial via node and
 inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
@@ -240,26 +240,16 @@ def _wrap_pi(x: np.ndarray) -> np.ndarray:
 
 
 class _Reach(NamedTuple):
-    """One satellite's reach: the cells some strategy in the interval covers.
+    """One satellite's segment table over the offsets of the built interval.
 
-    ``index`` holds their sorted positions on the mask axis, ``lo`` and
-    ``hi`` their covering-interval bounds, and ``alias`` the positions (into
-    ``index``) of the few cells that an offset in the interval can cover
-    through a ``2 pi`` alias of their bounds.
+    Row ``i`` says that the satellite covers mask position ``cell[i]`` for
+    exactly the offsets in the closed segment ``[lo[i], hi[i]]``. The rows
+    of one cell are disjoint, and every row has ``lo <= hi``.
     """
 
-    index: np.ndarray
+    cell: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    alias: np.ndarray
-
-
-def _meets(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Cells whose covering interval ``[lo, hi]``, or an alias of it, meets ``[a, b]``."""
-    meets = (lo <= b) & (hi >= a)
-    meets |= lo + TWO_PI <= b
-    meets |= hi - TWO_PI >= a
-    return meets
 
 
 class ConstellationCoverage:
@@ -274,21 +264,22 @@ class ConstellationCoverage:
     and entry ``i`` of a mask stands for grid cell ``cells[i]``. A measure is
     ``dt`` times a count either way.
 
-    Re-expressed in the strategy variable, every visible cell ``j`` is
-    covered exactly for the offsets in ``[lo_j, hi_j]`` (plus its ``2 pi``
-    aliases). The coverage is built for one strategy ``interval``, which the
-    game's agents share: each satellite keeps the bounds of its *reach*
-    alone, the cells whose covering interval (or an alias) meets the
+    Re-expressed in the strategy variable, every visible cell is covered
+    exactly for the offsets that are congruent modulo ``2 pi`` to a point
+    of one closed covering interval. The coverage is built for one strategy
+    ``interval``, which the game's agents share, and unrolls each covering
+    interval at build time: each satellite keeps a table of plain closed
+    segments ``(cell, lo, hi)``, one per ``2 pi`` shift that meets the
     interval widened by :data:`~covgame.game.CONTAINS_TOL`, so every offset
-    that ``interval.contains`` accepts gets an exact mask. An offset outside
-    it raises ``ValueError``. A single mask costs two comparisons per reach
-    cell, scattered into a mask that still has one entry per visible cell.
-    The interval ends are also what an exact best response scores
-    (:meth:`breakpoints`), and scoring a sorted array of strategies costs
-    one ``searchsorted`` pass over the reach that reproduces those
-    comparisons exactly, so the two can never disagree on a boundary cell.
-    The reach itself (used to freeze the neighbor graph) contains every
-    single mask of a strategy in the interval.
+    that ``interval.contains`` accepts gets an exact mask by direct
+    comparison. An offset outside it raises ``ValueError``. A single mask
+    costs two comparisons per row, scattered into a mask that still has one
+    entry per visible cell. The segment ends are also what an exact best
+    response scores (:meth:`breakpoints`), and scoring a sorted array of
+    strategies costs one ``searchsorted`` pass per side over the rows that
+    reproduces those comparisons exactly, so the two can never disagree on
+    a boundary cell. The cells of a table (used to freeze the neighbor
+    graph) contain every single mask of a strategy in the interval.
     """
 
     def __init__(
@@ -346,34 +337,47 @@ class ConstellationCoverage:
         elapsed = elapsed[self.cells]
         psi = psi[self.cells]
 
-        # The offsets a mask is ever computed at: the accepted interval, and
-        # where it reaches past +-pi, the wrapped images _mask compares. A
-        # cell can be covered through an alias only if lo + 2 pi <= last or
-        # hi - 2 pi >= first.
+        # A cell is covered iff the offset is congruent mod 2 pi to a point
+        # of [lo, hi] = [-base - half_width, -base + half_width], with base
+        # in [-pi, pi]. Every accepted offset lies in [a, b], within
+        # CONTAINS_TOL of [-pi, pi], so only the shifts -2 pi, 0 and +2 pi
+        # of [lo, hi] can hold one, and each shift that meets [a, b] is a
+        # row. Since lo <= pi and hi >= -pi, the -2 pi copy always starts
+        # below b and the +2 pi copy always ends above a, so each of them
+        # needs only its other end tested. Rounding is monotone, so every
+        # row keeps lo <= hi.
+        # The rows of one cell are disjoint, so a count of the rows holding
+        # an offset is a count of cells. A cell visible for every phase has
+        # half_width exactly pi, and its shifts would share their ends, so
+        # it gets the single row (-inf, inf). Any other half_width is at
+        # most arccos's largest value below pi, about pi - 1.5e-8, which
+        # keeps the shifts of one covering interval 3e-8 apart.
         a = interval.lo - CONTAINS_TOL
         b = interval.hi + CONTAINS_TOL
-        spans = [(a, b)]
-        if a <= -math.pi:
-            spans.append((float(_wrap_pi(a)), math.pi))
-        if b > math.pi:
-            spans.append((-math.pi, float(_wrap_pi(b))))
-        first = min(x for x, _ in spans)
-        last = max(y for _, y in spans)
-
-        # Strategy interval covering each cell, per satellite: a cell is
-        # covered iff wrap(theta) lands in [lo, hi] or one of the 2 pi
-        # aliases of that interval.
+        full = half_width == math.pi
+        always = np.flatnonzero(full)
+        minus_inf = np.full(always.size, -math.inf)
+        plus_inf = np.full(always.size, math.inf)
+        part = np.flatnonzero(~full)
+        half_width, elapsed, psi = half_width[part], elapsed[part], psi[part]
         self._reach: list[_Reach] = []
         for m0 in spec.mean_anomalies0:
             base = _wrap_pi(m0 + self.rates.phase_rate * elapsed - psi)
             lo = -base - half_width
             hi = -base + half_width
-            index = np.flatnonzero(
-                np.logical_or.reduce([_meets(lo, hi, x, y) for x, y in spans])
+            cell, los, his = [always], [minus_inf], [plus_inf]
+            for shift, meets in (
+                (-TWO_PI, hi - TWO_PI >= a),
+                (0.0, (lo <= b) & (hi >= a)),
+                (TWO_PI, lo + TWO_PI <= b),
+            ):
+                index = np.flatnonzero(meets)
+                cell.append(part[index])
+                los.append(lo[index] + shift)
+                his.append(hi[index] + shift)
+            self._reach.append(
+                _Reach(np.concatenate(cell), np.concatenate(los), np.concatenate(his))
             )
-            lo, hi = lo[index], hi[index]
-            alias = np.flatnonzero((lo + TWO_PI <= last) | (hi - TWO_PI >= first))
-            self._reach.append(_Reach(index, lo, hi, alias))
 
     def _check(self, k: int, theta: float) -> None:
         if not self.interval.contains(theta):
@@ -382,110 +386,69 @@ class ConstellationCoverage:
                 f"[{self.interval.lo!r}, {self.interval.hi!r}] the coverage was built for"
             )
 
-    def _mask(self, k: int, theta: float) -> np.ndarray:
-        self._check(k, theta)
-        if not (-math.pi < theta <= math.pi):
-            # Keep in-range strategies bit-identical to the batch comparisons;
-            # wrapping would perturb them by an ulp.
-            theta = float(_wrap_pi(theta))
-        reach = self._reach[k - 1]
-        inside = (reach.lo <= theta) & (theta <= reach.hi)
-        lo = reach.lo[reach.alias]
-        hi = reach.hi[reach.alias]
-        inside[reach.alias] |= (theta >= lo + TWO_PI) | (theta <= hi - TWO_PI)
-        mask = np.zeros(self.cells.size, dtype=bool)
-        mask[reach.index[inside]] = True
-        return mask
-
     def __call__(self, k: int, theta: float) -> np.ndarray:
         """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
-        return self._mask(k, theta)
+        self._check(k, theta)
+        reach = self._reach[k - 1]
+        mask = np.zeros(self.cells.size, dtype=bool)
+        mask[reach.cell[(reach.lo <= theta) & (theta <= reach.hi)]] = True
+        return mask
 
     def masked_cell_counts(
         self, k: int, thetas: np.ndarray, within: np.ndarray
     ) -> np.ndarray:
         """Covered-cell counts restricted to ``within``, for many strategies.
 
-        Counts ``|coverage(k, theta) & within|`` for every entry of a sorted
-        ``thetas`` array in one pass over the reach of ``k``: each cell
-        contributes its strategy interval (and aliases) to a difference
-        array indexed by ``searchsorted``, whose comparisons agree exactly
-        with the per-mask path. ``within`` is a mask over ``cells``. Every
-        theta must lie in the built interval; a grid that is not sorted
-        ascending within ``(-pi, pi]`` is counted one mask at a time.
+        Counts ``|coverage(k, theta) & within|`` for every entry of an
+        ascending ``thetas`` array in one pass over the segment table of
+        ``k``: each row of a cell in ``within`` opens at the first theta at
+        or above its ``lo`` and closes after the last one at or below its
+        ``hi``, located by ``searchsorted`` with exactly the comparisons of
+        a single mask, and a count is the running sum of opens minus closes.
+        ``within`` is a mask over ``cells``. Every theta must lie in the
+        built interval, and ``thetas`` must be sorted ascending; otherwise
+        ``ValueError`` is raised.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
             return np.zeros(0, dtype=int)
-        if np.any(np.diff(thetas) < 0.0) or thetas[0] <= -math.pi or thetas[-1] > math.pi:
-            return np.array(
-                [int(np.count_nonzero(self._mask(k, t) & within)) for t in thetas]
-            )
+        if not np.all(np.diff(thetas) >= 0.0):
+            raise ValueError(f"strategies of agent {k} must be sorted ascending")
         self._check(k, thetas[0])
         self._check(k, thetas[-1])
-        reach = self._reach[k - 1]
-        select = within[reach.index]
-        lo = reach.lo[select]
-        hi = reach.hi[select]
-        # Every theta lies in the built interval, so a cell outside
-        # reach.alias adds nothing through an alias; leaving it out is exact.
-        alias = reach.alias[select[reach.alias]]
-        alo = reach.lo[alias]
-        ahi = reach.hi[alias]
-        alo_up = alo + TWO_PI
-        ahi_down = ahi - TWO_PI
-        # Closed intervals [start, stop] in theta: the main interval and its
-        # two aliases add; the inclusion-exclusion terms for the
-        # (degenerate, half_width == pi) case in which an alias overlaps the
-        # main interval subtract.
-        starts = np.concatenate(
-            (lo, alo_up, np.full(alias.size, -math.inf), alo_up, alo)
-        )
-        stops = np.concatenate(
-            (hi, np.full(alias.size, math.inf), ahi_down, ahi, ahi_down)
-        )
-        # searchsorted reproduces the exact (theta >= start) & (theta <= stop)
-        # comparisons. An added interval opens at i0 and closes at i1, a
-        # subtracted one the other way round; an interval that misses every
-        # theta gets i1 = i0 and so opens and closes at the same index. One
-        # bincount makes the difference array, with the closing events in
-        # its second half.
-        i0 = np.searchsorted(thetas, starts, side="left")
-        i1 = np.searchsorted(thetas, stops, side="right")
-        np.maximum(i0, i1, out=i1)
+        starts, stops = self.breakpoints(k, within)
+        # A row holds thetas[i0:i1], where i0 (searchsorted left of lo) and
+        # i1 (right of hi) make the comparisons lo <= theta and theta <= hi
+        # of a single mask. lo <= hi gives i1 >= i0, so each row adds one to
+        # exactly those counts.
         m = thetas.size + 1
-        added = lo.size + 2 * alias.size
-        events = np.concatenate((i0[:added], i1[added:], i1[:added] + m, i0[added:] + m))
-        counts = np.bincount(events, minlength=2 * m)
-        return np.cumsum(counts[: m - 1] - counts[m : 2 * m - 1])
+        opens = np.bincount(np.searchsorted(thetas, starts, side="left"), minlength=m)
+        closes = np.bincount(np.searchsorted(thetas, stops, side="right"), minlength=m)
+        return np.cumsum(opens[:-1] - closes[:-1])
 
     def breakpoints(self, k: int, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the count of :meth:`masked_cell_counts` can change.
 
-        Returns ``(starts, stops)``: the ends of the closed strategy
-        intervals on which satellite ``k`` covers the reach cells of
-        ``within``, counting the ``2 pi`` aliases the built interval can
-        meet as :meth:`masked_cell_counts` does. A cell is covered exactly on
-        the union of its intervals, so the count changes only at these ends,
-        and moving toward 0 it cannot fall before it passes one of them.
+        Returns ``(starts, stops)``: the ``lo`` and ``hi`` ends of the rows
+        of satellite ``k``'s segment table whose cell lies in ``within``.
+        Each such cell is covered exactly on the union of its rows, so the
+        count changes only at these ends, and moving toward 0 it cannot fall
+        before it passes one of them.
         """
         reach = self._reach[k - 1]
-        select = within[reach.index]
-        alias = reach.alias[select[reach.alias]]
-        starts = np.concatenate((reach.lo[select], reach.lo[alias] + TWO_PI))
-        stops = np.concatenate((reach.hi[select], reach.hi[alias] - TWO_PI))
-        return starts, stops
+        select = within[reach.cell]
+        return reach.lo[select], reach.hi[select]
 
     def reachable_mask(self, k: int) -> np.ndarray:
         """Cells satellite ``k`` can cover for some strategy in the interval.
 
         Exact over the whole continuum of strategies that the interval
-        accepts: cell ``j`` is reachable iff its covering interval (or an
-        alias) meets the interval. Covers every per-strategy mask by
-        construction.
+        accepts: these are the cells of the satellite's segment table, each
+        of which has a row that meets the interval. Covers every
+        per-strategy mask by construction.
         """
         mask = np.zeros(self.cells.size, dtype=bool)
-        mask[self._reach[k - 1].index] = True
+        mask[self._reach[k - 1].cell] = True
         return mask
 
 

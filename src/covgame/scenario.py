@@ -277,6 +277,12 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     lo, hi = (
         _finite(b, f"game.strategy_bounds_deg[{i}]") * deg for i, b in enumerate(bounds)
     )
+    # A phase offset lives on the circle; the orbital coverage is built for
+    # offsets in [-pi, pi] only.
+    if lo < -math.pi or hi > math.pi:
+        raise ScenarioError(
+            f"game.strategy_bounds_deg: must lie within [-180, 180], got {bounds!r}"
+        )
     strategy_space = _build("game.strategy_bounds_deg", StrategyInterval, lo=lo, hi=hi)
     gamma = _number(game_doc, "gamma", "game")
     if gamma < 0.0:

@@ -127,6 +127,9 @@ class TestRunVerb:
             pytest.param(
                 "game", "strategy_bounds_deg", [float("nan"), 15.0], id="bounds-item-nan"
             ),
+            pytest.param(
+                "game", "strategy_bounds_deg", [-200.0, 200.0], id="bounds-off-the-circle"
+            ),
             pytest.param("game.theta_max", "value", float("nan"), id="theta_max-value-nan"),
             pytest.param(
                 "game",

@@ -306,8 +306,9 @@ class TestCoverage:
     )
     def test_counts_agree_with_single_masks(self, wide, k, thetas, within_seed):
         # The batch scan against the per-mask path on sorted grids anywhere in
-        # (-pi, pi], including the +-pi alias and, through a view half-angle
-        # above 90 deg, cells visible for every phase (half_width == pi).
+        # (-pi, pi], including rows shifted by 2 pi and, through a view
+        # half-angle above 90 deg, cells visible for every phase
+        # (half_width == pi).
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
         counts = cov.masked_cell_counts(k, np.array(thetas), within)
@@ -326,9 +327,9 @@ class TestCoverage:
     def test_counts_agree_on_a_narrow_span(
         self, wide, k, start, span, fractions, within_seed
     ):
-        # All thetas in a sub-span of at most 0.05 rad, so the scan drops
-        # most cells before its searchsorted passes; spans that reach pi
-        # are clipped there and exercise the aliases.
+        # All thetas in a sub-span of at most 0.05 rad, so most rows miss
+        # every theta; spans that reach pi are clipped there and exercise
+        # the rows shifted by 2 pi.
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         thetas = sorted(min(start + f * span, math.pi) for f in fractions)
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
@@ -344,13 +345,27 @@ class TestCoverage:
         )
         assert always.any()
 
-    def test_counts_fall_back_on_unsorted_input(self, rng):
-        cov = day_coverage()
-        thetas = rng.uniform(-0.2, 0.2, 17)  # unsorted
+    @pytest.mark.parametrize("wide", [False, True], ids=["table", "wide"])
+    def test_counts_agree_at_every_breakpoint(self, wide):
+        # The ends of the segment rows are the exact points a best response
+        # scores, and where rows of one cell that touched would be counted
+        # twice; random thetas almost never land on them.
+        cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         within = np.ones(cov.cells.size, dtype=bool)
-        counts = cov.masked_cell_counts(1, thetas, within)
-        for theta, count in zip(thetas, counts):
-            assert count == np.count_nonzero(cov(1, float(theta)))
+        for k in range(1, 25):
+            thetas = np.unique(np.concatenate(cov.breakpoints(k, within)))
+            thetas = thetas[(thetas >= -math.pi) & (thetas <= math.pi)]
+            assert thetas.size > 0
+            counts = cov.masked_cell_counts(k, thetas, within)
+            singles = [np.count_nonzero(cov(k, theta)) for theta in thetas]
+            assert np.array_equal(counts, singles)
+
+    def test_unsorted_strategies_are_rejected(self, rng):
+        cov = day_coverage()
+        within = np.ones(cov.cells.size, dtype=bool)
+        for thetas in (rng.uniform(-0.2, 0.2, 17), np.array([0.0, math.nan, 0.1])):
+            with pytest.raises(ValueError, match="sorted"):
+                cov.masked_cell_counts(1, thetas, within)
 
     def test_reachable_mask_covers_every_strategy(self, rng):
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
@@ -390,7 +405,7 @@ class TestBuiltInterval:
     ):
         # Masks, batch counts and reach over strategies in the interval,
         # both ends included, on sub-spans of any width; intervals that end
-        # near +-pi keep the 2 pi alias terms live.
+        # near +-pi keep the rows shifted by 2 pi live.
         full = WIDE_COVERAGE if wide else TABLE_COVERAGE
         interval = StrategyInterval(*ends)
         cov = ConstellationCoverage(
@@ -423,7 +438,7 @@ class TestBuiltInterval:
         ],
     )
     def test_masks_near_the_seam_match_the_position_chain(self, interval, thetas):
-        # Offsets near +-pi cover many cells only through a 2 pi alias of
+        # Offsets near +-pi cover many cells only through a 2 pi shift of
         # their covering interval. An independent route: explicit positions
         # and the angle threshold, away from cells within 1e-9 rad of it.
         rates = drift_rates(CONSTANTS, TABLE_SPEC)
@@ -635,7 +650,7 @@ class TestConstellationGame:
             )
 
 
-# Strategy-interval ends at and near +-pi, where the 2 pi alias terms of the
+# Strategy-interval ends at and near +-pi, where the 2 pi shifts of the
 # covering intervals are live, or anywhere on the circle.
 INTERVAL_ENDS = st.tuples(
     st.one_of(
@@ -715,9 +730,9 @@ class TestExactBestResponse:
             space = game.agent(k).strategy_space
             view = {l: profile.for_agent(l) for l in game.neighbors(k)}
             f, _, _ = best_response_objective(game, k, view)
-            # Every end of every reach cell's covering interval with all its
-            # 2 pi aliases, unpruned, and the three points the pruned set is
-            # built around.
+            # Every end of every row of the segment table with its 2 pi
+            # shifts, unpruned, and the three points the pruned set is built
+            # around.
             ends = np.concatenate(game.coverage_fn.breakpoints(k, everywhere))
             candidates = [space.lo, space.hi, *ends, *(ends + 2 * math.pi)]
             candidates += list(ends - 2 * math.pi)
