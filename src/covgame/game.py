@@ -16,7 +16,8 @@ which is what the distributed search engine relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,14 +118,20 @@ class GameInstance:
     generator's ``cells`` when it has them. The instance takes ownership of
     each mask, freezes it and memoizes it per ``(index, theta)`` for its
     life. The generator must also expose ``breakpoints(k, within)``, which
-    returns arrays ``(starts, stops)`` such that agent ``k``'s count
-    ``|coverage(k, theta) & within|`` does not fall while ``theta`` moves
-    toward 0, until it passes a start (from above 0) or a stop (from below
-    0). The ends of the closed strategy intervals on which ``k`` covers each
-    cell of ``within`` are such a set; :func:`best_response_gain` scores
-    them. The neighbor graph maps each active agent index to the set of
-    active agents whose coverage can overlap its own; it must be symmetric
-    and irreflexive.
+    returns ascending arrays ``(starts, stops)`` such that agent ``k``'s
+    count ``|coverage(k, theta) & within|`` does not fall while ``theta``
+    moves toward 0, until it passes a start (from above 0) or a stop (from
+    below 0). The ends of the closed strategy intervals on which ``k``
+    covers each cell of ``within`` are such a set; :func:`best_response_gain`
+    scores them. A generator that also exposes ``masked_cell_counts(k,
+    thetas, ends)`` scores an ascending array of strategies in one call,
+    given the pair that ``breakpoints`` returned. The neighbor graph maps
+    each active agent index to the set of active agents whose coverage can
+    overlap its own; it must be symmetric and irreflexive.
+
+    Besides the mask cache, the instance keeps one entry per active agent:
+    its last exact best response and the neighbor strategies it answered,
+    which :func:`best_response_gain` reuses while they stand still.
     """
 
     def __init__(
@@ -157,6 +164,7 @@ class GameInstance:
                     raise ValueError(f"neighbor graph is not symmetric at ({k},{l})")
         self.neighbor_graph: dict[int, frozenset[int]] = graph
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
+        self._responses: dict[int, _Response] = {}
 
     @property
     def n_agents(self) -> int:
@@ -233,7 +241,7 @@ def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> flo
     if not game.agent(index).active:
         raise ValueError(f"agent {index} is not active")
     view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    f, _, _ = best_response_objective(game, index, view)
+    f, _ = best_response_objective(game, index, view)
     return f(profile.for_agent(index))
 
 
@@ -242,51 +250,56 @@ def regret(
 ) -> float:
     """Local-objective change if ``index`` unilaterally switches to ``theta_new``."""
     view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    f, _, _ = best_response_objective(game, index, view)
+    f, _ = best_response_objective(game, index, view)
     return f(theta_new) - f(profile.for_agent(index))
+
+
+def _local_objective(
+    game: GameInstance, index: int, uncovered: np.ndarray, theta: float
+) -> float:
+    """The one local-objective formula, ``dt * count - gamma * penalty``.
+
+    ``count`` is the number of cells of ``uncovered`` that agent ``index``
+    covers playing ``theta``.
+    """
+    own = game.coverage(index, theta)
+    gain = game.grid.dt * float(np.count_nonzero(own & uncovered))
+    return gain - game.gamma * energy_penalty(game.agent(index), theta)
 
 
 def best_response_objective(
     game: GameInstance, index: int, neighbor_thetas: Mapping[int, float]
-) -> tuple[
-    Callable[[float], float], Callable[[np.ndarray], np.ndarray] | None, np.ndarray
-]:
+) -> tuple[Callable[[float], float], np.ndarray]:
     """Local objective of one agent with its neighbors frozen.
 
-    This is the one local-objective formula, ``dt * count - gamma * penalty``,
-    and the information-restricted entry point: it reads nothing beyond the
+    The information-restricted entry point: it reads nothing beyond the
     supplied neighbor strategies, which must cover every graph neighbor of
     ``index``. The neighbor union is fixed while one agent varies its own
     strategy, so it is folded once; each scalar evaluation then costs one
     coverage mask and one masked count.
 
-    Returns ``(f, batch, uncovered)``: the scalar objective; a vectorized one
-    over a sorted strategy array when the coverage generator exposes
-    ``masked_cell_counts`` (as the orbital one does), else ``None``; and the
-    mask of cells no neighbor covers, which is what ``f`` counts.
+    Returns ``(f, uncovered)``: the scalar objective, and the mask of cells
+    no neighbor covers, which is what ``f`` counts.
     """
-    agent = game.agent(index)
     neighbor_sets = [
         game.coverage(l, neighbor_thetas[l]) for l in sorted(game.neighbors(index))
     ]
     uncovered = ~union_many(neighbor_sets, game.n_cells)
-    dt = game.grid.dt
-    gamma = game.gamma
+    return partial(_local_objective, game, index, uncovered), uncovered
 
-    def f(theta: float) -> float:
-        own = game.coverage(index, theta)
-        gain = dt * float(np.count_nonzero(own & uncovered))
-        return gain - gamma * energy_penalty(agent, theta)
 
-    batch = None
-    cell_counts = getattr(game.coverage_fn, "masked_cell_counts", None)
-    if cell_counts is not None:
-        def batch(thetas: np.ndarray) -> np.ndarray:
-            thetas = np.asarray(thetas, dtype=float)
-            gains = dt * cell_counts(index, thetas, uncovered)
-            return gains - gamma * (thetas / agent.theta_max) ** 2
+class _Response(NamedTuple):
+    """An agent's last exact best response, with what it was computed from.
 
-    return f, batch, uncovered
+    ``neighbors`` holds the neighbor strategies in ascending neighbor order
+    and ``uncovered`` the cells none of them covers. The entry holds no
+    reference to the game, so storing it on the game makes no cycle.
+    """
+
+    neighbors: tuple[float, ...]
+    uncovered: np.ndarray
+    theta_star: float
+    best: float
 
 
 def best_response_gain(
@@ -303,28 +316,49 @@ def best_response_gain(
     the point of the strategy interval ``[lo, hi]`` nearest 0. From any
     strategy above ``z``, moving down to the nearest start at or below it
     (or to ``z``) keeps every cell and costs no more, and symmetrically
-    below ``z``. So a maximizer lies among ``z``, the starts in ``(z, hi]``
-    and the stops in ``[lo, z)``, and scoring them all is exact.
+    below ``z``. So a maximizer lies among the stops in ``[lo, z)``, ``z``
+    and the starts in ``(z, hi]``; the ends come ascending, so these three
+    lists are already in order, and scoring them all is exact. Equal
+    candidates score equally, so repeats leave the first maximizer alone.
+
+    The best response depends on the neighbor strategies only, so the game
+    keeps each agent's last one: each neighbor strategy is read once, and
+    while they all equal those of the agent's last scan, the stored
+    maximizer is returned without a scan; otherwise the agent scans and
+    replaces its entry.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over ``theta``, which is never
     negative.
     """
-    f, batch, uncovered = best_response_objective(game, index, neighbor_thetas)
-    space = game.agent(index).strategy_space
-    starts, stops = game.coverage_fn.breakpoints(index, uncovered)
-    z = min(max(0.0, space.lo), space.hi)
-    candidates = np.unique(
-        np.concatenate(
-            (
-                [z],
-                starts[(starts > z) & (starts <= space.hi)],
-                stops[(stops >= space.lo) & (stops < z)],
-            )
-        )
-    )
-    theta_star, best = maximize_scalar(f, candidates, batch_f=batch)
-    return theta_star, best - f(theta)
+    order = sorted(game.neighbors(index))
+    neighbors = tuple(neighbor_thetas[l] for l in order)
+    response = game._responses.get(index)
+    if response is None or response.neighbors != neighbors:
+        f, uncovered = best_response_objective(game, index, dict(zip(order, neighbors)))
+        agent = game.agent(index)
+        space = agent.strategy_space
+        starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
+        z = min(max(0.0, space.lo), space.hi)
+        below = stops[np.searchsorted(stops, space.lo) : np.searchsorted(stops, z)]
+        above = starts[
+            np.searchsorted(starts, z, "right") : np.searchsorted(starts, space.hi, "right")
+        ]
+        candidates = np.concatenate((below, [z], above))
+        batch = None
+        cell_counts = getattr(game.coverage_fn, "masked_cell_counts", None)
+        if cell_counts is not None:
+            dt, gamma = game.grid.dt, game.gamma
+
+            def batch(thetas: np.ndarray) -> np.ndarray:
+                gains = dt * cell_counts(index, thetas, ends)
+                return gains - gamma * (thetas / agent.theta_max) ** 2
+
+        theta_star, best = maximize_scalar(f, candidates, batch_f=batch)
+        response = _Response(neighbors, uncovered, theta_star, best)
+        game._responses[index] = response
+    gain = response.best - _local_objective(game, index, response.uncovered, theta)
+    return response.theta_star, gain
 
 
 def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, frozenset[int]]:

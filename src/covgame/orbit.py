@@ -34,6 +34,8 @@ from .game import (
 from .measure import TimeGrid
 
 TWO_PI = 2.0 * math.pi
+# The 2 pi shifts of a covering interval that a segment table can hold.
+_SHIFTS = np.array([-TWO_PI, 0.0, TWO_PI])
 
 
 @dataclass(frozen=True)
@@ -244,12 +246,16 @@ class _Reach(NamedTuple):
 
     Row ``i`` says that the satellite covers mask position ``cell[i]`` for
     exactly the offsets in the closed segment ``[lo[i], hi[i]]``. The rows
-    of one cell are disjoint, and every row has ``lo <= hi``.
+    of one cell are disjoint, and every row has ``lo <= hi``. The rows are
+    sorted by ``lo``; ``stop`` holds the same ``hi`` ends sorted ascending,
+    and ``stop_cell`` their cells.
     """
 
     cell: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    stop_cell: np.ndarray
+    stop: np.ndarray
 
 
 class ConstellationCoverage:
@@ -275,11 +281,14 @@ class ConstellationCoverage:
     comparison. An offset outside it raises ``ValueError``. A single mask
     costs two comparisons per row, scattered into a mask that still has one
     entry per visible cell. The segment ends are also what an exact best
-    response scores (:meth:`breakpoints`), and scoring a sorted array of
-    strategies costs one ``searchsorted`` pass per side over the rows that
-    reproduces those comparisons exactly, so the two can never disagree on
-    a boundary cell. The cells of a table (used to freeze the neighbor
-    graph) contain every single mask of a strategy in the interval.
+    response scores (:meth:`breakpoints`). Each table is sorted once at
+    build time, its rows by ``lo`` and a copy of its ``hi`` ends with their
+    cells, so the ends of any subset of rows come out ascending, and
+    scoring a sorted array of strategies against them costs one
+    ``searchsorted`` pass per side that reproduces the comparisons of a
+    single mask exactly: the two can never disagree on a boundary cell. The
+    cells of a table (used to freeze the neighbor graph) contain every
+    single mask of a strategy in the interval.
     """
 
     def __init__(
@@ -310,32 +319,33 @@ class ConstellationCoverage:
             + constants.earth_rotation_rate * elapsed
         )
         ca, sa = np.cos(alpha), np.sin(alpha)
-        w1 = ca * unit_target[0] - sa * unit_target[1]
+        v1 = ca * unit_target[0] - sa * unit_target[1]
         w2 = sa * unit_target[0] + ca * unit_target[1]
-        w3 = np.full_like(w1, unit_target[2])
         ci, si = math.cos(spec.inclination), math.sin(spec.inclination)
-        v1 = w1
-        v2 = ci * w2 - si * w3
+        v2 = ci * w2 - si * unit_target[2]
 
         amp = np.hypot(v1, v2)
-        psi = np.arctan2(v2, v1)
         cos_bar = math.cos(target.view_half_angle)
-        # Half-width of the visible phase arc at each time; negative when the
-        # target is out of reach of the whole orbit at that time. A threshold
-        # angle of 90 degrees or more keeps even the projection-degenerate
-        # geometry (amp == 0) visible.
+        # The visible phase arc at each time has half-width arccos(cos_bar /
+        # amp); the target is out of reach of the whole orbit when that ratio
+        # exceeds 1. A threshold angle of 90 degrees or more keeps even the
+        # projection-degenerate geometry (amp == 0) visible, with the whole
+        # circle as its arc.
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(amp > 0.0, cos_bar / amp, math.inf)
-        half_width = np.where(ratio > 1.0, -1.0, np.arccos(np.clip(ratio, -1.0, 1.0)))
+        visible = ratio <= 1.0
         if cos_bar <= 0.0:
-            half_width = np.where(amp == 0.0, np.pi, half_width)
+            visible |= amp == 0.0
         # The mask axis: cells some phase can see. No satellite covers any
         # other cell, and every measure is dt times a count, so dropping
         # them changes no value.
-        self.cells = np.flatnonzero(half_width >= 0.0)
-        half_width = half_width[self.cells]
-        elapsed = elapsed[self.cells]
-        psi = psi[self.cells]
+        self.cells = np.flatnonzero(visible)
+        amp = amp[self.cells]
+        half_width = np.where(
+            amp == 0.0, np.pi, np.arccos(np.clip(ratio[self.cells], -1.0, 1.0))
+        )
+        psi = np.arctan2(v2[self.cells], v1[self.cells])
+        drift = self.rates.phase_rate * elapsed[self.cells]
 
         # A cell is covered iff the offset is congruent mod 2 pi to a point
         # of [lo, hi] = [-base - half_width, -base + half_width], with base
@@ -359,24 +369,27 @@ class ConstellationCoverage:
         minus_inf = np.full(always.size, -math.inf)
         plus_inf = np.full(always.size, math.inf)
         part = np.flatnonzero(~full)
-        half_width, elapsed, psi = half_width[part], elapsed[part], psi[part]
+        half_width, drift, psi = half_width[part], drift[part], psi[part]
         self._reach: list[_Reach] = []
         for m0 in spec.mean_anomalies0:
-            base = _wrap_pi(m0 + self.rates.phase_rate * elapsed - psi)
-            lo = -base - half_width
-            hi = -base + half_width
-            cell, los, his = [always], [minus_inf], [plus_inf]
-            for shift, meets in (
-                (-TWO_PI, hi - TWO_PI >= a),
-                (0.0, (lo <= b) & (hi >= a)),
-                (TWO_PI, lo + TWO_PI <= b),
-            ):
-                index = np.flatnonzero(meets)
-                cell.append(part[index])
-                los.append(lo[index] + shift)
-                his.append(hi[index] + shift)
+            neg_base = -_wrap_pi(m0 + drift - psi)
+            lo = neg_base - half_width
+            hi = neg_base + half_width
+            # The cells whose interval meets [a, b] at each of _SHIFTS.
+            index = [
+                np.flatnonzero(hi - TWO_PI >= a),
+                np.flatnonzero((lo <= b) & (hi >= a)),
+                np.flatnonzero(lo + TWO_PI <= b),
+            ]
+            shift = np.repeat(_SHIFTS, [i.size for i in index])
+            index = np.concatenate(index)
+            cell = np.concatenate((always, part[index]))
+            lo = np.concatenate((minus_inf, lo[index] + shift))
+            hi = np.concatenate((plus_inf, hi[index] + shift))
+            by_lo = np.argsort(lo)
+            by_hi = np.argsort(hi)
             self._reach.append(
-                _Reach(np.concatenate(cell), np.concatenate(los), np.concatenate(his))
+                _Reach(cell[by_lo], lo[by_lo], hi[by_lo], cell[by_hi], hi[by_hi])
             )
 
     def _check(self, k: int, theta: float) -> None:
@@ -395,18 +408,19 @@ class ConstellationCoverage:
         return mask
 
     def masked_cell_counts(
-        self, k: int, thetas: np.ndarray, within: np.ndarray
+        self, k: int, thetas: np.ndarray, ends: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
-        """Covered-cell counts restricted to ``within``, for many strategies.
+        """Covered-cell counts restricted to some cells, for many strategies.
 
-        Counts ``|coverage(k, theta) & within|`` for every entry of an
-        ascending ``thetas`` array in one pass over the segment table of
-        ``k``: each row of a cell in ``within`` opens at the first theta at
-        or above its ``lo`` and closes after the last one at or below its
-        ``hi``, located by ``searchsorted`` with exactly the comparisons of
-        a single mask, and a count is the running sum of opens minus closes.
-        ``within`` is a mask over ``cells``. Every theta must lie in the
-        built interval, and ``thetas`` must be sorted ascending; otherwise
+        ``ends`` is the pair ``(starts, stops)`` that :meth:`breakpoints`
+        returned for satellite ``k`` and a mask ``within``; the result counts
+        ``|coverage(k, theta) & within|`` for every entry of an ascending
+        ``thetas`` array. A row holds ``theta`` iff ``lo <= theta`` and
+        ``theta <= hi``, the comparisons of a single mask, and every row has
+        ``lo <= hi``, so the count is the number of starts at or below
+        ``theta`` minus the number of stops below it: two ``searchsorted``
+        passes over the ascending ends. Every theta must lie in the built
+        interval, and ``thetas`` must be sorted ascending; otherwise
         ``ValueError`` is raised.
         """
         thetas = np.asarray(thetas, dtype=float)
@@ -416,28 +430,24 @@ class ConstellationCoverage:
             raise ValueError(f"strategies of agent {k} must be sorted ascending")
         self._check(k, thetas[0])
         self._check(k, thetas[-1])
-        starts, stops = self.breakpoints(k, within)
-        # A row holds thetas[i0:i1], where i0 (searchsorted left of lo) and
-        # i1 (right of hi) make the comparisons lo <= theta and theta <= hi
-        # of a single mask. lo <= hi gives i1 >= i0, so each row adds one to
-        # exactly those counts.
-        m = thetas.size + 1
-        opens = np.bincount(np.searchsorted(thetas, starts, side="left"), minlength=m)
-        closes = np.bincount(np.searchsorted(thetas, stops, side="right"), minlength=m)
-        return np.cumsum(opens[:-1] - closes[:-1])
+        starts, stops = ends
+        return np.searchsorted(starts, thetas, side="right") - np.searchsorted(
+            stops, thetas, side="left"
+        )
 
     def breakpoints(self, k: int, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the count of :meth:`masked_cell_counts` can change.
 
-        Returns ``(starts, stops)``: the ``lo`` and ``hi`` ends of the rows
-        of satellite ``k``'s segment table whose cell lies in ``within``.
-        Each such cell is covered exactly on the union of its rows, so the
-        count changes only at these ends, and moving toward 0 it cannot fall
-        before it passes one of them.
+        Returns ``(starts, stops)``, each sorted ascending: the ``lo`` and
+        ``hi`` ends of the rows of satellite ``k``'s segment table whose
+        cell lies in ``within``, a mask over ``cells``. The table keeps both
+        ends presorted, so selecting rows keeps that order and no sort runs
+        here. Each such cell is covered exactly on the union of its rows, so
+        the count changes only at these ends, and moving toward 0 it cannot
+        fall before it passes one of them.
         """
         reach = self._reach[k - 1]
-        select = within[reach.cell]
-        return reach.lo[select], reach.hi[select]
+        return reach.lo[within[reach.cell]], reach.stop[within[reach.stop_cell]]
 
     def reachable_mask(self, k: int) -> np.ndarray:
         """Cells satellite ``k`` can cover for some strategy in the interval.

@@ -19,6 +19,20 @@ def with_breakpoints(coverage, points=()):
     return coverage
 
 
+class CallCounter:
+    """Counts the calls of one method of a class while it is patched in."""
+
+    def __init__(self, monkeypatch, cls, name):
+        self.calls = 0
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+
 def lattice(span: float, quantum: float) -> np.ndarray:
     """The points ``j * quantum`` within ``[-span, span]``.
 

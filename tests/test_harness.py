@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from covgame import harness
 from covgame.game import StrategyProfile, global_value
 from covgame.harness import (
     ComparisonReport,
@@ -20,9 +21,10 @@ from covgame.harness import (
     write_sweep_counts_csv,
     write_sweep_energy_csv,
 )
-from covgame.scenario import parse_scenario
+from covgame.orbit import ConstellationCoverage
+from covgame.scenario import bundled_scenario_path, load_scenario, parse_scenario
 
-from conftest import mini_scenario_doc
+from conftest import CallCounter, mini_scenario_doc
 
 
 class TestMethodRuns:
@@ -81,6 +83,61 @@ class TestMethodRuns:
         rc, _ = run_centralized(cfg)
         assert rd.value == pytest.approx(rc.value, abs=0.5)
         assert abs(rd.final_theta[0] - rc.final_theta[0]) < 0.02
+
+    def test_certificate_after_polish_scans_nothing(self, mini_cfg, monkeypatch):
+        # The polish ends with a sweep in which no agent moved, against the
+        # very neighbor strategies the certificate reads, so every agent
+        # reuses its answer.
+        scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+        polish = harness._polish
+        polished = []
+
+        def marked(*args):
+            profile = polish(*args)
+            polished.append(scans.calls)
+            return profile
+
+        monkeypatch.setattr(harness, "_polish", marked)
+        report, certification = run_centralized(mini_cfg)
+        assert report.certified and len(certification.gains) == 11
+        assert polished[0] > 0 and scans.calls == polished[0]
+
+
+# The bundled run at the commit that pinned it. A change that claims only
+# speed must leave every bit of it alone.
+BUNDLED_DISTRIBUTED_THETA = [
+    "-0x1.b78af1243a2f0p-5", "0x1.2d00193bb5680p-9", "0x1.e434d6f5689acp-6",
+    "0x0.0p+0", "-0x1.82d892acc0680p-10", "0x0.0p+0", "0x0.0p+0",
+    "0x1.4e0454d05dd28p-6", "0x1.6f046312bd928p-6", "0x0.0p+0",
+    "-0x1.64d670562b85ap-3", "-0x1.0b445c22205a1p-3", "-0x1.04a35c4a3532bp-4",
+    "0x0.0p+0", "0x1.9287a9df5c3ecp-5", "0x1.4885aeb2c2eccp-5",
+    "0x1.8120020cc5188p-7", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "-0x1.fcdcaf213bb1cp-6", "0x1.7e3b68a4f10e0p-9", "0x0.0p+0",
+    "-0x1.923f5cc870245p-3",
+]
+BUNDLED_CENTRALIZED_THETA = [
+    "0x1.2d7092a1c4e00p-12", "0x1.b3fc96d0fd0f0p-5", "0x1.e434d6f5689acp-6",
+    "0x0.0p+0", "-0x1.b045cc20d5328p-7", "-0x1.c1a93a05d89c0p-8", "0x0.0p+0",
+    "0x1.dd316417e4430p-7", "0x1.75cc1700bb9e0p-7", "0x0.0p+0",
+    "-0x1.7aeb67247cb49p-3", "-0x1.0b445c22205a1p-3", "-0x1.04a35c4a3532bp-4",
+    "0x0.0p+0", "0x1.9287a9df5c3ecp-5", "0x1.4885aeb2c2eccp-5",
+    "0x1.8120020cc5188p-7", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "0x1.e35b255060060p-6", "0x1.5a8b46e30975ap-4", "0x0.0p+0",
+    "-0x1.0fed031099f1cp-4",
+]
+
+
+def test_bundled_outcome_is_pinned():
+    cfg = load_scenario(bundled_scenario_path())
+    distributed, _ = run_distributed(cfg)
+    centralized, _ = run_centralized(cfg)
+    assert distributed.value.hex() == "0x1.2317d71c756afp+13"
+    assert distributed.converged_at == 7
+    assert [v.hex() for v in distributed.final_theta] == BUNDLED_DISTRIBUTED_THETA
+    assert centralized.value.hex() == "0x1.229fe0cc2e6e2p+13"
+    assert centralized.iterations == 7085
+    assert [v.hex() for v in centralized.final_theta] == BUNDLED_CENTRALIZED_THETA
+    assert distributed.worst_gain == centralized.worst_gain == 0.0
 
 
 class TestBound:

@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgame.game import (
+    AgentSpec,
+    GameInstance,
     StrategyInterval,
     StrategyProfile,
     best_response_gain,
     best_response_objective,
     certify_epsilon_equilibrium,
     global_value,
+    neighbor_graph_from_masks,
     neighbor_graph_from_reach,
 )
 from covgame.measure import TimeGrid
@@ -37,6 +40,8 @@ from covgame.orbit import (
     satellite_position_ecf,
     target_position_ecf,
 )
+
+from conftest import CallCounter
 
 DEG = math.pi / 180.0
 
@@ -311,7 +316,9 @@ class TestCoverage:
         # (half_width == pi).
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
-        counts = cov.masked_cell_counts(k, np.array(thetas), within)
+        counts = cov.masked_cell_counts(
+            k, np.array(thetas), cov.breakpoints(k, within)
+        )
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(k, theta) & within)
 
@@ -333,7 +340,9 @@ class TestCoverage:
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         thetas = sorted(min(start + f * span, math.pi) for f in fractions)
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
-        counts = cov.masked_cell_counts(k, np.array(thetas), within)
+        counts = cov.masked_cell_counts(
+            k, np.array(thetas), cov.breakpoints(k, within)
+        )
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(k, theta) & within)
 
@@ -356,7 +365,7 @@ class TestCoverage:
             thetas = np.unique(np.concatenate(cov.breakpoints(k, within)))
             thetas = thetas[(thetas >= -math.pi) & (thetas <= math.pi)]
             assert thetas.size > 0
-            counts = cov.masked_cell_counts(k, thetas, within)
+            counts = cov.masked_cell_counts(k, thetas, cov.breakpoints(k, within))
             singles = [np.count_nonzero(cov(k, theta)) for theta in thetas]
             assert np.array_equal(counts, singles)
 
@@ -426,8 +435,8 @@ class TestBuiltInterval:
                 assert not np.any(mask & ~reach)
             thetas = np.array(thetas)
             assert np.array_equal(
-                cov.masked_cell_counts(k, thetas, within),
-                full.masked_cell_counts(k, thetas, within),
+                cov.masked_cell_counts(k, thetas, cov.breakpoints(k, within)),
+                full.masked_cell_counts(k, thetas, full.breakpoints(k, within)),
             )
 
     @pytest.mark.parametrize(
@@ -472,7 +481,9 @@ class TestBuiltInterval:
             with pytest.raises(ValueError, match="agent 3"):
                 cov(3, theta)
         with pytest.raises(ValueError, match="agent 3"):
-            cov.masked_cell_counts(3, np.array([0.0, interval.hi + 1e-9]), within)
+            cov.masked_cell_counts(
+                3, np.array([0.0, interval.hi + 1e-9]), cov.breakpoints(3, within)
+            )
 
     def test_interval_must_lie_on_the_circle(self):
         with pytest.raises(ValueError, match="within"):
@@ -699,7 +710,7 @@ class TestExactBestResponse:
         space = game.agent(k).strategy_space
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
         theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k))
-        f, _, _ = best_response_objective(game, k, view)
+        f, _ = best_response_objective(game, k, view)
         best = f(theta_star)
         assert space.contains(theta_star, tol=0.0)
         assert gain == best - f(profile.for_agent(k)) >= 0.0
@@ -729,7 +740,7 @@ class TestExactBestResponse:
         for k in game.active_indices:
             space = game.agent(k).strategy_space
             view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-            f, _, _ = best_response_objective(game, k, view)
+            f, _ = best_response_objective(game, k, view)
             # Every end of every row of the segment table with its 2 pi
             # shifts, unpruned, and the three points the pruned set is built
             # around.
@@ -741,3 +752,90 @@ class TestExactBestResponse:
             brute = max(f(t) for t in candidates if space.lo <= t <= space.hi)
             assert report.gains[k] == brute - f(profile.for_agent(k))
         assert report.worst_gain == max(report.gains.values())
+
+
+# The seam: an interval ending at -pi keeps the rows shifted by 2 pi live.
+SEAM_COVERAGE = ConstellationCoverage(
+    CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID, StrategyInterval(-math.pi, -math.pi + 0.1)
+)
+
+
+def coverage_game(cov, gamma, active=range(1, 25)):
+    """A 24-satellite game on a shared coverage, with its exact reach graph.
+
+    Satellites outside ``active`` are damaged.
+    """
+    agents = tuple(
+        AgentSpec(index=k, strategy_space=cov.interval, theta_max=1.0, active=k in active)
+        for k in range(1, 25)
+    )
+    reach = {k: cov.reachable_mask(k) for k in active}
+    return GameInstance(agents, cov.grid, cov, gamma, neighbor_graph_from_masks(reach))
+
+
+class TestBestResponseReuse:
+    """A game reuses an agent's best response while its neighbors stand still."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        wide=st.booleans(),
+        gamma=st.floats(0.0, 200.0),
+        active=st.sets(st.integers(1, 24), min_size=2, max_size=6),
+        start=st.lists(st.floats(-math.pi, math.pi), min_size=24, max_size=24),
+        moves=st.lists(
+            st.tuples(st.integers(0, 5), st.one_of(st.none(), st.floats(-math.pi, math.pi))),
+            max_size=8,
+        ),
+    )
+    def test_reuse_cannot_be_seen(self, wide, gamma, active, start, moves):
+        # After each unilateral move, to a random strategy or to the mover's
+        # best response, every agent's answer on the long-lived game equals,
+        # bit for bit, the one on a freshly built game; asking again with
+        # the same neighbors scans nothing. A few active satellites make
+        # every neighbor likely to move.
+        cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
+        game = coverage_game(cov, gamma, active)
+        movers = sorted(active)
+        profile = StrategyProfile(np.array(start))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+            for i, theta in [(None, None), *moves]:
+                if i is not None:
+                    k = movers[i % len(movers)]
+                    if theta is None:
+                        view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+                        theta, _ = best_response_gain(game, k, view, profile.for_agent(k))
+                    profile = profile.replace(k, theta)
+                fresh = coverage_game(cov, gamma, active)
+                for l in game.active_indices:
+                    view = {j: profile.for_agent(j) for j in game.neighbors(l)}
+                    own = profile.for_agent(l)
+                    kept = best_response_gain(game, l, view, own)
+                    expected = best_response_gain(fresh, l, view, own)
+                    assert [v.hex() for v in kept] == [v.hex() for v in expected]
+                    before = scans.calls
+                    assert best_response_gain(game, l, view, own) == kept
+                    assert scans.calls == before
+        assert sorted(game._responses) == movers
+
+    def test_each_scan_selects_the_rows_once(self, monkeypatch):
+        game = coverage_game(TABLE_COVERAGE, 20.0)
+        selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+        scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+        profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
+        for n, k in enumerate(game.active_indices, start=1):
+            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            best_response_gain(game, k, view, profile.for_agent(k))
+            assert (selections.calls, scans.calls) == (n, n)
+
+    @pytest.mark.parametrize(
+        "cov", [TABLE_COVERAGE, WIDE_COVERAGE, SEAM_COVERAGE], ids=["table", "wide", "seam"]
+    )
+    def test_breakpoints_come_ascending(self, cov, rng):
+        for k in range(1, 25):
+            for within in (
+                np.ones(cov.cells.size, dtype=bool),
+                rng.random(cov.cells.size) < 0.5,
+            ):
+                for ends in cov.breakpoints(k, within):
+                    assert np.all(ends[1:] >= ends[:-1])
