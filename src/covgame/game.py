@@ -365,13 +365,21 @@ def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, froz
     """Neighbor graph linking every two agents whose reach masks intersect.
 
     ``reach`` maps each active agent to the cells it can cover for some
-    admissible strategy.
+    admissible strategy; the masks share one length. Each mask is packed to
+    bits in 64-bit words, and every agent's row is ANDed against the rows of
+    all agents after it at once, so the test of one pair costs a word per 64
+    cells. Links are added in the order of a pairwise scan over the sorted
+    agents, which gives every neighbor set the same content and history.
     """
     graph: dict[int, set[int]] = {k: set() for k in reach}
     indices = sorted(reach)
-    for i, k in enumerate(indices):
-        for l in indices[i + 1 :]:
-            if bool(np.any(reach[k] & reach[l])):
+    if indices:
+        bits = np.packbits(np.stack([reach[k] for k in indices]), axis=1)
+        words = np.zeros((len(indices), -(-bits.shape[1] // 8)), dtype=np.uint64)
+        words.view(np.uint8)[:, : bits.shape[1]] = bits
+        for i, k in enumerate(indices):
+            for j in np.flatnonzero(np.any(words[i + 1 :] & words[i], axis=1)):
+                l = indices[i + 1 + j]
                 graph[k].add(l)
                 graph[l].add(k)
     return {k: frozenset(v) for k, v in graph.items()}

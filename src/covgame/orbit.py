@@ -10,7 +10,10 @@ union of short time windows. Masks run over the cells some phase can see,
 not over the whole grid. The coverage is built for the game's strategy
 interval, and each satellite stores one table of closed segments, a row per
 cell and ``2 pi`` shift of its covering interval that meets the interval
-(see :class:`ConstellationCoverage`).
+(see :class:`ConstellationCoverage`). The build touches only the cells that
+can matter: a strided visibility pre-pass bounds where the target can be
+seen at all, and one phase row shared by every satellite bounds where each
+satellite can have a row; the tables are those of a build over every cell.
 
 Frames follow the usual chain: orbital plane -> inertial via node and
 inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
@@ -36,6 +39,16 @@ from .measure import TimeGrid
 TWO_PI = 2.0 * math.pi
 # The 2 pi shifts of a covering interval that a segment table can hold.
 _SHIFTS = np.array([-TWO_PI, 0.0, TWO_PI])
+# Cells between two samples of the visibility pre-pass. The bound it rests
+# on grows with the block, |node_rate + earth_rotation_rate| times half its
+# length, so a larger stride samples less and keeps more.
+_STRIDE = 64
+# Slack of the visibility pre-pass (in units of amp) and of the phase
+# window (radians). It only has to exceed rounding: a few ulps of alpha and
+# of amp <= 1 in the pre-pass, and a few ulps of the drift m0 + phase_rate *
+# elapsed in the window, under 1e-10 while the drift stays below 1e6 rad
+# (about 30 years of a low orbit).
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -289,6 +302,21 @@ class ConstellationCoverage:
     single mask exactly: the two can never disagree on a boundary cell. The
     cells of a table (used to freeze the neighbor graph) contain every
     single mask of a strategy in the interval.
+
+    The build works only on the cells that can matter, and stores exactly
+    what a build over every cell would, row for row. First, a visibility
+    pre-pass evaluates the geometry at every :data:`_STRIDE`-th cell and the
+    last one: ``amp`` moves by at most ``|node_rate + earth_rotation_rate|``
+    times the elapsed time, so a block between two samples can hold a visible
+    cell only if one of its samples has ``amp >= cos(view_half_angle) -
+    bound - _MARGIN``, with ``bound`` that rate times half the block. The
+    exact geometry then runs on the kept blocks alone; a view half-angle of
+    90 degrees or more keeps them all. Second, every satellite shares one
+    orbit, so its covering intervals are those of one phase row ``u`` turned
+    by its phase ``m0``. ``u`` is sorted once, and satellite ``m0`` is built
+    from the cells whose ``u`` lies within half the interval plus the widest
+    arc (plus ``_MARGIN``) of ``-m0`` minus the interval's middle, around the
+    circle: the only cells that can give it a row.
     """
 
     def __init__(
@@ -309,23 +337,28 @@ class ConstellationCoverage:
         self.rates = drift_rates(constants, spec)
 
         elapsed = grid.cell_starts() - grid.t0
-        unit_target = target_position_ecf(constants, target) / constants.earth_radius
-        # Pull the target back through the inverse frame chain: the composite
-        # z-rotation (node + sidereal) followed by the inclination tilt.
-        alpha = (
-            spec.raan0
-            + self.rates.node_rate * elapsed
-            + spec.greenwich_angle0
-            + constants.earth_rotation_rate * elapsed
-        )
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        v1 = ca * unit_target[0] - sa * unit_target[1]
-        w2 = sa * unit_target[0] + ca * unit_target[1]
-        ci, si = math.cos(spec.inclination), math.sin(spec.inclination)
-        v2 = ci * w2 - si * unit_target[2]
-
-        amp = np.hypot(v1, v2)
         cos_bar = math.cos(target.view_half_angle)
+        # The visibility pre-pass: exact geometry at every _STRIDE-th cell
+        # and the last one, then only the blocks between two samples that
+        # can hold a visible cell. amp moves by at most |d alpha| between two
+        # cells (see _target_in_orbit_frame), and every cell lies within half
+        # a block of its nearer sample, so a cell with amp >= cos_bar sits in
+        # a block with a sample at amp >= cos_bar - bound. Below that, the
+        # ratio cos_bar / amp exceeds 1 by far more than any rounding.
+        samples = np.append(np.arange(0, elapsed.size, _STRIDE), elapsed.size - 1)
+        sample_amp = np.hypot(*self._target_in_orbit_frame(elapsed[samples]))
+        alpha_rate = abs(self.rates.node_rate + constants.earth_rotation_rate)
+        bound = 0.5 * alpha_rate * np.diff(elapsed[samples])
+        near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= cos_bar - bound - _MARGIN
+        # Block i holds the cells from sample i up to sample i + 1, the last
+        # block its end too. A view half-angle of 90 degrees or more makes
+        # the threshold negative, and every block is kept.
+        lengths = np.diff(samples)
+        lengths[-1] += 1
+        candidates = np.flatnonzero(np.repeat(near, lengths))
+
+        v1, v2 = self._target_in_orbit_frame(elapsed[candidates])
+        amp = np.hypot(v1, v2)
         # The visible phase arc at each time has half-width arccos(cos_bar /
         # amp); the target is out of reach of the whole orbit when that ratio
         # exceeds 1. A threshold angle of 90 degrees or more keeps even the
@@ -339,12 +372,12 @@ class ConstellationCoverage:
         # The mask axis: cells some phase can see. No satellite covers any
         # other cell, and every measure is dt times a count, so dropping
         # them changes no value.
-        self.cells = np.flatnonzero(visible)
-        amp = amp[self.cells]
+        self.cells = candidates[visible]
+        amp = amp[visible]
         half_width = np.where(
-            amp == 0.0, np.pi, np.arccos(np.clip(ratio[self.cells], -1.0, 1.0))
+            amp == 0.0, np.pi, np.arccos(np.clip(ratio[visible], -1.0, 1.0))
         )
-        psi = np.arctan2(v2[self.cells], v1[self.cells])
+        psi = np.arctan2(v2[visible], v1[visible])
         drift = self.rates.phase_rate * elapsed[self.cells]
 
         # A cell is covered iff the offset is congruent mod 2 pi to a point
@@ -370,11 +403,35 @@ class ConstellationCoverage:
         plus_inf = np.full(always.size, math.inf)
         part = np.flatnonzero(~full)
         half_width, drift, psi = half_width[part], drift[part], psi[part]
+        # The shared phase row: base is m0 + u modulo 2 pi, and a covering
+        # interval meets [a, b] only if its middle -base lies within `radius`
+        # of the middle of [a, b] around the circle. So satellite m0 needs
+        # only the cells with u within `radius` of -m0 - middle. The sorted
+        # u, laid out over three turns, hold each such window as one slice,
+        # which the per-satellite arithmetic below then runs on in ascending
+        # cell order, giving the same rows in the same order. A window within
+        # _MARGIN of the whole circle takes every cell: a superset leaves the
+        # table unchanged, and no slice then holds a cell twice.
+        u = _wrap_pi(drift - psi)
+        by_u = np.argsort(u)
+        u = u[by_u]
+        turns = np.concatenate((u - TWO_PI, u, u + TWO_PI))
+        by_u = np.tile(by_u, 3)
+        radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _MARGIN
+        everywhere = radius >= math.pi - _MARGIN
         self._reach: list[_Reach] = []
         for m0 in spec.mean_anomalies0:
-            neg_base = -_wrap_pi(m0 + drift - psi)
-            lo = neg_base - half_width
-            hi = neg_base + half_width
+            if everywhere:
+                sub = slice(None)
+                sub_part = part
+            else:
+                centre = _wrap_pi(-m0 - 0.5 * (a + b))
+                first, last = np.searchsorted(turns, (centre - radius, centre + radius))
+                sub = np.sort(by_u[first:last])
+                sub_part = part[sub]
+            neg_base = -_wrap_pi(m0 + drift[sub] - psi[sub])
+            lo = neg_base - half_width[sub]
+            hi = neg_base + half_width[sub]
             # The cells whose interval meets [a, b] at each of _SHIFTS.
             index = [
                 np.flatnonzero(hi - TWO_PI >= a),
@@ -383,7 +440,7 @@ class ConstellationCoverage:
             ]
             shift = np.repeat(_SHIFTS, [i.size for i in index])
             index = np.concatenate(index)
-            cell = np.concatenate((always, part[index]))
+            cell = np.concatenate((always, sub_part[index]))
             lo = np.concatenate((minus_inf, lo[index] + shift))
             hi = np.concatenate((plus_inf, hi[index] + shift))
             by_lo = np.argsort(lo)
@@ -391,6 +448,30 @@ class ConstellationCoverage:
             self._reach.append(
                 _Reach(cell[by_lo], lo[by_lo], hi[by_lo], cell[by_hi], hi[by_hi])
             )
+
+    def _target_in_orbit_frame(self, elapsed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The unit target's in-plane components ``(v1, v2)`` at ``elapsed``.
+
+        Pulls the target back through the inverse frame chain: the composite
+        z-rotation by ``alpha`` (node + sidereal) followed by the inclination
+        tilt. ``amp = hypot(v1, v2)``; since ``d(v1, v2) / d alpha = (-w2,
+        cos(i) v1)`` has length at most the target's equatorial radius, at
+        most 1, ``amp`` moves by at most ``|d alpha|``.
+        """
+        spec, constants = self.spec, self.constants
+        unit_target = target_position_ecf(constants, self.target) / constants.earth_radius
+        alpha = (
+            spec.raan0
+            + self.rates.node_rate * elapsed
+            + spec.greenwich_angle0
+            + constants.earth_rotation_rate * elapsed
+        )
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        v1 = ca * unit_target[0] - sa * unit_target[1]
+        w2 = sa * unit_target[0] + ca * unit_target[1]
+        ci, si = math.cos(spec.inclination), math.sin(spec.inclination)
+        v2 = ci * w2 - si * unit_target[2]
+        return v1, v2
 
     def _check(self, k: int, theta: float) -> None:
         if not self.interval.contains(theta):
@@ -479,7 +560,8 @@ def build_constellation_game(
     exact reachable-coverage overlap, so any two satellites whose windows can
     ever intersect within their strategy intervals are linked for the whole
     run; the global objective then moves by exactly each unilateral
-    local-objective change.
+    local-objective change. The overlaps are tested on bit-packed reach
+    masks (:func:`~covgame.game.neighbor_graph_from_masks`).
     """
     n = spec.n_satellites
     if isinstance(theta_max, (int, float)):

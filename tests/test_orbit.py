@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covgame.game import (
+    CONTAINS_TOL,
     AgentSpec,
     GameInstance,
     StrategyInterval,
@@ -510,6 +511,236 @@ class TestBuiltInterval:
         assert mask[j]
         assert np.array_equal(mask, full(1, theta))
         assert cov.reachable_mask(1)[j]
+
+
+def target_in_orbit_frame(spec, target, elapsed):
+    """The unit target's in-plane components ``(v1, v2)``, over all ``elapsed``."""
+    rates = drift_rates(CONSTANTS, spec)
+    unit_target = target_position_ecf(CONSTANTS, target) / CONSTANTS.earth_radius
+    alpha = (
+        spec.raan0
+        + rates.node_rate * elapsed
+        + spec.greenwich_angle0
+        + CONSTANTS.earth_rotation_rate * elapsed
+    )
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    v1 = ca * unit_target[0] - sa * unit_target[1]
+    w2 = sa * unit_target[0] + ca * unit_target[1]
+    ci, si = math.cos(spec.inclination), math.sin(spec.inclination)
+    return v1, ci * w2 - si * unit_target[2]
+
+
+def full_cell_tables(spec, target, grid, interval):
+    """Reference build: every grid cell, and every visible cell per satellite.
+
+    Returns the visible cells, each satellite's table as ``(cell, lo, hi,
+    stop_cell, stop)``, and the half-width of every visible cell's arc.
+    """
+    elapsed = grid.cell_starts() - grid.t0
+    v1, v2 = target_in_orbit_frame(spec, target, elapsed)
+    amp = np.hypot(v1, v2)
+    cos_bar = math.cos(target.view_half_angle)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(amp > 0.0, cos_bar / amp, math.inf)
+    visible = ratio <= 1.0
+    if cos_bar <= 0.0:
+        visible |= amp == 0.0
+    cells = np.flatnonzero(visible)
+    half_width = np.where(
+        amp[cells] == 0.0, np.pi, np.arccos(np.clip(ratio[cells], -1.0, 1.0))
+    )
+    psi = np.arctan2(v2[cells], v1[cells])
+    drift = drift_rates(CONSTANTS, spec).phase_rate * elapsed[cells]
+    a = interval.lo - CONTAINS_TOL
+    b = interval.hi + CONTAINS_TOL
+    full = half_width == math.pi
+    always = np.flatnonzero(full)
+    part = np.flatnonzero(~full)
+    shifts = np.array([-2.0 * math.pi, 0.0, 2.0 * math.pi])
+    tables = []
+    for m0 in spec.mean_anomalies0:
+        neg_base = -(math.pi - np.mod(math.pi - (m0 + drift[part] - psi[part]), 2.0 * math.pi))
+        lo = neg_base - half_width[part]
+        hi = neg_base + half_width[part]
+        index = [
+            np.flatnonzero(hi - 2.0 * math.pi >= a),
+            np.flatnonzero((lo <= b) & (hi >= a)),
+            np.flatnonzero(lo + 2.0 * math.pi <= b),
+        ]
+        shift = np.repeat(shifts, [i.size for i in index])
+        index = np.concatenate(index)
+        cell = np.concatenate((always, part[index]))
+        lo = np.concatenate((np.full(always.size, -math.inf), lo[index] + shift))
+        hi = np.concatenate((np.full(always.size, math.inf), hi[index] + shift))
+        by_lo = np.argsort(lo)
+        by_hi = np.argsort(hi)
+        tables.append((cell[by_lo], lo[by_lo], hi[by_lo], cell[by_hi], hi[by_hi]))
+    return cells, tables, half_width
+
+
+def touching(spec, target, grid, k, upper, width):
+    """An interval that ends exactly where a row of the widest arc ends.
+
+    The row is one of satellite ``k``'s rows for the visible cell with the
+    widest arc short of the whole circle, so its covering interval touches
+    the built interval (after the ``CONTAINS_TOL`` widening) and lies at the
+    farthest distance from the interval's middle that any row can. Returns
+    ``None`` when no such row end lies on the circle.
+    """
+    cells, tables, half_width = full_cell_tables(spec, target, grid, FULL_CIRCLE)
+    widths = np.where(half_width < math.pi, half_width, -1.0)
+    if widths.size == 0 or widths.max() < 0.0:
+        return None
+    cell, lo, hi = tables[k][:3]
+    ends = (lo if upper else hi)[cell == int(np.argmax(widths))]
+    ends = ends[np.abs(ends) <= math.pi - 1e-6]
+    if ends.size == 0:
+        return None
+    end = float(ends[0])
+    # The interval end whose widened end is exactly the row end.
+    step = CONTAINS_TOL if upper else -CONTAINS_TOL
+    x = end - step
+    for _ in range(8):
+        if x + step == end:
+            break
+        x = math.nextafter(x, -math.inf if x + step > end else math.inf)
+    if upper:
+        return StrategyInterval(max(-math.pi, x - width), min(x, math.pi))
+    return StrategyInterval(max(x, -math.pi), min(math.pi, x + width))
+
+
+# Grid lengths around multiples of the pre-pass stride, and steps from fine
+# (the bound excludes most blocks) to coarse (it excludes none).
+GRID_STEPS = st.one_of(
+    st.integers(1, 3000),
+    st.integers(1, 40).flatmap(lambda q: st.sampled_from([64 * q - 1, 64 * q, 64 * q + 1])),
+)
+
+
+@st.composite
+def pruned_build_cases(draw):
+    n_sat = draw(st.integers(1, 5))
+    spec = ConstellationSpec(
+        semi_major_axis=draw(st.floats(6600.0, 8000.0)),
+        inclination=draw(st.floats(0.0, math.pi)),
+        raan0=draw(st.floats(0.0, 2.0 * math.pi)),
+        greenwich_angle0=draw(st.floats(0.0, 2.0 * math.pi)),
+        mean_anomalies0=tuple(
+            draw(st.lists(st.floats(-math.pi, math.pi), min_size=n_sat, max_size=n_sat))
+        ),
+    )
+    dt = draw(st.sampled_from([1.0, 5.0, 30.0, 60.0, 600.0, 3600.0]))
+    t0 = draw(st.sampled_from([0.0, 1234.5]))
+    grid = TimeGrid(t0, t0 + draw(GRID_STEPS) * dt, dt)
+    longitude = draw(st.floats(-math.pi, math.pi))
+    latitude = draw(
+        st.one_of(st.floats(-math.pi / 2, math.pi / 2), st.sampled_from([-math.pi / 2, math.pi / 2]))
+    )
+    view = draw(
+        st.one_of(
+            st.floats(1e-3, math.pi),
+            # Wide arcs: amp moves fastest near a small cos_bar.
+            st.floats(math.pi / 3, math.pi / 2),
+            st.floats(math.pi / 2, math.pi),
+            st.sampled_from([math.pi / 2, math.pi]),
+            # On the edge: the arc at one cell shrinks to a point.
+            st.just(None),
+        )
+    )
+    if view is None:
+        v1, v2 = target_in_orbit_frame(spec, TargetSpec(longitude, latitude, 1.0), grid.cell_starts() - t0)
+        amp = np.hypot(v1, v2)[draw(st.integers(0, grid.n_steps - 1))]
+        view = min(max(math.acos(min(float(amp), 1.0)), 1e-6), math.pi)
+    target = TargetSpec(longitude, latitude, view)
+    kind = draw(st.sampled_from(["full", "random", "narrow", "seam", "touch"]))
+    interval = None
+    if kind == "touch":
+        interval = touching(
+            spec, target, grid, draw(st.integers(0, n_sat - 1)), draw(st.booleans()), draw(st.floats(0.0, 0.5))
+        )
+    if kind == "full" or (kind == "touch" and interval is None):
+        interval = FULL_CIRCLE
+    elif kind == "random":
+        interval = StrategyInterval(*sorted(draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))))
+    elif kind == "narrow":
+        lo = draw(st.floats(-math.pi, math.pi - 0.1))
+        interval = StrategyInterval(lo, lo + draw(st.floats(0.0, 0.1)))
+    elif kind == "seam":
+        width = draw(st.floats(0.0, 0.5))
+        interval = draw(
+            st.sampled_from([StrategyInterval(-math.pi, -math.pi + width), StrategyInterval(math.pi - width, math.pi)])
+        )
+    return spec, target, grid, interval
+
+
+class TestPrunedBuild:
+    """The build skips cells that cannot matter, and its tables show no trace of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pruned_build_cases())
+    @example(
+        # A polar orbit over an equatorial target with wide arcs: amp rises
+        # steeply, and some visibility windows open late in a block.
+        case=(
+            ConstellationSpec(6896.27, math.pi / 2, 0.1, 0.0, (0.0,)),
+            TargetSpec(0.0, 0.0, 80.0 * DEG),
+            TimeGrid(0.0, 30000.0, 30.0),
+            FULL_CIRCLE,
+        )
+    )
+    def test_tables_match_the_full_cell_build(self, case):
+        spec, target, grid, interval = case
+        cov = ConstellationCoverage(CONSTANTS, spec, target, grid, interval)
+        cells, tables, _ = full_cell_tables(spec, target, grid, interval)
+        assert cov.cells.dtype == cells.dtype and cov.cells.tobytes() == cells.tobytes()
+        assert len(cov._reach) == len(tables)
+        for got, expected in zip(cov._reach, tables):
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+def pairwise_graph(reach):
+    """The neighbor graph by its definition: one AND per pair of agents."""
+    graph = {k: set() for k in reach}
+    indices = sorted(reach)
+    for i, k in enumerate(indices):
+        for l in indices[i + 1 :]:
+            if np.any(reach[k] & reach[l]):
+                graph[k].add(l)
+                graph[l].add(k)
+    return {k: frozenset(v) for k, v in graph.items()}
+
+
+@st.composite
+def reach_masks(draw):
+    agents = draw(st.lists(st.integers(1, 300), min_size=0, max_size=9, unique=True))
+    length = draw(st.one_of(st.integers(0, 300), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = {}
+    for k in agents:
+        density = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+        reach[k] = rng.random(length) < density
+    return reach
+
+
+class TestNeighborGraph:
+    @settings(max_examples=200, deadline=None)
+    @given(reach=reach_masks())
+    def test_matches_the_pairwise_definition(self, reach):
+        # Keys keep the order of ``reach``, and every neighbor set iterates
+        # as the pairwise scan built it.
+        graph = neighbor_graph_from_masks(reach)
+        expected = pairwise_graph(reach)
+        assert graph == expected
+        assert [(k, list(v)) for k, v in graph.items()] == [
+            (k, list(v)) for k, v in expected.items()
+        ]
+
+    @pytest.mark.parametrize("length", [0, 1, 64, 65])
+    def test_single_and_empty_agents_have_no_neighbors(self, length):
+        empty = np.zeros(length, dtype=bool)
+        assert neighbor_graph_from_masks({7: ~empty}) == {7: frozenset()}
+        assert neighbor_graph_from_masks({7: ~empty, 3: empty}) == {7: frozenset(), 3: frozenset()}
 
 
 class TestConstellationGame:
