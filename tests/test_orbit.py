@@ -587,7 +587,7 @@ def touching(spec, target, grid, k, upper, width):
     farthest distance from the interval's middle that any row can. Returns
     ``None`` when no such row end lies on the circle.
     """
-    cells, tables, half_width = full_cell_tables(spec, target, grid, FULL_CIRCLE)
+    _, tables, half_width = full_cell_tables(spec, target, grid, FULL_CIRCLE)
     widths = np.where(half_width < math.pi, half_width, -1.0)
     if widths.size == 0 or widths.max() < 0.0:
         return None
@@ -632,9 +632,13 @@ def pruned_build_cases(draw):
     dt = draw(st.sampled_from([1.0, 5.0, 30.0, 60.0, 600.0, 3600.0]))
     t0 = draw(st.sampled_from([0.0, 1234.5]))
     grid = TimeGrid(t0, t0 + draw(GRID_STEPS) * dt, dt)
-    longitude = draw(st.floats(-math.pi, math.pi))
+    circle = st.floats(-math.pi, math.pi)
+    longitude = draw(circle)
     latitude = draw(
-        st.one_of(st.floats(-math.pi / 2, math.pi / 2), st.sampled_from([-math.pi / 2, math.pi / 2]))
+        st.one_of(
+            st.floats(-math.pi / 2, math.pi / 2),
+            st.sampled_from([-math.pi / 2, math.pi / 2]),
+        )
     )
     view = draw(
         st.one_of(
@@ -648,28 +652,33 @@ def pruned_build_cases(draw):
         )
     )
     if view is None:
-        v1, v2 = target_in_orbit_frame(spec, TargetSpec(longitude, latitude, 1.0), grid.cell_starts() - t0)
-        amp = np.hypot(v1, v2)[draw(st.integers(0, grid.n_steps - 1))]
-        view = min(max(math.acos(min(float(amp), 1.0)), 1e-6), math.pi)
+        elapsed = grid.cell_starts() - t0
+        v1, v2 = target_in_orbit_frame(spec, TargetSpec(longitude, latitude, 1.0), elapsed)
+        amp = float(np.hypot(v1, v2)[draw(st.integers(0, grid.n_steps - 1))])
+        view = min(max(math.acos(min(amp, 1.0)), 1e-6), math.pi)
     target = TargetSpec(longitude, latitude, view)
     kind = draw(st.sampled_from(["full", "random", "narrow", "seam", "touch"]))
-    interval = None
-    if kind == "touch":
-        interval = touching(
-            spec, target, grid, draw(st.integers(0, n_sat - 1)), draw(st.booleans()), draw(st.floats(0.0, 0.5))
-        )
-    if kind == "full" or (kind == "touch" and interval is None):
-        interval = FULL_CIRCLE
-    elif kind == "random":
-        interval = StrategyInterval(*sorted(draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))))
+    interval = FULL_CIRCLE
+    if kind == "random":
+        interval = StrategyInterval(*sorted((draw(circle), draw(circle))))
     elif kind == "narrow":
         lo = draw(st.floats(-math.pi, math.pi - 0.1))
         interval = StrategyInterval(lo, lo + draw(st.floats(0.0, 0.1)))
     elif kind == "seam":
         width = draw(st.floats(0.0, 0.5))
         interval = draw(
-            st.sampled_from([StrategyInterval(-math.pi, -math.pi + width), StrategyInterval(math.pi - width, math.pi)])
+            st.sampled_from(
+                [
+                    StrategyInterval(-math.pi, -math.pi + width),
+                    StrategyInterval(math.pi - width, math.pi),
+                ]
+            )
         )
+    elif kind == "touch":
+        k = draw(st.integers(0, n_sat - 1))
+        upper = draw(st.booleans())
+        width = draw(st.floats(0.0, 0.5))
+        interval = touching(spec, target, grid, k, upper, width) or FULL_CIRCLE
     return spec, target, grid, interval
 
 
@@ -740,7 +749,10 @@ class TestNeighborGraph:
     def test_single_and_empty_agents_have_no_neighbors(self, length):
         empty = np.zeros(length, dtype=bool)
         assert neighbor_graph_from_masks({7: ~empty}) == {7: frozenset()}
-        assert neighbor_graph_from_masks({7: ~empty, 3: empty}) == {7: frozenset(), 3: frozenset()}
+        assert neighbor_graph_from_masks({7: ~empty, 3: empty}) == {
+            7: frozenset(),
+            3: frozenset(),
+        }
 
 
 class TestConstellationGame:
