@@ -44,11 +44,16 @@ _SHIFTS = np.array([-TWO_PI, 0.0, TWO_PI])
 # length, so a larger stride samples less and keeps more.
 _STRIDE = 64
 # Slack of the visibility pre-pass (in units of amp) and of the phase
-# window (radians). It only has to exceed rounding: a few ulps of alpha and
-# of amp <= 1 in the pre-pass, and a few ulps of the drift m0 + phase_rate *
-# elapsed in the window, under 1e-10 while the drift stays below 1e6 rad
-# (about 30 years of a low orbit).
+# window (radians) for the rounding of values near 1 and pi. The angles the
+# build forms also round by a few ulps of their own size, which grows with
+# the horizon (the drift of a low orbit passes 1e6 rad in about 30 years),
+# so _slack adds eight ulps of the largest one.
 _MARGIN = 1e-9
+
+
+def _slack(scale: float) -> float:
+    """Rounding slack for values formed from angles of up to ``scale`` rad."""
+    return _MARGIN + 8.0 * float(np.spacing(scale))
 
 
 @dataclass(frozen=True)
@@ -309,13 +314,13 @@ class ConstellationCoverage:
     last one: ``amp`` moves by at most ``|node_rate + earth_rotation_rate|``
     times the elapsed time, so a block between two samples can hold a visible
     cell only if one of its samples has ``amp >= cos(view_half_angle) -
-    bound - _MARGIN``, with ``bound`` that rate times half the block. The
+    bound - slack``, with ``bound`` that rate times half the block. The
     exact geometry then runs on the kept blocks alone; a view half-angle of
     90 degrees or more keeps them all. Second, every satellite shares one
     orbit, so its covering intervals are those of one phase row ``u`` turned
     by its phase ``m0``. ``u`` is sorted once, and satellite ``m0`` is built
     from the cells whose ``u`` lies within half the interval plus the widest
-    arc (plus ``_MARGIN``) of ``-m0`` minus the interval's middle, around the
+    arc (plus a slack) of ``-m0`` minus the interval's middle, around the
     circle: the only cells that can give it a row.
     """
 
@@ -349,7 +354,10 @@ class ConstellationCoverage:
         sample_amp = np.hypot(*self._target_in_orbit_frame(elapsed[samples]))
         alpha_rate = abs(self.rates.node_rate + constants.earth_rotation_rate)
         bound = 0.5 * alpha_rate * np.diff(elapsed[samples])
-        near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= cos_bar - bound - _MARGIN
+        alpha_max = abs(spec.raan0) + abs(spec.greenwich_angle0) + alpha_rate * elapsed[-1]
+        near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= (
+            cos_bar - bound - _slack(alpha_max)
+        )
         # Block i holds the cells from sample i up to sample i + 1, the last
         # block its end too. A view half-angle of 90 degrees or more makes
         # the threshold negative, and every block is kept.
@@ -409,26 +417,25 @@ class ConstellationCoverage:
         # only the cells with u within `radius` of -m0 - middle. The sorted
         # u, laid out over three turns, hold each such window as one slice,
         # which the per-satellite arithmetic below then runs on in ascending
-        # cell order, giving the same rows in the same order. A window within
-        # _MARGIN of the whole circle takes every cell: a superset leaves the
-        # table unchanged, and no slice then holds a cell twice.
+        # cell order, giving the same rows in the same order. Any u.size
+        # consecutive entries of the three turns hold each cell once, so a
+        # window of 2 pi or more, clamped to that many, takes every cell: a
+        # superset, which leaves the table unchanged.
         u = _wrap_pi(drift - psi)
         by_u = np.argsort(u)
         u = u[by_u]
         turns = np.concatenate((u - TWO_PI, u, u + TWO_PI))
         by_u = np.tile(by_u, 3)
-        radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _MARGIN
-        everywhere = radius >= math.pi - _MARGIN
+        # The angles formed reach |m0| + |drift| + 2 pi at most.
+        radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _slack(
+            max(map(abs, spec.mean_anomalies0)) + np.abs(drift).max(initial=0.0) + TWO_PI
+        )
         self._reach: list[_Reach] = []
         for m0 in spec.mean_anomalies0:
-            if everywhere:
-                sub = slice(None)
-                sub_part = part
-            else:
-                centre = _wrap_pi(-m0 - 0.5 * (a + b))
-                first, last = np.searchsorted(turns, (centre - radius, centre + radius))
-                sub = np.sort(by_u[first:last])
-                sub_part = part[sub]
+            centre = _wrap_pi(-m0 - 0.5 * (a + b))
+            first, last = np.searchsorted(turns, (centre - radius, centre + radius))
+            sub = np.sort(by_u[first : min(last, first + u.size)])
+            sub_part = part[sub]
             neg_base = -_wrap_pi(m0 + drift[sub] - psi[sub])
             lo = neg_base - half_width[sub]
             hi = neg_base + half_width[sub]

@@ -682,6 +682,19 @@ def pruned_build_cases(draw):
     return spec, target, grid, interval
 
 
+# A very long, coarse grid: the angles the build forms round by far more
+# than near pi.
+LONG_SPEC = ConstellationSpec(
+    7953.963316247314,
+    1.8576803109932898,
+    1.9712651772980823,
+    1.3886031969378458,
+    (1.8808188985328167, 1.9593336803275907, 0.846546988346343),
+)
+LONG_TARGET = TargetSpec(-0.08811787384753522, 1.0546154109312478, 1.0030992898953988)
+LONG_GRID = TimeGrid(0.0, 5128 * 1e7, 1e7)
+
+
 class TestPrunedBuild:
     """The build skips cells that cannot matter, and its tables show no trace of it."""
 
@@ -695,6 +708,17 @@ class TestPrunedBuild:
             TargetSpec(0.0, 0.0, 80.0 * DEG),
             TimeGrid(0.0, 30000.0, 30.0),
             FULL_CIRCLE,
+        )
+    )
+    @example(
+        # About 1600 years in 1e7 s steps: the drift passes 5e7 rad, whose
+        # rounding exceeds a fixed 1e-9 window slack, and the interval
+        # touches a row of the widest arc.
+        case=(
+            LONG_SPEC,
+            LONG_TARGET,
+            LONG_GRID,
+            touching(LONG_SPEC, LONG_TARGET, LONG_GRID, 0, False, 0.29377349997447116),
         )
     )
     def test_tables_match_the_full_cell_build(self, case):
