@@ -250,6 +250,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Every array a run allocates grows with the grid; the scenario
+        # loaded once already, so it loads again to name the cell count.
+        n_cells = _load(args).grid.n_steps
+        print(f"error: grid: {n_cells} cells do not fit in memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

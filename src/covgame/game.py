@@ -152,8 +152,9 @@ class GameInstance:
         indices = [a.index for a in self.agents]
         if indices != list(range(1, len(self.agents) + 1)):
             raise ValueError("agent indices must be contiguous and 1-based")
-        active = {a.index for a in self.agents if a.active}
-        graph = {k: frozenset(neighbor_graph.get(k, ())) for k in sorted(active)}
+        self.active_indices: tuple[int, ...] = tuple(a.index for a in self.agents if a.active)
+        active = set(self.active_indices)
+        graph = {k: frozenset(neighbor_graph.get(k, ())) for k in self.active_indices}
         for k, neigh in graph.items():
             if k in neigh:
                 raise ValueError(f"agent {k} cannot neighbor itself")
@@ -169,10 +170,6 @@ class GameInstance:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
-
-    @property
-    def active_indices(self) -> tuple[int, ...]:
-        return tuple(a.index for a in self.agents if a.active)
 
     def agent(self, index: int) -> AgentSpec:
         return self.agents[index - 1]
@@ -222,14 +219,21 @@ def energy_penalty(agent: AgentSpec, theta: float) -> float:
 
 
 def global_value(game: GameInstance, profile: StrategyProfile) -> float:
-    """Union coverage of all active agents minus the scaled penalty sum, seconds."""
-    sets = [game.coverage(k, profile.for_agent(k)) for k in game.active_indices]
+    """Union coverage of all active agents minus the scaled penalty sum, seconds.
+
+    The penalties are :func:`energy_penalty`'s, summed left to right from 0 in
+    index order, as ``sum`` would: the compass search calls this once per
+    probe, so it reads the profile once and makes no call per agent.
+    """
+    theta = profile.theta.tolist()
+    agents = game.agents
+    sets = [game.coverage(k, theta[k - 1]) for k in game.active_indices]
     union = union_many(sets, game.n_cells)
     covered = game.grid.dt * int(np.count_nonzero(union))
-    penalty = sum(
-        energy_penalty(game.agent(k), profile.for_agent(k))
-        for k in game.active_indices
-    )
+    penalty = 0
+    for k in game.active_indices:
+        ratio = theta[k - 1] / agents[k - 1].theta_max
+        penalty += ratio * ratio
     return covered - game.gamma * penalty
 
 

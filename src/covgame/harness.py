@@ -2,7 +2,9 @@
 
 Both solution paths report their result through the same ``global_value``
 function on a game built from the same scenario, so the values in a
-comparison differ only by what the optimizers found. Wall times cover the
+comparison differ only by what the optimizers found. The centralized
+baseline's probes go through that function too, so its search scores
+exactly the value it reports. Wall times cover the
 optimization loop alone: game construction, coverage precomputation and
 certification are excluded, since they are shared setup or diagnostics.
 """
@@ -149,11 +151,15 @@ def run_centralized(
         for k in active
     ]
 
+    positions = np.array(active, dtype=np.intp) - 1
+
+    def profile_of(x: np.ndarray) -> StrategyProfile:
+        theta = np.zeros(game.n_agents)
+        theta[positions] = x
+        return StrategyProfile(theta)
+
     def objective(x: np.ndarray) -> float:
-        profile = StrategyProfile.from_mapping(
-            game.n_agents, dict(zip(active, x.tolist()))
-        )
-        return global_value(game, profile)
+        return global_value(game, profile_of(x))
 
     start = np.zeros(len(active))
     t_start = time.perf_counter()
@@ -161,9 +167,7 @@ def run_centralized(
         x_star, _, evals = pattern_search(objective, bounds, start, cfg.centralized)
     else:
         x_star, evals = start, 0
-    final = StrategyProfile.from_mapping(
-        game.n_agents, dict(zip(active, x_star.tolist()))
-    )
+    final = profile_of(x_star)
     if evals < cfg.centralized.max_evals:
         final = _polish(game, final)
     wall = time.perf_counter() - t_start

@@ -254,6 +254,15 @@ def geocentric_angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def _elapsed(grid: TimeGrid, cells: np.ndarray) -> np.ndarray:
+    """Seconds from ``grid.t0`` to the left edge of each of ``cells``.
+
+    Element for element ``grid.cell_starts()[cells] - grid.t0``, formed
+    without the grid-length array.
+    """
+    return (grid.t0 + grid.dt * cells.astype(float)) - grid.t0
+
+
 def _wrap_pi(x: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi]."""
     return np.pi - np.mod(np.pi - x, TWO_PI)
@@ -341,7 +350,6 @@ class ConstellationCoverage:
         self.interval = interval
         self.rates = drift_rates(constants, spec)
 
-        elapsed = grid.cell_starts() - grid.t0
         cos_bar = math.cos(target.view_half_angle)
         # The visibility pre-pass: exact geometry at every _STRIDE-th cell
         # and the last one, then only the blocks between two samples that
@@ -350,22 +358,30 @@ class ConstellationCoverage:
         # a block of its nearer sample, so a cell with amp >= cos_bar sits in
         # a block with a sample at amp >= cos_bar - bound. Below that, the
         # ratio cos_bar / amp exceeds 1 by far more than any rounding.
-        samples = np.append(np.arange(0, elapsed.size, _STRIDE), elapsed.size - 1)
-        sample_amp = np.hypot(*self._target_in_orbit_frame(elapsed[samples]))
+        samples = np.append(np.arange(0, grid.n_steps, _STRIDE), grid.n_steps - 1)
+        sample_elapsed = _elapsed(grid, samples)
+        sample_amp = np.hypot(*self._target_in_orbit_frame(sample_elapsed))
         alpha_rate = abs(self.rates.node_rate + constants.earth_rotation_rate)
-        bound = 0.5 * alpha_rate * np.diff(elapsed[samples])
-        alpha_max = abs(spec.raan0) + abs(spec.greenwich_angle0) + alpha_rate * elapsed[-1]
+        bound = 0.5 * alpha_rate * np.diff(sample_elapsed)
+        alpha_max = (
+            abs(spec.raan0) + abs(spec.greenwich_angle0) + alpha_rate * sample_elapsed[-1]
+        )
         near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= (
             cos_bar - bound - _slack(alpha_max)
         )
         # Block i holds the cells from sample i up to sample i + 1, the last
         # block its end too. A view half-angle of 90 degrees or more makes
-        # the threshold negative, and every block is kept.
+        # the threshold negative, and every block is kept. The candidates
+        # are the kept blocks' cells in ascending order, formed from those
+        # blocks alone.
         lengths = np.diff(samples)
         lengths[-1] += 1
-        candidates = np.flatnonzero(np.repeat(near, lengths))
+        lengths, firsts = lengths[near], samples[:-1][near]
+        offsets = np.cumsum(lengths) - lengths
+        candidates = np.arange(lengths.sum()) + np.repeat(firsts - offsets, lengths)
+        elapsed = _elapsed(grid, candidates)
 
-        v1, v2 = self._target_in_orbit_frame(elapsed[candidates])
+        v1, v2 = self._target_in_orbit_frame(elapsed)
         amp = np.hypot(v1, v2)
         # The visible phase arc at each time has half-width arccos(cos_bar /
         # amp); the target is out of reach of the whole orbit when that ratio
@@ -381,12 +397,13 @@ class ConstellationCoverage:
         # other cell, and every measure is dt times a count, so dropping
         # them changes no value.
         self.cells = candidates[visible]
+        elapsed = elapsed[visible]
         amp = amp[visible]
         half_width = np.where(
             amp == 0.0, np.pi, np.arccos(np.clip(ratio[visible], -1.0, 1.0))
         )
         psi = np.arctan2(v2[visible], v1[visible])
-        drift = self.rates.phase_rate * elapsed[self.cells]
+        drift = self.rates.phase_rate * elapsed
 
         # A cell is covered iff the offset is congruent mod 2 pi to a point
         # of [lo, hi] = [-base - half_width, -base + half_width], with base

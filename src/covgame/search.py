@@ -10,7 +10,9 @@ which yields convergence to an epsilon-equilibrium in finitely many rounds.
 
 The per-agent gate ``zeta`` skips the expensive best-response step for agents
 whose whole neighborhood was quiet in the previous round, so rounds after
-convergence cost next to nothing.
+convergence scan nothing. They still build the exchange views over every
+neighbor, 5–8 ms of reported wall time per idle round with 240 satellites,
+and evaluate ``phi`` for the trace, another 0.8–1.5 ms outside that time.
 
 All inter-agent information flow goes through explicit per-round exchange
 views; an update never reads state beyond the agent itself and its graph
@@ -22,6 +24,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .game import (
     CertificationReport,
@@ -228,10 +232,11 @@ def run_round(
     wall_time = time.perf_counter() - t_start
     # The objective evaluation below is trace bookkeeping, not part of the
     # agents' computation, so it stays outside the timed section.
-    profile = StrategyProfile.from_mapping(
-        game.n_agents, {k: s.theta for k, s in new_states.items()}
-    )
-    phi = global_value(game, profile)
+    theta = np.zeros(game.n_agents)
+    theta[np.array(game.active_indices, dtype=np.intp) - 1] = [
+        new_states[k].theta for k in game.active_indices
+    ]
+    phi = global_value(game, StrategyProfile(theta))
     trace = RoundTrace(
         iteration=iteration,
         phi=phi,
@@ -252,8 +257,8 @@ def run_search(
     """Run the full engine: ``cfg.max_rounds`` rounds plus a certification.
 
     All gates start open. ``converged_at`` is the index into ``traces`` of the
-    first round that elected nobody; later rounds still run (they are cheap
-    once the gates close) and never change the profile. The final profile is
+    first round that elected nobody; later rounds still run (they scan
+    nothing once the gates close) and never change the profile. The final profile is
     certified at ``cfg.epsilon`` by the same exact best response the rounds
     use, so a run that converged always certifies, and a certified profile
     leaves no agent a unilateral gain above ``cfg.epsilon``.

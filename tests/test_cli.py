@@ -2,9 +2,15 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covgame
 from covgame import harness
 from covgame.cli import main
 from covgame.scenario import parse_scenario
@@ -171,6 +177,29 @@ class TestRunVerb:
         code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
         assert code == 1
         assert "error: grid.step_s" in capsys.readouterr().err
+
+    def test_grid_that_does_not_fit_in_memory_is_error_exit(self, tmp_path):
+        # 1e12 cells: the first array the coverage build allocates, over
+        # every 64th cell, is 125 GB, far past the 1 GiB address space the
+        # child allows itself, so it fails at once and nothing large is mapped.
+        doc = mini_scenario_doc()
+        doc["grid"] = {"duration_s": 1e12, "step_s": 1.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        limit = 1 << 30
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=str(Path(covgame.__file__).parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "covgame", "run", "--scenario", str(path),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: grid: 1000000000000 cells do not fit in memory\n"
 
 
 class TestSweepVerbs:

@@ -1,6 +1,8 @@
 """Game objects: objectives against hand mask arithmetic, graph, certification."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgame.game import (
     AgentSpec,
@@ -15,9 +17,21 @@ from covgame.game import (
     neighbor_graph_from_reach,
     regret,
 )
-from covgame.measure import TimeGrid
+from covgame.measure import TimeGrid, union_many
+from covgame.orbit import build_constellation_game
+from covgame.scenario import parse_scenario
 
-from conftest import lattice, random_profile, sliding_window_game, window_mask, with_breakpoints
+from conftest import (
+    lattice,
+    mini_scenario_doc,
+    random_profile,
+    sliding_window_game,
+    window_mask,
+    with_breakpoints,
+)
+
+MINI_CFG = parse_scenario(mini_scenario_doc())
+MINI_GAME = MINI_CFG.build_game()
 
 
 class TestEnergyPenalty:
@@ -84,6 +98,35 @@ class TestGlobalValue:
         degraded = GameInstance(agents, game.grid, game.coverage_fn, game.gamma, {1: ()})
         profile = StrategyProfile(np.array([0.0, 0.7]))
         assert global_value(degraded, profile) == 20.0  # no penalty from agent 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), damaged=st.sets(st.integers(1, 12)))
+    def test_matches_the_per_agent_formula(self, seed, damaged):
+        # The mini game (agent 5 damaged), then the same orbit with random
+        # damage, surpluses and penalty scale. Surpluses down to 0.01 rad let
+        # the penalty outweigh the coverage, so that a penalty summed in
+        # another order shows in the last bits of the value.
+        rng = np.random.default_rng(seed)
+        orbital = build_constellation_game(
+            MINI_CFG.constants, MINI_CFG.constellation, MINI_CFG.target, MINI_CFG.grid,
+            rng.uniform(0.0, 200.0), MINI_CFG.strategy_space,
+            np.exp(rng.uniform(np.log(0.01), np.log(10.0), 12)).tolist(), damaged,
+        )
+        for game in (MINI_GAME, orbital):
+            assert game.active_indices == tuple(a.index for a in game.agents if a.active)
+            profile = random_profile(game, rng)
+            expected = reference_global_value(game, profile)
+            assert global_value(game, profile).hex() == expected.hex()
+
+
+def reference_global_value(game, profile):
+    """The global objective agent by agent: one lookup and one penalty call each."""
+    sets = [game.coverage(k, profile.for_agent(k)) for k in game.active_indices]
+    covered = game.grid.dt * int(np.count_nonzero(union_many(sets, game.n_cells)))
+    penalty = sum(
+        energy_penalty(game.agent(k), profile.for_agent(k)) for k in game.active_indices
+    )
+    return covered - game.gamma * penalty
 
 
 class TestLocalValue:
