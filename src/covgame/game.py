@@ -91,13 +91,6 @@ class StrategyProfile:
     def zeros(cls, n_agents: int) -> "StrategyProfile":
         return cls(np.zeros(n_agents))
 
-    @classmethod
-    def from_mapping(cls, n_agents: int, values: Mapping[int, float]) -> "StrategyProfile":
-        theta = np.zeros(n_agents)
-        for index, value in values.items():
-            theta[index - 1] = value
-        return cls(theta)
-
     def for_agent(self, index: int) -> float:
         return float(self.theta[index - 1])
 

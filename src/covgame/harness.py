@@ -4,9 +4,9 @@ Both solution paths report their result through the same ``global_value``
 function on a game built from the same scenario, so the values in a
 comparison differ only by what the optimizers found. The centralized
 baseline's probes go through that function too, so its search scores
-exactly the value it reports. Wall times cover the
-optimization loop alone: game construction, coverage precomputation and
-certification are excluded, since they are shared setup or diagnostics.
+exactly the value it reports. Wall times cover the optimization loop alone:
+game construction, coverage precomputation and certification are excluded,
+since they are shared setup or diagnostics.
 """
 from __future__ import annotations
 

@@ -232,11 +232,7 @@ def run_round(
     wall_time = time.perf_counter() - t_start
     # The objective evaluation below is trace bookkeeping, not part of the
     # agents' computation, so it stays outside the timed section.
-    theta = np.zeros(game.n_agents)
-    theta[np.array(game.active_indices, dtype=np.intp) - 1] = [
-        new_states[k].theta for k in game.active_indices
-    ]
-    phi = global_value(game, StrategyProfile(theta))
+    phi = global_value(game, _profile(game, new_states))
     trace = RoundTrace(
         iteration=iteration,
         phi=phi,
@@ -246,6 +242,15 @@ def run_round(
         wall_time=wall_time,
     )
     return new_states, trace
+
+
+def _profile(game: GameInstance, states: Mapping[int, AgentRoundState]) -> StrategyProfile:
+    """The agents' strategies as a profile, inactive entries 0, in one scatter."""
+    theta = np.zeros(game.n_agents)
+    theta[np.array(game.active_indices, dtype=np.intp) - 1] = [
+        states[k].theta for k in game.active_indices
+    ]
+    return StrategyProfile(theta)
 
 
 def run_search(
@@ -258,10 +263,10 @@ def run_search(
 
     All gates start open. ``converged_at`` is the index into ``traces`` of the
     first round that elected nobody; later rounds still run (they scan
-    nothing once the gates close) and never change the profile. The final profile is
-    certified at ``cfg.epsilon`` by the same exact best response the rounds
-    use, so a run that converged always certifies, and a certified profile
-    leaves no agent a unilateral gain above ``cfg.epsilon``.
+    nothing once the gates close) and never change the profile. The final
+    profile is certified at ``cfg.epsilon`` by the same exact best response
+    the rounds use, so a run that converged always certifies, and a certified
+    profile leaves no agent a unilateral gain above ``cfg.epsilon``.
     """
     game.validate_profile(initial_profile)
     states = {
@@ -276,9 +281,7 @@ def run_search(
         if converged_at is None and not trace.innovators:
             converged_at = len(traces) - 1
 
-    final_profile = StrategyProfile.from_mapping(
-        game.n_agents, {k: s.theta for k, s in states.items()}
-    )
+    final_profile = _profile(game, states)
     certification = certify_epsilon_equilibrium(game, final_profile, cfg.epsilon)
     return SearchResult(
         final_profile=final_profile,
