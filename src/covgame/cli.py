@@ -251,8 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # Every array a run allocates grows with the grid; the scenario
-        # loaded once already, so it loads again to name the cell count.
+        # A failed allocation is reported against the grid, whose cell count
+        # sizes the coverage arrays; the scenario loaded before, so it loads
+        # again to name that count.
         n_cells = _load(args).grid.n_steps
         print(f"error: grid: {n_cells} cells do not fit in memory", file=sys.stderr)
         return 1
