@@ -11,7 +11,9 @@ minus the scaled penalty sum; each agent's local objective is the measure of
 its coverage exclusive of its graph neighbors minus its own penalty. With a
 neighbor graph that contains every pair whose coverages can ever overlap, a
 unilateral strategy change moves both objectives by exactly the same amount,
-which is what the distributed search engine relies on.
+which is what the distributed search engine relies on. A :class:`CoverCount`
+carries one profile's coverage as an integer count per cell: the engine
+keeps one per run, and best responses select their cells from it.
 """
 from __future__ import annotations
 
@@ -91,13 +93,25 @@ class StrategyProfile:
     def zeros(cls, n_agents: int) -> "StrategyProfile":
         return cls(np.zeros(n_agents))
 
+    @classmethod
+    def owning(cls, theta: np.ndarray) -> "StrategyProfile":
+        """Profile over a fresh float array that nothing else holds, uncopied.
+
+        The array is frozen in place, so the profile stays as immutable as
+        one built by copying; the caller must keep no reference to it.
+        """
+        profile = object.__new__(cls)
+        theta.flags.writeable = False
+        object.__setattr__(profile, "theta", theta)
+        return profile
+
     def for_agent(self, index: int) -> float:
         return float(self.theta[index - 1])
 
     def replace(self, index: int, value: float) -> "StrategyProfile":
         theta = self.theta.copy()
         theta[index - 1] = value
-        return StrategyProfile(theta)
+        return StrategyProfile.owning(theta)
 
     def __len__(self) -> int:
         return self.theta.size
@@ -121,6 +135,14 @@ class GameInstance:
     given the pair that ``breakpoints`` returned. The neighbor graph maps
     each active agent index to the set of active agents whose coverage can
     overlap its own; it must be symmetric and irreflexive.
+
+    The graph must contain every pair that can ever cover a common cell: on
+    the cells an agent can cover for some strategy (its reach), only its
+    neighbors may cover too. :func:`best_response_gain` relies on this. It
+    selects the cells no neighbor covers as those where a
+    :class:`CoverCount` of all active agents equals the agent's own
+    incumbent mask, which matches the OR of its neighbors' masks on every
+    cell the agent can cover, and a scan reads no other cell.
 
     Besides the mask cache, the instance keeps one entry per active agent:
     its last exact best response and the neighbor strategies it answered,
@@ -214,20 +236,94 @@ def energy_penalty(agent: AgentSpec, theta: float) -> float:
 def global_value(game: GameInstance, profile: StrategyProfile) -> float:
     """Union coverage of all active agents minus the scaled penalty sum, seconds.
 
-    The penalties are :func:`energy_penalty`'s, summed left to right from 0 in
-    index order, as ``sum`` would: the compass search calls this once per
-    probe, so it reads the profile once and makes no call per agent.
+    The compass search calls this once per probe, so it reads the profile
+    once and makes no call per agent.
     """
     theta = profile.theta.tolist()
-    agents = game.agents
     sets = [game.coverage(k, theta[k - 1]) for k in game.active_indices]
     union = union_many(sets, game.n_cells)
-    covered = game.grid.dt * int(np.count_nonzero(union))
+    return covered_value(game, int(np.count_nonzero(union)), theta)
+
+
+def covered_value(game: GameInstance, covered: int, theta: Sequence[float]) -> float:
+    """The global objective given its count of covered cells, seconds.
+
+    ``theta`` holds every agent's strategy, position ``index - 1``. The
+    penalties are :func:`energy_penalty`'s, summed left to right from 0 in
+    index order, as ``sum`` would: :func:`global_value` and the engine's
+    per-round value share this arithmetic, so they agree bit for bit.
+    """
+    agents = game.agents
     penalty = 0
     for k in game.active_indices:
         ratio = theta[k - 1] / agents[k - 1].theta_max
         penalty += ratio * ratio
-    return covered - game.gamma * penalty
+    return game.grid.dt * covered - game.gamma * penalty
+
+
+def count_dtype(n_agents: int) -> np.dtype:
+    """Smallest unsigned integer dtype that holds every count 0..``n_agents``."""
+    return np.min_scalar_type(n_agents)
+
+
+class CoverCount:
+    """How many active agents cover each mask cell under one profile.
+
+    ``counts`` has one entry per mask cell, in :func:`count_dtype` of the
+    number of active agents, so no entry can overflow. ``covered`` is the
+    number of nonzero entries, the cell count of the union of all active
+    masks. The count is built once from a profile and then follows it
+    through :meth:`adopt`.
+    """
+
+    def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
+        theta = profile.theta.tolist()
+        counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
+        for k in game.active_indices:
+            counts += game.coverage(k, theta[k - 1]).view(np.uint8)
+        self.counts = counts
+        self.covered = int(np.count_nonzero(counts))
+
+    def alone(self, own: np.ndarray) -> np.ndarray:
+        """Cells where the count equals the boolean mask ``own``.
+
+        For an agent's incumbent mask these are the cells no other active
+        agent covers.
+        """
+        return self.counts == own.view(np.uint8)
+
+    def adopt(self, game: GameInstance, moves: Mapping[int, tuple[float, float]]) -> None:
+        """Move each agent ``k`` of ``moves`` from strategy ``old`` to ``new``.
+
+        ``moves`` maps ``k`` to ``(old, new)``; no two movers may be
+        neighbors. Each mover's integer cell gain is read off the count
+        before any update: the cells no other agent covers that it starts
+        covering, minus those it stops covering. Movers share no cell, so
+        these gains add, and the covered-cell count must rise by exactly
+        their sum. This is the potential identity in whole cells.
+
+        Raises:
+            RuntimeError: if the covered cells moved by anything else, so the
+                count no longer matches the profile.
+        """
+        masks = [
+            (game.coverage(k, old), game.coverage(k, new)) for k, (old, new) in moves.items()
+        ]
+        gained = 0
+        for was, now in masks:
+            alone = self.alone(was)
+            gained += int(np.count_nonzero(now & alone)) - int(np.count_nonzero(was & alone))
+        counts = self.counts
+        for was, now in masks:
+            counts -= was.view(np.uint8)
+            counts += now.view(np.uint8)
+        covered = int(np.count_nonzero(counts))
+        if covered - self.covered != gained:
+            raise RuntimeError(
+                f"covered cells moved by {covered - self.covered}, but the movers' "
+                f"cell gains sum to {gained}: the cover count lost its profile"
+            )
+        self.covered = covered
 
 
 def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> float:
@@ -289,7 +385,8 @@ class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
     ``neighbors`` holds the neighbor strategies in ascending neighbor order
-    and ``uncovered`` the cells none of them covers. The entry holds no
+    and ``uncovered`` the cells selected as covered by none of them, exact on
+    every cell the agent can cover. The entry holds no
     reference to the game, so storing it on the game makes no cycle.
     """
 
@@ -304,8 +401,16 @@ def best_response_gain(
     index: int,
     neighbor_thetas: Mapping[int, float],
     theta: float,
+    cover: CoverCount,
 ) -> tuple[float, float]:
     """Exact best response of agent ``index`` to frozen neighbors, and its gain.
+
+    ``cover`` is the :class:`CoverCount` of the profile in which the agent
+    plays ``theta`` and its neighbors play ``neighbor_thetas``. The cells no
+    neighbor covers are those where the count equals the agent's own
+    incumbent mask; by the graph contract of :class:`GameInstance` these
+    are, on every cell the agent can cover, the cells outside the OR of its
+    neighbors' masks, so no fold over the neighbors runs.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -332,7 +437,7 @@ def best_response_gain(
     neighbors = tuple(neighbor_thetas[l] for l in order)
     response = game._responses.get(index)
     if response is None or response.neighbors != neighbors:
-        f, uncovered = best_response_objective(game, index, dict(zip(order, neighbors)))
+        uncovered = cover.alone(game.coverage(index, theta))
         agent = game.agent(index)
         space = agent.strategy_space
         starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
@@ -351,6 +456,7 @@ def best_response_gain(
                 gains = dt * cell_counts(index, thetas, ends)
                 return gains - gamma * (thetas / agent.theta_max) ** 2
 
+        f = partial(_local_objective, game, index, uncovered)
         theta_star, best = maximize_scalar(f, candidates, batch_f=batch)
         response = _Response(neighbors, uncovered, theta_star, best)
         game._responses[index] = response
@@ -428,23 +534,30 @@ class CertificationReport:
 
 
 def certify_epsilon_equilibrium(
-    game: GameInstance, profile: StrategyProfile, epsilon: float
+    game: GameInstance,
+    profile: StrategyProfile,
+    epsilon: float,
+    cover: CoverCount | None = None,
 ) -> CertificationReport:
     """Check that no active agent can gain more than ``epsilon`` unilaterally.
 
     Each agent's gain is its exact best-response gain against the frozen
     strategies of its neighbors (see :func:`best_response_gain`), so the
     verdict does not depend on any sampling of the strategy interval.
+    ``cover`` is the :class:`CoverCount` of ``profile``, built here when a
+    caller that keeps one does not pass it.
     """
     if not (0.0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     game.validate_profile(profile)
+    if cover is None:
+        cover = CoverCount(game, profile)
     gains: dict[int, float] = {}
     worst_agent: int | None = None
     worst_gain = -np.inf
     for k in game.active_indices:
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-        _, gain = best_response_gain(game, k, view, profile.for_agent(k))
+        _, gain = best_response_gain(game, k, view, profile.for_agent(k), cover)
         gains[k] = gain
         if gain > worst_gain:
             worst_gain = gain

@@ -21,6 +21,7 @@ import numpy as np
 
 from .game import (
     CertificationReport,
+    CoverCount,
     GameInstance,
     StrategyProfile,
     best_response_gain,
@@ -114,21 +115,26 @@ def run_distributed(
     return report, result
 
 
-def _polish(game: GameInstance, profile: StrategyProfile) -> StrategyProfile:
+def _polish(
+    game: GameInstance, profile: StrategyProfile, cover: CoverCount
+) -> StrategyProfile:
     """Exact coordinate ascent: adopt each improving best response in turn.
 
     By the potential identity, an agent's exact best response is an exact
     line search of the global objective along its coordinate. Sweeps repeat
     until one changes nothing; every adoption raises the global objective,
-    so this ends.
+    so this ends. ``cover`` is the :class:`CoverCount` of ``profile`` and
+    follows each adoption.
     """
     moved = True
     while moved:
         moved = False
         for k in game.active_indices:
             view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-            theta, gain = best_response_gain(game, k, view, profile.for_agent(k))
+            own = profile.for_agent(k)
+            theta, gain = best_response_gain(game, k, view, own, cover)
             if gain > 0.0:
+                cover.adopt(game, {k: (own, theta)})
                 profile = profile.replace(k, theta)
                 moved = True
     return profile
@@ -156,7 +162,7 @@ def run_centralized(
     def profile_of(x: np.ndarray) -> StrategyProfile:
         theta = np.zeros(game.n_agents)
         theta[positions] = x
-        return StrategyProfile(theta)
+        return StrategyProfile.owning(theta)
 
     def objective(x: np.ndarray) -> float:
         return global_value(game, profile_of(x))
@@ -168,11 +174,13 @@ def run_centralized(
     else:
         x_star, evals = start, 0
     final = profile_of(x_star)
+    cover = None
     if evals < cfg.centralized.max_evals:
-        final = _polish(game, final)
+        cover = CoverCount(game, final)
+        final = _polish(game, final, cover)
     wall = time.perf_counter() - t_start
 
-    certification = certify_epsilon_equilibrium(game, final, cfg.search.epsilon)
+    certification = certify_epsilon_equilibrium(game, final, cfg.search.epsilon, cover)
     report = ComparisonReport(
         method=CENTRALIZED,
         value=global_value(game, final),

@@ -101,6 +101,10 @@ def pattern_search(
     when the step drops below ``cfg.min_step`` or the evaluation budget runs
     out.
 
+    ``f`` is handed one probe array that the search reuses, so it must not
+    keep a reference to its argument; a probe is copied only when it
+    becomes its poll's best.
+
     Returns ``(argmax, value, n_evals)``.
     """
     lo = np.array([b[0] for b in bounds], dtype=float)
@@ -120,19 +124,21 @@ def pattern_search(
         best_cand: np.ndarray | None = None
         best_val = fx
         budget_hit = False
+        probe = x.copy()
         for i in range(n):
+            xi = x[i]
             for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] = min(max(cand[i] + sign * step, lo[i]), hi[i])
-                if cand[i] == x[i]:
+                probe[i] = min(max(xi + sign * step, lo[i]), hi[i])
+                if probe[i] == xi:
                     continue
-                fc = _check_finite(f(cand), cand)
+                fc = _check_finite(f(probe), probe)
                 evals += 1
                 if fc > best_val:
-                    best_cand, best_val = cand, fc
+                    best_cand, best_val = probe.copy(), fc
                 if evals >= cfg.max_evals:
                     budget_hit = True
                     break
+            probe[i] = xi
             if budget_hit:
                 break
         if best_cand is not None:

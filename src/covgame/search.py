@@ -11,12 +11,20 @@ which yields convergence to an epsilon-equilibrium in finitely many rounds.
 The per-agent gate ``zeta`` skips the expensive best-response step for agents
 whose whole neighborhood was quiet in the previous round, so rounds after
 convergence scan nothing. They still build the exchange views over every
-neighbor, 5–8 ms of reported wall time per idle round with 240 satellites,
-and evaluate ``phi`` for the trace, another 0.8–1.5 ms outside that time.
+neighbor, 5–8 ms of reported wall time per idle round with 240 satellites.
+
+A run keeps one :class:`~covgame.game.CoverCount` of its profile: every
+best response selects its uncovered cells from it, each round's adoptions
+update it and check the potential identity in whole cells, and the round's
+``phi`` is read off its covered-cell count, so no round folds masks.
 
 All inter-agent information flow goes through explicit per-round exchange
 views; an update never reads state beyond the agent itself and its graph
 neighbors, and an :class:`AccessAudit` can record every cross-agent read.
+The cover count is shared, but on the cells an agent can cover only the
+agent and its neighbors are counted (the graph contract of
+:class:`~covgame.game.GameInstance`), and a best response reads no other
+cell, so it carries no information beyond the neighbors' strategies.
 """
 from __future__ import annotations
 
@@ -29,11 +37,12 @@ import numpy as np
 
 from .game import (
     CertificationReport,
+    CoverCount,
     GameInstance,
     StrategyProfile,
     best_response_gain,
     certify_epsilon_equilibrium,
-    global_value,
+    covered_value,
 )
 
 
@@ -65,8 +74,9 @@ class RoundTrace:
 
     ``phi`` is the global objective after the round's adoptions. ``zetas``
     holds the gates as they stand for the next round. ``wall_time`` covers
-    the agents' computations and exchanges only; evaluating ``phi`` for this
-    record is diagnostic and not charged to the round.
+    the agents' computations and exchanges, and the update of the run's
+    cover count; reading ``phi`` off that count for this record is
+    diagnostic and not charged to the round.
     """
 
     iteration: int
@@ -183,6 +193,7 @@ def elect_innovators(
 def run_round(
     game: GameInstance,
     states: dict[int, AgentRoundState],
+    cover: CoverCount,
     cfg: SearchConfig,
     iteration: int = 0,
     audit: AccessAudit | None = None,
@@ -194,6 +205,10 @@ def run_round(
     agents exchange regrets; (c) the elected agents adopt their proposals and
     stay gated on; (d) everyone else keeps its strategy and stays gated on
     iff some regret in its closed neighborhood exceeded ``epsilon``.
+
+    ``cover`` is the :class:`~covgame.game.CoverCount` of ``states``; the
+    round moves it to the new states, checking that the covered cells rose
+    by exactly the innovators' cell gains (``RuntimeError`` if not).
     """
     t_start = time.perf_counter()
     thetas = {k: s.theta for k, s in states.items()}
@@ -207,7 +222,9 @@ def run_round(
                 k, {l: thetas[l] for l in game.neighbors(k)}, "theta", audit
             )
             try:
-                proposals[k], regrets[k] = best_response_gain(game, k, view, state.theta)
+                proposals[k], regrets[k] = best_response_gain(
+                    game, k, view, state.theta, cover
+                )
             except ValueError as exc:
                 raise RuntimeError(f"best-response solve failed for agent {k}") from exc
         else:
@@ -228,11 +245,12 @@ def run_round(
                 regret_view[l] > cfg.epsilon for l in game.neighbors(k)
             )
             new_states[k] = AgentRoundState(theta=states[k].theta, zeta=gate)
+    cover.adopt(game, {k: (thetas[k], proposals[k]) for k in innovators})
 
     wall_time = time.perf_counter() - t_start
-    # The objective evaluation below is trace bookkeeping, not part of the
-    # agents' computation, so it stays outside the timed section.
-    phi = global_value(game, _profile(game, new_states))
+    # The objective below is trace bookkeeping, not part of the agents'
+    # computation, so it stays outside the timed section.
+    phi = covered_value(game, cover.covered, _profile(game, new_states).theta.tolist())
     trace = RoundTrace(
         iteration=iteration,
         phi=phi,
@@ -250,7 +268,7 @@ def _profile(game: GameInstance, states: Mapping[int, AgentRoundState]) -> Strat
     theta[np.array(game.active_indices, dtype=np.intp) - 1] = [
         states[k].theta for k in game.active_indices
     ]
-    return StrategyProfile(theta)
+    return StrategyProfile.owning(theta)
 
 
 def run_search(
@@ -269,6 +287,7 @@ def run_search(
     profile leaves no agent a unilateral gain above ``cfg.epsilon``.
     """
     game.validate_profile(initial_profile)
+    cover = CoverCount(game, initial_profile)
     states = {
         k: AgentRoundState(theta=initial_profile.for_agent(k), zeta=True)
         for k in game.active_indices
@@ -276,13 +295,13 @@ def run_search(
     traces: list[RoundTrace] = []
     converged_at: int | None = None
     for p in range(1, cfg.max_rounds + 1):
-        states, trace = run_round(game, states, cfg, iteration=p, audit=audit)
+        states, trace = run_round(game, states, cover, cfg, iteration=p, audit=audit)
         traces.append(trace)
         if converged_at is None and not trace.innovators:
             converged_at = len(traces) - 1
 
     final_profile = _profile(game, states)
-    certification = certify_epsilon_equilibrium(game, final_profile, cfg.epsilon)
+    certification = certify_epsilon_equilibrium(game, final_profile, cfg.epsilon, cover)
     return SearchResult(
         final_profile=final_profile,
         converged_at=converged_at,

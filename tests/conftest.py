@@ -4,7 +4,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from covgame.game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_reach
+from covgame.game import (
+    AgentSpec,
+    CoverCount,
+    GameInstance,
+    StrategyInterval,
+    StrategyProfile,
+    neighbor_graph_from_reach,
+)
 from covgame.measure import TimeGrid
 
 
@@ -185,10 +192,16 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240815)
 
 
+def cover_of(game: GameInstance, states) -> CoverCount:
+    """The cover count of round states, built as ``run_search`` builds its own."""
+    theta = np.zeros(game.n_agents)
+    for k, state in states.items():
+        theta[k - 1] = state.theta
+    return CoverCount(game, StrategyProfile(theta))
+
+
 def random_profile(game: GameInstance, rng: np.random.Generator):
     """Valid random profile: active agents uniform in their intervals."""
-    from covgame.game import StrategyProfile
-
     theta = np.zeros(game.n_agents)
     for a in game.agents:
         if a.active:

@@ -29,7 +29,7 @@ from covgame.orbit import orbital_period, rot_x, rot_y, rot_z, satellite_positio
 from covgame.scenario import bundled_scenario_path, load_scenario
 from covgame.search import AccessAudit, AgentRoundState, SearchConfig, run_round, run_search
 
-from conftest import random_profile, sliding_window_game, two_cluster_game
+from conftest import cover_of, random_profile, sliding_window_game, two_cluster_game
 
 DEG = math.pi / 180.0
 
@@ -114,12 +114,16 @@ def test_criterion_2_round_accounting_and_commutation(baseline_cfg, baseline_gam
     states = {
         k: AgentRoundState(theta=0.0, zeta=True) for k in baseline_game.active_indices
     }
-    new_states, trace1 = run_round(baseline_game, states, baseline_cfg.search, iteration=1)
+    new_states, trace1 = run_round(
+        baseline_game, states, cover_of(baseline_game, states), baseline_cfg.search, iteration=1
+    )
     if len(trace1.innovators) == 2:
         captured.append((baseline_game, new_states, trace1))
     toy = two_cluster_game()
     toy_states = {k: AgentRoundState(theta=0.0, zeta=True) for k in toy.active_indices}
-    toy_new, toy_trace = run_round(toy, toy_states, SearchConfig(0.1, 1))
+    toy_new, toy_trace = run_round(
+        toy, toy_states, cover_of(toy, toy_states), SearchConfig(0.1, 1)
+    )
     assert len(toy_trace.innovators) == 2
     captured.append((toy, toy_new, toy_trace))
 

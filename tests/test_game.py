@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from covgame.game import (
     AgentSpec,
+    CoverCount,
     GameInstance,
     StrategyInterval,
     StrategyProfile,
     best_response_gain,
     certify_epsilon_equilibrium,
+    count_dtype,
     energy_penalty,
     global_value,
     local_value,
@@ -66,6 +68,31 @@ def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
     if graph is None:
         graph = neighbor_graph_from_reach(agents, coverage, grid)
     return GameInstance(agents, grid, coverage, gamma, graph)
+
+
+class TestCountDtype:
+    """The cover count's dtype holds every count from 0 to the agent count."""
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [
+            (0, np.uint8),
+            (1, np.uint8),
+            (255, np.uint8),
+            (256, np.uint16),
+            (65535, np.uint16),
+            (65536, np.uint32),
+            (2**32 - 1, np.uint32),
+            (2**32, np.uint64),
+        ],
+    )
+    def test_smallest_unsigned_type_that_holds_the_count(self, n, dtype):
+        assert count_dtype(n) == dtype
+        assert np.iinfo(count_dtype(n)).max >= n
+
+    def test_cover_count_uses_it(self, toy_game):
+        cover = CoverCount(toy_game, StrategyProfile.zeros(toy_game.n_agents))
+        assert cover.counts.dtype == count_dtype(len(toy_game.active_indices))
 
 
 class TestGlobalValue:
@@ -183,7 +210,8 @@ class TestRegret:
         k = 4
         space = toy_game.agent(k).strategy_space
         view = {l: profile.for_agent(l) for l in toy_game.neighbors(k)}
-        theta_star, gain = best_response_gain(toy_game, k, view, profile.for_agent(k))
+        cover = CoverCount(toy_game, profile)
+        theta_star, gain = best_response_gain(toy_game, k, view, profile.for_agent(k), cover)
         assert space.contains(theta_star)
         assert regret(toy_game, k, theta_star, profile) == gain >= 0.0
 

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from covgame.game import (
     CONTAINS_TOL,
     AgentSpec,
+    CoverCount,
     GameInstance,
     StrategyInterval,
     StrategyProfile,
     best_response_gain,
     best_response_objective,
     certify_epsilon_equilibrium,
+    covered_value,
     global_value,
     neighbor_graph_from_masks,
     neighbor_graph_from_reach,
@@ -41,8 +43,9 @@ from covgame.orbit import (
     satellite_position_ecf,
     target_position_ecf,
 )
+from covgame.search import AgentRoundState, SearchConfig, run_round
 
-from conftest import CallCounter
+from conftest import CallCounter, cover_of
 
 DEG = math.pi / 180.0
 
@@ -976,7 +979,8 @@ class TestExactBestResponse:
         )
         space = game.agent(k).strategy_space
         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-        theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k))
+        cover = CoverCount(game, profile)
+        theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k), cover)
         f, _ = best_response_objective(game, k, view)
         best = f(theta_star)
         assert space.contains(theta_star, tol=0.0)
@@ -1066,22 +1070,26 @@ class TestBestResponseReuse:
         profile = StrategyProfile(np.array(start))
         with pytest.MonkeyPatch.context() as monkeypatch:
             scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+            cover = CoverCount(game, profile)
             for i, theta in [(None, None), *moves]:
                 if i is not None:
                     k = movers[i % len(movers)]
+                    own = profile.for_agent(k)
                     if theta is None:
                         view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-                        theta, _ = best_response_gain(game, k, view, profile.for_agent(k))
+                        theta, _ = best_response_gain(game, k, view, own, cover)
+                    cover.adopt(game, {k: (own, theta)})
                     profile = profile.replace(k, theta)
                 fresh = coverage_game(cov, gamma, active)
+                fresh_cover = CoverCount(fresh, profile)
                 for l in game.active_indices:
                     view = {j: profile.for_agent(j) for j in game.neighbors(l)}
                     own = profile.for_agent(l)
-                    kept = best_response_gain(game, l, view, own)
-                    expected = best_response_gain(fresh, l, view, own)
+                    kept = best_response_gain(game, l, view, own, cover)
+                    expected = best_response_gain(fresh, l, view, own, fresh_cover)
                     assert [v.hex() for v in kept] == [v.hex() for v in expected]
                     before = scans.calls
-                    assert best_response_gain(game, l, view, own) == kept
+                    assert best_response_gain(game, l, view, own, cover) == kept
                     assert scans.calls == before
         assert sorted(game._responses) == movers
 
@@ -1090,9 +1098,10 @@ class TestBestResponseReuse:
         selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
         scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
         profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
+        cover = CoverCount(game, profile)
         for n, k in enumerate(game.active_indices, start=1):
             view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-            best_response_gain(game, k, view, profile.for_agent(k))
+            best_response_gain(game, k, view, profile.for_agent(k), cover)
             assert (selections.calls, scans.calls) == (n, n)
 
     @pytest.mark.parametrize(
@@ -1106,3 +1115,141 @@ class TestBestResponseReuse:
             ):
                 for ends in cov.breakpoints(k, within):
                     assert np.all(ends[1:] >= ends[:-1])
+
+
+MINI_COVERAGES = {"table": TABLE_COVERAGE, "wide": WIDE_COVERAGE, "seam": SEAM_COVERAGE}
+
+
+def fold_best_response(game, k, view, own):
+    """Reference best response that folds the neighbor masks, as the paper defines it.
+
+    Scores, one mask at a time, the candidates that ``best_response_gain``
+    documents, drawn from the breakpoints of the cells outside the fold.
+    """
+    f, uncovered = best_response_objective(game, k, view)
+    space = game.agent(k).strategy_space
+    starts, stops = game.coverage_fn.breakpoints(k, uncovered)
+    z = min(max(0.0, space.lo), space.hi)
+    candidates = [*stops[(stops >= space.lo) & (stops < z)], z]
+    candidates += list(starts[(starts > z) & (starts <= space.hi)])
+    values = [f(t) for t in candidates]
+    best = max(values)
+    return candidates[values.index(best)], best - f(own)
+
+
+@st.composite
+def mini_games(draw, max_active=24):
+    """A game on a mini coverage with random damage, strategies and penalty scale."""
+    cov = MINI_COVERAGES[draw(st.sampled_from(sorted(MINI_COVERAGES)))]
+    active = draw(st.sets(st.integers(1, 24), min_size=1, max_size=max_active))
+    gamma = draw(st.floats(0.0, 200.0))
+    game = coverage_game(cov, gamma, active)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
+    interval = cov.interval
+    theta = np.minimum([interval.lo + x * interval.width for x in fractions], interval.hi)
+    theta[[k - 1 for k in range(1, 25) if k not in active]] = 0.0
+    return game, StrategyProfile(theta)
+
+
+class TestCoverCount:
+    """The live cover count against the neighbor fold and a fresh rebuild."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mini_games())
+    def test_selection_equals_the_neighbor_fold(self, case):
+        game, profile = case
+        cover = CoverCount(game, profile)
+        for k in game.active_indices:
+            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            own = profile.for_agent(k)
+            _, folded = best_response_objective(game, k, view)
+            counted = cover.alone(game.coverage(k, own))
+            for mine, reference in zip(
+                game.coverage_fn.breakpoints(k, counted),
+                game.coverage_fn.breakpoints(k, folded),
+            ):
+                assert np.array_equal(mine, reference)
+            kept = best_response_gain(game, k, view, own, cover)
+            expected = fold_best_response(game, k, view, own)
+            assert [v.hex() for v in kept] == [float(v).hex() for v in expected]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=mini_games(max_active=8),
+        steps=st.lists(
+            st.tuples(
+                st.permutations(range(24)),
+                st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=24, max_size=24),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_count_follows_non_adjacent_adoptions(self, case, steps):
+        # Each step moves a maximal set of pairwise non-neighbors, chosen in
+        # a random order, to a random strategy or to its best response.
+        game, profile = case
+        cover = CoverCount(game, profile)
+        interval = game.coverage_fn.interval
+        for order, targets in steps:
+            movers: dict[int, tuple[float, float]] = {}
+            for i in order:
+                k = i + 1
+                if k not in game.neighbor_graph or game.neighbors(k) & movers.keys():
+                    continue
+                own = profile.for_agent(k)
+                if targets[i] is None:
+                    view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+                    new, _ = best_response_gain(game, k, view, own, cover)
+                else:
+                    new = min(interval.lo + targets[i] * interval.width, interval.hi)
+                movers[k] = (own, new)
+            cover.adopt(game, movers)
+            for k, (_, new) in movers.items():
+                profile = profile.replace(k, new)
+            rebuilt = CoverCount(game, profile)
+            assert cover.counts.dtype == rebuilt.counts.dtype
+            assert np.array_equal(cover.counts, rebuilt.counts)
+            assert cover.covered == rebuilt.covered
+            phi = covered_value(game, cover.covered, profile.theta.tolist())
+            assert phi.hex() == global_value(game, profile).hex()
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=mini_games(), rounds=st.integers(1, 4))
+    def test_round_phi_reads_the_live_count(self, case, rounds):
+        game, profile = case
+        states = {
+            k: AgentRoundState(theta=profile.for_agent(k), zeta=True)
+            for k in game.active_indices
+        }
+        cover = cover_of(game, states)
+        for p in range(1, rounds + 1):
+            states, trace = run_round(game, states, cover, SearchConfig(1e-3, rounds), p)
+            rebuilt = cover_of(game, states)
+            assert np.array_equal(cover.counts, rebuilt.counts)
+            theta = np.zeros(game.n_agents)
+            for k, state in states.items():
+                theta[k - 1] = state.theta
+            assert trace.phi.hex() == global_value(game, StrategyProfile(theta)).hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=mini_games(), cell=st.integers(0, 10**6), gates=st.booleans())
+    def test_round_raises_on_a_corrupted_cell(self, case, cell, gates):
+        # A cell nobody covers that counts one agent is caught whatever the
+        # round adopts. A covered cell that counts none is caught in a round
+        # that adopts nothing; a mover could carry it off in an open one.
+        game, profile = case
+        states = {
+            k: AgentRoundState(theta=profile.for_agent(k), zeta=gates)
+            for k in game.active_indices
+        }
+        cover = cover_of(game, states)
+        cell %= game.n_cells
+        if cover.counts[cell]:
+            cover.counts[cell] = 0
+            for state in states.values():
+                state.zeta = False
+        else:
+            cover.counts[cell] = 1
+        with pytest.raises(RuntimeError, match="cover count"):
+            run_round(game, states, cover, SearchConfig(1e-3, 1))

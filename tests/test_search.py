@@ -20,7 +20,14 @@ from covgame.search import (
     run_search,
 )
 
-from conftest import lattice, sliding_window_game, two_cluster_game, window_mask, with_breakpoints
+from conftest import (
+    cover_of,
+    lattice,
+    sliding_window_game,
+    two_cluster_game,
+    window_mask,
+    with_breakpoints,
+)
 
 
 PATH_GRAPH = {1: frozenset({2}), 2: frozenset({1, 3}), 3: frozenset({2})}
@@ -113,7 +120,7 @@ class TestRunRound:
         states = {
             k: AgentRoundState(theta=0.25, zeta=False) for k in toy_game.active_indices
         }
-        new_states, trace = run_round(toy_game, states, self.cfg)
+        new_states, trace = run_round(toy_game, states, cover_of(toy_game, states), self.cfg)
         assert trace.innovators == ()
         assert all(r == 0.0 for r in trace.regrets.values())
         assert all(s.theta == 0.25 and not s.zeta for s in new_states.values())
@@ -122,7 +129,9 @@ class TestRunRound:
         game = single_agent_game()
         states = {1: AgentRoundState(theta=0.0, zeta=True)}
         phi0 = global_value(game, StrategyProfile.zeros(1))
-        new_states, trace = run_round(game, states, self.cfg, iteration=1)
+        new_states, trace = run_round(
+            game, states, cover_of(game, states), self.cfg, iteration=1
+        )
         assert trace.innovators == (1,)
         assert trace.phi - phi0 == pytest.approx(trace.regrets[1], abs=1e-9)
         assert new_states[1].zeta
@@ -134,8 +143,9 @@ class TestRunRound:
         profile = StrategyProfile.zeros(game.n_agents)
         states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
         phi = global_value(game, profile)
+        cover = cover_of(game, states)
         for p in range(1, cfg.max_rounds + 1):
-            states, trace = run_round(game, states, cfg, iteration=p)
+            states, trace = run_round(game, states, cover, cfg, iteration=p)
             gained = sum(trace.regrets[k] for k in trace.innovators)
             assert trace.phi - phi == pytest.approx(gained, abs=1e-6)
             assert trace.phi >= phi - 1e-9
@@ -155,7 +165,7 @@ class TestRunRound:
         game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
         states = {1: AgentRoundState(theta=0.0, zeta=True)}
         with pytest.raises(RuntimeError, match="agent 1"):
-            run_round(game, states, self.cfg)
+            run_round(game, states, cover_of(game, states), self.cfg)
 
 
 class TestSequentialEquivalence:
@@ -167,7 +177,7 @@ class TestSequentialEquivalence:
         states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
         profile0 = StrategyProfile.zeros(game.n_agents)
         phi0 = global_value(game, profile0)
-        new_states, trace = run_round(game, states, cfg, iteration=1)
+        new_states, trace = run_round(game, states, cover_of(game, states), cfg, iteration=1)
         assert len(trace.innovators) == 2
         a, b = trace.innovators
         assert b not in game.neighbors(a)
@@ -261,7 +271,7 @@ class TestLocalityAudit:
         game = sliding_window_game(n_agents=6)
         audit = AccessAudit()
         states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
-        run_round(game, states, SearchConfig(0.05, 1), audit=audit)
+        run_round(game, states, cover_of(game, states), SearchConfig(0.05, 1), audit=audit)
         readers = {(reader, owner) for reader, owner, _ in audit.reads}
         for reader, owner in readers:
             assert owner in game.neighbor_graph[reader]
