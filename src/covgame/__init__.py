@@ -19,7 +19,7 @@ from .game import (
     energy_penalty,
     global_value,
     local_value,
-    neighbor_graph_from_reach,
+    neighbor_graph_from_masks,
     regret,
 )
 from .harness import (
@@ -91,7 +91,7 @@ __all__ = [
     "load_scenario",
     "local_value",
     "maximize_scalar",
-    "neighbor_graph_from_reach",
+    "neighbor_graph_from_masks",
     "pattern_search",
     "regret",
     "run_centralized",

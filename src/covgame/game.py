@@ -1,19 +1,22 @@
 """Coverage game objects: strategy spaces, objectives, neighbor graph, regret.
 
-The game couples a per-agent coverage generator (a pure map from an agent's
-scalar strategy to a boolean mask over the cells of a
-:class:`~covgame.measure.TimeGrid`) with a quadratic energy penalty. A
-generator may leave out cells that no agent can ever cover: one that exposes
-``cells`` (the sorted grid indices of its mask axis) returns masks of
-``len(cells)`` entries, and measures are ``dt`` times a count either way. The
+The game couples a per-agent coverage generator with a quadratic energy
+penalty. The generator is a pure map from an agent's scalar strategy to a
+boolean mask over its ``cells``, sorted indices of the cells of a
+:class:`~covgame.measure.TimeGrid`, so every measure is ``dt`` times a count.
+It also lists where an agent's count of some cells can change
+(``breakpoints``) and counts those cells for many strategies in one call
+(``masked_cell_counts``); :class:`GameInstance` states the protocol. The
 global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
-its coverage exclusive of its graph neighbors minus its own penalty. With a
-neighbor graph that contains every pair whose coverages can ever overlap, a
-unilateral strategy change moves both objectives by exactly the same amount,
-which is what the distributed search engine relies on. A :class:`CoverCount`
-carries one profile's coverage as an integer count per cell: the engine
-keeps one per run, and best responses select their cells from it.
+its coverage exclusive of its graph neighbors minus its own penalty. Every
+neighbor graph comes from :func:`neighbor_graph_from_masks` over each agent's
+exact reach, the cells it covers for some admissible strategy, so it holds
+every pair whose coverages can ever overlap, and a unilateral strategy change
+moves both objectives by exactly the same amount, which is what the
+distributed search engine relies on. A :class:`CoverCount` carries one
+profile's coverage as an integer count per cell: the engine keeps one per
+run, and best responses select their cells from it.
 """
 from __future__ import annotations
 
@@ -120,21 +123,32 @@ class StrategyProfile:
 class GameInstance:
     """Immutable bundle of agents, coverage generator, penalty scale and graph.
 
-    ``coverage_fn(k, theta)`` must be pure and return a boolean mask of
-    ``n_cells`` entries: one per grid cell, or one per entry of the
-    generator's ``cells`` when it has them. The instance takes ownership of
-    each mask, freezes it and memoizes it per ``(index, theta)`` for its
-    life. The generator must also expose ``breakpoints(k, within)``, which
-    returns ascending arrays ``(starts, stops)`` such that agent ``k``'s
-    count ``|coverage(k, theta) & within|`` does not fall while ``theta``
-    moves toward 0, until it passes a start (from above 0) or a stop (from
-    below 0). The ends of the closed strategy intervals on which ``k``
-    covers each cell of ``within`` are such a set; :func:`best_response_gain`
-    scores them. A generator that also exposes ``masked_cell_counts(k,
-    thetas, ends)`` scores an ascending array of strategies in one call,
-    given the pair that ``breakpoints`` returned. The neighbor graph maps
-    each active agent index to the set of active agents whose coverage can
-    overlap its own; it must be symmetric and irreflexive.
+    The coverage generator ``coverage_fn`` must expose, and the constructor
+    checks (a missing member raises ``TypeError`` naming it):
+
+    - ``coverage_fn(k, theta)``: pure; a boolean mask with one entry per
+      entry of ``cells``. The instance takes ownership of each mask, freezes
+      it and memoizes it per ``(index, theta)`` for its life.
+    - ``cells``: the sorted grid indices of the mask axis, so the game has
+      ``n_cells = len(cells)``. A generator may leave out cells no agent can
+      ever cover.
+    - ``breakpoints(k, within)``: ascending arrays ``(starts, stops)`` such
+      that agent ``k``'s count ``|coverage(k, theta) & within|`` does not
+      fall while ``theta`` moves toward 0, until it passes a start (from
+      above 0) or a stop (from below 0). The ends of the closed strategy
+      intervals on which ``k`` covers each cell of ``within`` are such a
+      set; :func:`best_response_gain` scores them.
+    - ``masked_cell_counts(k, thetas, ends)``: that count for every entry
+      of an ascending array of strategies, given the pair ``ends`` that
+      ``breakpoints`` returned.
+
+    The neighbor graph maps each active agent index to the set of active
+    agents whose coverage can overlap its own; it must be symmetric and
+    irreflexive. Build it with :func:`neighbor_graph_from_masks` from each
+    active agent's exact ``reachable_mask(k)``, the cells it covers for some
+    strategy of its interval, as the orbit kernel's
+    :class:`~covgame.orbit.ConstellationCoverage` does; a graph written by
+    hand must hold at least the pairs that one would.
 
     The graph must contain every pair that can ever cover a common cell: on
     the cells an agent can cover for some strategy (its reach), only its
@@ -159,10 +173,13 @@ class GameInstance:
     ) -> None:
         self.agents = tuple(agents)
         self.grid = grid
-        if not callable(getattr(coverage_fn, "breakpoints", None)):
-            raise TypeError("coverage_fn must expose breakpoints(k, within)")
+        if getattr(coverage_fn, "cells", None) is None:
+            raise TypeError("coverage_fn must expose cells")
+        for name in ("breakpoints", "masked_cell_counts"):
+            if not callable(getattr(coverage_fn, name, None)):
+                raise TypeError(f"coverage_fn must expose {name}")
         self.coverage_fn = coverage_fn
-        self.n_cells = _mask_length(coverage_fn, grid)
+        self.n_cells = len(coverage_fn.cells)
         self.gamma = float(gamma)
         indices = [a.index for a in self.agents]
         if indices != list(range(1, len(self.agents) + 1)):
@@ -221,14 +238,11 @@ class GameInstance:
                 )
 
 
-def _mask_length(coverage_fn: CoverageFn, grid: TimeGrid) -> int:
-    """Entries per coverage mask: the generator's ``cells``, else the grid's."""
-    cells = getattr(coverage_fn, "cells", None)
-    return grid.n_steps if cells is None else len(cells)
+def energy_penalty(agent: AgentSpec, theta: float | np.ndarray) -> float | np.ndarray:
+    """Quadratic maneuver cost ``(theta / theta_max) ** 2``, dimensionless.
 
-
-def energy_penalty(agent: AgentSpec, theta: float) -> float:
-    """Quadratic maneuver cost ``(theta / theta_max) ** 2``, dimensionless."""
+    Elementwise on an array of strategies.
+    """
     ratio = theta / agent.theta_max
     return ratio * ratio
 
@@ -420,8 +434,9 @@ def best_response_gain(
     (or to ``z``) keeps every cell and costs no more, and symmetrically
     below ``z``. So a maximizer lies among the stops in ``[lo, z)``, ``z``
     and the starts in ``(z, hi]``; the ends come ascending, so these three
-    lists are already in order, and scoring them all is exact. Equal
-    candidates score equally, so repeats leave the first maximizer alone.
+    lists are already in order, and scoring them all, in one
+    ``masked_cell_counts`` call, is exact. Equal candidates score equally,
+    so repeats leave the first maximizer alone.
 
     The best response depends on the neighbor strategies only, so the game
     keeps each agent's last one: each neighbor strategy is read once, and
@@ -447,17 +462,14 @@ def best_response_gain(
             np.searchsorted(starts, z, "right") : np.searchsorted(starts, space.hi, "right")
         ]
         candidates = np.concatenate((below, [z], above))
-        batch = None
-        cell_counts = getattr(game.coverage_fn, "masked_cell_counts", None)
-        if cell_counts is not None:
-            dt, gamma = game.grid.dt, game.gamma
+        dt, gamma = game.grid.dt, game.gamma
+        cell_counts = game.coverage_fn.masked_cell_counts
 
-            def batch(thetas: np.ndarray) -> np.ndarray:
-                gains = dt * cell_counts(index, thetas, ends)
-                return gains - gamma * (thetas / agent.theta_max) ** 2
+        def objective(thetas: np.ndarray) -> np.ndarray:
+            gains = dt * cell_counts(index, thetas, ends)
+            return gains - gamma * energy_penalty(agent, thetas)
 
-        f = partial(_local_objective, game, index, uncovered)
-        theta_star, best = maximize_scalar(f, candidates, batch_f=batch)
+        theta_star, best = maximize_scalar(objective, candidates)
         response = _Response(neighbors, uncovered, theta_star, best)
         game._responses[index] = response
     gain = response.best - _local_objective(game, index, response.uncovered, theta)
@@ -486,35 +498,6 @@ def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, froz
                 graph[k].add(l)
                 graph[l].add(k)
     return {k: frozenset(v) for k, v in graph.items()}
-
-
-# Strategies per agent that neighbor_graph_from_reach samples.
-REACH_SAMPLES = 64
-
-
-def neighbor_graph_from_reach(
-    agents: Sequence[AgentSpec],
-    coverage_fn: CoverageFn,
-    grid: TimeGrid,
-) -> dict[int, frozenset[int]]:
-    """Frozen neighbor graph from strategy-reachable coverage overlap.
-
-    ``reach_k`` is the union of agent ``k``'s coverage over a uniform sample
-    of its strategy interval (:data:`REACH_SAMPLES` points including both
-    endpoints); two active agents are neighbors iff their reaches intersect.
-    The graph is a superset of the instantaneous-overlap graph at any fixed
-    profile, so it stays valid for the whole run; spurious members only ever
-    contribute empty-overlap terms.
-    """
-    reach: dict[int, np.ndarray] = {}
-    for a in agents:
-        if not a.active:
-            continue
-        space = a.strategy_space
-        thetas = np.linspace(space.lo, space.hi, REACH_SAMPLES)
-        sets = [coverage_fn(a.index, float(t)) for t in thetas]
-        reach[a.index] = union_many(sets, _mask_length(coverage_fn, grid))
-    return neighbor_graph_from_masks(reach)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Coverage as boolean masks on a uniform time grid.
 
-A coverage value is a read-only ``np.ndarray[bool]`` of length
-``grid.n_steps``: a cell is covered iff the defining predicate holds at the
-cell's left edge. On a common grid every measure identity
-(inclusion-exclusion, additivity of disjoint unions) is exact, because a
-measure is ``dt`` times an integer cell count.
+A coverage value is a read-only ``np.ndarray[bool]`` of ``len(cells)``
+entries, one per entry of its generator's ``cells``: sorted grid indices that
+may leave out the cells no agent can ever cover. A cell is covered iff the
+defining predicate holds at the cell's left edge. On a common grid every
+measure identity (inclusion-exclusion, additivity of disjoint unions) is
+exact, because a measure is ``dt`` times an integer cell count.
 """
 from __future__ import annotations
 

@@ -1,12 +1,13 @@
 """Derivative-free maximizers.
 
 Two solvers cover the project's needs: an exhaustive scalar maximizer that
-scores a finite candidate set, for each agent's one-dimensional best
-response, and a compass (pattern) search over a box for the centralized
-baseline. The best-response objective is a piecewise-constant window count
-with a quadratic penalty, so a finite set of strategies (the agent's coverage
-breakpoints, see :func:`covgame.game.best_response_gain`) holds a maximizer,
-and scoring each of them is exact.
+scores a finite candidate array in one call of an array objective, for each
+agent's one-dimensional best response, and a compass (pattern) search over a
+box for the centralized baseline. The best-response objective is a
+piecewise-constant window count with a quadratic penalty, so a finite set of
+strategies (the agent's coverage breakpoints, see
+:func:`covgame.game.best_response_gain`) holds a maximizer, and scoring each
+of them is exact.
 
 Both solvers are deterministic: identical inputs produce identical outputs.
 """
@@ -54,31 +55,26 @@ def _check_finite(value: float, point) -> float:
 
 
 def maximize_scalar(
-    f: Callable[[float], float],
-    candidates: np.ndarray,
-    batch_f: Callable[[np.ndarray], np.ndarray] | None = None,
+    f: Callable[[np.ndarray], np.ndarray], candidates: np.ndarray
 ) -> tuple[float, float]:
     """Maximize ``f`` over a finite, non-empty set of ``candidates``.
 
-    Scores every candidate, checks that each value is finite and returns the
-    first argmax, so ties go to the earliest candidate. ``batch_f``, when
-    given, must evaluate ``f`` elementwise on the candidate array and is used
-    in its place.
+    ``f`` scores the whole candidate array at once and returns one value per
+    candidate. Checks that each value is finite and returns the first
+    argmax, so ties go to the earliest candidate.
 
     Returns ``(argmax, value)``.
 
     Raises:
-        ValueError: if there are no candidates or a value is not finite.
+        ValueError: if there are no candidates, ``f`` returns an array of
+            another shape, or a value is not finite.
     """
     xs = np.asarray(candidates, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("no candidates to maximize over")
-    if batch_f is not None:
-        fs = np.asarray(batch_f(xs), dtype=float)
-        if fs.shape != xs.shape:
-            raise ValueError("batch objective returned a wrong-shaped array")
-    else:
-        fs = np.array([float(f(x)) for x in xs])
+    fs = np.asarray(f(xs), dtype=float)
+    if fs.shape != xs.shape:
+        raise ValueError("objective returned a wrong-shaped array")
     if not np.isfinite(fs).all():
         bad = int(np.flatnonzero(~np.isfinite(fs))[0])
         raise ValueError(f"objective returned non-finite value {fs[bad]} at {xs[bad]!r}")

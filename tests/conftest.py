@@ -10,20 +10,74 @@ from covgame.game import (
     GameInstance,
     StrategyInterval,
     StrategyProfile,
-    neighbor_graph_from_reach,
+    neighbor_graph_from_masks,
 )
 from covgame.measure import TimeGrid
 
 
-def with_breakpoints(coverage, points=()):
-    """Give a test coverage function the ``breakpoints`` a game requires.
+class Ends(tuple):
+    """The ``(starts, stops)`` pair of :func:`as_generator`'s ``breakpoints``.
 
-    ``points`` serve as both the starts and the stops, whatever ``within``
-    is; a coverage that ignores theta needs none.
+    It keeps the ``within`` mask it was asked for, which is what that
+    generator's ``masked_cell_counts`` counts.
+    """
+
+    within: np.ndarray
+
+
+def as_generator(coverage, grid, points=()):
+    """Give a test coverage function the generator protocol a game requires.
+
+    Its ``cells`` are all of ``grid``'s. ``points`` serve as both the starts
+    and the stops of ``breakpoints``, whatever ``within`` is; a coverage that
+    ignores theta needs none. ``masked_cell_counts`` counts ``coverage(k,
+    theta) & within`` for each theta, mask by mask. ``reachable_mask(k)`` is
+    the OR of ``k``'s masks at ``points`` and at 0, which is exact when every
+    strategy of the agent's interval plays the mask of one of them.
     """
     points = np.asarray(points, dtype=float)
-    coverage.breakpoints = lambda k, within: (points, points)
+
+    def breakpoints(k, within):
+        ends = Ends((points, points))
+        ends.within = within
+        return ends
+
+    def masked_cell_counts(k, thetas, ends):
+        counts = [np.count_nonzero(coverage(k, float(t)) & ends.within) for t in thetas]
+        return np.array(counts, dtype=int)
+
+    def reachable_mask(k):
+        return np.any([coverage(k, float(t)) for t in (*points, 0.0)], axis=0)
+
+    coverage.cells = np.arange(grid.n_steps)
+    coverage.breakpoints = breakpoints
+    coverage.masked_cell_counts = masked_cell_counts
+    coverage.reachable_mask = reachable_mask
     return coverage
+
+
+def reach_graph(agents, coverage):
+    """The neighbor graph of the active agents' exact ``reachable_mask``."""
+    return neighbor_graph_from_masks(
+        {a.index: coverage.reachable_mask(a.index) for a in agents if a.active}
+    )
+
+
+def sampled_reach_graph(agents, coverage):
+    """Reference graph from sampled reaches, which the package does not build.
+
+    Each active agent's reach is the OR of its masks at 64 evenly spaced
+    strategies of its interval, both ends included. A sample can miss an
+    overlap narrower than its spacing, so this graph must be a subgraph of
+    the exact one.
+    """
+    reach = {}
+    for a in agents:
+        if a.active:
+            space = a.strategy_space
+            thetas = np.linspace(space.lo, space.hi, 64)
+            reach[a.index] = np.any([coverage(a.index, float(t)) for t in thetas], axis=0)
+    return neighbor_graph_from_masks(reach)
 
 
 class CallCounter:
@@ -75,10 +129,9 @@ def sliding_window_game(
     """Agents slide fixed-width windows along a shared grid.
 
     Agent k's window starts at ``(k-1)*spacing + round(theta/quantum)`` cells,
-    so coverage is piecewise constant in theta with plateaus ``quantum`` wide;
-    any strategy-space sample finer than ``quantum`` sees every plateau, which
-    makes the sampled reach graph exact. Best responses range over the
-    lattice ``j * quantum``.
+    so coverage is piecewise constant in theta with plateaus ``quantum`` wide.
+    The lattice ``j * quantum`` holds a strategy of every plateau, so the
+    reach ORed over it is exact, and best responses range over it.
     """
     grid = TimeGrid(0.0, n_cells * dt, dt)
     space = StrategyInterval(-span, span)
@@ -87,14 +140,13 @@ def sliding_window_game(
         shift = int(np.round(theta / quantum))
         return window_mask(grid, (k - 1) * spacing + shift, width)
 
-    with_breakpoints(coverage, lattice(span, quantum))
+    as_generator(coverage, grid, lattice(span, quantum))
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max)
         for k in range(1, n_agents + 1)
     )
-    graph = neighbor_graph_from_reach(agents, coverage, grid)
-    return GameInstance(agents, grid, coverage, gamma, graph)
+    return GameInstance(agents, grid, coverage, gamma, reach_graph(agents, coverage))
 
 
 def two_cluster_game(gamma: float = 0.01) -> GameInstance:
@@ -113,13 +165,12 @@ def two_cluster_game(gamma: float = 0.01) -> GameInstance:
         shift = int(np.round(theta))
         return window_mask(grid, base[k] + shift, width[k])
 
-    with_breakpoints(coverage, lattice(4.0, 1.0))
+    as_generator(coverage, grid, lattice(4.0, 1.0))
 
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=1.0) for k in range(1, 5)
     )
-    graph = neighbor_graph_from_reach(agents, coverage, grid)
-    return GameInstance(agents, grid, coverage, gamma, graph)
+    return GameInstance(agents, grid, coverage, gamma, reach_graph(agents, coverage))
 
 
 def mini_scenario_doc() -> dict:

@@ -172,8 +172,8 @@ def test_criterion_3_convergence_within_budget_and_certification(
 
 def lattice_toy_game():
     """Four window-sliding agents whose strategies quantize to a 9-point grid."""
-    from covgame.game import AgentSpec, GameInstance, StrategyInterval, neighbor_graph_from_reach
-    from conftest import lattice, window_mask, with_breakpoints
+    from covgame.game import AgentSpec, GameInstance, StrategyInterval
+    from conftest import as_generator, lattice, reach_graph, window_mask
 
     grid = TimeGrid(0.0, 60.0, 1.0)
     space = StrategyInterval(-1.0, 1.0)
@@ -184,11 +184,10 @@ def lattice_toy_game():
         shift = int(np.round(theta / 0.25))
         return window_mask(grid, bases[k - 1] + shift, width)
 
-    with_breakpoints(coverage, lattice(1.0, 0.25))
+    as_generator(coverage, grid, lattice(1.0, 0.25))
 
     agents = tuple(AgentSpec(k, space, 1.0) for k in (1, 2, 3, 4))
-    graph = neighbor_graph_from_reach(agents, coverage, grid)
-    return GameInstance(agents, grid, coverage, 0.05, graph)
+    return GameInstance(agents, grid, coverage, 0.05, reach_graph(agents, coverage))
 
 
 def lattice_objective(profile_theta):

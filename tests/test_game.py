@@ -16,7 +16,6 @@ from covgame.game import (
     energy_penalty,
     global_value,
     local_value,
-    neighbor_graph_from_reach,
     regret,
 )
 from covgame.measure import TimeGrid, union_many
@@ -24,13 +23,18 @@ from covgame.orbit import build_constellation_game
 from covgame.scenario import parse_scenario
 
 from conftest import (
+    as_generator,
     lattice,
     mini_scenario_doc,
     random_profile,
+    reach_graph,
+    sampled_reach_graph,
     sliding_window_game,
+    two_cluster_game,
     window_mask,
-    with_breakpoints,
 )
+from test_acceptance import lattice_toy_game
+from test_search import single_agent_game
 
 MINI_CFG = parse_scenario(mini_scenario_doc())
 MINI_GAME = MINI_CFG.build_game()
@@ -61,12 +65,12 @@ def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
     def coverage(k, theta):
         return np.array(masks[k], dtype=bool)
 
-    with_breakpoints(coverage)
+    as_generator(coverage, grid)
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max) for k in sorted(masks)
     )
     if graph is None:
-        graph = neighbor_graph_from_reach(agents, coverage, grid)
+        graph = reach_graph(agents, coverage)
     return GameInstance(agents, grid, coverage, gamma, graph)
 
 
@@ -249,8 +253,9 @@ class TestNeighborGraph:
         assert 2 in toy_game.neighbors(1) and 3 in toy_game.neighbors(2)
 
     def test_reach_edge_requires_some_strategy_pair(self, toy_game):
-        # Neighbors iff the sampled reaches intersect: verify against a direct
-        # reach computation from the coverage function.
+        # Neighbors iff the reaches intersect: verify against a direct reach
+        # computation from the coverage function, whose 66 samples see every
+        # plateau of the toy game.
         samples = np.linspace(-3.0, 3.0, 66)
         reach = {}
         for a in toy_game.agents:
@@ -263,6 +268,37 @@ class TestNeighborGraph:
                     assert (l in toy_game.neighbors(k)) == expected
 
 
+# Every hand-built test game whose generator comes from the conftest wrapper.
+REACH_TEST_GAMES = {
+    "sliding-window": sliding_window_game,
+    "sliding-window-5": lambda: sliding_window_game(n_agents=5, spacing=8),
+    "sliding-window-4": lambda: sliding_window_game(n_agents=4),
+    "two-cluster": two_cluster_game,
+    "lattice": lattice_toy_game,
+    "single-agent": single_agent_game,
+    "fixed-mask": lambda: fixed_mask_game(
+        {1: [1, 1, 0, 0, 0, 0], 2: [0, 1, 1, 0, 0, 0], 3: [0, 0, 0, 0, 1, 1]}
+    ),
+}
+
+
+class TestExactReach:
+    """Test generators' reach masks are exact, and their graphs complete."""
+
+    @pytest.mark.parametrize("name", sorted(REACH_TEST_GAMES))
+    def test_masks_lie_in_reach_and_graph_holds_the_sampled_one(self, name):
+        game = REACH_TEST_GAMES[name]()
+        cov = game.coverage_fn
+        for k in game.active_indices:
+            space = game.agent(k).strategy_space
+            reach = cov.reachable_mask(k)
+            for theta in np.linspace(space.lo, space.hi, 201):
+                assert not np.any(cov(k, float(theta)) & ~reach), (k, theta)
+        sampled = sampled_reach_graph(game.agents, cov)
+        for k, neigh in sampled.items():
+            assert neigh <= game.neighbor_graph[k]
+
+
 class TestGameValidation:
     @pytest.mark.parametrize("theta_max", [0.0, np.inf, np.nan])
     def test_theta_max_must_be_positive_and_finite(self, theta_max):
@@ -270,8 +306,8 @@ class TestGameValidation:
         with pytest.raises(ValueError, match="theta_max must be positive and finite"):
             AgentSpec(1, StrategyInterval(-1.0, 1.0), theta_max)
 
-    def test_mask_length_is_the_grid_without_cells(self, toy_game):
-        assert toy_game.n_cells == toy_game.grid.n_steps
+    def test_mask_length_is_the_generator_cells(self, toy_game):
+        assert toy_game.n_cells == len(toy_game.coverage_fn.cells) == toy_game.grid.n_steps
 
     def test_asymmetric_graph_rejected(self):
         masks = {1: [1, 0], 2: [0, 1]}
@@ -291,13 +327,20 @@ class TestGameValidation:
         with pytest.raises(ValueError, match="outside"):
             toy_game.validate_profile(bad)
 
-    def test_coverage_without_breakpoints_rejected(self):
+    @pytest.mark.parametrize("member", ["cells", "breakpoints", "masked_cell_counts"])
+    def test_coverage_without_breakpoints_rejected(self, member):
+        # Each member of the generator protocol is checked when the game is
+        # built, not on first use.
+        grid = TimeGrid(0.0, 4.0, 1.0)
+
         def coverage(k, theta):
             return np.zeros(4, dtype=bool)
 
+        as_generator(coverage, grid)
+        delattr(coverage, member)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
-        with pytest.raises(TypeError, match="breakpoints"):
-            GameInstance(agents, TimeGrid(0.0, 4.0, 1.0), coverage, 0.1, {1: ()})
+        with pytest.raises(TypeError, match=f"must expose {member}"):
+            GameInstance(agents, grid, coverage, 0.1, {1: ()})
 
     def test_foreign_grid_coverage_rejected(self):
         grid = TimeGrid(0.0, 4.0, 1.0)
@@ -305,7 +348,7 @@ class TestGameValidation:
         def coverage(k, theta):
             return np.zeros(8, dtype=bool)
 
-        with_breakpoints(coverage)
+        as_generator(coverage, grid)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.1, {1: ()})
         with pytest.raises(ValueError, match="foreign grid"):
@@ -328,7 +371,7 @@ class TestCertification:
                 return window_mask(grid, 0, 20)
             return window_mask(grid, 10 + int(np.round(theta)), 10)
 
-        with_breakpoints(coverage, lattice(10.0, 1.0))
+        as_generator(coverage, grid, lattice(10.0, 1.0))
         agents = tuple(AgentSpec(k, space, 100.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.0, {1: {2}, 2: {1}})
         report = certify_epsilon_equilibrium(game, StrategyProfile.zeros(2), 1.0)

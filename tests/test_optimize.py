@@ -9,32 +9,32 @@ from covgame.optimize import PatternSearchConfig, maximize_scalar, pattern_searc
 
 class TestScalarMaximizer:
     def test_interior_quadratic_maximum(self):
-        x, v = maximize_scalar(lambda t: -t * t, np.linspace(-1.0, 1.0, 21))
+        x, v = maximize_scalar(lambda ts: -ts * ts, np.linspace(-1.0, 1.0, 21))
         assert abs(x) < 1e-4
         assert v == pytest.approx(0.0, abs=1e-8)
 
     def test_endpoint_maximum_exact(self):
-        x, v = maximize_scalar(lambda t: t, np.linspace(-1.0, 1.0, 5))
+        x, v = maximize_scalar(lambda ts: ts, np.linspace(-1.0, 1.0, 5))
         assert x == 1.0 and v == 1.0
 
     def test_degenerate_interval(self):
-        x, v = maximize_scalar(lambda t: 7.0 - t, np.array([2.0]))
+        x, v = maximize_scalar(lambda ts: 7.0 - ts, np.array([2.0]))
         assert (x, v) == (2.0, 5.0)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="no candidates"):
-            maximize_scalar(lambda t: t, np.array([]))
+            maximize_scalar(lambda ts: ts, np.array([]))
 
     def test_plateau_objective_matches_dense_oracle(self):
         # A right-continuous step function of theta attains each plateau's
         # height at the plateau's left end, so its breakpoints and the
         # interval's ends hold the maximum.
-        def f(t):
-            return float(int(math.floor(t * 3.0)) % 5)
+        def f(ts):
+            return np.floor(ts * 3.0) % 5
 
         breakpoints = np.arange(-6, 7) / 3.0
         _, v = maximize_scalar(f, breakpoints)
-        dense = max(f(t) for t in np.linspace(-2.0, 2.0, 601))
+        dense = f(np.linspace(-2.0, 2.0, 601)).max()
         assert v == dense
 
     def test_never_below_best_coarse_sample(self, rng):
@@ -42,43 +42,37 @@ class TestScalarMaximizer:
             knots = np.sort(rng.uniform(-1.0, 1.0, 8))
             heights = rng.uniform(0.0, 10.0, 9)
 
-            def f(t):
-                return float(heights[np.searchsorted(knots, t)])
+            def f(ts):
+                return heights[np.searchsorted(knots, ts)]
 
             xs = np.linspace(-1.0, 1.0, 31)
-            coarse_best = max(f(x) for x in xs)
+            coarse_best = f(xs).max()
             _, v = maximize_scalar(f, xs)
             assert v >= coarse_best
 
     def test_first_of_tied_candidates_wins(self):
-        x, v = maximize_scalar(lambda t: float(abs(t) <= 0.5), np.linspace(-1.0, 1.0, 9))
+        x, v = maximize_scalar(
+            lambda ts: (np.abs(ts) <= 0.5).astype(float), np.linspace(-1.0, 1.0, 9)
+        )
         assert (x, v) == (-0.5, 1.0)
 
     def test_deterministic(self):
-        def f(t):
-            return math.sin(3.0 * t) - 0.1 * t * t
+        def f(ts):
+            return np.sin(3.0 * ts) - 0.1 * ts * ts
 
         xs = np.linspace(-2.0, 2.0, 101)
         assert maximize_scalar(f, xs) == maximize_scalar(f, xs)
 
-    def test_batch_path_matches_scalar_path(self):
-        def f(t):
-            return -(t - 0.3) ** 2
-
-        def batch(ts):
-            return -(ts - 0.3) ** 2
-
-        xs = np.linspace(-1.0, 1.0, 41)
-        assert maximize_scalar(f, xs) == maximize_scalar(f, xs, batch_f=batch)
-
     def test_non_finite_probe_reported(self):
-        def f(t):
-            return math.nan if t > 0.5 else 0.0
+        def f(ts):
+            return np.where(ts > 0.5, np.nan, 0.0)
 
         with pytest.raises(ValueError, match="non-finite"):
             maximize_scalar(f, np.linspace(0.0, 1.0, 3))
-        with pytest.raises(ValueError, match="non-finite"):
-            maximize_scalar(f, np.linspace(0.0, 1.0, 3), batch_f=lambda ts: np.vectorize(f)(ts))
+
+    def test_wrong_shaped_objective_rejected(self):
+        with pytest.raises(ValueError, match="wrong-shaped"):
+            maximize_scalar(lambda ts: ts[:-1], np.linspace(0.0, 1.0, 3))
 
 
 class TestPatternSearch:
@@ -102,7 +96,7 @@ class TestPatternSearch:
         def f(t):
             return math.cos(t) + 0.2 * t
 
-        xs, vs = maximize_scalar(f, np.linspace(-2.0, 2.0, 40001))
+        xs, vs = maximize_scalar(np.vectorize(f), np.linspace(-2.0, 2.0, 40001))
         cfg = PatternSearchConfig(initial_step=0.5, min_step=1e-7, max_evals=50000)
         xp, vp, _ = pattern_search(lambda p: f(float(p[0])), [(-2.0, 2.0)], [0.0], cfg)
         assert abs(float(xp[0]) - xs) < 1e-4

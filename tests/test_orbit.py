@@ -24,7 +24,6 @@ from covgame.game import (
     covered_value,
     global_value,
     neighbor_graph_from_masks,
-    neighbor_graph_from_reach,
 )
 from covgame.measure import TimeGrid
 from covgame.orbit import (
@@ -45,7 +44,7 @@ from covgame.orbit import (
 )
 from covgame.search import AgentRoundState, SearchConfig, run_round
 
-from conftest import CallCounter, cover_of
+from conftest import CallCounter, cover_of, sampled_reach_graph
 
 DEG = math.pi / 180.0
 
@@ -850,7 +849,7 @@ class TestConstellationGame:
             CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,
             StrategyInterval(-15 * DEG, 15 * DEG), 1.0, damaged={10, 23},
         )
-        sampled = neighbor_graph_from_reach(game.agents, game.coverage_fn, game.grid)
+        sampled = sampled_reach_graph(game.agents, game.coverage_fn)
         assert sampled == game.neighbor_graph
 
     def test_masks_run_over_the_visible_cells(self):
@@ -889,7 +888,7 @@ class TestConstellationGame:
             for f in [0.0, 1.0, *fractions]:
                 theta = min(interval.lo + f * interval.width, interval.hi)
                 assert not np.any(cov(k, theta) & ~reach)
-        sampled = neighbor_graph_from_reach(game.agents, cov, game.grid)
+        sampled = sampled_reach_graph(game.agents, cov)
         for k, neigh in sampled.items():
             assert neigh <= game.neighbor_graph[k]
 

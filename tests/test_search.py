@@ -21,12 +21,12 @@ from covgame.search import (
 )
 
 from conftest import (
+    as_generator,
     cover_of,
     lattice,
     sliding_window_game,
     two_cluster_game,
     window_mask,
-    with_breakpoints,
 )
 
 
@@ -108,7 +108,7 @@ def single_agent_game():
         start = int(np.round(theta))
         return window_mask(grid, 25 + start, 10)
 
-    with_breakpoints(coverage, lattice(10.0, 1.0))
+    as_generator(coverage, grid, lattice(10.0, 1.0))
     agents = (AgentSpec(1, StrategyInterval(-10.0, 0.0), 100.0),)
     return GameInstance(agents, grid, coverage, 0.0, {1: ()})
 
@@ -160,7 +160,7 @@ class TestRunRound:
             return np.zeros(grid.n_steps, dtype=bool)
 
         # A breakpoint above 0.5 makes the best response evaluate there.
-        with_breakpoints(coverage, [0.75])
+        as_generator(coverage, grid, [0.75])
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
         states = {1: AgentRoundState(theta=0.0, zeta=True)}
@@ -198,7 +198,7 @@ class TestRunSearch:
         def coverage(k, theta):
             return window_mask(grid, 0 if k == 1 else 25, 10)
 
-        with_breakpoints(coverage)
+        as_generator(coverage, grid)
         agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.1, {1: (), 2: ()})
         result = run_search(game, StrategyProfile.zeros(2), SearchConfig(0.01, 4))
