@@ -457,10 +457,10 @@ def best_response_gain(
         space = agent.strategy_space
         starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
         z = min(max(0.0, space.lo), space.hi)
-        below = stops[np.searchsorted(stops, space.lo) : np.searchsorted(stops, z)]
-        above = starts[
-            np.searchsorted(starts, z, "right") : np.searchsorted(starts, space.hi, "right")
-        ]
+        first, last = stops.searchsorted((space.lo, z))
+        below = stops[first:last]
+        first, last = starts.searchsorted((z, space.hi), "right")
+        above = starts[first:last]
         candidates = np.concatenate((below, [z], above))
         dt, gamma = game.grid.dt, game.gamma
         cell_counts = game.coverage_fn.masked_cell_counts

@@ -531,14 +531,12 @@ class ConstellationCoverage:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
             return np.zeros(0, dtype=int)
-        if not np.all(np.diff(thetas) >= 0.0):
+        if not (thetas[1:] >= thetas[:-1]).all():
             raise ValueError(f"strategies of agent {k} must be sorted ascending")
         self._check(k, thetas[0])
         self._check(k, thetas[-1])
         starts, stops = ends
-        return np.searchsorted(starts, thetas, side="right") - np.searchsorted(
-            stops, thetas, side="left"
-        )
+        return starts.searchsorted(thetas, "right") - stops.searchsorted(thetas)
 
     def breakpoints(self, k: int, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the count of :meth:`masked_cell_counts` can change.

@@ -10,17 +10,23 @@ which yields convergence to an epsilon-equilibrium in finitely many rounds.
 
 The per-agent gate ``zeta`` skips the expensive best-response step for agents
 whose whole neighborhood was quiet in the previous round, so rounds after
-convergence scan nothing. They still build the exchange views over every
-neighbor, 5–8 ms of reported wall time per idle round with 240 satellites.
+convergence scan nothing. The regret exchange is event-driven: an agent
+sends its regret to its neighbors only when it exceeds ``epsilon``, and
+silence means "quiet". The election runs over the loud agents alone, and the
+open gates are the loud agents and their neighbors, so a round without a
+loud agent exchanges nothing: with 240 satellites it costs about 0.3 ms of
+reported wall time, where building exchange views over every neighbor of
+every agent cost 5–8 ms.
 
 A run keeps one :class:`~covgame.game.CoverCount` of its profile: every
 best response selects its uncovered cells from it, each round's adoptions
 update it and check the potential identity in whole cells, and the round's
 ``phi`` is read off its covered-cell count, so no round folds masks.
 
-All inter-agent information flow goes through explicit per-round exchange
-views; an update never reads state beyond the agent itself and its graph
-neighbors, and an :class:`AccessAudit` can record every cross-agent read.
+All inter-agent information flow goes through explicit per-round
+exchanges, strategy views and regret messages; an update never reads state
+beyond the agent itself and its graph neighbors, and an
+:class:`AccessAudit` can record every cross-agent read, one per message.
 The cover count is shared, but on the cells an agent can cover only the
 agent and its neighbors are counted (the graph contract of
 :class:`~covgame.game.GameInstance`), and a best response reads no other
@@ -121,23 +127,21 @@ class AccessAudit:
 
 
 class _ExchangeView(Mapping[int, float]):
-    """Read access to the values one agent received from its neighbors."""
+    """Read access to the strategies one agent pulled from its neighbors.
+
+    ``audit`` records each read as a ``"theta"`` read of the owner.
+    """
 
     def __init__(
-        self,
-        reader: int,
-        values: dict[int, float],
-        kind: str,
-        audit: AccessAudit | None,
+        self, reader: int, values: dict[int, float], audit: AccessAudit | None
     ) -> None:
         self._reader = reader
         self._values = values
-        self._kind = kind
         self._audit = audit
 
     def __getitem__(self, owner: int) -> float:
         if self._audit is not None:
-            self._audit.record(self._reader, owner, self._kind)
+            self._audit.record(self._reader, owner, "theta")
         return self._values[owner]
 
     def __iter__(self) -> Iterator[int]:
@@ -147,26 +151,58 @@ class _ExchangeView(Mapping[int, float]):
         return len(self._values)
 
 
-def _qualifies(
-    k: int, r_k: float, neighbors: frozenset[int], neighbor_regrets: Mapping[int, float],
+def _send_regrets(
+    regrets: Mapping[int, float],
+    neighbor_graph: Mapping[int, frozenset[int]],
     epsilon: float,
-) -> bool:
-    """Election predicate for one agent given its neighborhood's regrets.
+    audit: AccessAudit | None,
+) -> dict[int, float]:
+    """The regret exchange: each loud agent sends its regret to its neighbors.
 
-    Qualify iff the own regret exceeds ``epsilon``, is at least every
-    neighbor's regret, and no smaller-indexed neighbor ties it exactly. Ties
-    use exact float equality: plateau objectives genuinely produce them, and
+    An agent is loud iff its regret exceeds ``epsilon``; a quiet agent sends
+    nothing, and its silence means "at most ``epsilon``". Every regret is
+    checked first, so a NaN cannot pass for quiet. ``audit`` records each
+    message once, as a ``"regret"`` read of the sender by the receiver.
+
+    Returns the loud agents' regrets: every message sent, keyed by sender.
+
+    Raises:
+        ValueError: if some regret is not finite.
+    """
+    loud: dict[int, float] = {}
+    for k, r_k in regrets.items():
+        if not math.isfinite(r_k):
+            raise ValueError(f"regret of agent {k} is not finite")
+        if r_k > epsilon:
+            loud[k] = r_k
+    if audit is not None:
+        for k in loud:
+            for l in neighbor_graph[k]:
+                audit.record(l, k, "regret")
+    return loud
+
+
+def _elect(
+    loud: Mapping[int, float], neighbor_graph: Mapping[int, frozenset[int]]
+) -> tuple[int, ...]:
+    """The loud agents that no message from a loud neighbor beats.
+
+    A loud agent qualifies iff its regret is at least every regret it
+    received, and no smaller-indexed neighbor sent the same value. A quiet
+    neighbor's regret is at most ``epsilon``, below every loud one, so it
+    can never beat the agent, and its silence decides nothing. Ties use
+    exact float equality: plateau objectives genuinely produce them, and
     the index rule is the deterministic tie-break.
     """
-    if not math.isfinite(r_k):
-        raise ValueError(f"regret of agent {k} is not finite")
-    if r_k <= epsilon:
-        return False
-    for l in neighbors:
-        r_l = neighbor_regrets[l]
-        if r_l > r_k or (r_l == r_k and l < k):
-            return False
-    return True
+    elected = []
+    for k, r_k in loud.items():
+        for l in neighbor_graph[k]:
+            r_l = loud.get(l)
+            if r_l is not None and (r_l > r_k or (r_l == r_k and l < k)):
+                break
+        else:
+            elected.append(k)
+    return tuple(sorted(elected))
 
 
 def elect_innovators(
@@ -177,17 +213,17 @@ def elect_innovators(
 ) -> tuple[int, ...]:
     """Agents allowed to adopt their proposal this round.
 
-    Each agent decides from its own regret and the regrets its neighbors
-    sent it, read through an exchange view that ``audit`` can record; two
-    elected agents are therefore never neighbors.
+    Only agents whose regret exceeds ``epsilon`` send it, and the election
+    runs over them alone: each decides from its own regret and those its
+    loud neighbors sent it. An agent qualifies iff its regret is at least
+    every neighbor's and no smaller-indexed neighbor ties it exactly; two
+    elected agents are therefore never neighbors. ``audit`` records one
+    ``"regret"`` read per message, that is per loud agent and neighbor.
+
+    Raises:
+        ValueError: if some regret, loud or quiet, is not finite.
     """
-    elected = []
-    for k, r_k in regrets.items():
-        neighbors = neighbor_graph[k]
-        view = _ExchangeView(k, {l: regrets[l] for l in neighbors}, "regret", audit)
-        if _qualifies(k, r_k, neighbors, view, epsilon):
-            elected.append(k)
-    return tuple(sorted(elected))
+    return _elect(_send_regrets(regrets, neighbor_graph, epsilon, audit), neighbor_graph)
 
 
 def run_round(
@@ -201,10 +237,16 @@ def run_round(
     """Execute one synchronous round and return the new states and its trace.
 
     Phases: (a) gated agents pull their neighbors' strategies and compute a
-    best response and its regret, ungated agents report zero regret; (b) all
-    agents exchange regrets; (c) the elected agents adopt their proposals and
-    stay gated on; (d) everyone else keeps its strategy and stays gated on
-    iff some regret in its closed neighborhood exceeded ``epsilon``.
+    best response and its regret, ungated agents report zero regret; (b)
+    every regret is checked finite, and each loud agent, one whose regret
+    exceeds ``epsilon``, sends it to its neighbors, while quiet agents send
+    nothing; (c) the loud agents elect the innovators among themselves (see
+    :func:`elect_innovators`), who adopt their proposals; (d) everyone else
+    keeps its strategy, and an agent's gate stays open for the next round
+    iff it or a neighbor was loud, so the open gates are the loud agents and
+    their neighbor sets. ``audit`` records each strategy read of phase (a)
+    and one ``"regret"`` read per message of phase (b); a round in which no
+    agent is loud records no regret read.
 
     ``cover`` is the :class:`~covgame.game.CoverCount` of ``states``; the
     round moves it to the new states, checking that the covered cells rose
@@ -218,9 +260,7 @@ def run_round(
     for k in game.active_indices:
         state = states[k]
         if state.zeta:
-            view = _ExchangeView(
-                k, {l: thetas[l] for l in game.neighbors(k)}, "theta", audit
-            )
+            view = _ExchangeView(k, {l: thetas[l] for l in game.neighbors(k)}, audit)
             try:
                 proposals[k], regrets[k] = best_response_gain(
                     game, k, view, state.theta, cover
@@ -231,20 +271,19 @@ def run_round(
             proposals[k] = state.theta
             regrets[k] = 0.0
 
-    innovators = elect_innovators(regrets, game.neighbor_graph, cfg.epsilon, audit)
+    loud = _send_regrets(regrets, game.neighbor_graph, cfg.epsilon, audit)
+    innovators = _elect(loud, game.neighbor_graph)
+    gated = set(loud)
+    for k in loud:
+        gated.update(game.neighbors(k))
 
-    new_states: dict[int, AgentRoundState] = {}
-    for k in game.active_indices:
-        regret_view = _ExchangeView(
-            k, {l: regrets[l] for l in game.neighbors(k)}, "regret", audit
+    adopted = set(innovators)
+    new_states = {
+        k: AgentRoundState(
+            theta=proposals[k] if k in adopted else states[k].theta, zeta=k in gated
         )
-        if k in innovators:
-            new_states[k] = AgentRoundState(theta=proposals[k], zeta=True)
-        else:
-            gate = regrets[k] > cfg.epsilon or any(
-                regret_view[l] > cfg.epsilon for l in game.neighbors(k)
-            )
-            new_states[k] = AgentRoundState(theta=states[k].theta, zeta=gate)
+        for k in game.active_indices
+    }
     cover.adopt(game, {k: (thetas[k], proposals[k]) for k in innovators})
 
     wall_time = time.perf_counter() - t_start

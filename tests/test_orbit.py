@@ -379,6 +379,29 @@ class TestCoverage:
             with pytest.raises(ValueError, match="sorted"):
                 cov.masked_cell_counts(1, thetas, within)
 
+    @pytest.mark.parametrize(
+        "thetas, error",
+        [
+            ([0.1, 0.0, -0.1], "sorted"),
+            ([-0.1, 0.0, math.nan, 0.1], "sorted"),
+            ([0.05], None),
+            ([-0.05, 0.05, 0.05, 0.05], None),
+            ([-0.3, 0.0], "outside"),
+            ([0.0, 0.3], "outside"),
+        ],
+        ids=["descending", "nan-inside", "single", "repeated", "below", "above"],
+    )
+    def test_strategy_input_checks(self, thetas, error):
+        cov = day_coverage(interval=StrategyInterval(-0.2, 0.2))
+        within = np.ones(cov.cells.size, dtype=bool)
+        ends = cov.breakpoints(3, within)
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                cov.masked_cell_counts(3, np.array(thetas), ends)
+        else:
+            counts = cov.masked_cell_counts(3, np.array(thetas), ends)
+            assert counts.tolist() == [np.count_nonzero(cov(3, t)) for t in thetas]
+
     def test_reachable_mask_covers_every_strategy(self, rng):
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
         cov = day_coverage(interval=interval)

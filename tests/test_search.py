@@ -1,6 +1,11 @@
 """Round engine: election rules, round accounting, gates, convergence, audit."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgame.game import (
     AgentSpec,
@@ -31,6 +36,84 @@ from conftest import (
 
 
 PATH_GRAPH = {1: frozenset({2}), 2: frozenset({1, 3}), 3: frozenset({2})}
+
+
+def all_neighbor_election(regrets, graph, epsilon):
+    """Reference election: every agent reads every neighbor's regret.
+
+    An agent qualifies iff its regret exceeds ``epsilon``, is at least every
+    neighbor's, and no smaller-indexed neighbor ties it exactly; any
+    non-finite regret raises.
+    """
+    elected = []
+    for k, r_k in regrets.items():
+        if not math.isfinite(r_k):
+            raise ValueError(f"regret of agent {k} is not finite")
+        if r_k > epsilon and not any(
+            regrets[l] > r_k or (regrets[l] == r_k and l < k) for l in graph[k]
+        ):
+            elected.append(k)
+    return tuple(sorted(elected))
+
+
+def all_neighbor_gates(regrets, graph, epsilon, innovators):
+    """Reference gates: open iff elected, or some regret in the closed
+    neighborhood exceeds ``epsilon``, read over every neighbor."""
+    return {
+        k: k in innovators
+        or regrets[k] > epsilon
+        or any(regrets[l] > epsilon for l in graph[k])
+        for k in regrets
+    }
+
+
+EPSILON = 0.1
+# Quiet values (0 and epsilon itself), the smallest loud value, and values
+# that tie whenever two agents draw the same one.
+REGRET_VALUES = [0.0, EPSILON, math.nextafter(EPSILON, math.inf), 1.0, 2.0]
+
+
+@st.composite
+def regret_graphs(draw, max_agents=9):
+    """A random symmetric graph on agents 1..n, each agent's regret, and
+    which agents are gated on."""
+    n = draw(st.integers(1, max_agents))
+    graph = {k: set() for k in range(1, n + 1)}
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            if draw(st.booleans()):
+                graph[k].add(l)
+                graph[l].add(k)
+    regrets = {k: draw(st.sampled_from(REGRET_VALUES)) for k in graph}
+    gated = {k: draw(st.booleans()) for k in graph}
+    return {k: frozenset(v) for k, v in graph.items()}, regrets, gated
+
+
+def blank_game(graph):
+    """Agents that cover nothing, linked by ``graph``: any graph is valid."""
+    grid = TimeGrid(0.0, 4.0, 1.0)
+
+    def coverage(k, theta):
+        return np.zeros(grid.n_steps, dtype=bool)
+
+    as_generator(coverage, grid)
+    agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in graph)
+    return GameInstance(agents, grid, coverage, 0.0, graph)
+
+
+def round_with_regrets(graph, regrets, gated, audit=None):
+    """One ``run_round`` in which each gated agent's best response keeps its
+    strategy and reports the given regret."""
+    game = blank_game(graph)
+    states = {k: AgentRoundState(theta=0.0, zeta=gated[k]) for k in graph}
+
+    def best_response_gain(game, k, view, theta, cover):
+        return theta, regrets[k]
+
+    with mock.patch("covgame.search.best_response_gain", best_response_gain):
+        return run_round(
+            game, states, cover_of(game, states), SearchConfig(EPSILON, 1), audit=audit
+        )
 
 
 class TestElection:
@@ -70,6 +153,52 @@ class TestElection:
     def test_non_finite_regret_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             elect_innovators({1: float("nan")}, {1: frozenset()}, 0.1)
+
+
+class TestLoudOnlyExchange:
+    """The loud-only election and gates against the all-neighbor rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=regret_graphs())
+    def test_election_matches_all_neighbor_rule(self, case):
+        graph, regrets, _ = case
+        expected = all_neighbor_election(regrets, graph, EPSILON)
+        assert elect_innovators(regrets, graph, EPSILON) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=regret_graphs())
+    def test_round_matches_all_neighbor_rule(self, case):
+        graph, regrets, gated = case
+        audit = AccessAudit()
+        new_states, trace = round_with_regrets(graph, regrets, gated, audit)
+        reported = {k: regrets[k] if gated[k] else 0.0 for k in graph}
+        assert trace.regrets == reported
+        innovators = all_neighbor_election(reported, graph, EPSILON)
+        assert trace.innovators == innovators
+        assert trace.zetas == all_neighbor_gates(reported, graph, EPSILON, innovators)
+        assert all(s.theta == 0.0 for s in new_states.values())
+        # One message per loud agent and neighbor, and nothing else.
+        sent = sorted(
+            (l, k, "regret") for k, r in reported.items() if r > EPSILON for l in graph[k]
+        )
+        assert sorted(r for r in audit.reads if r[2] == "regret") == sent
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=regret_graphs(),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    def test_non_finite_regret_rejected_anywhere(self, case, bad, data):
+        # NaN and -inf do not exceed epsilon, so an agent reporting one
+        # sends nothing; the check must still see it.
+        graph, regrets, gated = case
+        k = data.draw(st.sampled_from(sorted(graph)))
+        regrets = {**regrets, k: bad}
+        with pytest.raises(ValueError, match="not finite"):
+            elect_innovators(regrets, graph, EPSILON)
+        with pytest.raises(ValueError, match="not finite"):
+            round_with_regrets(graph, regrets, {**gated, k: True})
 
 
 class TestIterationBound:
@@ -120,10 +249,35 @@ class TestRunRound:
         states = {
             k: AgentRoundState(theta=0.25, zeta=False) for k in toy_game.active_indices
         }
-        new_states, trace = run_round(toy_game, states, cover_of(toy_game, states), self.cfg)
+        audit = AccessAudit()
+        new_states, trace = run_round(
+            toy_game, states, cover_of(toy_game, states), self.cfg, audit=audit
+        )
         assert trace.innovators == ()
         assert all(r == 0.0 for r in trace.regrets.values())
-        assert all(s.theta == 0.25 and not s.zeta for s in new_states.values())
+        assert new_states == states
+        # Nobody is loud, so no message is sent and nothing is read.
+        assert audit.reads == []
+
+    def test_one_loud_agent_sends_one_message_per_neighbor(self, toy_game):
+        # Only the last window is gated on; it can slide off its neighbor's
+        # overlap, so it is the one loud agent of the round.
+        last = max(toy_game.active_indices)
+        states = {
+            k: AgentRoundState(theta=0.0, zeta=k == last) for k in toy_game.active_indices
+        }
+        audit = AccessAudit()
+        _, trace = run_round(
+            toy_game, states, cover_of(toy_game, states), self.cfg, audit=audit
+        )
+        assert [k for k, r in trace.regrets.items() if r > self.cfg.epsilon] == [last]
+        neighbors = toy_game.neighbors(last)
+        assert len(neighbors) >= 2
+        regret_reads = [r for r in audit.reads if r[2] == "regret"]
+        assert sorted(regret_reads) == sorted((l, last, "regret") for l in neighbors)
+        assert trace.zetas == {
+            k: k == last or k in neighbors for k in toy_game.active_indices
+        }
 
     def test_single_agent_innovates_and_phi_rises_by_its_regret(self):
         game = single_agent_game()
