@@ -1,5 +1,6 @@
 """Harness: method runs, sweeps, file emission, determinism."""
 import csv
+import hashlib
 import json
 import math
 
@@ -125,11 +126,25 @@ BUNDLED_CENTRALIZED_THETA = [
     "0x1.e35b255060060p-6", "0x1.5a8b46e30975ap-4", "0x0.0p+0",
     "-0x1.0fed031099f1cp-4",
 ]
+# sha256 over every round of the bundled distributed run, as hashed below.
+BUNDLED_TRACE_SHA256 = "eb0d5cb478885b3c285904ff88274e88d4a07f4e65b267b484938685f17338e8"
 
 
 def test_bundled_outcome_is_pinned():
     cfg = load_scenario(bundled_scenario_path())
-    distributed, _ = run_distributed(cfg)
+    distributed, result = run_distributed(cfg)
+    rounds = [
+        (
+            t.iteration,
+            t.phi.hex(),
+            t.innovators,
+            sorted((k, r.hex()) for k, r in t.regrets.items()),
+            sorted(t.zetas.items()),
+        )
+        for t in result.traces
+    ]
+    assert len(rounds) == 20
+    assert hashlib.sha256(repr(rounds).encode()).hexdigest() == BUNDLED_TRACE_SHA256
     centralized, _ = run_centralized(cfg)
     assert distributed.value.hex() == "0x1.2317d71c756afp+13"
     assert distributed.converged_at == 7
