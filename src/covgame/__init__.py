@@ -46,7 +46,6 @@ from .orbit import (
 from .scenario import ScenarioConfig, ScenarioError, bundled_scenario_path, load_scenario
 from .search import (
     AccessAudit,
-    AgentRoundState,
     RoundTrace,
     SearchConfig,
     SearchResult,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessAudit",
-    "AgentRoundState",
     "AgentSpec",
     "CertificationReport",
     "ComparisonReport",

@@ -156,7 +156,8 @@ class GameInstance:
     selects the cells no neighbor covers as those where a
     :class:`CoverCount` of all active agents equals the agent's own
     incumbent mask, which matches the OR of its neighbors' masks on every
-    cell the agent can cover, and a scan reads no other cell.
+    cell the agent can cover, and a scan reads no other cell; the cells of
+    the incumbent mask where the count is 1 are those it covers alone.
 
     Besides the mask cache, the instance keeps one entry per active agent:
     its last exact best response and the neighbor strategies it answered,
@@ -398,14 +399,13 @@ def best_response_objective(
 class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
-    ``neighbors`` holds the neighbor strategies in ascending neighbor order
-    and ``uncovered`` the cells selected as covered by none of them, exact on
-    every cell the agent can cover. The entry holds no
-    reference to the game, so storing it on the game makes no cycle.
+    ``neighbors`` holds the neighbor strategies in ascending neighbor order,
+    ``theta_star`` the first maximizer and ``best`` its local objective. The
+    entry holds no reference to the game, so storing it on the game makes no
+    cycle.
     """
 
     neighbors: tuple[float, ...]
-    uncovered: np.ndarray
     theta_star: float
     best: float
 
@@ -424,7 +424,9 @@ def best_response_gain(
     neighbor covers are those where the count equals the agent's own
     incumbent mask; by the graph contract of :class:`GameInstance` these
     are, on every cell the agent can cover, the cells outside the OR of its
-    neighbors' masks, so no fold over the neighbors runs.
+    neighbors' masks, so no fold over the neighbors runs. For the same
+    reason the incumbent's local objective counts the cells of its own mask
+    where the count is 1.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -450,10 +452,11 @@ def best_response_gain(
     """
     order = sorted(game.neighbors(index))
     neighbors = tuple(neighbor_thetas[l] for l in order)
+    own = game.coverage(index, theta)
+    agent = game.agent(index)
     response = game._responses.get(index)
     if response is None or response.neighbors != neighbors:
-        uncovered = cover.alone(game.coverage(index, theta))
-        agent = game.agent(index)
+        uncovered = cover.alone(own)
         space = agent.strategy_space
         starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
         z = min(max(0.0, space.lo), space.hi)
@@ -470,10 +473,11 @@ def best_response_gain(
             return gains - gamma * energy_penalty(agent, thetas)
 
         theta_star, best = maximize_scalar(objective, candidates)
-        response = _Response(neighbors, uncovered, theta_star, best)
+        response = _Response(neighbors, theta_star, best)
         game._responses[index] = response
-    gain = response.best - _local_objective(game, index, response.uncovered, theta)
-    return response.theta_star, gain
+    alone = float(np.count_nonzero(cover.counts[own] == 1))
+    incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)
+    return response.theta_star, response.best - incumbent
 
 
 def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, frozenset[int]]:

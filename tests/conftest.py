@@ -6,7 +6,6 @@ import pytest
 
 from covgame.game import (
     AgentSpec,
-    CoverCount,
     GameInstance,
     StrategyInterval,
     StrategyProfile,
@@ -241,14 +240,6 @@ def toy_game() -> GameInstance:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240815)
-
-
-def cover_of(game: GameInstance, states) -> CoverCount:
-    """The cover count of round states, built as ``run_search`` builds its own."""
-    theta = np.zeros(game.n_agents)
-    for k, state in states.items():
-        theta[k - 1] = state.theta
-    return CoverCount(game, StrategyProfile(theta))
 
 
 def random_profile(game: GameInstance, rng: np.random.Generator):

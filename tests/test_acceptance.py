@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from covgame.game import (
+    CoverCount,
     StrategyProfile,
     certify_epsilon_equilibrium,
     global_value,
@@ -27,9 +28,9 @@ from covgame.harness import (
 from covgame.measure import TimeGrid, union_many
 from covgame.orbit import orbital_period, rot_x, rot_y, rot_z, satellite_position_ecf, drift_rates
 from covgame.scenario import bundled_scenario_path, load_scenario
-from covgame.search import AccessAudit, AgentRoundState, SearchConfig, run_round, run_search
+from covgame.search import AccessAudit, SearchConfig, run_round, run_search
 
-from conftest import cover_of, random_profile, sliding_window_game, two_cluster_game
+from conftest import random_profile, sliding_window_game, two_cluster_game
 
 DEG = math.pi / 180.0
 
@@ -111,18 +112,25 @@ def test_criterion_2_round_accounting_and_commutation(baseline_cfg, baseline_gam
     # orders reproduces the simultaneous improvement. Checked on the round-one
     # orbital election and on a toy built to elect exactly two.
     captured = []
-    states = {
-        k: AgentRoundState(theta=0.0, zeta=True) for k in baseline_game.active_indices
-    }
-    new_states, trace1 = run_round(
-        baseline_game, states, cover_of(baseline_game, states), baseline_cfg.search, iteration=1
+    start = StrategyProfile.zeros(baseline_game.n_agents)
+    after, trace1 = run_round(
+        baseline_game,
+        start,
+        dict.fromkeys(baseline_game.active_indices, True),
+        CoverCount(baseline_game, start),
+        baseline_cfg.search,
+        iteration=1,
     )
     if len(trace1.innovators) == 2:
-        captured.append((baseline_game, new_states, trace1))
+        captured.append((baseline_game, after, trace1))
     toy = two_cluster_game()
-    toy_states = {k: AgentRoundState(theta=0.0, zeta=True) for k in toy.active_indices}
+    toy_start = StrategyProfile.zeros(toy.n_agents)
     toy_new, toy_trace = run_round(
-        toy, toy_states, cover_of(toy, toy_states), SearchConfig(0.1, 1)
+        toy,
+        toy_start,
+        dict.fromkeys(toy.active_indices, True),
+        CoverCount(toy, toy_start),
+        SearchConfig(0.1, 1),
     )
     assert len(toy_trace.innovators) == 2
     captured.append((toy, toy_new, toy_trace))
@@ -135,7 +143,7 @@ def test_criterion_2_round_accounting_and_commutation(baseline_cfg, baseline_gam
         for order in ((a, b), (b, a)):
             profile = zeros
             for k in order:
-                profile = profile.replace(k, adopted[k].theta)
+                profile = profile.replace(k, adopted.for_agent(k))
             assert global_value(game, profile) - phi0 == pytest.approx(
                 trace.phi - phi0, abs=1e-6
             )

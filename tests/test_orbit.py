@@ -42,9 +42,9 @@ from covgame.orbit import (
     satellite_position_ecf,
     target_position_ecf,
 )
-from covgame.search import AgentRoundState, SearchConfig, run_round
+from covgame.search import SearchConfig, run_round
 
-from conftest import CallCounter, cover_of, sampled_reach_graph
+from conftest import CallCounter, sampled_reach_graph
 
 DEG = math.pi / 180.0
 
@@ -1240,19 +1240,16 @@ class TestCoverCount:
     @given(case=mini_games(), rounds=st.integers(1, 4))
     def test_round_phi_reads_the_live_count(self, case, rounds):
         game, profile = case
-        states = {
-            k: AgentRoundState(theta=profile.for_agent(k), zeta=True)
-            for k in game.active_indices
-        }
-        cover = cover_of(game, states)
+        zetas = dict.fromkeys(game.active_indices, True)
+        cover = CoverCount(game, profile)
         for p in range(1, rounds + 1):
-            states, trace = run_round(game, states, cover, SearchConfig(1e-3, rounds), p)
-            rebuilt = cover_of(game, states)
+            profile, trace = run_round(
+                game, profile, zetas, cover, SearchConfig(1e-3, rounds), p
+            )
+            zetas = trace.zetas
+            rebuilt = CoverCount(game, profile)
             assert np.array_equal(cover.counts, rebuilt.counts)
-            theta = np.zeros(game.n_agents)
-            for k, state in states.items():
-                theta[k - 1] = state.theta
-            assert trace.phi.hex() == global_value(game, StrategyProfile(theta)).hex()
+            assert trace.phi.hex() == global_value(game, profile).hex()
 
     @settings(max_examples=30, deadline=None)
     @given(case=mini_games(), cell=st.integers(0, 10**6), gates=st.booleans())
@@ -1261,17 +1258,13 @@ class TestCoverCount:
         # round adopts. A covered cell that counts none is caught in a round
         # that adopts nothing; a mover could carry it off in an open one.
         game, profile = case
-        states = {
-            k: AgentRoundState(theta=profile.for_agent(k), zeta=gates)
-            for k in game.active_indices
-        }
-        cover = cover_of(game, states)
+        cover = CoverCount(game, profile)
         cell %= game.n_cells
         if cover.counts[cell]:
             cover.counts[cell] = 0
-            for state in states.values():
-                state.zeta = False
+            gates = False
         else:
             cover.counts[cell] = 1
+        zetas = dict.fromkeys(game.active_indices, gates)
         with pytest.raises(RuntimeError, match="cover count"):
-            run_round(game, states, cover, SearchConfig(1e-3, 1))
+            run_round(game, profile, zetas, cover, SearchConfig(1e-3, 1))

@@ -1,5 +1,6 @@
 """Round engine: election rules, round accounting, gates, convergence, audit."""
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from covgame.game import (
     AgentSpec,
+    CoverCount,
     GameInstance,
     StrategyInterval,
     StrategyProfile,
@@ -17,7 +19,6 @@ from covgame.game import (
 from covgame.measure import TimeGrid
 from covgame.search import (
     AccessAudit,
-    AgentRoundState,
     SearchConfig,
     elect_innovators,
     iteration_bound,
@@ -27,8 +28,8 @@ from covgame.search import (
 
 from conftest import (
     as_generator,
-    cover_of,
     lattice,
+    reach_graph,
     sliding_window_game,
     two_cluster_game,
     window_mask,
@@ -105,14 +106,15 @@ def round_with_regrets(graph, regrets, gated, audit=None):
     """One ``run_round`` in which each gated agent's best response keeps its
     strategy and reports the given regret."""
     game = blank_game(graph)
-    states = {k: AgentRoundState(theta=0.0, zeta=gated[k]) for k in graph}
+    profile = StrategyProfile.zeros(game.n_agents)
 
     def best_response_gain(game, k, view, theta, cover):
         return theta, regrets[k]
 
     with mock.patch("covgame.search.best_response_gain", best_response_gain):
         return run_round(
-            game, states, cover_of(game, states), SearchConfig(EPSILON, 1), audit=audit
+            game, profile, gated, CoverCount(game, profile), SearchConfig(EPSILON, 1),
+            audit=audit,
         )
 
 
@@ -170,13 +172,13 @@ class TestLoudOnlyExchange:
     def test_round_matches_all_neighbor_rule(self, case):
         graph, regrets, gated = case
         audit = AccessAudit()
-        new_states, trace = round_with_regrets(graph, regrets, gated, audit)
+        profile, trace = round_with_regrets(graph, regrets, gated, audit)
         reported = {k: regrets[k] if gated[k] else 0.0 for k in graph}
         assert trace.regrets == reported
         innovators = all_neighbor_election(reported, graph, EPSILON)
         assert trace.innovators == innovators
         assert trace.zetas == all_neighbor_gates(reported, graph, EPSILON, innovators)
-        assert all(s.theta == 0.0 for s in new_states.values())
+        assert not profile.theta.any()
         # One message per loud agent and neighbor, and nothing else.
         sent = sorted(
             (l, k, "regret") for k, r in reported.items() if r > EPSILON for l in graph[k]
@@ -246,16 +248,16 @@ class TestRunRound:
     cfg = SearchConfig(epsilon=0.1, max_rounds=5)
 
     def test_all_gates_closed_is_noop(self, toy_game):
-        states = {
-            k: AgentRoundState(theta=0.25, zeta=False) for k in toy_game.active_indices
-        }
+        profile = StrategyProfile(np.full(toy_game.n_agents, 0.25))
+        zetas = dict.fromkeys(toy_game.active_indices, False)
+        cover = CoverCount(toy_game, profile)
+        counts = cover.counts.copy()
         audit = AccessAudit()
-        new_states, trace = run_round(
-            toy_game, states, cover_of(toy_game, states), self.cfg, audit=audit
-        )
+        after, trace = run_round(toy_game, profile, zetas, cover, self.cfg, audit=audit)
         assert trace.innovators == ()
         assert all(r == 0.0 for r in trace.regrets.values())
-        assert new_states == states
+        assert after is profile
+        assert np.array_equal(cover.counts, counts)
         # Nobody is loud, so no message is sent and nothing is read.
         assert audit.reads == []
 
@@ -263,12 +265,11 @@ class TestRunRound:
         # Only the last window is gated on; it can slide off its neighbor's
         # overlap, so it is the one loud agent of the round.
         last = max(toy_game.active_indices)
-        states = {
-            k: AgentRoundState(theta=0.0, zeta=k == last) for k in toy_game.active_indices
-        }
+        profile = StrategyProfile.zeros(toy_game.n_agents)
+        zetas = {k: k == last for k in toy_game.active_indices}
         audit = AccessAudit()
         _, trace = run_round(
-            toy_game, states, cover_of(toy_game, states), self.cfg, audit=audit
+            toy_game, profile, zetas, CoverCount(toy_game, profile), self.cfg, audit=audit
         )
         assert [k for k, r in trace.regrets.items() if r > self.cfg.epsilon] == [last]
         neighbors = toy_game.neighbors(last)
@@ -281,25 +282,26 @@ class TestRunRound:
 
     def test_single_agent_innovates_and_phi_rises_by_its_regret(self):
         game = single_agent_game()
-        states = {1: AgentRoundState(theta=0.0, zeta=True)}
-        phi0 = global_value(game, StrategyProfile.zeros(1))
-        new_states, trace = run_round(
-            game, states, cover_of(game, states), self.cfg, iteration=1
+        profile = StrategyProfile.zeros(1)
+        phi0 = global_value(game, profile)
+        _, trace = run_round(
+            game, profile, {1: True}, CoverCount(game, profile), self.cfg, iteration=1
         )
         assert trace.innovators == (1,)
         assert trace.phi - phi0 == pytest.approx(trace.regrets[1], abs=1e-9)
-        assert new_states[1].zeta
+        assert trace.zetas[1]
 
     def test_round_improvement_equals_innovator_regret_sum(self, rng):
         # Accounting identity, checked on every round of a full toy run.
         game = sliding_window_game(n_agents=6)
         cfg = SearchConfig(epsilon=0.05, max_rounds=12)
         profile = StrategyProfile.zeros(game.n_agents)
-        states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
+        zetas = dict.fromkeys(game.active_indices, True)
         phi = global_value(game, profile)
-        cover = cover_of(game, states)
+        cover = CoverCount(game, profile)
         for p in range(1, cfg.max_rounds + 1):
-            states, trace = run_round(game, states, cover, cfg, iteration=p)
+            profile, trace = run_round(game, profile, zetas, cover, cfg, iteration=p)
+            zetas = trace.zetas
             gained = sum(trace.regrets[k] for k in trace.innovators)
             assert trace.phi - phi == pytest.approx(gained, abs=1e-6)
             assert trace.phi >= phi - 1e-9
@@ -317,9 +319,9 @@ class TestRunRound:
         as_generator(coverage, grid, [0.75])
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
-        states = {1: AgentRoundState(theta=0.0, zeta=True)}
+        profile = StrategyProfile.zeros(1)
         with pytest.raises(RuntimeError, match="agent 1"):
-            run_round(game, states, cover_of(game, states), self.cfg)
+            run_round(game, profile, {1: True}, CoverCount(game, profile), self.cfg)
 
 
 class TestSequentialEquivalence:
@@ -328,10 +330,12 @@ class TestSequentialEquivalence:
         # orders: the total improvement matches the simultaneous round.
         game = two_cluster_game()
         cfg = SearchConfig(epsilon=0.1, max_rounds=1)
-        states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
+        zetas = dict.fromkeys(game.active_indices, True)
         profile0 = StrategyProfile.zeros(game.n_agents)
         phi0 = global_value(game, profile0)
-        new_states, trace = run_round(game, states, cover_of(game, states), cfg, iteration=1)
+        adopted, trace = run_round(
+            game, profile0, zetas, CoverCount(game, profile0), cfg, iteration=1
+        )
         assert len(trace.innovators) == 2
         a, b = trace.innovators
         assert b not in game.neighbors(a)
@@ -339,7 +343,7 @@ class TestSequentialEquivalence:
         for order in ((a, b), (b, a)):
             profile = profile0
             for k in order:
-                profile = profile.replace(k, new_states[k].theta)
+                profile = profile.replace(k, adopted.for_agent(k))
             assert global_value(game, profile) - phi0 == pytest.approx(
                 delta_round, abs=1e-9
             )
@@ -407,6 +411,16 @@ class TestRunSearch:
                 result.final_profile.for_agent(k)
             )
 
+    def test_inactive_entries_come_out_zero(self):
+        toy = sliding_window_game(n_agents=6)
+        agents = tuple(replace(a, active=a.index not in (2, 5)) for a in toy.agents)
+        graph = reach_graph(agents, toy.coverage_fn)
+        game = GameInstance(agents, toy.grid, toy.coverage_fn, toy.gamma, graph)
+        initial = StrategyProfile.zeros(game.n_agents).replace(2, 0.5).replace(5, -0.75)
+        result = run_search(game, initial, SearchConfig(0.05, 10))
+        assert result.final_profile.for_agent(2) == 0.0
+        assert result.final_profile.for_agent(5) == 0.0
+
     def test_initial_profile_validated(self, toy_game):
         bad = StrategyProfile.zeros(toy_game.n_agents).replace(2, 50.0)
         with pytest.raises(ValueError, match="outside"):
@@ -424,8 +438,11 @@ class TestLocalityAudit:
     def test_view_blocks_non_neighbor_keys(self):
         game = sliding_window_game(n_agents=6)
         audit = AccessAudit()
-        states = {k: AgentRoundState(theta=0.0, zeta=True) for k in game.active_indices}
-        run_round(game, states, cover_of(game, states), SearchConfig(0.05, 1), audit=audit)
+        profile = StrategyProfile.zeros(game.n_agents)
+        zetas = dict.fromkeys(game.active_indices, True)
+        run_round(
+            game, profile, zetas, CoverCount(game, profile), SearchConfig(0.05, 1), audit=audit
+        )
         readers = {(reader, owner) for reader, owner, _ in audit.reads}
         for reader, owner in readers:
             assert owner in game.neighbor_graph[reader]
