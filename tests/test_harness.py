@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from covgame.harness import (
     write_sweep_energy_csv,
 )
 from covgame.orbit import ConstellationCoverage
+from covgame.search import AccessAudit
 from covgame.scenario import bundled_scenario_path, load_scenario, parse_scenario
 
 from conftest import CallCounter, mini_scenario_doc
@@ -128,11 +130,14 @@ BUNDLED_CENTRALIZED_THETA = [
 ]
 # sha256 over every round of the bundled distributed run, as hashed below.
 BUNDLED_TRACE_SHA256 = "eb0d5cb478885b3c285904ff88274e88d4a07f4e65b267b484938685f17338e8"
+# sha256 over the repr of every cross-agent read of that run, in order.
+BUNDLED_AUDIT_SHA256 = "dbafd5e13d17dd122e3eb9e9b16b8e73d16fe673ec88246b724330e0202cc2e6"
 
 
 def test_bundled_outcome_is_pinned():
     cfg = load_scenario(bundled_scenario_path())
-    distributed, result = run_distributed(cfg)
+    audit = AccessAudit()
+    distributed, result = run_distributed(cfg, audit=audit)
     rounds = [
         (
             t.iteration,
@@ -145,6 +150,8 @@ def test_bundled_outcome_is_pinned():
     ]
     assert len(rounds) == 20
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == BUNDLED_TRACE_SHA256
+    assert Counter(kind for _, _, kind in audit.reads) == {"theta": 820, "regret": 324}
+    assert hashlib.sha256(repr(audit.reads).encode()).hexdigest() == BUNDLED_AUDIT_SHA256
     centralized, _ = run_centralized(cfg)
     assert distributed.value.hex() == "0x1.2317d71c756afp+13"
     assert distributed.converged_at == 7
