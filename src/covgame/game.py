@@ -148,7 +148,11 @@ class GameInstance:
     active agent's exact ``reachable_mask(k)``, the cells it covers for some
     strategy of its interval, as the orbit kernel's
     :class:`~covgame.orbit.ConstellationCoverage` does; a graph written by
-    hand must hold at least the pairs that one would.
+    hand must hold at least the pairs that one would. ``neighbor_positions``
+    holds the same graph once more: for each active agent, the 0-based
+    profile positions of its neighbors in ascending order, as a read-only
+    ``np.intp`` array, so an agent pulls its neighbors' strategies as one
+    gather, ``profile.theta[game.neighbor_positions[k]]``.
 
     The graph must contain every pair that can ever cover a common cell: on
     the cells an agent can cover for some strategy (its reach), only its
@@ -160,8 +164,9 @@ class GameInstance:
     the incumbent mask where the count is 1 are those it covers alone.
 
     Besides the mask cache, the instance keeps one entry per active agent:
-    its last exact best response and the neighbor strategies it answered,
-    which :func:`best_response_gain` reuses while they stand still.
+    its last exact best response and the gathered array of neighbor
+    strategies it answered, which :func:`best_response_gain` reuses while
+    they stand still.
     """
 
     def __init__(
@@ -197,6 +202,11 @@ class GameInstance:
                 if k not in graph[l]:
                     raise ValueError(f"neighbor graph is not symmetric at ({k},{l})")
         self.neighbor_graph: dict[int, frozenset[int]] = graph
+        self.neighbor_positions: dict[int, np.ndarray] = {}
+        for k, neigh in graph.items():
+            positions = np.array(sorted(neigh), dtype=np.intp) - 1
+            positions.flags.writeable = False
+            self.neighbor_positions[k] = positions
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
         self._responses: dict[int, _Response] = {}
 
@@ -348,8 +358,8 @@ def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> flo
     """
     if not game.agent(index).active:
         raise ValueError(f"agent {index} is not active")
-    view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    f, _ = best_response_objective(game, index, view)
+    neighbors = profile.theta[game.neighbor_positions[index]]
+    f, _ = best_response_objective(game, index, neighbors)
     return f(profile.for_agent(index))
 
 
@@ -357,8 +367,8 @@ def regret(
     game: GameInstance, index: int, theta_new: float, profile: StrategyProfile
 ) -> float:
     """Local-objective change if ``index`` unilaterally switches to ``theta_new``."""
-    view = {l: profile.for_agent(l) for l in game.neighbors(index)}
-    f, _ = best_response_objective(game, index, view)
+    neighbors = profile.theta[game.neighbor_positions[index]]
+    f, _ = best_response_objective(game, index, neighbors)
     return f(theta_new) - f(profile.for_agent(index))
 
 
@@ -376,22 +386,23 @@ def _local_objective(
 
 
 def best_response_objective(
-    game: GameInstance, index: int, neighbor_thetas: Mapping[int, float]
+    game: GameInstance, index: int, neighbor_thetas: np.ndarray
 ) -> tuple[Callable[[float], float], np.ndarray]:
     """Local objective of one agent with its neighbors frozen.
 
-    The information-restricted entry point: it reads nothing beyond the
-    supplied neighbor strategies, which must cover every graph neighbor of
-    ``index``. The neighbor union is fixed while one agent varies its own
-    strategy, so it is folded once; each scalar evaluation then costs one
-    coverage mask and one masked count.
+    The information-restricted entry point: it reads nothing beyond
+    ``neighbor_thetas``, the gather of the neighbors' strategies at
+    ``game.neighbor_positions[index]``, one per graph neighbor of ``index``
+    in ascending order (``ValueError`` if the count differs). The neighbor
+    union is fixed while one agent varies its own strategy, so it is folded
+    once, in neighbor order; each scalar evaluation then costs one coverage
+    mask and one masked count.
 
     Returns ``(f, uncovered)``: the scalar objective, and the mask of cells
     no neighbor covers, which is what ``f`` counts.
     """
-    neighbor_sets = [
-        game.coverage(l, neighbor_thetas[l]) for l in sorted(game.neighbors(index))
-    ]
+    pairs = zip(game.neighbor_positions[index].tolist(), neighbor_thetas.tolist(), strict=True)
+    neighbor_sets = [game.coverage(l + 1, t) for l, t in pairs]
     uncovered = ~union_many(neighbor_sets, game.n_cells)
     return partial(_local_objective, game, index, uncovered), uncovered
 
@@ -399,13 +410,13 @@ def best_response_objective(
 class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
-    ``neighbors`` holds the neighbor strategies in ascending neighbor order,
-    ``theta_star`` the first maximizer and ``best`` its local objective. The
-    entry holds no reference to the game, so storing it on the game makes no
-    cycle.
+    ``neighbors`` is the gathered array of neighbor strategies it answered,
+    in ascending neighbor order, ``theta_star`` the first maximizer and
+    ``best`` its local objective. The entry holds no reference to the game,
+    so storing it on the game makes no cycle.
     """
 
-    neighbors: tuple[float, ...]
+    neighbors: np.ndarray
     theta_star: float
     best: float
 
@@ -413,20 +424,22 @@ class _Response(NamedTuple):
 def best_response_gain(
     game: GameInstance,
     index: int,
-    neighbor_thetas: Mapping[int, float],
+    neighbor_thetas: np.ndarray,
     theta: float,
     cover: CoverCount,
 ) -> tuple[float, float]:
     """Exact best response of agent ``index`` to frozen neighbors, and its gain.
 
-    ``cover`` is the :class:`CoverCount` of the profile in which the agent
-    plays ``theta`` and its neighbors play ``neighbor_thetas``. The cells no
-    neighbor covers are those where the count equals the agent's own
-    incumbent mask; by the graph contract of :class:`GameInstance` these
-    are, on every cell the agent can cover, the cells outside the OR of its
-    neighbors' masks, so no fold over the neighbors runs. For the same
-    reason the incumbent's local objective counts the cells of its own mask
-    where the count is 1.
+    ``neighbor_thetas`` is the one gather of the neighbors' strategies,
+    ``profile.theta[game.neighbor_positions[index]]``, in ascending neighbor
+    order, and ``cover`` is the :class:`CoverCount` of the profile in which
+    the agent plays ``theta`` and its neighbors play ``neighbor_thetas``.
+    The cells no neighbor covers are those where the count equals the
+    agent's own incumbent mask; by the graph contract of
+    :class:`GameInstance` these are, on every cell the agent can cover, the
+    cells outside the OR of its neighbors' masks, so no fold over the
+    neighbors runs. For the same reason the incumbent's local objective
+    counts the cells of its own mask where the count is 1.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -441,21 +454,21 @@ def best_response_gain(
     so repeats leave the first maximizer alone.
 
     The best response depends on the neighbor strategies only, so the game
-    keeps each agent's last one: each neighbor strategy is read once, and
-    while they all equal those of the agent's last scan, the stored
-    maximizer is returned without a scan; otherwise the agent scans and
-    replaces its entry.
+    keeps each agent's last one with the array it answered: while
+    ``neighbor_thetas`` equals that array (``np.array_equal``, under which
+    ``-0.0`` equals ``0.0`` and NaN equals nothing), the stored maximizer is
+    returned without a scan; otherwise the agent scans and replaces its
+    entry, keeping ``neighbor_thetas`` itself, which the caller must not
+    change afterwards.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over ``theta``, which is never
     negative.
     """
-    order = sorted(game.neighbors(index))
-    neighbors = tuple(neighbor_thetas[l] for l in order)
     own = game.coverage(index, theta)
     agent = game.agent(index)
     response = game._responses.get(index)
-    if response is None or response.neighbors != neighbors:
+    if response is None or not np.array_equal(response.neighbors, neighbor_thetas):
         uncovered = cover.alone(own)
         space = agent.strategy_space
         starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
@@ -473,7 +486,7 @@ def best_response_gain(
             return gains - gamma * energy_penalty(agent, thetas)
 
         theta_star, best = maximize_scalar(objective, candidates)
-        response = _Response(neighbors, theta_star, best)
+        response = _Response(neighbor_thetas, theta_star, best)
         game._responses[index] = response
     alone = float(np.count_nonzero(cover.counts[own] == 1))
     incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)
@@ -543,8 +556,8 @@ def certify_epsilon_equilibrium(
     worst_agent: int | None = None
     worst_gain = -np.inf
     for k in game.active_indices:
-        view = {l: profile.for_agent(l) for l in game.neighbors(k)}
-        _, gain = best_response_gain(game, k, view, profile.for_agent(k), cover)
+        neighbors = profile.theta[game.neighbor_positions[k]]
+        _, gain = best_response_gain(game, k, neighbors, profile.for_agent(k), cover)
         gains[k] = gain
         if gain > worst_gain:
             worst_gain = gain

@@ -30,12 +30,11 @@ from .game import (
 )
 from .optimize import pattern_search
 from .orbit import drift_rates, orbital_period
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, assumption_envelopes, round_bound
 from .search import (
     AccessAudit,
     RoundTrace,
     SearchResult,
-    iteration_bound,
     run_search,
 )
 
@@ -64,28 +63,6 @@ class EnergySweepPoint:
     theta_max: float
     abs_theta_agent: float
     abs_theta_neighbor: float
-
-
-def assumption_envelopes(cfg: ScenarioConfig) -> tuple[float, float]:
-    """Loose but certainly valid global-objective bounds for this scenario.
-
-    Upper: the whole horizon covered at zero penalty. Lower: nothing covered
-    and every active agent paying the worst-case penalty of its interval.
-    """
-    phi_max = cfg.grid.duration
-    worst = max(abs(cfg.strategy_space.lo), abs(cfg.strategy_space.hi))
-    phi_min = -cfg.gamma * sum(
-        (worst / cfg.theta_max[k - 1]) ** 2
-        for k in range(1, cfg.n_satellites + 1)
-        if k not in cfg.damaged
-    )
-    return phi_min, phi_max
-
-
-def round_bound(cfg: ScenarioConfig) -> int:
-    """Guaranteed-convergence round count from the scenario envelopes."""
-    phi_min, phi_max = assumption_envelopes(cfg)
-    return iteration_bound(phi_min, phi_max, cfg.search.epsilon)
 
 
 def run_distributed(
@@ -130,9 +107,9 @@ def _polish(
     while moved:
         moved = False
         for k in game.active_indices:
-            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            neighbors = profile.theta[game.neighbor_positions[k]]
             own = profile.for_agent(k)
-            theta, gain = best_response_gain(game, k, view, own, cover)
+            theta, gain = best_response_gain(game, k, neighbors, own, cover)
             if gain > 0.0:
                 cover.adopt(game, {k: (own, theta)})
                 profile = profile.replace(k, theta)

@@ -24,7 +24,7 @@ from .orbit import (
     TargetSpec,
     build_constellation_game,
 )
-from .search import SearchConfig
+from .search import SearchConfig, iteration_bound
 
 
 class ScenarioError(ValueError):
@@ -174,7 +174,14 @@ class ScenarioConfig:
         return replace(self, search=search)
 
 
-def _parse_theta_max(data: Mapping[str, Any], n: int, path: str) -> tuple[float, ...]:
+def _parse_theta_max(
+    data: Mapping[str, Any], n: int, path: str, worst: float
+) -> tuple[float, ...]:
+    """Each satellite's energy surplus, radians.
+
+    ``worst`` is the largest ``|theta|`` of the strategy bounds; a surplus
+    so small that its penalty overflows there is rejected.
+    """
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{path}: expected an object with 'unit' and a value")
     if "unit" not in data:
@@ -185,18 +192,26 @@ def _parse_theta_max(data: Mapping[str, Any], n: int, path: str) -> tuple[float,
     if unit not in ("radian", "degree"):
         raise ScenarioError(f"{path}.unit: must be 'radian' or 'degree', got {unit!r}")
     scale = 1.0 if unit == "radian" else math.pi / 180.0
+
+    def surplus(value: Any, at: str) -> float:
+        theta_max = _positive(_finite(value, at), at) * scale
+        ratio = worst / theta_max if theta_max > 0.0 else math.inf
+        if not math.isfinite(ratio * ratio):
+            raise ScenarioError(
+                f"{at}: too small, the penalty ({worst} / {theta_max}) ** 2 of the "
+                f"widest strategy bound is not finite"
+            )
+        return theta_max
+
     if "value" in data and "values" in data:
         raise ScenarioError(f"{path}: give either 'value' or 'values', not both")
     if "value" in data:
-        return (_positive(_number(data, "value", path), f"{path}.value") * scale,) * n
+        return (surplus(_get(data, "value", path), f"{path}.value"),) * n
     if "values" in data:
         values = data["values"]
         if not isinstance(values, list) or len(values) != n:
             raise ScenarioError(f"{path}.values: expected a list of {n} numbers")
-        return tuple(
-            _positive(_finite(v, f"{path}.values[{i}]"), f"{path}.values[{i}]") * scale
-            for i, v in enumerate(values)
-        )
+        return tuple(surplus(v, f"{path}.values[{i}]") for i, v in enumerate(values))
     raise ScenarioError(f"{path}: missing 'value' or 'values'")
 
 
@@ -284,10 +299,18 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             f"game.strategy_bounds_deg: must lie within [-180, 180], got {bounds!r}"
         )
     strategy_space = _build("game.strategy_bounds_deg", StrategyInterval, lo=lo, hi=hi)
+    # Both methods start from the zero profile, the nominal slots.
+    if not lo <= 0.0 <= hi:
+        raise ScenarioError(
+            f"game.strategy_bounds_deg: must contain 0, the start of every method, "
+            f"got {bounds!r}"
+        )
     gamma = _number(game_doc, "gamma", "game")
     if gamma < 0.0:
         raise ScenarioError(f"game.gamma: must be non-negative, got {gamma!r}")
-    theta_max = _parse_theta_max(_get(game_doc, "theta_max", "game"), n, "game.theta_max")
+    theta_max = _parse_theta_max(
+        _get(game_doc, "theta_max", "game"), n, "game.theta_max", max(abs(lo), abs(hi))
+    )
 
     search_doc = _section(doc, "search", name_hint)
     search = _build(
@@ -314,7 +337,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     ):
         raise ScenarioError("damaged: expected a list of integer satellite indices")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         name=str(doc.get("name", name_hint)),
         constants=constants,
         constellation=constellation,
@@ -327,6 +350,30 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         search=search,
         centralized=centralized,
     )
+    _build("search.epsilon_s", round_bound, cfg=cfg)
+    return cfg
+
+
+def assumption_envelopes(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Loose but certainly valid global-objective bounds for this scenario.
+
+    Upper: the whole horizon covered at zero penalty. Lower: nothing covered
+    and every active agent paying the worst-case penalty of its interval.
+    """
+    phi_max = cfg.grid.duration
+    worst = max(abs(cfg.strategy_space.lo), abs(cfg.strategy_space.hi))
+    phi_min = -cfg.gamma * sum(
+        (worst / cfg.theta_max[k - 1]) ** 2
+        for k in range(1, cfg.n_satellites + 1)
+        if k not in cfg.damaged
+    )
+    return phi_min, phi_max
+
+
+def round_bound(cfg: ScenarioConfig) -> int:
+    """Guaranteed-convergence round count from the scenario envelopes."""
+    phi_min, phi_max = assumption_envelopes(cfg)
+    return iteration_bound(phi_min, phi_max, cfg.search.epsilon)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

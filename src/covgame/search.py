@@ -25,9 +25,11 @@ update it and check the potential identity in whole cells, and the round's
 ``phi`` is read off its covered-cell count, so no round folds masks.
 
 All inter-agent information flow goes through explicit per-round
-exchanges, strategy views and regret messages; an update never reads state
-beyond the agent itself and its graph neighbors, and an
-:class:`AccessAudit` can record every cross-agent read, one per message.
+exchanges: each gated agent pulls its neighbors' strategies as one gather
+of the profile at its ``neighbor_positions``, and loud agents send regret
+messages. An update never reads state beyond the agent itself and its graph
+neighbors, and an :class:`AccessAudit` can record every cross-agent read:
+one per neighbor strategy pulled, and one per message.
 The cover count is shared, but on the cells an agent can cover only the
 agent and its neighbors are counted (the graph contract of
 :class:`~covgame.game.GameInstance`), and a best response reads no other
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -117,31 +119,6 @@ class AccessAudit:
             for reader, owner, kind in self.reads
             if owner != reader and owner not in graph[reader]
         ]
-
-
-class _ExchangeView(Mapping[int, float]):
-    """Read access to the strategies one agent pulled from its neighbors.
-
-    ``audit`` records each read as a ``"theta"`` read of the owner.
-    """
-
-    def __init__(
-        self, reader: int, values: dict[int, float], audit: AccessAudit | None
-    ) -> None:
-        self._reader = reader
-        self._values = values
-        self._audit = audit
-
-    def __getitem__(self, owner: int) -> float:
-        if self._audit is not None:
-            self._audit.record(self._reader, owner, "theta")
-        return self._values[owner]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def _send_regrets(
@@ -230,18 +207,20 @@ def run_round(
 ) -> tuple[StrategyProfile, RoundTrace]:
     """Execute one synchronous round and return the new profile and its trace.
 
-    Phases: (a) agents whose gate in ``zetas`` is open pull their neighbors'
-    strategies and compute a best response and its regret, the others
-    report zero regret; (b) every regret is checked finite, and each loud
-    agent, one whose regret exceeds ``epsilon``, sends it to its neighbors,
-    while quiet agents send nothing; (c) the loud agents elect the
-    innovators among themselves (see :func:`elect_innovators`), who adopt
-    their proposals; (d) everyone else keeps its strategy, and an agent's
-    gate stays open for the next round iff it or a neighbor was loud, so the
-    open gates are the loud agents and their neighbor sets. ``audit``
-    records each strategy read of phase (a) and one ``"regret"`` read per
-    message of phase (b); a round in which no agent is loud records no
-    regret read.
+    Phases: (a) each agent whose gate in ``zetas`` is open pulls its
+    neighbors' strategies, one gather of ``profile.theta`` at its
+    ``game.neighbor_positions``, and computes a best response and its
+    regret, the others report zero regret; (b) every regret is checked
+    finite, and each loud agent, one whose regret exceeds ``epsilon``,
+    sends it to its neighbors, while quiet agents send nothing; (c) the
+    loud agents elect the innovators among themselves (see
+    :func:`elect_innovators`), who adopt their proposals; (d) everyone else
+    keeps its strategy, and an agent's gate stays open for the next round
+    iff it or a neighbor was loud, so the open gates are the loud agents
+    and their neighbor sets. ``audit``
+    records one ``"theta"`` read per neighbor of each pull in phase (a), in
+    ascending neighbor order, and one ``"regret"`` read per message of
+    phase (b); a round in which no agent is loud records no regret read.
 
     ``zetas`` holds a gate per active agent, the previous round's
     ``RoundTrace.zetas``, and is not changed. A round without innovators
@@ -257,10 +236,13 @@ def run_round(
 
     for k in game.active_indices:
         if zetas[k]:
-            view = _ExchangeView(k, {l: theta[l - 1] for l in game.neighbors(k)}, audit)
+            positions = game.neighbor_positions[k]
+            if audit is not None:
+                for l in positions.tolist():
+                    audit.record(k, l + 1, "theta")
             try:
                 proposals[k], regrets[k] = best_response_gain(
-                    game, k, view, theta[k - 1], cover
+                    game, k, profile.theta[positions], theta[k - 1], cover
                 )
             except ValueError as exc:
                 raise RuntimeError(f"best-response solve failed for agent {k}") from exc
@@ -344,9 +326,19 @@ def iteration_bound(phi_min: float, phi_max: float, epsilon: float) -> int:
     With the objective confined to ``[phi_min, phi_max]`` and every
     non-converged round improving it by more than ``epsilon``, at most
     ``floor((phi_max - phi_min) / epsilon) + 1`` rounds are needed.
+
+    Raises:
+        ValueError: if ``epsilon`` is not positive, the envelope is empty,
+            or the quotient is not finite.
     """
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be positive")
     if phi_max < phi_min:
         raise ValueError("phi_max must be at least phi_min")
-    return int(math.floor((phi_max - phi_min) / epsilon)) + 1
+    rounds = (phi_max - phi_min) / epsilon
+    if not math.isfinite(rounds):
+        raise ValueError(
+            f"the round bound (phi_max - phi_min) / epsilon over the objective envelope "
+            f"[{phi_min}, {phi_max}] s at epsilon {epsilon} s is not finite"
+        )
+    return int(math.floor(rounds)) + 1

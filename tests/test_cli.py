@@ -13,7 +13,7 @@ import pytest
 import covgame
 from covgame import harness
 from covgame.cli import main
-from covgame.scenario import parse_scenario
+from covgame.scenario import bundled_scenario_path, parse_scenario
 
 from conftest import mini_scenario_doc
 
@@ -145,6 +145,19 @@ class TestRunVerb:
             ),
             pytest.param("centralized", "max_evals", "x", id="max_evals-x"),
             pytest.param("centralized", "step_shrink", float("inf"), id="step_shrink-inf"),
+            # Both methods start from the zero profile, outside these bounds.
+            pytest.param("game", "strategy_bounds_deg", [5.0, 10.0], id="bounds-above-0"),
+            pytest.param("game", "strategy_bounds_deg", [-10.0, -5.0], id="bounds-below-0"),
+            # The penalty of a 15 degree offset overflows.
+            pytest.param("game.theta_max", "value", 1e-300, id="theta_max-value-tiny"),
+            pytest.param(
+                "game",
+                "theta_max",
+                {"unit": "radian", "values": [1.0] * 11 + [1e-300]},
+                id="theta_max-item-tiny",
+            ),
+            # The round bound (phi_max - phi_min) / epsilon overflows.
+            pytest.param("search", "epsilon_s", 5e-324, id="epsilon_s-subnormal"),
         ],
     )
     def test_invalid_number_is_error_exit(self, tmp_path, capsys, section, key, value):
@@ -155,9 +168,24 @@ class TestRunVerb:
         node[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
-        code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
-        assert code == 1
-        assert f"error: {section}.{key}" in capsys.readouterr().err
+        for verb in ("run", "bound"):
+            code = run_cli(verb, "--scenario", path, "--out", tmp_path / "out", "--quiet")
+            assert code == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {section}.{key}")
+
+    def test_huge_penalty_scale_is_error_exit(self, tmp_path, capsys):
+        # gamma 1e308 puts the lower objective envelope near -1.5e308, so the
+        # round bound overflows.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["game"]["gamma"] = 1e308
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("run", "bound"):
+            code = run_cli(verb, "--scenario", path, "--out", tmp_path / "out", "--quiet")
+            assert code == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ")
 
     def test_infinite_epsilon_is_error_exit(self, tmp_path, mini_scenario_file, capsys):
         # An infinite accuracy would certify any profile after one round.

@@ -213,7 +213,7 @@ class TestRegret:
         profile = random_profile(toy_game, rng)
         k = 4
         space = toy_game.agent(k).strategy_space
-        view = {l: profile.for_agent(l) for l in toy_game.neighbors(k)}
+        view = profile.theta[toy_game.neighbor_positions[k]]
         cover = CoverCount(toy_game, profile)
         theta_star, gain = best_response_gain(toy_game, k, view, profile.for_agent(k), cover)
         assert space.contains(theta_star)
@@ -251,6 +251,29 @@ class TestNeighborGraph:
             for l in neigh:
                 assert k in toy_game.neighbors(l)
         assert 2 in toy_game.neighbors(1) and 3 in toy_game.neighbors(2)
+
+    def test_neighbor_positions_are_the_sorted_graph(self):
+        # A graph written by hand, each neighbor set listed out of order;
+        # agent 4 is inactive.
+        grid = TimeGrid(0.0, 4.0, 1.0)
+
+        def coverage(k, theta):
+            return np.zeros(4, dtype=bool)
+
+        as_generator(coverage, grid)
+        agents = tuple(
+            AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0, active=k != 4) for k in range(1, 7)
+        )
+        graph = {6: [3, 1], 1: [6, 3, 2], 3: [6, 1], 2: [1], 5: []}
+        game = GameInstance(agents, grid, coverage, 0.1, graph)
+        assert sorted(game.neighbor_positions) == [1, 2, 3, 5, 6]
+        for k, positions in game.neighbor_positions.items():
+            assert positions.dtype == np.intp
+            assert (positions + 1).tolist() == sorted(game.neighbor_graph[k])
+            assert not positions.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                positions[...] = 0
+        assert game.neighbor_positions[1].tolist() == [1, 2, 5]
 
     def test_reach_edge_requires_some_strategy_pair(self, toy_game):
         # Neighbors iff the reaches intersect: verify against a direct reach

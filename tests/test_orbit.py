@@ -1000,7 +1000,7 @@ class TestExactBestResponse:
             longitude, latitude, half_angle, ends, gamma, positions
         )
         space = game.agent(k).strategy_space
-        view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+        view = profile.theta[game.neighbor_positions[k]]
         cover = CoverCount(game, profile)
         theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k), cover)
         f, _ = best_response_objective(game, k, view)
@@ -1032,7 +1032,7 @@ class TestExactBestResponse:
         everywhere = np.ones(game.n_cells, dtype=bool)
         for k in game.active_indices:
             space = game.agent(k).strategy_space
-            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            view = profile.theta[game.neighbor_positions[k]]
             f, _ = best_response_objective(game, k, view)
             # Every end of every row of the segment table with its 2 pi
             # shifts, unpruned, and the three points the pruned set is built
@@ -1098,14 +1098,14 @@ class TestBestResponseReuse:
                     k = movers[i % len(movers)]
                     own = profile.for_agent(k)
                     if theta is None:
-                        view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+                        view = profile.theta[game.neighbor_positions[k]]
                         theta, _ = best_response_gain(game, k, view, own, cover)
                     cover.adopt(game, {k: (own, theta)})
                     profile = profile.replace(k, theta)
                 fresh = coverage_game(cov, gamma, active)
                 fresh_cover = CoverCount(fresh, profile)
                 for l in game.active_indices:
-                    view = {j: profile.for_agent(j) for j in game.neighbors(l)}
+                    view = profile.theta[game.neighbor_positions[l]]
                     own = profile.for_agent(l)
                     kept = best_response_gain(game, l, view, own, cover)
                     expected = best_response_gain(fresh, l, view, own, fresh_cover)
@@ -1122,7 +1122,7 @@ class TestBestResponseReuse:
         profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
         cover = CoverCount(game, profile)
         for n, k in enumerate(game.active_indices, start=1):
-            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            view = profile.theta[game.neighbor_positions[k]]
             best_response_gain(game, k, view, profile.for_agent(k), cover)
             assert (selections.calls, scans.calls) == (n, n)
 
@@ -1182,7 +1182,7 @@ class TestCoverCount:
         game, profile = case
         cover = CoverCount(game, profile)
         for k in game.active_indices:
-            view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+            view = profile.theta[game.neighbor_positions[k]]
             own = profile.for_agent(k)
             _, folded = best_response_objective(game, k, view)
             counted = cover.alone(game.coverage(k, own))
@@ -1221,7 +1221,7 @@ class TestCoverCount:
                     continue
                 own = profile.for_agent(k)
                 if targets[i] is None:
-                    view = {l: profile.for_agent(l) for l in game.neighbors(k)}
+                    view = profile.theta[game.neighbor_positions[k]]
                     new, _ = best_response_gain(game, k, view, own, cover)
                 else:
                     new = min(interval.lo + targets[i] * interval.width, interval.hi)

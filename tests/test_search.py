@@ -14,6 +14,7 @@ from covgame.game import (
     GameInstance,
     StrategyInterval,
     StrategyProfile,
+    best_response_gain,
     global_value,
 )
 from covgame.measure import TimeGrid
@@ -215,6 +216,13 @@ class TestIterationBound:
             iteration_bound(0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
             iteration_bound(10.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "phi_min, phi_max, epsilon", [(0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)]
+    )
+    def test_overflowing_bound_is_a_value_error(self, phi_min, phi_max, epsilon):
+        with pytest.raises(ValueError, match="not finite"):
+            iteration_bound(phi_min, phi_max, epsilon)
 
 
 class TestSearchConfig:
@@ -435,14 +443,28 @@ class TestLocalityAudit:
         assert audit.reads, "audit should observe the exchanges"
         assert audit.violations(game.neighbor_graph) == []
 
-    def test_view_blocks_non_neighbor_keys(self):
+    def test_each_pull_is_one_gather_of_the_sorted_neighbors(self):
+        # Each gated agent answers the profile at its ascending neighbors,
+        # and the audit holds exactly its reads of those neighbors, in that
+        # order. Distinct strategies make a wrong order visible.
         game = sliding_window_game(n_agents=6)
         audit = AccessAudit()
-        profile = StrategyProfile.zeros(game.n_agents)
+        profile = StrategyProfile(np.linspace(-1.0, 1.0, game.n_agents))
         zetas = dict.fromkeys(game.active_indices, True)
-        run_round(
-            game, profile, zetas, CoverCount(game, profile), SearchConfig(0.05, 1), audit=audit
-        )
-        readers = {(reader, owner) for reader, owner, _ in audit.reads}
-        for reader, owner in readers:
-            assert owner in game.neighbor_graph[reader]
+        pulled = []
+
+        def capture(game, k, neighbor_thetas, theta, cover):
+            pulled.append((k, neighbor_thetas))
+            return best_response_gain(game, k, neighbor_thetas, theta, cover)
+
+        with mock.patch("covgame.search.best_response_gain", capture):
+            run_round(
+                game, profile, zetas, CoverCount(game, profile), SearchConfig(0.05, 1),
+                audit=audit,
+            )
+        assert [k for k, _ in pulled] == list(game.active_indices)
+        for k, neighbor_thetas in pulled:
+            order = sorted(game.neighbors(k))
+            assert neighbor_thetas.tolist() == [profile.for_agent(l) for l in order]
+        theta_reads = [(reader, owner) for reader, owner, kind in audit.reads if kind == "theta"]
+        assert theta_reads == [(k, l) for k, _ in pulled for l in sorted(game.neighbors(k))]
