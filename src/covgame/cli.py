@@ -18,6 +18,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -86,13 +87,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flag(flag: str, apply: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``apply(*args, **kwargs)``, with its validation errors tagged by ``flag``."""
+    try:
+        return apply(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: {exc}") from None
+
+
 def _load(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario with the command's overrides applied and checked.
+
+    ``run``, ``bound`` and ``certify`` all load through here, so an override
+    whose round bound is not finite fails each of them before any work.
+    """
     path = args.scenario if args.scenario is not None else bundled_scenario_path()
     cfg = load_scenario(path)
     epsilon = getattr(args, "epsilon", None)
     max_iter = getattr(args, "max_iter", None)
-    if epsilon is not None or max_iter is not None:
-        cfg = cfg.with_search_overrides(epsilon=epsilon, max_rounds=max_iter)
+    if epsilon is not None:
+        cfg = _flag("--epsilon", cfg.with_search_overrides, epsilon=epsilon)
+    if max_iter is not None:
+        cfg = _flag("--max-iter", cfg.with_search_overrides, max_rounds=max_iter)
     return cfg
 
 
@@ -154,6 +170,10 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
 def _cmd_sweep_energy(args: argparse.Namespace) -> int:
     cfg = _load(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
+    if not (1 <= args.agent <= cfg.n_satellites):
+        raise ScenarioError(f"--agent: {args.agent} outside 1..{cfg.n_satellites}")
+    for value in values:
+        _flag("--values", cfg.with_theta_max, args.agent, value)
     points = harness.sweep_energy_coefficient(cfg, args.agent, values)
     path = harness.write_sweep_energy_csv(args.out, points)
     for p in points:

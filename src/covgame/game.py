@@ -141,6 +141,10 @@ class GameInstance:
     - ``masked_cell_counts(k, thetas, ends)``: that count for every entry
       of an ascending array of strategies, given the pair ``ends`` that
       ``breakpoints`` returned.
+    - ``reach_positions(k)``: the mask positions of the cells ``k`` covers
+      for some strategy of its interval (its reach), in a fixed order and
+      possibly repeated. ``breakpoints`` reads ``within`` only there, and
+      ``masked_cell_counts`` counts no other cell.
 
     The neighbor graph maps each active agent index to the set of active
     agents whose coverage can overlap its own; it must be symmetric and
@@ -160,13 +164,15 @@ class GameInstance:
     selects the cells no neighbor covers as those where a
     :class:`CoverCount` of all active agents equals the agent's own
     incumbent mask, which matches the OR of its neighbors' masks on every
-    cell the agent can cover, and a scan reads no other cell; the cells of
-    the incumbent mask where the count is 1 are those it covers alone.
+    cell the agent can cover, and a scan reads no other cell.
 
     Besides the mask cache, the instance keeps one entry per active agent:
-    its last exact best response and the gathered array of neighbor
-    strategies it answered, which :func:`best_response_gain` reuses while
-    they stand still.
+    its last exact best response, keyed twice on what it was computed from.
+    The first key is the gathered array of neighbor strategies it answered;
+    the second is the agent's uncovered cells read at its
+    ``reach_positions``, which is all the answer depends on.
+    :func:`best_response_gain` reuses the entry while either key stands
+    still.
     """
 
     def __init__(
@@ -181,7 +187,7 @@ class GameInstance:
         self.grid = grid
         if getattr(coverage_fn, "cells", None) is None:
             raise TypeError("coverage_fn must expose cells")
-        for name in ("breakpoints", "masked_cell_counts"):
+        for name in ("breakpoints", "masked_cell_counts", "reach_positions"):
             if not callable(getattr(coverage_fn, name, None)):
                 raise TypeError(f"coverage_fn must expose {name}")
         self.coverage_fn = coverage_fn
@@ -410,13 +416,20 @@ def best_response_objective(
 class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
-    ``neighbors`` is the gathered array of neighbor strategies it answered,
-    in ascending neighbor order, ``theta_star`` the first maximizer and
+    ``neighbors`` is the gathered array of neighbor strategies it last
+    answered, in ascending neighbor order. ``reach`` holds the agent's
+    ``reach_positions``, and ``uncovered`` one byte per position, 1 where
+    no neighbor covered that cell when the agent last scanned; ``ends`` is
+    the ``(starts, stops)`` pair that scan selected, from which any
+    incumbent's count is read. ``theta_star`` is the first maximizer and
     ``best`` its local objective. The entry holds no reference to the game,
     so storing it on the game makes no cycle.
     """
 
     neighbors: np.ndarray
+    reach: np.ndarray
+    uncovered: bytes
+    ends: tuple[np.ndarray, np.ndarray]
     theta_star: float
     best: float
 
@@ -438,8 +451,7 @@ def best_response_gain(
     agent's own incumbent mask; by the graph contract of
     :class:`GameInstance` these are, on every cell the agent can cover, the
     cells outside the OR of its neighbors' masks, so no fold over the
-    neighbors runs. For the same reason the incumbent's local objective
-    counts the cells of its own mask where the count is 1.
+    neighbors runs.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -453,42 +465,60 @@ def best_response_gain(
     ``masked_cell_counts`` call, is exact. Equal candidates score equally,
     so repeats leave the first maximizer alone.
 
-    The best response depends on the neighbor strategies only, so the game
-    keeps each agent's last one with the array it answered: while
-    ``neighbor_thetas`` equals that array (``np.array_equal``, under which
-    ``-0.0`` equals ``0.0`` and NaN equals nothing), the stored maximizer is
-    returned without a scan; otherwise the agent scans and replaces its
-    entry, keeping ``neighbor_thetas`` itself, which the caller must not
-    change afterwards.
+    The best response depends only on the uncovered cells of the agent's
+    reach, since ``breakpoints`` and ``masked_cell_counts`` read no other
+    cell, so the game keeps each agent's last one under two keys (see
+    :class:`_Response`). While ``neighbor_thetas`` equals the stored array
+    (``np.array_equal``, under which ``-0.0`` equals ``0.0`` and NaN equals
+    nothing), the stored answer is returned without reading the count.
+    Otherwise the count and the incumbent mask are read at the agent's
+    ``reach_positions`` only: if the uncovered cells there equal the stored
+    ones, a neighbor moved off the agent's reach, and the stored answer is
+    returned and takes ``neighbor_thetas`` as its new first key. Only if
+    both keys miss does the agent select its rows and score them, and
+    replace its entry. The entry keeps ``neighbor_thetas`` itself, which
+    the caller must not change afterwards.
+
+    The incumbent's local objective is one ``masked_cell_counts`` call at
+    ``theta`` against the stored ends: the cells of its own mask that no
+    neighbor covers, so no call reads an array of ``n_cells`` entries
+    unless it scans.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over ``theta``, which is never
     negative.
     """
-    own = game.coverage(index, theta)
     agent = game.agent(index)
+    cell_counts = game.coverage_fn.masked_cell_counts
     response = game._responses.get(index)
     if response is None or not np.array_equal(response.neighbors, neighbor_thetas):
-        uncovered = cover.alone(own)
-        space = agent.strategy_space
-        starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
-        z = min(max(0.0, space.lo), space.hi)
-        first, last = stops.searchsorted((space.lo, z))
-        below = stops[first:last]
-        first, last = starts.searchsorted((z, space.hi), "right")
-        above = starts[first:last]
-        candidates = np.concatenate((below, [z], above))
-        dt, gamma = game.grid.dt, game.gamma
-        cell_counts = game.coverage_fn.masked_cell_counts
+        own = game.coverage(index, theta)
+        if response is None:
+            reach = game.coverage_fn.reach_positions(index)
+        else:
+            reach = response.reach
+        uncovered = (cover.counts[reach] == own.view(np.uint8)[reach]).tobytes()
+        if response is not None and response.uncovered == uncovered:
+            response = response._replace(neighbors=neighbor_thetas)
+        else:
+            space = agent.strategy_space
+            starts, stops = ends = game.coverage_fn.breakpoints(index, cover.alone(own))
+            z = min(max(0.0, space.lo), space.hi)
+            first, last = stops.searchsorted((space.lo, z))
+            below = stops[first:last]
+            first, last = starts.searchsorted((z, space.hi), "right")
+            above = starts[first:last]
+            candidates = np.concatenate((below, [z], above))
+            dt, gamma = game.grid.dt, game.gamma
 
-        def objective(thetas: np.ndarray) -> np.ndarray:
-            gains = dt * cell_counts(index, thetas, ends)
-            return gains - gamma * energy_penalty(agent, thetas)
+            def objective(thetas: np.ndarray) -> np.ndarray:
+                gains = dt * cell_counts(index, thetas, ends)
+                return gains - gamma * energy_penalty(agent, thetas)
 
-        theta_star, best = maximize_scalar(objective, candidates)
-        response = _Response(neighbor_thetas, theta_star, best)
+            theta_star, best = maximize_scalar(objective, candidates)
+            response = _Response(neighbor_thetas, reach, uncovered, ends, theta_star, best)
         game._responses[index] = response
-    alone = float(np.count_nonzero(cover.counts[own] == 1))
+    alone = float(cell_counts(index, np.array([theta]), response.ends)[0])
     incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)
     return response.theta_star, response.best - incumbent
 

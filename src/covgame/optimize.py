@@ -75,10 +75,11 @@ def maximize_scalar(
     fs = np.asarray(f(xs), dtype=float)
     if fs.shape != xs.shape:
         raise ValueError("objective returned a wrong-shaped array")
-    if not np.isfinite(fs).all():
+    # A NaN is its own argmax, and an infinity shows at the max or the min.
+    best = fs.argmax()
+    if not (math.isfinite(fs[best]) and math.isfinite(fs.min())):
         bad = int(np.flatnonzero(~np.isfinite(fs))[0])
         raise ValueError(f"objective returned non-finite value {fs[bad]} at {xs[bad]!r}")
-    best = int(np.argmax(fs))
     return float(xs[best]), float(fs[best])
 
 

@@ -526,12 +526,14 @@ class ConstellationCoverage:
         ``theta`` minus the number of stops below it: two ``searchsorted``
         passes over the ascending ends. Every theta must lie in the built
         interval, and ``thetas`` must be sorted ascending; otherwise
-        ``ValueError`` is raised.
+        ``ValueError`` is raised. :func:`~covgame.game.best_response_gain`
+        calls this once per scan to score its candidates, and once per call
+        with the incumbent alone, which needs no sortedness pass.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
             return np.zeros(0, dtype=int)
-        if not (thetas[1:] >= thetas[:-1]).all():
+        if thetas.size > 1 and not (thetas[1:] >= thetas[:-1]).all():
             raise ValueError(f"strategies of agent {k} must be sorted ascending")
         self._check(k, thetas[0])
         self._check(k, thetas[-1])
@@ -551,6 +553,16 @@ class ConstellationCoverage:
         """
         reach = self._reach[k - 1]
         return reach.lo[within[reach.cell]], reach.stop[within[reach.stop_cell]]
+
+    def reach_positions(self, k: int) -> np.ndarray:
+        """Mask positions of the cells satellite ``k`` can cover, one per row.
+
+        The cells of its segment table in the table's order, so a cell with
+        rows at two shifts appears twice: the positions :meth:`breakpoints`
+        reads ``within`` at, and the cells of :meth:`reachable_mask`. The
+        array is the table's own and must not be changed.
+        """
+        return self._reach[k - 1].cell
 
     def reachable_mask(self, k: int) -> np.ndarray:
         """Cells satellite ``k`` can cover for some strategy in the interval.

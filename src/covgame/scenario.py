@@ -155,11 +155,17 @@ class ScenarioConfig:
         )
 
     def with_theta_max(self, index: int, value: float) -> "ScenarioConfig":
-        """Same scenario with agent ``index``'s energy surplus set to ``value``."""
+        """Same scenario with agent ``index``'s energy surplus set to ``value``.
+
+        The value must be positive and finite, and its penalty at the widest
+        strategy bound finite, as in a scenario file.
+        """
         if not (1 <= index <= self.n_satellites):
             raise ScenarioError(f"agent {index} outside 1..{self.n_satellites}")
         if not (0.0 < value < math.inf):
             raise ScenarioError(f"theta_max must be positive and finite, got {value}")
+        worst = max(abs(self.strategy_space.lo), abs(self.strategy_space.hi))
+        _check_penalty(float(value), worst, f"theta_max of agent {index}")
         values = list(self.theta_max)
         values[index - 1] = float(value)
         return replace(self, theta_max=tuple(values))
@@ -167,11 +173,29 @@ class ScenarioConfig:
     def with_search_overrides(
         self, epsilon: float | None = None, max_rounds: int | None = None
     ) -> "ScenarioConfig":
+        """Same scenario with the given search settings replaced.
+
+        Raises:
+            ValueError: if a setting is invalid, or the round bound of the new
+                epsilon is not finite (see :func:`round_bound`).
+        """
         search = SearchConfig(
             epsilon=self.search.epsilon if epsilon is None else epsilon,
             max_rounds=self.search.max_rounds if max_rounds is None else max_rounds,
         )
-        return replace(self, search=search)
+        cfg = replace(self, search=search)
+        round_bound(cfg)
+        return cfg
+
+
+def _check_penalty(theta_max: float, worst: float, path: str) -> None:
+    """Reject a surplus whose penalty at ``|theta| = worst`` is not finite."""
+    ratio = worst / theta_max if theta_max > 0.0 else math.inf
+    if not math.isfinite(ratio * ratio):
+        raise ScenarioError(
+            f"{path}: too small, the penalty ({worst} / {theta_max}) ** 2 of the "
+            f"widest strategy bound is not finite"
+        )
 
 
 def _parse_theta_max(
@@ -195,12 +219,7 @@ def _parse_theta_max(
 
     def surplus(value: Any, at: str) -> float:
         theta_max = _positive(_finite(value, at), at) * scale
-        ratio = worst / theta_max if theta_max > 0.0 else math.inf
-        if not math.isfinite(ratio * ratio):
-            raise ScenarioError(
-                f"{at}: too small, the penalty ({worst} / {theta_max}) ** 2 of the "
-                f"widest strategy bound is not finite"
-            )
+        _check_penalty(theta_max, worst, at)
         return theta_max
 
     if "value" in data and "values" in data:

@@ -22,7 +22,10 @@ satellites it costs about 0.1 ms on a 2-core Xeon with Python 3.11.
 A run keeps one :class:`~covgame.game.CoverCount` of its profile: every
 best response selects its uncovered cells from it, each round's adoptions
 update it and check the potential identity in whole cells, and the round's
-``phi`` is read off its covered-cell count, so no round folds masks.
+``phi`` is read off its covered-cell count, so no round folds masks. A gated
+agent scans only if its uncovered cells moved: it keeps its last answer
+while its neighbors' strategies stand still, and also while they move only
+on cells it cannot cover (see :func:`~covgame.game.best_response_gain`).
 
 All inter-agent information flow goes through explicit per-round
 exchanges: each gated agent pulls its neighbors' strategies as one gather

@@ -32,7 +32,8 @@ def as_generator(coverage, grid, points=()):
     ignores theta needs none. ``masked_cell_counts`` counts ``coverage(k,
     theta) & within`` for each theta, mask by mask. ``reachable_mask(k)`` is
     the OR of ``k``'s masks at ``points`` and at 0, which is exact when every
-    strategy of the agent's interval plays the mask of one of them.
+    strategy of the agent's interval plays the mask of one of them, and
+    ``reach_positions(k)`` its nonzero positions.
     """
     points = np.asarray(points, dtype=float)
 
@@ -48,10 +49,14 @@ def as_generator(coverage, grid, points=()):
     def reachable_mask(k):
         return np.any([coverage(k, float(t)) for t in (*points, 0.0)], axis=0)
 
+    def reach_positions(k):
+        return np.flatnonzero(reachable_mask(k))
+
     coverage.cells = np.arange(grid.n_steps)
     coverage.breakpoints = breakpoints
     coverage.masked_cell_counts = masked_cell_counts
     coverage.reachable_mask = reachable_mask
+    coverage.reach_positions = reach_positions
     return coverage
 
 

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -194,7 +195,25 @@ class TestRunVerb:
             "--method", "distributed", "--max-iter", "1", "--epsilon", "inf", "--quiet",
         )
         assert code == 1
-        assert "error: epsilon must be positive and finite" in capsys.readouterr().err
+        assert "error: --epsilon: epsilon must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "bound", "certify"])
+    def test_epsilon_whose_round_bound_overflows_writes_nothing(
+        self, tmp_path, mini_scenario_file, capsys, verb
+    ):
+        # An override skips the parse-time check of search.epsilon_s, so the
+        # round bound is checked when the override is applied, before any
+        # solve or file.
+        out = tmp_path / "out"
+        profile = ["--profile", tmp_path / "profile.csv"] if verb == "certify" else []
+        code = run_cli(
+            verb, "--scenario", mini_scenario_file, "--out", out,
+            "--epsilon", "5e-324", "--quiet", *profile,
+        )
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --epsilon: the round bound")
+        assert not out.exists()
 
     def test_step_that_does_not_divide_the_horizon_is_error_exit(self, tmp_path, capsys):
         # 12000 s at 7 s would silently become 1714 cells, 11998 s.
@@ -275,8 +294,25 @@ class TestSweepVerbs:
             "--agent", "6", "--values", "0.01,inf", "--quiet",
         )
         assert code == 1
-        assert "error: theta_max must be positive and finite" in capsys.readouterr().err
+        assert "error: --values: theta_max must be positive and finite" in capsys.readouterr().err
         assert not (out / "sweep_energy.csv").exists()
+
+    def test_surplus_whose_penalty_overflows_is_error_exit(
+        self, tmp_path, mini_scenario_file, capsys
+    ):
+        # A swept surplus gets the penalty check of a scenario's theta_max,
+        # so it fails before any solve: no overflow warning, no file.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "sweep-energy", "--scenario", mini_scenario_file, "--out", out,
+                "--agent", "3", "--values", "0.01,1e-300", "--quiet",
+            )
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --values: theta_max of agent 3: too small")
+        assert not out.exists()
 
 
 def write_profile(path, header, rows):
@@ -332,7 +368,7 @@ class TestCertifyVerb:
             "--profile", profile, flag, "inf", "--quiet",
         )
         assert code == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header, rows, message",

@@ -350,7 +350,9 @@ class TestGameValidation:
         with pytest.raises(ValueError, match="outside"):
             toy_game.validate_profile(bad)
 
-    @pytest.mark.parametrize("member", ["cells", "breakpoints", "masked_cell_counts"])
+    @pytest.mark.parametrize(
+        "member", ["cells", "breakpoints", "masked_cell_counts", "reach_positions"]
+    )
     def test_coverage_without_breakpoints_rejected(self, member):
         # Each member of the generator protocol is checked when the game is
         # built, not on first use.

@@ -90,8 +90,8 @@ class TestMethodRuns:
     def test_certificate_after_polish_scans_nothing(self, mini_cfg, monkeypatch):
         # The polish ends with a sweep in which no agent moved, against the
         # very neighbor strategies the certificate reads, so every agent
-        # reuses its answer.
-        scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+        # reuses its answer: it selects no rows (calls no breakpoints).
+        scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
         polish = harness._polish
         polished = []
 
@@ -134,10 +134,14 @@ BUNDLED_TRACE_SHA256 = "eb0d5cb478885b3c285904ff88274e88d4a07f4e65b267b484938685
 BUNDLED_AUDIT_SHA256 = "dbafd5e13d17dd122e3eb9e9b16b8e73d16fe673ec88246b724330e0202cc2e6"
 
 
-def test_bundled_outcome_is_pinned():
+def test_bundled_outcome_is_pinned(monkeypatch):
     cfg = load_scenario(bundled_scenario_path())
     audit = AccessAudit()
+    scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
     distributed, result = run_distributed(cfg, audit=audit)
+    # Rows selected, certificate included: 100 before an agent kept its
+    # answer while its uncovered cells stood still.
+    assert scans.calls == 53
     rounds = [
         (
             t.iteration,

@@ -1085,13 +1085,15 @@ class TestBestResponseReuse:
         # best response, every agent's answer on the long-lived game equals,
         # bit for bit, the one on a freshly built game; asking again with
         # the same neighbors scans nothing. A few active satellites make
-        # every neighbor likely to move.
+        # every neighbor likely to move, and a neighbor that moves only off
+        # an agent's reach makes that agent reuse on its uncovered cells. A
+        # scan is a row selection, a call of breakpoints.
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         game = coverage_game(cov, gamma, active)
         movers = sorted(active)
         profile = StrategyProfile(np.array(start))
         with pytest.MonkeyPatch.context() as monkeypatch:
-            scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+            scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
             cover = CoverCount(game, profile)
             for i, theta in [(None, None), *moves]:
                 if i is not None:
@@ -1116,15 +1118,60 @@ class TestBestResponseReuse:
         assert sorted(game._responses) == movers
 
     def test_each_scan_selects_the_rows_once(self, monkeypatch):
+        # A first answer selects its rows once and counts twice: once to
+        # score every candidate, once for the incumbent alone.
         game = coverage_game(TABLE_COVERAGE, 20.0)
         selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
-        scans = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+        counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
         profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
         cover = CoverCount(game, profile)
         for n, k in enumerate(game.active_indices, start=1):
             view = profile.theta[game.neighbor_positions[k]]
             best_response_gain(game, k, view, profile.for_agent(k), cover)
-            assert (selections.calls, scans.calls) == (n, n)
+            assert (selections.calls, counts.calls) == (n, 2 * n)
+
+    def test_neighbor_move_off_the_reach_scans_nothing(self, monkeypatch):
+        # A neighbor l moves between two strategies whose masks differ only
+        # on cells agent k can never cover. The neighbor array k answered
+        # changed, but its uncovered cells did not, so k keeps its answer
+        # without selecting rows or reading a whole-grid array, and that
+        # answer is, bit for bit, the one a freshly built game computes.
+        # On a narrow interval, a reach is a small part of the cells.
+        cov = SEAM_COVERAGE
+        game = coverage_game(cov, 20.0)
+        everywhere = np.ones(cov.cells.size, dtype=bool)
+
+        def off_reach_moves():
+            # Neighbor moves between the plateaus of two adjacent breakpoints.
+            for k in game.active_indices:
+                reach = cov.reachable_mask(k)
+                for l in sorted(game.neighbors(k)):
+                    ends = np.unique(np.concatenate(cov.breakpoints(l, everywhere)))
+                    ends = ends[(ends > cov.interval.lo) & (ends < cov.interval.hi)]
+                    thetas = ((ends[1:] + ends[:-1]) / 2).tolist()
+                    for before, after in zip(thetas, thetas[1:]):
+                        was, now = cov(l, before), cov(l, after)
+                        if not np.array_equal(was, now) and np.array_equal(was[reach], now[reach]):
+                            yield k, l, before, after
+
+        k, l, before, after = next(off_reach_moves())
+        profile = StrategyProfile(np.full(24, cov.interval.lo)).replace(l, before)
+        own = profile.for_agent(k)
+        cover = CoverCount(game, profile)
+        view = profile.theta[game.neighbor_positions[k]]
+        best_response_gain(game, k, view, own, cover)
+        cover.adopt(game, {l: (before, after)})
+        profile = profile.replace(l, after)
+        moved = profile.theta[game.neighbor_positions[k]]
+        assert not np.array_equal(moved, view)
+        selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+        selected = CallCounter(monkeypatch, CoverCount, "alone")
+        kept = best_response_gain(game, k, moved, own, cover)
+        assert (selections.calls, selected.calls) == (0, 0)
+        fresh = coverage_game(cov, 20.0)
+        expected = best_response_gain(fresh, k, moved, own, CoverCount(fresh, profile))
+        assert [v.hex() for v in kept] == [v.hex() for v in expected]
+        assert selections.calls == 1
 
     @pytest.mark.parametrize(
         "cov", [TABLE_COVERAGE, WIDE_COVERAGE, SEAM_COVERAGE], ids=["table", "wide", "seam"]

@@ -162,8 +162,12 @@ class TestDerivedConfigs:
             mini_cfg.with_theta_max(99, 0.5)
         with pytest.raises(ScenarioError):
             mini_cfg.with_theta_max(1, 0.0)
+        with pytest.raises(ScenarioError, match="penalty"):
+            mini_cfg.with_theta_max(1, 1e-300)
 
     def test_search_overrides(self, mini_cfg):
         cfg = mini_cfg.with_search_overrides(epsilon=0.5, max_rounds=3)
         assert cfg.search.epsilon == 0.5
         assert cfg.search.max_rounds == 3
+        with pytest.raises(ValueError, match="round bound"):
+            mini_cfg.with_search_overrides(epsilon=5e-324)
