@@ -18,13 +18,18 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable
 
 import numpy as np
 
 from . import harness
 from .game import StrategyProfile, certify_epsilon_equilibrium
-from .scenario import ScenarioConfig, ScenarioError, bundled_scenario_path, load_scenario
+from .scenario import (
+    ScenarioConfig,
+    ScenarioError,
+    bundled_scenario_path,
+    load_scenario,
+    tag_errors,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,14 +92,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _flag(flag: str, apply: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """``apply(*args, **kwargs)``, with its validation errors tagged by ``flag``."""
-    try:
-        return apply(*args, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{flag}: {exc}") from None
-
-
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     """The scenario with the command's overrides applied and checked.
 
@@ -106,9 +103,9 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     epsilon = getattr(args, "epsilon", None)
     max_iter = getattr(args, "max_iter", None)
     if epsilon is not None:
-        cfg = _flag("--epsilon", cfg.with_search_overrides, epsilon=epsilon)
+        cfg = tag_errors("--epsilon", cfg.with_search_overrides, epsilon=epsilon)
     if max_iter is not None:
-        cfg = _flag("--max-iter", cfg.with_search_overrides, max_rounds=max_iter)
+        cfg = tag_errors("--max-iter", cfg.with_search_overrides, max_rounds=max_iter)
     return cfg
 
 
@@ -153,7 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_n(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
+    counts = [tag_errors("--counts", int, c) for c in args.counts.split(",") if c.strip()]
+    # Every size is checked before the first solve.
+    for n in counts:
+        tag_errors("--counts", cfg.with_satellite_count, n)
     rows = harness.sweep_satellite_count(cfg, counts)
     for n, r in rows:
         _say(
@@ -169,11 +169,13 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_energy(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [
+        tag_errors("--values", float, v) for v in args.values.split(",") if v.strip()
+    ]
     if not (1 <= args.agent <= cfg.n_satellites):
         raise ScenarioError(f"--agent: {args.agent} outside 1..{cfg.n_satellites}")
     for value in values:
-        _flag("--values", cfg.with_theta_max, args.agent, value)
+        tag_errors("--values", cfg.with_theta_max, args.agent, value)
     points = harness.sweep_energy_coefficient(cfg, args.agent, values)
     path = harness.write_sweep_energy_csv(args.out, points)
     for p in points:

@@ -9,20 +9,21 @@ It also lists where an agent's count of some cells can change
 (``masked_cell_counts``); :class:`GameInstance` states the protocol. The
 global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
-its coverage exclusive of its graph neighbors minus its own penalty. Every
-neighbor graph comes from :func:`neighbor_graph_from_masks` over each agent's
-exact reach, the cells it covers for some admissible strategy, so it holds
-every pair whose coverages can ever overlap, and a unilateral strategy change
-moves both objectives by exactly the same amount, which is what the
-distributed search engine relies on. A :class:`CoverCount` carries one
-profile's coverage as an integer count per cell: the engine keeps one per
-run, and best responses select their cells from it.
+its coverage exclusive of its graph neighbors minus its own penalty. A
+:class:`GameInstance` derives its neighbor graph itself, with
+:func:`neighbor_graph_from_masks` over each active agent's exact reach, the
+cells it covers for some admissible strategy, so the graph holds every pair
+whose coverages can ever overlap, and a unilateral strategy change moves both
+objectives by exactly the same amount, which is what the distributed search
+engine relies on. A :class:`CoverCount` carries one profile's coverage as an
+integer count per cell: the engine keeps one per run, and best responses
+select their cells from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,29 +143,27 @@ class GameInstance:
       of an ascending array of strategies, given the pair ``ends`` that
       ``breakpoints`` returned.
     - ``reach_positions(k)``: the mask positions of the cells ``k`` covers
-      for some strategy of its interval (its reach), in a fixed order and
-      possibly repeated. ``breakpoints`` reads ``within`` only there, and
-      ``masked_cell_counts`` counts no other cell.
+      for some strategy of its interval (its reach), exactly, in a fixed
+      order and possibly repeated. ``breakpoints`` reads ``within`` only
+      there, and ``masked_cell_counts`` counts no other cell.
 
-    The neighbor graph maps each active agent index to the set of active
-    agents whose coverage can overlap its own; it must be symmetric and
-    irreflexive. Build it with :func:`neighbor_graph_from_masks` from each
-    active agent's exact ``reachable_mask(k)``, the cells it covers for some
-    strategy of its interval, as the orbit kernel's
-    :class:`~covgame.orbit.ConstellationCoverage` does; a graph written by
-    hand must hold at least the pairs that one would. ``neighbor_positions``
-    holds the same graph once more: for each active agent, the 0-based
-    profile positions of its neighbors in ascending order, as a read-only
-    ``np.intp`` array, so an agent pulls its neighbors' strategies as one
-    gather, ``profile.theta[game.neighbor_positions[k]]``.
+    The constructor reads each active agent's reach once and keeps it in
+    ``reach_positions``, keyed by agent index. From those reaches it derives
+    ``neighbor_graph``: each active agent maps to the set of active agents
+    whose reach meets its own (:func:`neighbor_graph_from_masks`), so the
+    graph is symmetric, irreflexive and holds every pair whose coverage can
+    ever overlap, by construction. ``neighbor_positions`` holds the same
+    graph once more: for each active agent, the 0-based profile positions
+    of its neighbors in ascending order, as a read-only ``np.intp`` array,
+    so an agent pulls its neighbors' strategies as one gather,
+    ``profile.theta[game.neighbor_positions[k]]``.
 
-    The graph must contain every pair that can ever cover a common cell: on
-    the cells an agent can cover for some strategy (its reach), only its
-    neighbors may cover too. :func:`best_response_gain` relies on this. It
-    selects the cells no neighbor covers as those where a
-    :class:`CoverCount` of all active agents equals the agent's own
-    incumbent mask, which matches the OR of its neighbors' masks on every
-    cell the agent can cover, and a scan reads no other cell.
+    On an agent's reach only its neighbors may cover too, and
+    :func:`best_response_gain` relies on this. It selects the cells no
+    neighbor covers as those where a :class:`CoverCount` of all active
+    agents equals the agent's own incumbent mask, which matches the OR of
+    its neighbors' masks on every cell of its reach, and a scan reads no
+    other cell.
 
     Besides the mask cache, the instance keeps one entry per active agent:
     its last exact best response, keyed twice on what it was computed from.
@@ -181,7 +180,6 @@ class GameInstance:
         grid: TimeGrid,
         coverage_fn: CoverageFn,
         gamma: float,
-        neighbor_graph: Mapping[int, Iterable[int]],
     ) -> None:
         self.agents = tuple(agents)
         self.grid = grid
@@ -197,19 +195,16 @@ class GameInstance:
         if indices != list(range(1, len(self.agents) + 1)):
             raise ValueError("agent indices must be contiguous and 1-based")
         self.active_indices: tuple[int, ...] = tuple(a.index for a in self.agents if a.active)
-        active = set(self.active_indices)
-        graph = {k: frozenset(neighbor_graph.get(k, ())) for k in self.active_indices}
-        for k, neigh in graph.items():
-            if k in neigh:
-                raise ValueError(f"agent {k} cannot neighbor itself")
-            for l in neigh:
-                if l not in active:
-                    raise ValueError(f"neighbor {l} of agent {k} is not active")
-                if k not in graph[l]:
-                    raise ValueError(f"neighbor graph is not symmetric at ({k},{l})")
-        self.neighbor_graph: dict[int, frozenset[int]] = graph
+        self.reach_positions: dict[int, np.ndarray] = {
+            k: coverage_fn.reach_positions(k) for k in self.active_indices
+        }
+        reach = {}
+        for k, positions in self.reach_positions.items():
+            reach[k] = np.zeros(self.n_cells, dtype=bool)
+            reach[k][positions] = True
+        self.neighbor_graph = neighbor_graph_from_masks(reach)
         self.neighbor_positions: dict[int, np.ndarray] = {}
-        for k, neigh in graph.items():
+        for k, neigh in self.neighbor_graph.items():
             positions = np.array(sorted(neigh), dtype=np.intp) - 1
             positions.flags.writeable = False
             self.neighbor_positions[k] = positions
@@ -417,9 +412,9 @@ class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
     ``neighbors`` is the gathered array of neighbor strategies it last
-    answered, in ascending neighbor order. ``reach`` holds the agent's
-    ``reach_positions``, and ``uncovered`` one byte per position, 1 where
-    no neighbor covered that cell when the agent last scanned; ``ends`` is
+    answered, in ascending neighbor order. ``uncovered`` holds one byte per
+    entry of the agent's ``reach_positions``, 1 where no neighbor covered
+    that cell when the agent last scanned; ``ends`` is
     the ``(starts, stops)`` pair that scan selected, from which any
     incumbent's count is read. ``theta_star`` is the first maximizer and
     ``best`` its local objective. The entry holds no reference to the game,
@@ -427,7 +422,6 @@ class _Response(NamedTuple):
     """
 
     neighbors: np.ndarray
-    reach: np.ndarray
     uncovered: bytes
     ends: tuple[np.ndarray, np.ndarray]
     theta_star: float
@@ -448,10 +442,10 @@ def best_response_gain(
     order, and ``cover`` is the :class:`CoverCount` of the profile in which
     the agent plays ``theta`` and its neighbors play ``neighbor_thetas``.
     The cells no neighbor covers are those where the count equals the
-    agent's own incumbent mask; by the graph contract of
-    :class:`GameInstance` these are, on every cell the agent can cover, the
-    cells outside the OR of its neighbors' masks, so no fold over the
-    neighbors runs.
+    agent's own incumbent mask; since the graph links every two agents
+    whose reaches meet (see :class:`GameInstance`), these are, on every
+    cell the agent can cover, the cells outside the OR of its neighbors'
+    masks, so no fold over the neighbors runs.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -493,10 +487,7 @@ def best_response_gain(
     response = game._responses.get(index)
     if response is None or not np.array_equal(response.neighbors, neighbor_thetas):
         own = game.coverage(index, theta)
-        if response is None:
-            reach = game.coverage_fn.reach_positions(index)
-        else:
-            reach = response.reach
+        reach = game.reach_positions[index]
         uncovered = (cover.counts[reach] == own.view(np.uint8)[reach]).tobytes()
         if response is not None and response.uncovered == uncovered:
             response = response._replace(neighbors=neighbor_thetas)
@@ -516,7 +507,7 @@ def best_response_gain(
                 return gains - gamma * energy_penalty(agent, thetas)
 
             theta_star, best = maximize_scalar(objective, candidates)
-            response = _Response(neighbor_thetas, reach, uncovered, ends, theta_star, best)
+            response = _Response(neighbor_thetas, uncovered, ends, theta_star, best)
         game._responses[index] = response
     alone = float(cell_counts(index, np.array([theta]), response.ends)[0])
     incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)

@@ -27,13 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import (
-    CONTAINS_TOL,
-    AgentSpec,
-    GameInstance,
-    StrategyInterval,
-    neighbor_graph_from_masks,
-)
+from .game import CONTAINS_TOL, AgentSpec, GameInstance, StrategyInterval
 from .measure import TimeGrid
 
 TWO_PI = 2.0 * math.pi
@@ -77,9 +71,9 @@ class OrbitConstants:
 class ConstellationSpec:
     """Shared circular-orbit elements plus per-satellite initial phases.
 
-    Angles in radians, lengths in km. The orbit is circular: eccentricity and
-    argument of perigee are pinned to zero and the geocentric distance is the
-    semi-major axis.
+    Angles in radians, lengths in km. The orbit is circular: the geocentric
+    distance is the semi-major axis, and each phase is measured from the
+    ascending node.
     """
 
     semi_major_axis: float
@@ -87,12 +81,8 @@ class ConstellationSpec:
     raan0: float                      # ascending-node angle at t0
     greenwich_angle0: float           # sidereal hour angle at t0
     mean_anomalies0: tuple[float, ...]  # initial phase of each satellite
-    eccentricity: float = 0.0
-    arg_perigee: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.eccentricity != 0.0 or self.arg_perigee != 0.0:
-            raise ValueError("only circular orbits are modeled (e = omega = 0)")
         if not self.mean_anomalies0:
             raise ValueError("constellation needs at least one satellite")
 
@@ -174,17 +164,14 @@ def drift_rates(constants: OrbitConstants, spec: ConstellationSpec) -> DriftRate
     """Secular node and phase rates for the shared orbit.
 
     With mean motion ``n = sqrt(mu / a^3)`` and the oblateness coefficient
-    ``c = 1.5 n j2 (Re/a)^2 / (1-e^2)^2``, the node drifts at ``-c cos(i)``
-    and the phase advances at ``n - c sqrt(1-e^2) (1.5 sin(i)^2 - 1)``.
+    ``c = 1.5 n j2 (Re/a)^2`` of a circular orbit, the node drifts at
+    ``-c cos(i)`` and the phase advances at ``n - c (1.5 sin(i)^2 - 1)``.
     """
     a = spec.semi_major_axis
-    e = spec.eccentricity
     n_m = math.sqrt(constants.mu / a**3)
-    c_j2 = 1.5 * n_m * constants.j2 / (1.0 - e * e) ** 2 * (constants.earth_radius / a) ** 2
+    c_j2 = 1.5 * n_m * constants.j2 * (constants.earth_radius / a) ** 2
     node_rate = -c_j2 * math.cos(spec.inclination)
-    phase_rate = n_m - c_j2 * math.sqrt(1.0 - e * e) * (
-        1.5 * math.sin(spec.inclination) ** 2 - 1.0
-    )
+    phase_rate = n_m - c_j2 * (1.5 * math.sin(spec.inclination) ** 2 - 1.0)
     return DriftRates(node_rate=node_rate, phase_rate=phase_rate)
 
 
@@ -219,15 +206,15 @@ def satellite_position_ecf(
     """Earth-fixed position (km) of satellite ``k`` at time ``t``.
 
     The in-plane position at the current phase is rotated into the inertial
-    frame through the argument of perigee, inclination and the drifted node,
-    then into the Earth-fixed frame through the sidereal angle.
+    frame through the inclination and the drifted node, then into the
+    Earth-fixed frame through the sidereal angle.
     """
     elapsed = t - t0
     m_k = mean_anomaly(spec, rates, k, theta, elapsed)
     r_k = spec.semi_major_axis  # circular orbit
     in_plane = np.array([r_k * math.cos(m_k), r_k * math.sin(m_k), 0.0])
     raan = spec.raan0 + rates.node_rate * elapsed
-    eci = rot_z(-raan) @ rot_x(-spec.inclination) @ rot_z(-spec.arg_perigee) @ in_plane
+    eci = rot_z(-raan) @ rot_x(-spec.inclination) @ in_plane
     sidereal = spec.greenwich_angle0 + constants.earth_rotation_rate * elapsed
     return rot_z(-sidereal) @ eci
 
@@ -314,8 +301,9 @@ class ConstellationCoverage:
     scoring a sorted array of strategies against them costs one
     ``searchsorted`` pass per side that reproduces the comparisons of a
     single mask exactly: the two can never disagree on a boundary cell. The
-    cells of a table (used to freeze the neighbor graph) contain every
-    single mask of a strategy in the interval.
+    cells of a table, its :meth:`reach_positions` from which the game
+    derives its neighbor graph, contain every single mask of a strategy in
+    the interval.
 
     The build works only on the cells that can matter, and stores exactly
     what a build over every cell would, row for row. First, a visibility
@@ -559,22 +547,12 @@ class ConstellationCoverage:
 
         The cells of its segment table in the table's order, so a cell with
         rows at two shifts appears twice: the positions :meth:`breakpoints`
-        reads ``within`` at, and the cells of :meth:`reachable_mask`. The
+        reads ``within`` at. Exact over the whole continuum of strategies
+        that the interval accepts, since each row meets the interval, so
+        every single mask of a strategy in the interval lies on them. The
         array is the table's own and must not be changed.
         """
         return self._reach[k - 1].cell
-
-    def reachable_mask(self, k: int) -> np.ndarray:
-        """Cells satellite ``k`` can cover for some strategy in the interval.
-
-        Exact over the whole continuum of strategies that the interval
-        accepts: these are the cells of the satellite's segment table, each
-        of which has a row that meets the interval. Covers every
-        per-strategy mask by construction.
-        """
-        mask = np.zeros(self.cells.size, dtype=bool)
-        mask[self._reach[k - 1].cell] = True
-        return mask
 
 
 def build_constellation_game(
@@ -590,12 +568,12 @@ def build_constellation_game(
     """Wire the orbital model into a coverage game.
 
     Damaged satellites (1-based indices) become inactive agents: no coverage,
-    no penalty, no strategy dimension. The neighbor graph is frozen from the
-    exact reachable-coverage overlap, so any two satellites whose windows can
-    ever intersect within their strategy intervals are linked for the whole
-    run; the global objective then moves by exactly each unilateral
-    local-objective change. The overlaps are tested on bit-packed reach
-    masks (:func:`~covgame.game.neighbor_graph_from_masks`).
+    no penalty, no strategy dimension. The game derives its neighbor graph
+    from the satellites' exact reaches
+    (:meth:`ConstellationCoverage.reach_positions`), so any two satellites
+    whose windows can ever intersect within their strategy intervals are
+    linked for the whole run; the global objective then moves by exactly
+    each unilateral local-objective change.
     """
     n = spec.n_satellites
     if isinstance(theta_max, (int, float)):
@@ -620,11 +598,4 @@ def build_constellation_game(
         for k in range(1, n + 1)
     )
     coverage = ConstellationCoverage(constants, spec, target, grid, strategy_space)
-    reach = {a.index: coverage.reachable_mask(a.index) for a in agents if a.active}
-    return GameInstance(
-        agents=agents,
-        grid=grid,
-        coverage_fn=coverage,
-        gamma=gamma,
-        neighbor_graph=neighbor_graph_from_masks(reach),
-    )
+    return GameInstance(agents=agents, grid=grid, coverage_fn=coverage, gamma=gamma)

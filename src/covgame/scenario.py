@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .game import GameInstance, StrategyInterval
 from .measure import TimeGrid
@@ -77,10 +77,14 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _build(path: str, factory: Any, **kwargs: Any) -> Any:
-    """``factory(**kwargs)``, with its validation errors tagged by ``path``."""
+def tag_errors(path: str, apply: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``apply(*args, **kwargs)``, with its validation errors tagged by ``path``.
+
+    ``path`` is a field path or a command-line flag, which the
+    :class:`ScenarioError` raised in place of a ``ValueError`` starts with.
+    """
     try:
-        return factory(**kwargs)
+        return apply(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
@@ -239,7 +243,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     deg = math.pi / 180.0
 
     constants_doc = _section(doc, "constants", name_hint, required=False)
-    constants = _build(
+    constants = tag_errors(
         "constants",
         OrbitConstants,
         mu=_number(constants_doc, "mu_km3_s2", "constants", OrbitConstants.mu),
@@ -272,7 +276,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     else:
         spacing = _number(con, "phase_spacing_deg", "constellation") * deg
         mean_anomalies = tuple(k * spacing for k in range(n))
-    constellation = _build(
+    constellation = tag_errors(
         "constellation",
         ConstellationSpec,
         semi_major_axis=_number(con, "semi_major_axis_km", "constellation"),
@@ -287,7 +291,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         )
 
     tgt = _section(doc, "target", name_hint)
-    target = _build(
+    target = tag_errors(
         "target",
         TargetSpec,
         longitude=_number(tgt, "longitude_deg", "target") * deg,
@@ -296,7 +300,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     grid_doc = _section(doc, "grid", name_hint)
-    grid = _build(
+    grid = tag_errors(
         "grid.step_s",
         TimeGrid,
         t0=0.0,
@@ -317,7 +321,9 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         raise ScenarioError(
             f"game.strategy_bounds_deg: must lie within [-180, 180], got {bounds!r}"
         )
-    strategy_space = _build("game.strategy_bounds_deg", StrategyInterval, lo=lo, hi=hi)
+    strategy_space = tag_errors(
+        "game.strategy_bounds_deg", StrategyInterval, lo=lo, hi=hi
+    )
     # Both methods start from the zero profile, the nominal slots.
     if not lo <= 0.0 <= hi:
         raise ScenarioError(
@@ -332,7 +338,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     search_doc = _section(doc, "search", name_hint)
-    search = _build(
+    search = tag_errors(
         "search",
         SearchConfig,
         epsilon=_number(search_doc, "epsilon_s", "search"),
@@ -340,7 +346,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     cen = _section(doc, "centralized", name_hint, required=False)
-    centralized = _build(
+    centralized = tag_errors(
         "centralized",
         PatternSearchConfig,
         initial_step=_number(cen, "initial_step_deg", "centralized", 3.75) * deg,
@@ -369,7 +375,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         search=search,
         centralized=centralized,
     )
-    _build("search.epsilon_s", round_bound, cfg=cfg)
+    tag_errors("search.epsilon_s", round_bound, cfg=cfg)
     return cfg
 
 

@@ -34,9 +34,11 @@ messages. An update never reads state beyond the agent itself and its graph
 neighbors, and an :class:`AccessAudit` can record every cross-agent read:
 one per neighbor strategy pulled, and one per message.
 The cover count is shared, but on the cells an agent can cover only the
-agent and its neighbors are counted (the graph contract of
-:class:`~covgame.game.GameInstance`), and a best response reads no other
-cell, so it carries no information beyond the neighbors' strategies.
+agent and its neighbors are counted, since
+:class:`~covgame.game.GameInstance` derives the graph from the agents'
+reaches and links every two whose reaches meet, and a best response reads
+no other cell, so it carries no information beyond the neighbors'
+strategies.
 """
 from __future__ import annotations
 

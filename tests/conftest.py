@@ -30,10 +30,10 @@ def as_generator(coverage, grid, points=()):
     Its ``cells`` are all of ``grid``'s. ``points`` serve as both the starts
     and the stops of ``breakpoints``, whatever ``within`` is; a coverage that
     ignores theta needs none. ``masked_cell_counts`` counts ``coverage(k,
-    theta) & within`` for each theta, mask by mask. ``reachable_mask(k)`` is
-    the OR of ``k``'s masks at ``points`` and at 0, which is exact when every
-    strategy of the agent's interval plays the mask of one of them, and
-    ``reach_positions(k)`` its nonzero positions.
+    theta) & within`` for each theta, mask by mask. ``reach_positions(k)``
+    are the nonzero positions of the OR of ``k``'s masks at ``points`` and
+    at 0, which is exact when every strategy of the agent's interval plays
+    the mask of one of them.
     """
     points = np.asarray(points, dtype=float)
 
@@ -46,25 +46,47 @@ def as_generator(coverage, grid, points=()):
         counts = [np.count_nonzero(coverage(k, float(t)) & ends.within) for t in thetas]
         return np.array(counts, dtype=int)
 
-    def reachable_mask(k):
-        return np.any([coverage(k, float(t)) for t in (*points, 0.0)], axis=0)
-
     def reach_positions(k):
-        return np.flatnonzero(reachable_mask(k))
+        masks = [coverage(k, float(t)) for t in (*points, 0.0)]
+        return np.flatnonzero(np.any(masks, axis=0))
 
     coverage.cells = np.arange(grid.n_steps)
     coverage.breakpoints = breakpoints
     coverage.masked_cell_counts = masked_cell_counts
-    coverage.reachable_mask = reachable_mask
     coverage.reach_positions = reach_positions
     return coverage
 
 
-def reach_graph(agents, coverage):
-    """The neighbor graph of the active agents' exact ``reachable_mask``."""
-    return neighbor_graph_from_masks(
-        {a.index: coverage.reachable_mask(a.index) for a in agents if a.active}
+def reach_mask(coverage, k):
+    """Agent ``k``'s reach as a boolean mask over ``coverage.cells``."""
+    mask = np.zeros(len(coverage.cells), dtype=bool)
+    mask[coverage.reach_positions(k)] = True
+    return mask
+
+
+def graph_game(graph, inactive=()):
+    """Game whose derived neighbor graph is ``graph`` on its active agents.
+
+    ``graph`` maps every agent ``1..n`` to its neighbors. Each edge gets a
+    cell of its own, which both of its agents cover whatever they play, so
+    two reaches meet exactly at the cell of their edge. Agents in
+    ``inactive`` are damaged, and their edges drop out of the game's graph.
+    """
+    edges = sorted({(min(k, l), max(k, l)) for k, neigh in graph.items() for l in neigh})
+    grid = TimeGrid(0.0, float(max(len(edges), 1)), 1.0)
+    masks = {k: np.zeros(grid.n_steps, dtype=bool) for k in graph}
+    for cell, (k, l) in enumerate(edges):
+        masks[k][cell] = masks[l][cell] = True
+
+    def coverage(k, theta):
+        return masks[k].copy()
+
+    as_generator(coverage, grid)
+    agents = tuple(
+        AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0, active=k not in inactive)
+        for k in sorted(graph)
     )
+    return GameInstance(agents, grid, coverage, 0.0)
 
 
 def sampled_reach_graph(agents, coverage):
@@ -150,7 +172,7 @@ def sliding_window_game(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max)
         for k in range(1, n_agents + 1)
     )
-    return GameInstance(agents, grid, coverage, gamma, reach_graph(agents, coverage))
+    return GameInstance(agents, grid, coverage, gamma)
 
 
 def two_cluster_game(gamma: float = 0.01) -> GameInstance:
@@ -174,7 +196,7 @@ def two_cluster_game(gamma: float = 0.01) -> GameInstance:
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=1.0) for k in range(1, 5)
     )
-    return GameInstance(agents, grid, coverage, gamma, reach_graph(agents, coverage))
+    return GameInstance(agents, grid, coverage, gamma)
 
 
 def mini_scenario_doc() -> dict:

@@ -181,7 +181,7 @@ def test_criterion_3_convergence_within_budget_and_certification(
 def lattice_toy_game():
     """Four window-sliding agents whose strategies quantize to a 9-point grid."""
     from covgame.game import AgentSpec, GameInstance, StrategyInterval
-    from conftest import as_generator, lattice, reach_graph, window_mask
+    from conftest import as_generator, lattice, window_mask
 
     grid = TimeGrid(0.0, 60.0, 1.0)
     space = StrategyInterval(-1.0, 1.0)
@@ -195,7 +195,7 @@ def lattice_toy_game():
     as_generator(coverage, grid, lattice(1.0, 0.25))
 
     agents = tuple(AgentSpec(k, space, 1.0) for k in (1, 2, 3, 4))
-    return GameInstance(agents, grid, coverage, 0.05, reach_graph(agents, coverage))
+    return GameInstance(agents, grid, coverage, 0.05)
 
 
 def lattice_objective(profile_theta):

@@ -16,7 +16,7 @@ from covgame import harness
 from covgame.cli import main
 from covgame.scenario import bundled_scenario_path, parse_scenario
 
-from conftest import mini_scenario_doc
+from conftest import CallCounter, mini_scenario_doc
 
 
 def run_cli(*args):
@@ -312,6 +312,31 @@ class TestSweepVerbs:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: --values: theta_max of agent 3: too small")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb, flag, entries, message",
+        [
+            ("sweep-n", "--counts", "4,x", "invalid literal for int()"),
+            ("sweep-n", "--counts", "4,0", "satellite count must be positive, got 0"),
+            ("sweep-energy", "--values", "abc", "could not convert string to float"),
+        ],
+        ids=["count-not-an-integer", "count-zero", "value-not-a-number"],
+    )
+    def test_bad_sweep_entry_names_the_flag_before_any_solve(
+        self, tmp_path, mini_scenario_file, capsys, monkeypatch, verb, flag, entries, message
+    ):
+        # Every entry is parsed and checked before the first solve, so a bad
+        # one anywhere in the list solves nothing and writes no file.
+        solves = CallCounter(monkeypatch, harness, "run_distributed")
+        out = tmp_path / "out"
+        code = run_cli(
+            verb, "--scenario", mini_scenario_file, "--out", out, flag, entries, "--quiet"
+        )
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {flag}: ") and message in line
+        assert solves.calls == 0
         assert not out.exists()
 
 

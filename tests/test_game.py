@@ -19,15 +19,17 @@ from covgame.game import (
     regret,
 )
 from covgame.measure import TimeGrid, union_many
-from covgame.orbit import build_constellation_game
+from covgame.orbit import ConstellationCoverage, build_constellation_game
 from covgame.scenario import parse_scenario
 
 from conftest import (
+    CallCounter,
     as_generator,
+    graph_game,
     lattice,
     mini_scenario_doc,
     random_profile,
-    reach_graph,
+    reach_mask,
     sampled_reach_graph,
     sliding_window_game,
     two_cluster_game,
@@ -57,7 +59,7 @@ class TestEnergyPenalty:
             assert energy_penalty(self.agent, theta) == energy_penalty(self.agent, -theta)
 
 
-def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
+def fixed_mask_game(masks, gamma=0.2, theta_max=1.0):
     """Game whose coverage ignores theta entirely; masks keyed by agent index."""
     grid = TimeGrid(0.0, float(len(next(iter(masks.values())))), 1.0)
     space = StrategyInterval(-1.0, 1.0)
@@ -69,9 +71,7 @@ def fixed_mask_game(masks, gamma=0.2, graph=None, theta_max=1.0):
     agents = tuple(
         AgentSpec(index=k, strategy_space=space, theta_max=theta_max) for k in sorted(masks)
     )
-    if graph is None:
-        graph = reach_graph(agents, coverage)
-    return GameInstance(agents, grid, coverage, gamma, graph)
+    return GameInstance(agents, grid, coverage, gamma)
 
 
 class TestCountDtype:
@@ -126,7 +126,7 @@ class TestGlobalValue:
             game.agents[0],
             AgentSpec(2, game.agents[1].strategy_space, 1.0, active=False),
         )
-        degraded = GameInstance(agents, game.grid, game.coverage_fn, game.gamma, {1: ()})
+        degraded = GameInstance(agents, game.grid, game.coverage_fn, game.gamma)
         profile = StrategyProfile(np.array([0.0, 0.7]))
         assert global_value(degraded, profile) == 20.0  # no penalty from agent 2
 
@@ -199,7 +199,7 @@ class TestLocalValue:
     def test_inactive_agent_rejected(self):
         game = fixed_mask_game({1: [1] * 10, 2: [1] * 10})
         agents = (game.agents[0], AgentSpec(2, game.agents[1].strategy_space, 1.0, active=False))
-        degraded = GameInstance(agents, game.grid, game.coverage_fn, game.gamma, {1: ()})
+        degraded = GameInstance(agents, game.grid, game.coverage_fn, game.gamma)
         with pytest.raises(ValueError, match="not active"):
             local_value(degraded, 2, StrategyProfile.zeros(2))
 
@@ -253,19 +253,12 @@ class TestNeighborGraph:
         assert 2 in toy_game.neighbors(1) and 3 in toy_game.neighbors(2)
 
     def test_neighbor_positions_are_the_sorted_graph(self):
-        # A graph written by hand, each neighbor set listed out of order;
-        # agent 4 is inactive.
-        grid = TimeGrid(0.0, 4.0, 1.0)
-
-        def coverage(k, theta):
-            return np.zeros(4, dtype=bool)
-
-        as_generator(coverage, grid)
-        agents = tuple(
-            AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0, active=k != 4) for k in range(1, 7)
-        )
-        graph = {6: [3, 1], 1: [6, 3, 2], 3: [6, 1], 2: [1], 5: []}
-        game = GameInstance(agents, grid, coverage, 0.1, graph)
+        # A graph realized through the agents' reaches, each neighbor set
+        # listed out of order; agent 4 is inactive, so its edges drop out.
+        graph = {6: [3, 1], 1: [6, 4, 3, 2], 3: [6, 1], 2: [1], 4: [5, 1], 5: [4]}
+        game = graph_game(graph, inactive={4})
+        assert game.neighbor_graph == {1: {2, 3, 6}, 2: {1}, 3: {1, 6}, 5: set(), 6: {1, 3}}
+        assert sorted(game.reach_positions) == [1, 2, 3, 5, 6]
         assert sorted(game.neighbor_positions) == [1, 2, 3, 5, 6]
         for k, positions in game.neighbor_positions.items():
             assert positions.dtype == np.intp
@@ -274,6 +267,17 @@ class TestNeighborGraph:
             with pytest.raises(ValueError, match="read-only"):
                 positions[...] = 0
         assert game.neighbor_positions[1].tolist() == [1, 2, 5]
+
+    def test_reach_is_read_once_per_active_agent(self, monkeypatch):
+        # The game keeps each active agent's reach: building it reads every
+        # one once, and a certification, a best response per agent, reads
+        # none again.
+        reads = CallCounter(monkeypatch, ConstellationCoverage, "reach_positions")
+        game = MINI_CFG.build_game()
+        assert reads.calls == len(game.active_indices) == 11
+        assert sorted(game.reach_positions) == list(game.active_indices)
+        certify_epsilon_equilibrium(game, StrategyProfile.zeros(game.n_agents), 0.1)
+        assert reads.calls == 11
 
     def test_reach_edge_requires_some_strategy_pair(self, toy_game):
         # Neighbors iff the reaches intersect: verify against a direct reach
@@ -314,7 +318,7 @@ class TestExactReach:
         cov = game.coverage_fn
         for k in game.active_indices:
             space = game.agent(k).strategy_space
-            reach = cov.reachable_mask(k)
+            reach = reach_mask(cov, k)
             for theta in np.linspace(space.lo, space.hi, 201):
                 assert not np.any(cov(k, float(theta)) & ~reach), (k, theta)
         sampled = sampled_reach_graph(game.agents, cov)
@@ -331,15 +335,6 @@ class TestGameValidation:
 
     def test_mask_length_is_the_generator_cells(self, toy_game):
         assert toy_game.n_cells == len(toy_game.coverage_fn.cells) == toy_game.grid.n_steps
-
-    def test_asymmetric_graph_rejected(self):
-        masks = {1: [1, 0], 2: [0, 1]}
-        with pytest.raises(ValueError, match="symmetric"):
-            fixed_mask_game(masks, graph={1: {2}, 2: set()})
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="neighbor itself"):
-            fixed_mask_game({1: [1, 0]}, graph={1: {1}})
 
     def test_profile_length_checked(self, toy_game):
         with pytest.raises(ValueError, match="entries"):
@@ -365,7 +360,7 @@ class TestGameValidation:
         delattr(coverage, member)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
         with pytest.raises(TypeError, match=f"must expose {member}"):
-            GameInstance(agents, grid, coverage, 0.1, {1: ()})
+            GameInstance(agents, grid, coverage, 0.1)
 
     def test_foreign_grid_coverage_rejected(self):
         grid = TimeGrid(0.0, 4.0, 1.0)
@@ -375,7 +370,7 @@ class TestGameValidation:
 
         as_generator(coverage, grid)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
-        game = GameInstance(agents, grid, coverage, 0.1, {1: ()})
+        game = GameInstance(agents, grid, coverage, 0.1)
         with pytest.raises(ValueError, match="foreign grid"):
             game.coverage(1, 0.0)
 
@@ -398,7 +393,7 @@ class TestCertification:
 
         as_generator(coverage, grid, lattice(10.0, 1.0))
         agents = tuple(AgentSpec(k, space, 100.0) for k in (1, 2))
-        game = GameInstance(agents, grid, coverage, 0.0, {1: {2}, 2: {1}})
+        game = GameInstance(agents, grid, coverage, 0.0)
         report = certify_epsilon_equilibrium(game, StrategyProfile.zeros(2), 1.0)
         assert not report.certified
         assert report.worst_agent == 1

@@ -71,7 +71,7 @@ class TestSetOps:
 
         as_generator(coverage, self.grid)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
-        game = GameInstance(agents, self.grid, coverage, 0.1, {1: ()})
+        game = GameInstance(agents, self.grid, coverage, 0.1)
         mask = game.coverage(1, 0.0)
         assert mask is game.coverage(1, 0.0)
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ from covgame.orbit import (
 )
 from covgame.search import SearchConfig, run_round
 
-from conftest import CallCounter, sampled_reach_graph
+from conftest import CallCounter, reach_mask, sampled_reach_graph
 
 DEG = math.pi / 180.0
 
@@ -402,10 +402,10 @@ class TestCoverage:
             counts = cov.masked_cell_counts(3, np.array(thetas), ends)
             assert counts.tolist() == [np.count_nonzero(cov(3, t)) for t in thetas]
 
-    def test_reachable_mask_covers_every_strategy(self, rng):
+    def test_reach_covers_every_strategy(self, rng):
         interval = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
         cov = day_coverage(interval=interval)
-        reach = on_grid(cov, cov.reachable_mask(9))
+        reach = on_grid(cov, reach_mask(cov, 9))
         for theta in rng.uniform(interval.lo, interval.hi, 40):
             mask = on_grid(cov, cov(9, float(theta)))
             assert not np.any(mask & ~reach)
@@ -453,7 +453,7 @@ class TestBuiltInterval:
             for f in fractions
         ]
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
-        reach = cov.reachable_mask(k)
+        reach = reach_mask(cov, k)
         for thetas in (sorted(inner), [interval.lo, *sorted(inner), interval.hi]):
             for theta in thetas:
                 mask = cov(k, theta)
@@ -535,7 +535,7 @@ class TestBuiltInterval:
         mask = cov(1, theta)
         assert mask[j]
         assert np.array_equal(mask, full(1, theta))
-        assert cov.reachable_mask(1)[j]
+        assert j in cov.reach_positions(1)
 
 
 def target_in_orbit_frame(spec, target, elapsed):
@@ -907,7 +907,7 @@ class TestConstellationGame:
         )
         cov = game.coverage_fn
         for k in game.active_indices:
-            reach = cov.reachable_mask(k)
+            reach = reach_mask(cov, k)
             for f in [0.0, 1.0, *fractions]:
                 theta = min(interval.lo + f * interval.width, interval.hi)
                 assert not np.any(cov(k, theta) & ~reach)
@@ -1054,16 +1054,12 @@ SEAM_COVERAGE = ConstellationCoverage(
 
 
 def coverage_game(cov, gamma, active=range(1, 25)):
-    """A 24-satellite game on a shared coverage, with its exact reach graph.
-
-    Satellites outside ``active`` are damaged.
-    """
+    """A 24-satellite game on a shared coverage; those outside ``active`` are damaged."""
     agents = tuple(
         AgentSpec(index=k, strategy_space=cov.interval, theta_max=1.0, active=k in active)
         for k in range(1, 25)
     )
-    reach = {k: cov.reachable_mask(k) for k in active}
-    return GameInstance(agents, cov.grid, cov, gamma, neighbor_graph_from_masks(reach))
+    return GameInstance(agents, cov.grid, cov, gamma)
 
 
 class TestBestResponseReuse:
@@ -1144,7 +1140,7 @@ class TestBestResponseReuse:
         def off_reach_moves():
             # Neighbor moves between the plateaus of two adjacent breakpoints.
             for k in game.active_indices:
-                reach = cov.reachable_mask(k)
+                reach = reach_mask(cov, k)
                 for l in sorted(game.neighbors(k)):
                     ends = np.unique(np.concatenate(cov.breakpoints(l, everywhere)))
                     ends = ends[(ends > cov.interval.lo) & (ends < cov.interval.hi)]

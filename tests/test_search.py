@@ -29,8 +29,8 @@ from covgame.search import (
 
 from conftest import (
     as_generator,
+    graph_game,
     lattice,
-    reach_graph,
     sliding_window_game,
     two_cluster_game,
     window_mask,
@@ -92,15 +92,10 @@ def regret_graphs(draw, max_agents=9):
 
 
 def blank_game(graph):
-    """Agents that cover nothing, linked by ``graph``: any graph is valid."""
-    grid = TimeGrid(0.0, 4.0, 1.0)
-
-    def coverage(k, theta):
-        return np.zeros(grid.n_steps, dtype=bool)
-
-    as_generator(coverage, grid)
-    agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in graph)
-    return GameInstance(agents, grid, coverage, 0.0, graph)
+    """Agents linked by ``graph``, any graph, each covering its edges' cells."""
+    game = graph_game(graph)
+    assert game.neighbor_graph == graph
+    return game
 
 
 def round_with_regrets(graph, regrets, gated, audit=None):
@@ -249,7 +244,7 @@ def single_agent_game():
 
     as_generator(coverage, grid, lattice(10.0, 1.0))
     agents = (AgentSpec(1, StrategyInterval(-10.0, 0.0), 100.0),)
-    return GameInstance(agents, grid, coverage, 0.0, {1: ()})
+    return GameInstance(agents, grid, coverage, 0.0)
 
 
 class TestRunRound:
@@ -323,10 +318,13 @@ class TestRunRound:
                 raise ValueError("model blew up")
             return np.zeros(grid.n_steps, dtype=bool)
 
-        # A breakpoint above 0.5 makes the best response evaluate there.
+        # A breakpoint above 0.5 makes the best response evaluate there. The
+        # agent covers nothing, so its reach is empty, and building the game
+        # evaluates no strategy.
         as_generator(coverage, grid, [0.75])
+        coverage.reach_positions = lambda k: np.zeros(0, dtype=np.intp)
         agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
-        game = GameInstance(agents, grid, coverage, 0.0, {1: ()})
+        game = GameInstance(agents, grid, coverage, 0.0)
         profile = StrategyProfile.zeros(1)
         with pytest.raises(RuntimeError, match="agent 1"):
             run_round(game, profile, {1: True}, CoverCount(game, profile), self.cfg)
@@ -366,7 +364,7 @@ class TestRunSearch:
 
         as_generator(coverage, grid)
         agents = tuple(AgentSpec(k, StrategyInterval(-1.0, 1.0), 1.0) for k in (1, 2))
-        game = GameInstance(agents, grid, coverage, 0.1, {1: (), 2: ()})
+        game = GameInstance(agents, grid, coverage, 0.1)
         result = run_search(game, StrategyProfile.zeros(2), SearchConfig(0.01, 4))
         assert result.converged_at == 0
         assert result.certified
@@ -422,8 +420,7 @@ class TestRunSearch:
     def test_inactive_entries_come_out_zero(self):
         toy = sliding_window_game(n_agents=6)
         agents = tuple(replace(a, active=a.index not in (2, 5)) for a in toy.agents)
-        graph = reach_graph(agents, toy.coverage_fn)
-        game = GameInstance(agents, toy.grid, toy.coverage_fn, toy.gamma, graph)
+        game = GameInstance(agents, toy.grid, toy.coverage_fn, toy.gamma)
         initial = StrategyProfile.zeros(game.n_agents).replace(2, 0.5).replace(5, -0.75)
         result = run_search(game, initial, SearchConfig(0.05, 10))
         assert result.final_profile.for_agent(2) == 0.0
