@@ -133,19 +133,22 @@ class GameInstance:
     - ``cells``: the sorted grid indices of the mask axis, so the game has
       ``n_cells = len(cells)``. A generator may leave out cells no agent can
       ever cover.
-    - ``breakpoints(k, within)``: ascending arrays ``(starts, stops)`` such
-      that agent ``k``'s count ``|coverage(k, theta) & within|`` does not
-      fall while ``theta`` moves toward 0, until it passes a start (from
-      above 0) or a stop (from below 0). The ends of the closed strategy
-      intervals on which ``k`` covers each cell of ``within`` are such a
-      set; :func:`best_response_gain` scores them.
+    - ``breakpoints(k, within)``: ``within`` is a boolean row mask with one
+      entry per entry of ``reach_positions(k)``, true where the cell at that
+      position counts; entries at a repeated position agree. Returns
+      ascending arrays ``(starts, stops)`` such that agent ``k``'s count of
+      covered cells among those marked does not fall while ``theta`` moves
+      toward 0, until it passes a start (from above 0) or a stop (from
+      below 0). The ends of the closed strategy intervals on which ``k``
+      covers each marked cell are such a set; :func:`best_response_gain`
+      scores them.
     - ``masked_cell_counts(k, thetas, ends)``: that count for every entry
       of an ascending array of strategies, given the pair ``ends`` that
       ``breakpoints`` returned.
     - ``reach_positions(k)``: the mask positions of the cells ``k`` covers
       for some strategy of its interval (its reach), exactly, in a fixed
-      order and possibly repeated. ``breakpoints`` reads ``within`` only
-      there, and ``masked_cell_counts`` counts no other cell.
+      order and possibly repeated. ``masked_cell_counts`` counts no other
+      cell.
 
     The constructor reads each active agent's reach once and keeps it in
     ``reach_positions``, keyed by agent index. From those reaches it derives
@@ -161,9 +164,9 @@ class GameInstance:
     On an agent's reach only its neighbors may cover too, and
     :func:`best_response_gain` relies on this. It selects the cells no
     neighbor covers as those where a :class:`CoverCount` of all active
-    agents equals the agent's own incumbent mask, which matches the OR of
-    its neighbors' masks on every cell of its reach, and a scan reads no
-    other cell.
+    agents equals the agent's own incumbent mask, read at its
+    ``reach_positions`` alone; there this matches the OR of its neighbors'
+    masks, and the result is the row mask that ``breakpoints`` takes.
 
     Besides the mask cache, the instance keeps one entry per active agent:
     its last exact best response, keyed twice on what it was computed from.
@@ -171,7 +174,8 @@ class GameInstance:
     the second is the agent's uncovered cells read at its
     ``reach_positions``, which is all the answer depends on.
     :func:`best_response_gain` reuses the entry while either key stands
-    still.
+    still. The entry also keeps the agent's own mask read at its reach, for
+    the strategy it was read at.
     """
 
     def __init__(
@@ -412,17 +416,22 @@ class _Response(NamedTuple):
     """An agent's last exact best response, with what it was computed from.
 
     ``neighbors`` is the gathered array of neighbor strategies it last
-    answered, in ascending neighbor order. ``uncovered`` holds one byte per
-    entry of the agent's ``reach_positions``, 1 where no neighbor covered
-    that cell when the agent last scanned; ``ends`` is
-    the ``(starts, stops)`` pair that scan selected, from which any
-    incumbent's count is read. ``theta_star`` is the first maximizer and
-    ``best`` its local objective. The entry holds no reference to the game,
-    so storing it on the game makes no cycle.
+    answered, in ascending neighbor order. ``theta`` is the agent's
+    strategy at its last gather and ``own`` that strategy's mask read at
+    the agent's ``reach_positions``, one ``uint8`` per entry, kept so that
+    a later gather at the same strategy reads only the count.
+    ``uncovered`` holds one boolean per entry of the ``reach_positions``,
+    true where no neighbor covered that cell when the agent last scanned;
+    ``ends`` is the ``(starts, stops)`` pair that scan selected, from which
+    any incumbent's count is read. ``theta_star`` is the first maximizer
+    and ``best`` its local objective. The entry holds no reference to the
+    game, so storing it on the game makes no cycle.
     """
 
     neighbors: np.ndarray
-    uncovered: bytes
+    theta: float
+    own: np.ndarray
+    uncovered: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
     theta_star: float
     best: float
@@ -445,7 +454,9 @@ def best_response_gain(
     agent's own incumbent mask; since the graph links every two agents
     whose reaches meet (see :class:`GameInstance`), these are, on every
     cell the agent can cover, the cells outside the OR of its neighbors'
-    masks, so no fold over the neighbors runs.
+    masks, so no fold over the neighbors runs. Both are read at the
+    agent's ``reach_positions`` only, and the resulting row mask is what
+    ``breakpoints`` takes, so no array of ``n_cells`` entries is read.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -463,20 +474,22 @@ def best_response_gain(
     reach, since ``breakpoints`` and ``masked_cell_counts`` read no other
     cell, so the game keeps each agent's last one under two keys (see
     :class:`_Response`). While ``neighbor_thetas`` equals the stored array
-    (``np.array_equal``, under which ``-0.0`` equals ``0.0`` and NaN equals
+    elementwise (under which ``-0.0`` equals ``0.0`` and NaN equals
     nothing), the stored answer is returned without reading the count.
-    Otherwise the count and the incumbent mask are read at the agent's
-    ``reach_positions`` only: if the uncovered cells there equal the stored
-    ones, a neighbor moved off the agent's reach, and the stored answer is
-    returned and takes ``neighbor_thetas`` as its new first key. Only if
-    both keys miss does the agent select its rows and score them, and
-    replace its entry. The entry keeps ``neighbor_thetas`` itself, which
-    the caller must not change afterwards.
+    Otherwise the count is read at the agent's ``reach_positions``, and so
+    is its incumbent mask unless the entry holds it for ``theta`` already:
+    if the uncovered cells there equal the stored ones, a neighbor moved
+    off the agent's reach, and the stored answer is returned and takes
+    ``neighbor_thetas`` as its new first key. Only if both keys miss does
+    the agent select its rows and score them, and replace its entry. The
+    entry keeps ``neighbor_thetas`` itself, which the caller must not
+    change afterwards.
 
     The incumbent's local objective is one ``masked_cell_counts`` call at
     ``theta`` against the stored ends: the cells of its own mask that no
-    neighbor covers, so no call reads an array of ``n_cells`` entries
-    unless it scans.
+    neighbor covers. An incumbent equal to the stored maximizer needs none:
+    its value would be the same arithmetic on the same ends as ``best``,
+    so its gain is exactly ``0.0``.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over ``theta``, which is never
@@ -485,15 +498,18 @@ def best_response_gain(
     agent = game.agent(index)
     cell_counts = game.coverage_fn.masked_cell_counts
     response = game._responses.get(index)
-    if response is None or not np.array_equal(response.neighbors, neighbor_thetas):
-        own = game.coverage(index, theta)
+    if response is None or not (response.neighbors == neighbor_thetas).all():
         reach = game.reach_positions[index]
-        uncovered = (cover.counts[reach] == own.view(np.uint8)[reach]).tobytes()
-        if response is not None and response.uncovered == uncovered:
-            response = response._replace(neighbors=neighbor_thetas)
+        if response is not None and response.theta == theta:
+            own = response.own
+        else:
+            own = game.coverage(index, theta).view(np.uint8)[reach]
+        uncovered = cover.counts[reach] == own
+        if response is not None and (response.uncovered == uncovered).all():
+            response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)
         else:
             space = agent.strategy_space
-            starts, stops = ends = game.coverage_fn.breakpoints(index, cover.alone(own))
+            starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
             z = min(max(0.0, space.lo), space.hi)
             first, last = stops.searchsorted((space.lo, z))
             below = stops[first:last]
@@ -507,8 +523,12 @@ def best_response_gain(
                 return gains - gamma * energy_penalty(agent, thetas)
 
             theta_star, best = maximize_scalar(objective, candidates)
-            response = _Response(neighbor_thetas, uncovered, ends, theta_star, best)
+            response = _Response(
+                neighbor_thetas, theta, own, uncovered, ends, theta_star, best
+            )
         game._responses[index] = response
+    if theta == response.theta_star:
+        return response.theta_star, 0.0
     alone = float(cell_counts(index, np.array([theta]), response.ends)[0])
     incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)
     return response.theta_star, response.best - incumbent

@@ -262,13 +262,14 @@ class _Reach(NamedTuple):
     exactly the offsets in the closed segment ``[lo[i], hi[i]]``. The rows
     of one cell are disjoint, and every row has ``lo <= hi``. The rows are
     sorted by ``lo``; ``stop`` holds the same ``hi`` ends sorted ascending,
-    and ``stop_cell`` their cells.
+    and ``stop_row`` the row of each, so that ``stop == hi[stop_row]``. A
+    mask over the rows thus selects both ends of the same rows.
     """
 
     cell: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    stop_cell: np.ndarray
+    stop_row: np.ndarray
     stop: np.ndarray
 
 
@@ -297,7 +298,7 @@ class ConstellationCoverage:
     entry per visible cell. The segment ends are also what an exact best
     response scores (:meth:`breakpoints`). Each table is sorted once at
     build time, its rows by ``lo`` and a copy of its ``hi`` ends with their
-    cells, so the ends of any subset of rows come out ascending, and
+    rows, so the ends of any subset of rows come out ascending, and
     scoring a sorted array of strategies against them costs one
     ``searchsorted`` pass per side that reproduces the comparisons of a
     single mask exactly: the two can never disagree on a boundary cell. The
@@ -456,10 +457,9 @@ class ConstellationCoverage:
             lo = np.concatenate((minus_inf, lo[index] + shift))
             hi = np.concatenate((plus_inf, hi[index] + shift))
             by_lo = np.argsort(lo)
-            by_hi = np.argsort(hi)
-            self._reach.append(
-                _Reach(cell[by_lo], lo[by_lo], hi[by_lo], cell[by_hi], hi[by_hi])
-            )
+            hi = hi[by_lo]
+            stop_row = np.argsort(hi)
+            self._reach.append(_Reach(cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]))
 
     def _target_in_orbit_frame(self, elapsed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The unit target's in-plane components ``(v1, v2)`` at ``elapsed``.
@@ -506,17 +506,19 @@ class ConstellationCoverage:
         """Covered-cell counts restricted to some cells, for many strategies.
 
         ``ends`` is the pair ``(starts, stops)`` that :meth:`breakpoints`
-        returned for satellite ``k`` and a mask ``within``; the result counts
-        ``|coverage(k, theta) & within|`` for every entry of an ascending
-        ``thetas`` array. A row holds ``theta`` iff ``lo <= theta`` and
-        ``theta <= hi``, the comparisons of a single mask, and every row has
-        ``lo <= hi``, so the count is the number of starts at or below
-        ``theta`` minus the number of stops below it: two ``searchsorted``
-        passes over the ascending ends. Every theta must lie in the built
+        returned for satellite ``k`` and a row mask ``within``; the result
+        counts ``|coverage(k, theta) & within|``, with ``within`` read as the
+        cells it marks, for every entry of an ascending ``thetas`` array. A
+        row holds ``theta`` iff ``lo <= theta`` and ``theta <= hi``, the
+        comparisons of a single mask, and every row has ``lo <= hi``, so the
+        count is the number of starts at or below ``theta`` minus the number
+        of stops below it: two ``searchsorted`` passes over the ascending
+        ends. Every theta must lie in the built
         interval, and ``thetas`` must be sorted ascending; otherwise
         ``ValueError`` is raised. :func:`~covgame.game.best_response_gain`
-        calls this once per scan to score its candidates, and once per call
-        with the incumbent alone, which needs no sortedness pass.
+        calls this once per scan to score its candidates, and once with the
+        incumbent alone, which needs no sortedness pass, unless the incumbent
+        is the stored maximizer.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
@@ -531,26 +533,30 @@ class ConstellationCoverage:
     def breakpoints(self, k: int, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where the count of :meth:`masked_cell_counts` can change.
 
-        Returns ``(starts, stops)``, each sorted ascending: the ``lo`` and
-        ``hi`` ends of the rows of satellite ``k``'s segment table whose
-        cell lies in ``within``, a mask over ``cells``. The table keeps both
-        ends presorted, so selecting rows keeps that order and no sort runs
-        here. Each such cell is covered exactly on the union of its rows, so
-        the count changes only at these ends, and moving toward 0 it cannot
-        fall before it passes one of them.
+        ``within`` is a boolean row mask, one entry per entry of
+        :meth:`reach_positions`, true where that position's cell counts: the
+        entries a mask over ``cells`` has at those positions. Returns
+        ``(starts, stops)``, each sorted ascending: the ``lo`` and ``hi``
+        ends of the rows of satellite ``k``'s segment table that ``within``
+        marks. The table keeps both ends presorted, so selecting rows keeps
+        that order, no sort runs here, and nothing of ``n_cells`` entries is
+        read. Each marked cell is covered exactly on the union of its rows,
+        so the count changes only at these ends, and moving toward 0 it
+        cannot fall before it passes one of them.
         """
         reach = self._reach[k - 1]
-        return reach.lo[within[reach.cell]], reach.stop[within[reach.stop_cell]]
+        return reach.lo[within], reach.stop[within[reach.stop_row]]
 
     def reach_positions(self, k: int) -> np.ndarray:
         """Mask positions of the cells satellite ``k`` can cover, one per row.
 
         The cells of its segment table in the table's order, so a cell with
-        rows at two shifts appears twice: the positions :meth:`breakpoints`
-        reads ``within`` at. Exact over the whole continuum of strategies
-        that the interval accepts, since each row meets the interval, so
-        every single mask of a strategy in the interval lies on them. The
-        array is the table's own and must not be changed.
+        rows at two shifts appears twice: entry ``i`` is the cell of row
+        ``i``, and :meth:`breakpoints` takes its row mask in this order.
+        Exact over the whole continuum of strategies that the interval
+        accepts, since each row meets the interval, so every single mask of
+        a strategy in the interval lies on them. The array is the table's
+        own and must not be changed.
         """
         return self._reach[k - 1].cell
 

@@ -23,6 +23,8 @@ from .orbit import (
     OrbitConstants,
     TargetSpec,
     build_constellation_game,
+    drift_rates,
+    mean_motion,
 )
 from .search import SearchConfig, iteration_bound
 
@@ -289,6 +291,13 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         raise ScenarioError(
             "constellation.semi_major_axis_km: orbit must be above the Earth's surface"
         )
+    # The mean motion divides by the cube of the axis; a float power that
+    # overflows raises OverflowError, where a product gives inf.
+    axis = constellation.semi_major_axis
+    if not math.isfinite(axis * axis * axis):
+        raise ScenarioError(
+            "constellation.semi_major_axis_km: too large, its cube is not finite"
+        )
 
     tgt = _section(doc, "target", name_hint)
     target = tag_errors(
@@ -307,6 +316,16 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         tf=_positive(_number(grid_doc, "duration_s", "grid"), "grid.duration_s"),
         dt=_number(grid_doc, "step_s", "grid"),
     )
+    # The summary divides by the mean motion for the orbital period, and the
+    # coverage build turns every angle at the drift rates over the horizon.
+    rates = drift_rates(constants, constellation)
+    turn = abs(rates.node_rate) + constants.earth_rotation_rate + abs(rates.phase_rate)
+    motion = mean_motion(constants, constellation)
+    if not (motion > 0.0 and math.isfinite(turn * grid.duration)):
+        raise ScenarioError(
+            "constants: the mean motion must be positive, and the angles the orbit "
+            f"turns through in the {grid.duration} s horizon finite"
+        )
 
     game_doc = _section(doc, "game", name_hint)
     bounds = _get(game_doc, "strategy_bounds_deg", "game")

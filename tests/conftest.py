@@ -17,8 +17,8 @@ from covgame.measure import TimeGrid
 class Ends(tuple):
     """The ``(starts, stops)`` pair of :func:`as_generator`'s ``breakpoints``.
 
-    It keeps the ``within`` mask it was asked for, which is what that
-    generator's ``masked_cell_counts`` counts.
+    It keeps the cells its row mask marks, as a mask over all cells, which
+    is what that generator's ``masked_cell_counts`` counts.
     """
 
     within: np.ndarray
@@ -29,17 +29,20 @@ def as_generator(coverage, grid, points=()):
 
     Its ``cells`` are all of ``grid``'s. ``points`` serve as both the starts
     and the stops of ``breakpoints``, whatever ``within`` is; a coverage that
-    ignores theta needs none. ``masked_cell_counts`` counts ``coverage(k,
-    theta) & within`` for each theta, mask by mask. ``reach_positions(k)``
-    are the nonzero positions of the OR of ``k``'s masks at ``points`` and
-    at 0, which is exact when every strategy of the agent's interval plays
-    the mask of one of them.
+    ignores theta needs none. ``breakpoints`` scatters its row mask
+    ``within`` onto the cells at ``reach_positions(k)``, and
+    ``masked_cell_counts`` counts ``coverage(k, theta)`` on those cells for
+    each theta, mask by mask. ``reach_positions(k)`` are the nonzero
+    positions of the OR of ``k``'s masks at ``points`` and at 0, which is
+    exact when every strategy of the agent's interval plays the mask of one
+    of them.
     """
     points = np.asarray(points, dtype=float)
 
     def breakpoints(k, within):
         ends = Ends((points, points))
-        ends.within = within
+        ends.within = np.zeros(grid.n_steps, dtype=bool)
+        ends.within[reach_positions(k)] = within
         return ends
 
     def masked_cell_counts(k, thetas, ends):

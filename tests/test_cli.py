@@ -1,15 +1,22 @@
 """Command-line interface: verbs, files, exit codes."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import covgame
 from covgame import harness
@@ -122,6 +129,10 @@ class TestRunVerb:
         "section, key, value",
         [
             ("constellation", "semi_major_axis_km", float("nan")),
+            # The mean motion's a ** 3 overflows.
+            pytest.param(
+                "constellation", "semi_major_axis_km", 1e300, id="semi_major_axis-huge"
+            ),
             ("grid", "duration_s", float("inf")),
             ("game", "gamma", -5.0),
             pytest.param("constants", "j2", float("nan"), id="constants-j2-nan"),
@@ -460,3 +471,152 @@ class TestBoundVerb:
         run_cli("bound", "--scenario", mini_scenario_file, "--epsilon", "1.0")
         second = capsys.readouterr().out
         assert first != second
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# Edits of the bundled scenario: (section, or None at the top level; key;
+# values), each valid or not.
+SCENARIO_EDITS = {
+    "bounds": (
+        "game",
+        "strategy_bounds_deg",
+        st.lists(
+            st.one_of(
+                st.floats(-200.0, 200.0),
+                st.sampled_from([0.0, -0.0, 180.0, -180.0, 5e-324, 1e-300]),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    ),
+    "theta_max": (
+        "game",
+        "theta_max",
+        st.fixed_dictionaries(
+            {
+                "unit": st.sampled_from(["radian", "degree"]),
+                "value": st.one_of(
+                    st.floats(0.0, 10.0),
+                    # Down to the subnormals, where the penalty overflows.
+                    st.floats(0.0, 1e-150),
+                    st.sampled_from([5e-324, 1e-300, 1e-154, -1.0]),
+                    NON_FINITE,
+                ),
+            }
+        ),
+    ),
+    "view": (
+        "target",
+        "view_half_angle_deg",
+        st.one_of(st.floats(-10.0, 200.0), st.sampled_from([0.0, 5e-324, 90.0, 180.0])),
+    ),
+    "inclination": (
+        "constellation",
+        "inclination_deg",
+        st.one_of(st.floats(-400.0, 400.0), NON_FINITE),
+    ),
+    "latitude": (
+        "target",
+        "latitude_deg",
+        st.one_of(st.floats(-100.0, 100.0), st.sampled_from([-90.0, 90.0])),
+    ),
+    # 7 s does not divide the horizon, and 50000 s leaves no cell.
+    "step": (
+        "grid",
+        "step_s",
+        st.one_of(st.floats(5.0, 600.0), st.sampled_from([0.0, -10.0, 7.0, 50000.0])),
+    ),
+    "damaged": (None, "damaged", st.lists(st.integers(-1, 14), max_size=12)),
+    "epsilon": (
+        "search",
+        "epsilon_s",
+        st.one_of(
+            st.floats(0.0, 100.0), st.sampled_from([5e-324, 1e-300, 1e-12, -1.0]), NON_FINITE
+        ),
+    ),
+    "max_rounds": ("search", "max_rounds", st.integers(-1, 30)),
+    "max_evals": ("centralized", "max_evals", st.integers(-1, 300)),
+}
+SCENARIO_SECTIONS = "constants|constellation|target|grid|game|search|centralized|damaged"
+
+
+@st.composite
+def edited_scenarios(draw):
+    """The bundled scenario at N <= 12 over 6 hours, with up to four random edits.
+
+    At steps down to 5 s the grid has at most 4320 cells, and the
+    centralized baseline at most 300 evaluations.
+    """
+    doc = json.loads(bundled_scenario_path().read_text())
+    n = draw(st.integers(1, 12))
+    doc["constellation"]["n_satellites"] = n
+    doc["constellation"]["phase_spacing_deg"] = 360.0 / n
+    doc["grid"] = {"duration_s": 21600.0, "step_s": 10.0}
+    doc["damaged"] = [k for k in doc["damaged"] if k <= n]
+    doc["centralized"]["max_evals"] = 200
+    edits = draw(st.lists(st.sampled_from(sorted(SCENARIO_EDITS)), unique=True, max_size=4))
+    for name in edits:
+        section, key, values = SCENARIO_EDITS[name]
+        (doc if section is None else doc[section])[key] = draw(values)
+    return doc
+
+
+def with_constants(**constants):
+    """The bundled scenario at 4 satellites over 6 hours, with some constants set."""
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["constellation"].update(n_satellites=4, phase_spacing_deg=90.0)
+    doc["grid"] = {"duration_s": 21600.0, "step_s": 10.0}
+    doc["damaged"] = []
+    doc["constants"] = constants
+    return doc
+
+
+def cli_outputs(*args):
+    """Exit code, stdout, stderr and warnings of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*args)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+class TestFuzzedScenarios:
+    """Every edited scenario ends in a certificate or in ``error: <section>``."""
+
+    @settings(max_examples=25, deadline=timedelta(seconds=10))
+    @given(doc=edited_scenarios())
+    # A mean motion that underflows to 0 left the summary's orbital period
+    # dividing by zero, and a huge j2 overflowed the drift over the horizon.
+    @example(doc=with_constants(mu_km3_s2=5e-324))
+    @example(doc=with_constants(j2=1.257067561734933e307))
+    def test_run_ends_in_a_certificate_or_a_field_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.json"
+            path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+            out = Path(tmp) / "out"
+            code, stdout, stderr, caught = cli_outputs(
+                "run", "--scenario", path, "--out", out, "--quiet"
+            )
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stdout + stderr
+            assert not caught
+            if code == 1:
+                [line] = stderr.splitlines()
+                assert re.match(rf"error: ({SCENARIO_SECTIONS})\b", line)
+                return
+            assert stderr == ""
+            methods = json.loads((out / "summary.json").read_text())["methods"]
+            assert code == (0 if methods["distributed"]["certified"] else 2)
+            for method, name in (
+                ("distributed", "profile.csv"),
+                ("centralized", "profile_centralized.csv"),
+            ):
+                report = methods[method]
+                code, stdout, stderr, caught = cli_outputs(
+                    "certify", "--scenario", path, "--profile", out / name
+                )
+                assert (stderr, caught) == ("", [])
+                assert code == (0 if report["certified"] else 2)
+                gain = re.search(r"worst unilateral gain (\S+) s", stdout).group(1)
+                assert gain == f"{report['worst_gain_s']:.6f}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from covgame import harness
-from covgame.game import StrategyProfile, global_value
+from covgame.game import GameInstance, StrategyProfile, global_value
 from covgame.harness import (
     ComparisonReport,
     assumption_envelopes,
@@ -138,10 +138,16 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     cfg = load_scenario(bundled_scenario_path())
     audit = AccessAudit()
     scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+    counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+    masks = CallCounter(monkeypatch, GameInstance, "coverage")
     distributed, result = run_distributed(cfg, audit=audit)
     # Rows selected, certificate included: 100 before an agent kept its
     # answer while its uncovered cells stood still.
     assert scans.calls == 53
+    # 224 counts and 176 mask reads before an incumbent at its stored
+    # maximizer went uncounted and an agent standing still kept the gather
+    # of its own mask.
+    assert (counts.calls, masks.calls) == (112, 111)
     rounds = [
         (
             t.iteration,

@@ -320,7 +320,7 @@ class TestCoverage:
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
         counts = cov.masked_cell_counts(
-            k, np.array(thetas), cov.breakpoints(k, within)
+            k, np.array(thetas), cov.breakpoints(k, within[cov.reach_positions(k)])
         )
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(k, theta) & within)
@@ -344,7 +344,7 @@ class TestCoverage:
         thetas = sorted(min(start + f * span, math.pi) for f in fractions)
         within = np.random.default_rng(within_seed).random(cov.cells.size) < 0.5
         counts = cov.masked_cell_counts(
-            k, np.array(thetas), cov.breakpoints(k, within)
+            k, np.array(thetas), cov.breakpoints(k, within[cov.reach_positions(k)])
         )
         for theta, count in zip(thetas, counts):
             assert count == np.count_nonzero(cov(k, theta) & within)
@@ -365,10 +365,11 @@ class TestCoverage:
         cov = WIDE_COVERAGE if wide else TABLE_COVERAGE
         within = np.ones(cov.cells.size, dtype=bool)
         for k in range(1, 25):
-            thetas = np.unique(np.concatenate(cov.breakpoints(k, within)))
+            ends = cov.breakpoints(k, within[cov.reach_positions(k)])
+            thetas = np.unique(np.concatenate(ends))
             thetas = thetas[(thetas >= -math.pi) & (thetas <= math.pi)]
             assert thetas.size > 0
-            counts = cov.masked_cell_counts(k, thetas, cov.breakpoints(k, within))
+            counts = cov.masked_cell_counts(k, thetas, ends)
             singles = [np.count_nonzero(cov(k, theta)) for theta in thetas]
             assert np.array_equal(counts, singles)
 
@@ -394,7 +395,7 @@ class TestCoverage:
     def test_strategy_input_checks(self, thetas, error):
         cov = day_coverage(interval=StrategyInterval(-0.2, 0.2))
         within = np.ones(cov.cells.size, dtype=bool)
-        ends = cov.breakpoints(3, within)
+        ends = cov.breakpoints(3, within[cov.reach_positions(3)])
         if error is not None:
             with pytest.raises(ValueError, match=error):
                 cov.masked_cell_counts(3, np.array(thetas), ends)
@@ -460,9 +461,11 @@ class TestBuiltInterval:
                 assert np.array_equal(mask, full(k, theta))
                 assert not np.any(mask & ~reach)
             thetas = np.array(thetas)
+            ends = cov.breakpoints(k, within[cov.reach_positions(k)])
+            full_ends = full.breakpoints(k, within[full.reach_positions(k)])
             assert np.array_equal(
-                cov.masked_cell_counts(k, thetas, cov.breakpoints(k, within)),
-                full.masked_cell_counts(k, thetas, full.breakpoints(k, within)),
+                cov.masked_cell_counts(k, thetas, ends),
+                full.masked_cell_counts(k, thetas, full_ends),
             )
 
     @pytest.mark.parametrize(
@@ -507,9 +510,8 @@ class TestBuiltInterval:
             with pytest.raises(ValueError, match="agent 3"):
                 cov(3, theta)
         with pytest.raises(ValueError, match="agent 3"):
-            cov.masked_cell_counts(
-                3, np.array([0.0, interval.hi + 1e-9]), cov.breakpoints(3, within)
-            )
+            ends = cov.breakpoints(3, within[cov.reach_positions(3)])
+            cov.masked_cell_counts(3, np.array([0.0, interval.hi + 1e-9]), ends)
 
     def test_interval_must_lie_on_the_circle(self):
         with pytest.raises(ValueError, match="within"):
@@ -559,7 +561,7 @@ def full_cell_tables(spec, target, grid, interval):
     """Reference build: every grid cell, and every visible cell per satellite.
 
     Returns the visible cells, each satellite's table as ``(cell, lo, hi,
-    stop_cell, stop)``, and the half-width of every visible cell's arc.
+    stop_row, stop)``, and the half-width of every visible cell's arc.
     """
     elapsed = grid.cell_starts() - grid.t0
     v1, v2 = target_in_orbit_frame(spec, target, elapsed)
@@ -598,8 +600,9 @@ def full_cell_tables(spec, target, grid, interval):
         lo = np.concatenate((np.full(always.size, -math.inf), lo[index] + shift))
         hi = np.concatenate((np.full(always.size, math.inf), hi[index] + shift))
         by_lo = np.argsort(lo)
-        by_hi = np.argsort(hi)
-        tables.append((cell[by_lo], lo[by_lo], hi[by_lo], cell[by_hi], hi[by_hi]))
+        hi = hi[by_lo]
+        stop_row = np.argsort(hi)
+        tables.append((cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]))
     return cells, tables, half_width
 
 
@@ -753,7 +756,8 @@ class TestPrunedBuild:
         assert cov.cells.dtype == cells.dtype and cov.cells.tobytes() == cells.tobytes()
         assert len(cov._reach) == len(tables)
         for got, expected in zip(cov._reach, tables):
-            for g, e in zip(got, expected):
+            assert got._fields == ("cell", "lo", "hi", "stop_row", "stop")
+            for g, e in zip(got, expected, strict=True):
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
@@ -1037,7 +1041,8 @@ class TestExactBestResponse:
             # Every end of every row of the segment table with its 2 pi
             # shifts, unpruned, and the three points the pruned set is built
             # around.
-            ends = np.concatenate(game.coverage_fn.breakpoints(k, everywhere))
+            ends = game.coverage_fn.breakpoints(k, everywhere[game.reach_positions[k]])
+            ends = np.concatenate(ends)
             candidates = [space.lo, space.hi, *ends, *(ends + 2 * math.pi)]
             candidates += list(ends - 2 * math.pi)
             if space.contains(0.0, tol=0.0):
@@ -1142,7 +1147,8 @@ class TestBestResponseReuse:
             for k in game.active_indices:
                 reach = reach_mask(cov, k)
                 for l in sorted(game.neighbors(k)):
-                    ends = np.unique(np.concatenate(cov.breakpoints(l, everywhere)))
+                    ends = cov.breakpoints(l, everywhere[cov.reach_positions(l)])
+                    ends = np.unique(np.concatenate(ends))
                     ends = ends[(ends > cov.interval.lo) & (ends < cov.interval.hi)]
                     thetas = ((ends[1:] + ends[:-1]) / 2).tolist()
                     for before, after in zip(thetas, thetas[1:]):
@@ -1178,7 +1184,7 @@ class TestBestResponseReuse:
                 np.ones(cov.cells.size, dtype=bool),
                 rng.random(cov.cells.size) < 0.5,
             ):
-                for ends in cov.breakpoints(k, within):
+                for ends in cov.breakpoints(k, within[cov.reach_positions(k)]):
                     assert np.all(ends[1:] >= ends[:-1])
 
 
@@ -1193,7 +1199,7 @@ def fold_best_response(game, k, view, own):
     """
     f, uncovered = best_response_objective(game, k, view)
     space = game.agent(k).strategy_space
-    starts, stops = game.coverage_fn.breakpoints(k, uncovered)
+    starts, stops = game.coverage_fn.breakpoints(k, uncovered[game.reach_positions[k]])
     z = min(max(0.0, space.lo), space.hi)
     candidates = [*stops[(stops >= space.lo) & (stops < z)], z]
     candidates += list(starts[(starts > z) & (starts <= space.hi)])
@@ -1216,6 +1222,28 @@ def mini_games(draw, max_active=24):
     return game, StrategyProfile(theta)
 
 
+class TestRowMaskBreakpoints:
+    """``breakpoints`` selects table rows by a mask over the agent's reach."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(MINI_COVERAGES)),
+        k=st.integers(1, 24),
+        density=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_selects_the_rows_of_the_marked_cells(self, name, k, density, seed):
+        # The reference selection: the lo and the hi ends of every table row
+        # whose cell the cell mask holds, each sorted.
+        cov = MINI_COVERAGES[name]
+        within = np.random.default_rng(seed).random(cov.cells.size) < density
+        table = cov._reach[k - 1]
+        rows = within[table.cell]
+        ends = cov.breakpoints(k, within[cov.reach_positions(k)])
+        for got, expected in zip(ends, (np.sort(table.lo[rows]), np.sort(table.hi[rows]))):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 class TestCoverCount:
     """The live cover count against the neighbor fold and a fresh rebuild."""
 
@@ -1230,13 +1258,60 @@ class TestCoverCount:
             _, folded = best_response_objective(game, k, view)
             counted = cover.alone(game.coverage(k, own))
             for mine, reference in zip(
-                game.coverage_fn.breakpoints(k, counted),
-                game.coverage_fn.breakpoints(k, folded),
+                game.coverage_fn.breakpoints(k, counted[game.reach_positions[k]]),
+                game.coverage_fn.breakpoints(k, folded[game.reach_positions[k]]),
             ):
                 assert np.array_equal(mine, reference)
             kept = best_response_gain(game, k, view, own, cover)
             expected = fold_best_response(game, k, view, own)
             assert [v.hex() for v in kept] == [float(v).hex() for v in expected]
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=mini_games())
+    def test_asked_again_at_its_maximizer_the_gain_is_zero(self, case):
+        # An agent that moved to its best response, asked again while its
+        # neighbors stand still, gets the same answer and exactly the fold's
+        # gain of 0.0, without counting a cell.
+        game, profile = case
+        for k in game.active_indices:
+            view = profile.theta[game.neighbor_positions[k]]
+            own = profile.for_agent(k)
+            theta_star, _ = best_response_gain(game, k, view, own, CoverCount(game, profile))
+            cover = CoverCount(game, profile.replace(k, theta_star))
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+                again = best_response_gain(game, k, view, theta_star, cover)
+            assert counts.calls == 0
+            expected = fold_best_response(game, k, view, theta_star)
+            assert [v.hex() for v in again] == [float(v).hex() for v in expected]
+            assert [v.hex() for v in again] == [theta_star.hex(), (0.0).hex()]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        case=mini_games(max_active=8),
+        moves=st.lists(st.tuples(st.integers(0, 23), st.floats(0.0, 1.0)), max_size=6),
+    )
+    def test_best_responses_compare_no_whole_count(self, case, moves):
+        # CoverCount.alone compares all n_cells entries of the count. A best
+        # response reads the count at the agent's reach alone, whether it
+        # scans, reuses under either key or stands at its maximizer.
+        game, profile = case
+        interval = game.coverage_fn.interval
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            alone = CallCounter(monkeypatch, CoverCount, "alone")
+            for i, x in [(None, None), *moves]:
+                if i is not None and i + 1 in game.neighbor_graph:
+                    theta = min(interval.lo + x * interval.width, interval.hi)
+                    profile = profile.replace(i + 1, theta)
+                cover = CoverCount(game, profile)
+                for k in game.active_indices:
+                    view = profile.theta[game.neighbor_positions[k]]
+                    theta_star, _ = best_response_gain(
+                        game, k, view, profile.for_agent(k), cover
+                    )
+                    moved = CoverCount(game, profile.replace(k, theta_star))
+                    best_response_gain(game, k, view, theta_star, moved)
+        assert alone.calls == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
