@@ -14,6 +14,9 @@ cell and ``2 pi`` shift of its covering interval that meets the interval
 can matter: a strided visibility pre-pass bounds where the target can be
 seen at all, and one phase row shared by every satellite bounds where each
 satellite can have a row; the tables are those of a build over every cell.
+The geometry of the candidate cells is released before the first table is
+built, so the build's memory peaks at the tables it keeps, and a damaged
+satellite, which takes no part in the game, gets no table.
 
 Frames follow the usual chain: orbital plane -> inertial via node and
 inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
@@ -319,7 +322,15 @@ class ConstellationCoverage:
     by its phase ``m0``. ``u`` is sorted once, and satellite ``m0`` is built
     from the cells whose ``u`` lies within half the interval plus the widest
     arc (plus a slack) of ``-m0`` minus the interval's middle, around the
-    circle: the only cells that can give it a row.
+    circle: the only cells that can give it a row. Only the visible cells'
+    arcs, the sorted row and its order outlive the geometry of the
+    pre-pass's candidates, so the build's memory peaks at the tables it
+    keeps plus a few arrays of one entry per visible cell.
+
+    The satellites in ``damaged`` (1-based) take no part in the game and
+    get no table: :meth:`__call__`, :meth:`breakpoints` and
+    :meth:`reach_positions` raise ``ValueError`` naming such a satellite.
+    The other tables are those of a build without damage.
     """
 
     def __init__(
@@ -329,9 +340,14 @@ class ConstellationCoverage:
         target: TargetSpec,
         grid: TimeGrid,
         interval: StrategyInterval,
+        damaged: frozenset[int] | set[int] = frozenset(),
     ) -> None:
         if interval.lo < -math.pi or interval.hi > math.pi:
             raise ValueError("strategy interval must lie within [-pi, pi]")
+        n = spec.n_satellites
+        bad = [k for k in damaged if not (1 <= k <= n)]
+        if bad:
+            raise ValueError(f"damaged indices {bad} outside 1..{n}")
         self.constants = constants
         self.spec = spec
         self.target = target
@@ -339,60 +355,10 @@ class ConstellationCoverage:
         self.interval = interval
         self.rates = drift_rates(constants, spec)
 
-        cos_bar = math.cos(target.view_half_angle)
-        # The visibility pre-pass: exact geometry at every _STRIDE-th cell
-        # and the last one, then only the blocks between two samples that
-        # can hold a visible cell. amp moves by at most |d alpha| between two
-        # cells (see _target_in_orbit_frame), and every cell lies within half
-        # a block of its nearer sample, so a cell with amp >= cos_bar sits in
-        # a block with a sample at amp >= cos_bar - bound. Below that, the
-        # ratio cos_bar / amp exceeds 1 by far more than any rounding.
-        samples = np.append(np.arange(0, grid.n_steps, _STRIDE), grid.n_steps - 1)
-        sample_elapsed = _elapsed(grid, samples)
-        sample_amp = np.hypot(*self._target_in_orbit_frame(sample_elapsed))
-        alpha_rate = abs(self.rates.node_rate + constants.earth_rotation_rate)
-        bound = 0.5 * alpha_rate * np.diff(sample_elapsed)
-        alpha_max = (
-            abs(spec.raan0) + abs(spec.greenwich_angle0) + alpha_rate * sample_elapsed[-1]
-        )
-        near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= (
-            cos_bar - bound - _slack(alpha_max)
-        )
-        # Block i holds the cells from sample i up to sample i + 1, the last
-        # block its end too. A view half-angle of 90 degrees or more makes
-        # the threshold negative, and every block is kept. The candidates
-        # are the kept blocks' cells in ascending order, formed from those
-        # blocks alone.
-        lengths = np.diff(samples)
-        lengths[-1] += 1
-        lengths, firsts = lengths[near], samples[:-1][near]
-        offsets = np.cumsum(lengths) - lengths
-        candidates = np.arange(lengths.sum()) + np.repeat(firsts - offsets, lengths)
-        elapsed = _elapsed(grid, candidates)
-
-        v1, v2 = self._target_in_orbit_frame(elapsed)
-        amp = np.hypot(v1, v2)
-        # The visible phase arc at each time has half-width arccos(cos_bar /
-        # amp); the target is out of reach of the whole orbit when that ratio
-        # exceeds 1. A threshold angle of 90 degrees or more keeps even the
-        # projection-degenerate geometry (amp == 0) visible, with the whole
-        # circle as its arc.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(amp > 0.0, cos_bar / amp, math.inf)
-        visible = ratio <= 1.0
-        if cos_bar <= 0.0:
-            visible |= amp == 0.0
-        # The mask axis: cells some phase can see. No satellite covers any
-        # other cell, and every measure is dt times a count, so dropping
-        # them changes no value.
-        self.cells = candidates[visible]
-        elapsed = elapsed[visible]
-        amp = amp[visible]
-        half_width = np.where(
-            amp == 0.0, np.pi, np.arccos(np.clip(ratio[visible], -1.0, 1.0))
-        )
-        psi = np.arctan2(v2[visible], v1[visible])
-        drift = self.rates.phase_rate * elapsed
+        # Each step returns only what the next one reads, so no array over
+        # the candidate cells outlives the cut to the visible ones, and the
+        # tables below are not built on top of dead geometry.
+        self.cells, half_width, psi, drift = self._visible_arcs(self._candidates())
 
         # A cell is covered iff the offset is congruent mod 2 pi to a point
         # of [lo, hi] = [-base - half_width, -base + half_width], with base
@@ -421,26 +387,31 @@ class ConstellationCoverage:
         # interval meets [a, b] only if its middle -base lies within `radius`
         # of the middle of [a, b] around the circle. So satellite m0 needs
         # only the cells with u within `radius` of -m0 - middle. The sorted
-        # u, laid out over three turns, hold each such window as one slice,
-        # which the per-satellite arithmetic below then runs on in ascending
-        # cell order, giving the same rows in the same order. Any u.size
-        # consecutive entries of the three turns hold each cell once, so a
-        # window of 2 pi or more, clamped to that many, takes every cell: a
-        # superset, which leaves the table unchanged.
+        # u, shifted to three turns, hold each such window as one run of
+        # positions; position p stands for entry p modulo u.size of the
+        # sorted order by_u, and the per-satellite arithmetic below runs on
+        # those entries in ascending cell order, giving the same rows in the
+        # same order. Any u.size consecutive positions hold each cell once,
+        # so a window of 2 pi or more, clamped to that many, takes every
+        # cell: a superset, which leaves the table unchanged.
         u = _wrap_pi(drift - psi)
         by_u = np.argsort(u)
-        u = u[by_u]
-        turns = np.concatenate((u - TWO_PI, u, u + TWO_PI))
-        by_u = np.tile(by_u, 3)
+        turns = (u[by_u] + _SHIFTS[:, np.newaxis]).ravel()
+        del u
         # The angles formed reach |m0| + |drift| + 2 pi at most.
         radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _slack(
             max(map(abs, spec.mean_anomalies0)) + np.abs(drift).max(initial=0.0) + TWO_PI
         )
-        self._reach: list[_Reach] = []
-        for m0 in spec.mean_anomalies0:
+        # A damaged satellite takes no part in the game and gets no table.
+        self._reach: list[_Reach | None] = []
+        for k, m0 in enumerate(spec.mean_anomalies0, 1):
+            if k in damaged:
+                self._reach.append(None)
+                continue
             centre = _wrap_pi(-m0 - 0.5 * (a + b))
             first, last = np.searchsorted(turns, (centre - radius, centre + radius))
-            sub = np.sort(by_u[first : min(last, first + u.size)])
+            sub = by_u.take(np.arange(first, min(last, first + by_u.size)), mode="wrap")
+            sub.sort()
             sub_part = part[sub]
             neg_base = -_wrap_pi(m0 + drift[sub] - psi[sub])
             lo = neg_base - half_width[sub]
@@ -460,6 +431,72 @@ class ConstellationCoverage:
             hi = hi[by_lo]
             stop_row = np.argsort(hi)
             self._reach.append(_Reach(cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]))
+
+    def _candidates(self) -> np.ndarray:
+        """The cells of the blocks the visibility pre-pass keeps, ascending.
+
+        Exact geometry at every :data:`_STRIDE`-th cell and the last one,
+        then only the blocks between two samples that can hold a visible
+        cell. amp moves by at most ``|d alpha|`` between two cells (see
+        :meth:`_target_in_orbit_frame`), and every cell lies within half a
+        block of its nearer sample, so a cell with ``amp >= cos_bar`` sits
+        in a block with a sample at ``amp >= cos_bar - bound``. Below that,
+        the ratio ``cos_bar / amp`` exceeds 1 by far more than any rounding.
+        """
+        grid, spec = self.grid, self.spec
+        cos_bar = math.cos(self.target.view_half_angle)
+        samples = np.append(np.arange(0, grid.n_steps, _STRIDE), grid.n_steps - 1)
+        sample_elapsed = _elapsed(grid, samples)
+        sample_amp = np.hypot(*self._target_in_orbit_frame(sample_elapsed))
+        alpha_rate = abs(self.rates.node_rate + self.constants.earth_rotation_rate)
+        bound = 0.5 * alpha_rate * np.diff(sample_elapsed)
+        alpha_max = (
+            abs(spec.raan0) + abs(spec.greenwich_angle0) + alpha_rate * sample_elapsed[-1]
+        )
+        near = np.maximum(sample_amp[:-1], sample_amp[1:]) >= (
+            cos_bar - bound - _slack(alpha_max)
+        )
+        # Block i holds the cells from sample i up to sample i + 1, the last
+        # block its end too. A view half-angle of 90 degrees or more makes
+        # the threshold negative, and every block is kept. The candidates
+        # are formed from the kept blocks alone.
+        lengths = np.diff(samples)
+        lengths[-1] += 1
+        lengths, firsts = lengths[near], samples[:-1][near]
+        offsets = np.cumsum(lengths) - lengths
+        return np.arange(lengths.sum()) + np.repeat(firsts - offsets, lengths)
+
+    def _visible_arcs(
+        self, candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The cells among ``candidates`` that some phase can see, with their arcs.
+
+        Returns ``(cells, half_width, psi, drift)``: the visible cells, and
+        for each the half-width and centre of its visible phase arc and the
+        phase drift at its left edge. The mask axis is those cells: no
+        satellite covers any other cell, and every measure is dt times a
+        count, so dropping them changes no value.
+        """
+        cos_bar = math.cos(self.target.view_half_angle)
+        elapsed = _elapsed(self.grid, candidates)
+        v1, v2 = self._target_in_orbit_frame(elapsed)
+        amp = np.hypot(v1, v2)
+        # The visible phase arc at each time has half-width arccos(cos_bar /
+        # amp); the target is out of reach of the whole orbit when that ratio
+        # exceeds 1. A threshold angle of 90 degrees or more keeps even the
+        # projection-degenerate geometry (amp == 0) visible, with the whole
+        # circle as its arc.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(amp > 0.0, cos_bar / amp, math.inf)
+        visible = ratio <= 1.0
+        if cos_bar <= 0.0:
+            visible |= amp == 0.0
+        half_width = np.where(
+            amp[visible] == 0.0, np.pi, np.arccos(np.clip(ratio[visible], -1.0, 1.0))
+        )
+        psi = np.arctan2(v2[visible], v1[visible])
+        drift = self.rates.phase_rate * elapsed[visible]
+        return candidates[visible], half_width, psi, drift
 
     def _target_in_orbit_frame(self, elapsed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The unit target's in-plane components ``(v1, v2)`` at ``elapsed``.
@@ -485,6 +522,12 @@ class ConstellationCoverage:
         v2 = ci * w2 - si * unit_target[2]
         return v1, v2
 
+    def _table(self, k: int) -> _Reach:
+        reach = self._reach[k - 1]
+        if reach is None:
+            raise ValueError(f"satellite {k} is damaged: the coverage holds no table for it")
+        return reach
+
     def _check(self, k: int, theta: float) -> None:
         if not self.interval.contains(theta):
             raise ValueError(
@@ -495,7 +538,7 @@ class ConstellationCoverage:
     def __call__(self, k: int, theta: float) -> np.ndarray:
         """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
         self._check(k, theta)
-        reach = self._reach[k - 1]
+        reach = self._table(k)
         mask = np.zeros(self.cells.size, dtype=bool)
         mask[reach.cell[(reach.lo <= theta) & (theta <= reach.hi)]] = True
         return mask
@@ -544,7 +587,7 @@ class ConstellationCoverage:
         so the count changes only at these ends, and moving toward 0 it
         cannot fall before it passes one of them.
         """
-        reach = self._reach[k - 1]
+        reach = self._table(k)
         return reach.lo[within], reach.stop[within[reach.stop_row]]
 
     def reach_positions(self, k: int) -> np.ndarray:
@@ -558,7 +601,7 @@ class ConstellationCoverage:
         a strategy in the interval lies on them. The array is the table's
         own and must not be changed.
         """
-        return self._reach[k - 1].cell
+        return self._table(k).cell
 
 
 def build_constellation_game(
@@ -574,12 +617,12 @@ def build_constellation_game(
     """Wire the orbital model into a coverage game.
 
     Damaged satellites (1-based indices) become inactive agents: no coverage,
-    no penalty, no strategy dimension. The game derives its neighbor graph
-    from the satellites' exact reaches
-    (:meth:`ConstellationCoverage.reach_positions`), so any two satellites
-    whose windows can ever intersect within their strategy intervals are
-    linked for the whole run; the global objective then moves by exactly
-    each unilateral local-objective change.
+    no penalty, no strategy dimension, and the coverage builds no table for
+    them. The game derives its neighbor graph from the satellites' exact
+    reaches (:meth:`ConstellationCoverage.reach_positions`), so any two
+    satellites whose windows can ever intersect within their strategy
+    intervals are linked for the whole run; the global objective then moves
+    by exactly each unilateral local-objective change.
     """
     n = spec.n_satellites
     if isinstance(theta_max, (int, float)):
@@ -590,10 +633,7 @@ def build_constellation_game(
         raise ValueError(
             f"got {len(theta_max_values)} theta_max values for {n} satellites"
         )
-    bad = [k for k in damaged if not (1 <= k <= n)]
-    if bad:
-        raise ValueError(f"damaged indices {bad} outside 1..{n}")
-
+    coverage = ConstellationCoverage(constants, spec, target, grid, strategy_space, damaged)
     agents = tuple(
         AgentSpec(
             index=k,
@@ -603,5 +643,4 @@ def build_constellation_game(
         )
         for k in range(1, n + 1)
     )
-    coverage = ConstellationCoverage(constants, spec, target, grid, strategy_space)
     return GameInstance(agents=agents, grid=grid, coverage_fn=coverage, gamma=gamma)

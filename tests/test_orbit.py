@@ -4,7 +4,10 @@ Golden numbers were computed once with a standalone scalar-math script that
 implements the same stated formula chain with explicit rotation matrices and
 no shared code, then frozen here.
 """
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from covgame.orbit import (
     satellite_position_ecf,
     target_position_ecf,
 )
+from covgame.scenario import bundled_scenario_path, parse_scenario
 from covgame.search import SearchConfig, run_round
 
 from conftest import CallCounter, reach_mask, sampled_reach_graph
@@ -759,6 +763,71 @@ class TestPrunedBuild:
             assert got._fields == ("cell", "lo", "hi", "stop_row", "stop")
             for g, e in zip(got, expected, strict=True):
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+def table_bytes(cov):
+    """What a coverage keeps: its cells and every array of every table it holds."""
+    tables = [table for table in cov._reach if table is not None]
+    return cov.cells.nbytes + sum(array.nbytes for table in tables for array in table)
+
+
+class TestBuildFootprint:
+    """The build keeps its tables and little else, and builds no table it does not need."""
+
+    def test_week_build_peaks_near_its_tables(self):
+        # The bundled scenario over 7 days at 1 s, where a satellite's table
+        # holds about 9.5k rows: the geometry of the candidate cells and the
+        # window index must be gone before the tables pile up.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["grid"] = {"duration_s": 604800, "step_s": 1}
+        cfg = parse_scenario(doc)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            game = cfg.build_game()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = table_bytes(game.coverage_fn)
+        assert peak <= 1.8 * kept, f"peak {peak} B against {kept} B kept"
+
+    @settings(max_examples=30, deadline=None)
+    @given(damaged=st.sets(st.integers(1, 24)))
+    def test_damaged_satellites_get_no_table(self, damaged):
+        game = build_constellation_game(
+            CONSTANTS, TABLE_SPEC, TABLE_TARGET, SCAN_GRID, 0.2, FULL_CIRCLE, 1.0, damaged
+        )
+        cov = game.coverage_fn
+        assert cov.cells.tobytes() == TABLE_COVERAGE.cells.tobytes()
+        for k in game.active_indices:
+            expected = TABLE_COVERAGE._reach[k - 1]
+            for g, e in zip(cov._reach[k - 1], expected, strict=True):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+        within = np.zeros(0, dtype=bool)
+        for k in damaged:
+            for lookup in (
+                lambda: cov(k, 0.0),
+                lambda: cov.breakpoints(k, within),
+                lambda: cov.reach_positions(k),
+            ):
+                with pytest.raises(ValueError, match=f"satellite {k} is damaged"):
+                    lookup()
+
+    def test_no_visible_cell_builds_empty_tables(self):
+        target = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            game = build_constellation_game(
+                CONSTANTS, TABLE_SPEC, target, DAY_GRID, 0.2, FULL_CIRCLE, 1.0, {5}
+            )
+            cov = game.coverage_fn
+            assert cov.cells.size == 0
+            assert not cov(1, 0.0).any()
+            ends = cov.breakpoints(1, np.zeros(0, dtype=bool))
+            assert cov.masked_cell_counts(1, np.array([-1.0, 0.0]), ends).tolist() == [0, 0]
+        assert table_bytes(cov) == 0
+        assert cov._reach[4] is None
+        assert all(game.neighbors(k) == frozenset() for k in game.active_indices)
 
 
 def pairwise_graph(reach):
