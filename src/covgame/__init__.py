@@ -19,7 +19,7 @@ from .game import (
     energy_penalty,
     global_value,
     local_value,
-    neighbor_graph_from_masks,
+    neighbor_positions_from_reaches,
     regret,
 )
 from .harness import (
@@ -89,7 +89,7 @@ __all__ = [
     "load_scenario",
     "local_value",
     "maximize_scalar",
-    "neighbor_graph_from_masks",
+    "neighbor_positions_from_reaches",
     "pattern_search",
     "regret",
     "run_centralized",

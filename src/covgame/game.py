@@ -11,13 +11,15 @@ global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
 its coverage exclusive of its graph neighbors minus its own penalty. A
 :class:`GameInstance` derives its neighbor graph itself, with
-:func:`neighbor_graph_from_masks` over each active agent's exact reach, the
-cells it covers for some admissible strategy, so the graph holds every pair
-whose coverages can ever overlap, and a unilateral strategy change moves both
-objectives by exactly the same amount, which is what the distributed search
-engine relies on. A :class:`CoverCount` carries one profile's coverage as an
-integer count per cell: the engine keeps one per run, and best responses
-select their cells from it.
+:func:`neighbor_positions_from_reaches` over each active agent's exact reach,
+the cells it covers for some admissible strategy, so the graph holds every
+pair whose coverages can ever overlap, and a unilateral strategy change moves
+both objectives by exactly the same amount, which is what the distributed
+search engine relies on. The graph is held once, as arrays of neighbor
+positions, which every gather, the election, the gates and the audit read.
+A :class:`CoverCount` carries one profile's coverage as an integer count per
+cell: the engine keeps one per run, and best responses select their cells
+from it.
 """
 from __future__ import annotations
 
@@ -152,14 +154,13 @@ class GameInstance:
 
     The constructor reads each active agent's reach once and keeps it in
     ``reach_positions``, keyed by agent index. From those reaches it derives
-    ``neighbor_graph``: each active agent maps to the set of active agents
-    whose reach meets its own (:func:`neighbor_graph_from_masks`), so the
-    graph is symmetric, irreflexive and holds every pair whose coverage can
-    ever overlap, by construction. ``neighbor_positions`` holds the same
-    graph once more: for each active agent, the 0-based profile positions
-    of its neighbors in ascending order, as a read-only ``np.intp`` array,
-    so an agent pulls its neighbors' strategies as one gather,
-    ``profile.theta[game.neighbor_positions[k]]``.
+    the neighbor graph, ``neighbor_positions``
+    (:func:`neighbor_positions_from_reaches`): for each active agent, the
+    0-based profile positions of the active agents whose reach meets its
+    own, in ascending order, as a read-only ``np.intp`` array. The graph is
+    symmetric, irreflexive and holds every pair whose coverage can ever
+    overlap, by construction, and an agent pulls its neighbors' strategies
+    as one gather, ``profile.theta[game.neighbor_positions[k]]``.
 
     On an agent's reach only its neighbors may cover too, and
     :func:`best_response_gain` relies on this. It selects the cells no
@@ -202,16 +203,7 @@ class GameInstance:
         self.reach_positions: dict[int, np.ndarray] = {
             k: coverage_fn.reach_positions(k) for k in self.active_indices
         }
-        reach = {}
-        for k, positions in self.reach_positions.items():
-            reach[k] = np.zeros(self.n_cells, dtype=bool)
-            reach[k][positions] = True
-        self.neighbor_graph = neighbor_graph_from_masks(reach)
-        self.neighbor_positions: dict[int, np.ndarray] = {}
-        for k, neigh in self.neighbor_graph.items():
-            positions = np.array(sorted(neigh), dtype=np.intp) - 1
-            positions.flags.writeable = False
-            self.neighbor_positions[k] = positions
+        self.neighbor_positions = neighbor_positions_from_reaches(self.reach_positions, self.n_cells)
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
         self._responses: dict[int, _Response] = {}
 
@@ -223,7 +215,12 @@ class GameInstance:
         return self.agents[index - 1]
 
     def neighbors(self, index: int) -> frozenset[int]:
-        return self.neighbor_graph[index]
+        """Agent ``index``'s neighbors as 1-based indices, built on each call.
+
+        For callers outside the package; the package itself reads
+        ``neighbor_positions``.
+        """
+        return frozenset((self.neighbor_positions[index] + 1).tolist())
 
     def coverage(self, index: int, theta: float) -> np.ndarray:
         """Memoized read-only coverage mask for agent ``index`` playing ``theta``."""
@@ -534,28 +531,41 @@ def best_response_gain(
     return response.theta_star, response.best - incumbent
 
 
-def neighbor_graph_from_masks(reach: Mapping[int, np.ndarray]) -> dict[int, frozenset[int]]:
-    """Neighbor graph linking every two agents whose reach masks intersect.
+def neighbor_positions_from_reaches(
+    reach_positions: Mapping[int, np.ndarray], n_cells: int
+) -> dict[int, np.ndarray]:
+    """Neighbor graph linking every two agents whose reaches meet.
 
-    ``reach`` maps each active agent to the cells it can cover for some
-    admissible strategy; the masks share one length. Each mask is packed to
-    bits in 64-bit words, and every agent's row is ANDed against the rows of
-    all agents after it at once, so the test of one pair costs a word per 64
-    cells. Links are added in the order of a pairwise scan over the sorted
-    agents, which gives every neighbor set the same content and history.
+    ``reach_positions`` maps each agent's 1-based index to the mask
+    positions of its reach, integers in ``range(n_cells)`` in any order and
+    possibly repeated. Each reach is packed into its row of 64-bit words,
+    one bit per cell, through one boolean row of the cells that every agent
+    reuses. Each row is then ANDed against all rows after it at once, on
+    the words where it has a bit, since a pair can meet nowhere else; the
+    pairs found fill a dense agents-by-agents matrix, which is mirrored.
+
+    Returns, for each agent in ascending index order, the 0-based profile
+    positions (``index - 1``) of its neighbors in ascending order, as a
+    read-only ``np.intp`` array: consecutive slices of one array, which
+    holds the whole graph. The graph is symmetric and irreflexive.
     """
-    graph: dict[int, set[int]] = {k: set() for k in reach}
-    indices = sorted(reach)
-    if indices:
-        bits = np.packbits(np.stack([reach[k] for k in indices]), axis=1)
-        words = np.zeros((len(indices), -(-bits.shape[1] // 8)), dtype=np.uint64)
-        words.view(np.uint8)[:, : bits.shape[1]] = bits
-        for i, k in enumerate(indices):
-            for j in np.flatnonzero(np.any(words[i + 1 :] & words[i], axis=1)):
-                l = indices[i + 1 + j]
-                graph[k].add(l)
-                graph[l].add(k)
-    return {k: frozenset(v) for k, v in graph.items()}
+    indices = sorted(reach_positions)
+    words = np.zeros((len(indices), -(-n_cells // 64)), dtype=np.uint64)
+    marks = np.zeros(n_cells, dtype=bool)
+    for row, k in zip(words, indices):
+        marks[reach_positions[k]] = True
+        packed = np.packbits(marks, bitorder="little")
+        row.view(np.uint8)[: packed.size] = packed
+        marks[:] = False
+    linked = np.zeros((len(indices), len(indices)), dtype=bool)
+    for i, row in enumerate(words):
+        cols = np.flatnonzero(row)
+        linked[i, i + 1 :] = np.any(words[i + 1 :, cols] & row[cols], axis=1)
+    linked |= linked.T
+    flat = np.broadcast_to(np.array(indices, dtype=np.intp) - 1, linked.shape)[linked]
+    flat.flags.writeable = False
+    ends = np.cumsum(linked.sum(axis=1)).tolist()
+    return {k: flat[start:end] for k, start, end in zip(indices, [0, *ends], ends)}
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,15 @@ agent scans only if its uncovered cells moved: it keeps its last answer
 while its neighbors' strategies stand still, and also while they move only
 on cells it cannot cover (see :func:`~covgame.game.best_response_gain`).
 
-All inter-agent information flow goes through explicit per-round
-exchanges: each gated agent pulls its neighbors' strategies as one gather
-of the profile at its ``neighbor_positions``, and loud agents send regret
-messages. An update never reads state beyond the agent itself and its graph
-neighbors, and an :class:`AccessAudit` can record every cross-agent read:
-one per neighbor strategy pulled, and one per message.
+The graph is the game's ``neighbor_positions``: for each active agent, its
+neighbors' 0-based profile positions in ascending order. The pulls, the
+regret exchange, the election, the gates and the audit all read it. All
+inter-agent information flow goes through explicit per-round exchanges:
+each gated agent pulls its neighbors' strategies as one gather of the
+profile at its ``neighbor_positions``, and loud agents send regret messages
+to theirs. An update never reads state beyond the agent itself and its
+graph neighbors, and an :class:`AccessAudit` can record every cross-agent
+read: one per neighbor strategy pulled, and one per message.
 The cover count is shared, but on the cells an agent can cover only the
 agent and its neighbors are counted, since
 :class:`~covgame.game.GameInstance` derives the graph from the agents'
@@ -117,18 +120,23 @@ class AccessAudit:
     def record(self, reader: int, owner: int, kind: str) -> None:
         self.reads.append((reader, owner, kind))
 
-    def violations(self, graph: Mapping[int, frozenset[int]]) -> list[tuple[int, int, str]]:
-        """Reads of state owned by neither the reader nor one of its neighbors."""
+    def violations(self, graph: Mapping[int, np.ndarray]) -> list[tuple[int, int, str]]:
+        """Reads of state owned by neither the reader nor one of its neighbors.
+
+        ``graph`` is the neighbor graph as
+        :attr:`~covgame.game.GameInstance.neighbor_positions` holds it: each
+        reader's neighbors as 0-based profile positions, ``index - 1``.
+        """
         return [
             (reader, owner, kind)
             for reader, owner, kind in self.reads
-            if owner != reader and owner not in graph[reader]
+            if owner != reader and owner - 1 not in graph[reader]
         ]
 
 
 def _send_regrets(
     regrets: Mapping[int, float],
-    neighbor_graph: Mapping[int, frozenset[int]],
+    neighbor_positions: Mapping[int, np.ndarray],
     epsilon: float,
     audit: AccessAudit | None,
 ) -> dict[int, float]:
@@ -136,8 +144,11 @@ def _send_regrets(
 
     An agent is loud iff its regret exceeds ``epsilon``; a quiet agent sends
     nothing, and its silence means "at most ``epsilon``". Every regret is
-    checked first, so a NaN cannot pass for quiet. ``audit`` records each
-    message once, as a ``"regret"`` read of the sender by the receiver.
+    checked first, so a NaN cannot pass for quiet. ``neighbor_positions``
+    maps each agent to its neighbors' ascending 0-based profile positions,
+    as :attr:`~covgame.game.GameInstance.neighbor_positions` does. ``audit``
+    records each message once, as a ``"regret"`` read of the sender by the
+    receiver, receivers in ascending order.
 
     Returns the loud agents' regrets: every message sent, keyed by sender.
 
@@ -152,16 +163,17 @@ def _send_regrets(
             loud[k] = r_k
     if audit is not None:
         for k in loud:
-            for l in neighbor_graph[k]:
-                audit.record(l, k, "regret")
+            for l in neighbor_positions[k].tolist():
+                audit.record(l + 1, k, "regret")
     return loud
 
 
 def _elect(
-    loud: Mapping[int, float], neighbor_graph: Mapping[int, frozenset[int]]
+    loud: Mapping[int, float], neighbor_positions: Mapping[int, np.ndarray]
 ) -> tuple[int, ...]:
     """The loud agents that no message from a loud neighbor beats.
 
+    ``neighbor_positions`` is the graph as :func:`_send_regrets` takes it.
     A loud agent qualifies iff its regret is at least every regret it
     received, and no smaller-indexed neighbor sent the same value. A quiet
     neighbor's regret is at most ``epsilon``, below every loud one, so it
@@ -171,9 +183,9 @@ def _elect(
     """
     elected = []
     for k, r_k in loud.items():
-        for l in neighbor_graph[k]:
-            r_l = loud.get(l)
-            if r_l is not None and (r_l > r_k or (r_l == r_k and l < k)):
+        for l in neighbor_positions[k].tolist():
+            r_l = loud.get(l + 1)
+            if r_l is not None and (r_l > r_k or (r_l == r_k and l + 1 < k)):
                 break
         else:
             elected.append(k)
@@ -182,7 +194,7 @@ def _elect(
 
 def elect_innovators(
     regrets: Mapping[int, float],
-    neighbor_graph: Mapping[int, frozenset[int]],
+    neighbor_positions: Mapping[int, np.ndarray],
     epsilon: float,
     audit: AccessAudit | None = None,
 ) -> tuple[int, ...]:
@@ -195,10 +207,15 @@ def elect_innovators(
     elected agents are therefore never neighbors. ``audit`` records one
     ``"regret"`` read per message, that is per loud agent and neighbor.
 
+    ``neighbor_positions`` is the graph as
+    :attr:`~covgame.game.GameInstance.neighbor_positions` holds it: for
+    each agent with a regret, its neighbors' 0-based profile positions,
+    ``index - 1``, in ascending order.
+
     Raises:
         ValueError: if some regret, loud or quiet, is not finite.
     """
-    return _elect(_send_regrets(regrets, neighbor_graph, epsilon, audit), neighbor_graph)
+    return _elect(_send_regrets(regrets, neighbor_positions, epsilon, audit), neighbor_positions)
 
 
 def run_round(
@@ -254,11 +271,13 @@ def run_round(
         else:
             regrets[k] = 0.0
 
-    loud = _send_regrets(regrets, game.neighbor_graph, cfg.epsilon, audit)
-    innovators = _elect(loud, game.neighbor_graph)
-    gated = set(loud)
+    loud = _send_regrets(regrets, game.neighbor_positions, cfg.epsilon, audit)
+    innovators = _elect(loud, game.neighbor_positions)
+    gated = np.zeros(game.n_agents, dtype=bool)
     for k in loud:
-        gated.update(game.neighbors(k))
+        gated[k - 1] = True
+        gated[game.neighbor_positions[k]] = True
+    gates = gated.tolist()
 
     cover.adopt(game, {k: (theta[k - 1], proposals[k]) for k in innovators})
     if innovators:
@@ -276,7 +295,7 @@ def run_round(
         phi=covered_value(game, cover.covered, theta),
         innovators=innovators,
         regrets=regrets,
-        zetas={k: k in gated for k in game.active_indices},
+        zetas={k: gates[k - 1] for k in game.active_indices},
         wall_time=wall_time,
     )
     return profile, trace

@@ -4,13 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from covgame.game import (
-    AgentSpec,
-    GameInstance,
-    StrategyInterval,
-    StrategyProfile,
-    neighbor_graph_from_masks,
-)
+from covgame.game import AgentSpec, GameInstance, StrategyInterval, StrategyProfile
 from covgame.measure import TimeGrid
 
 
@@ -92,6 +86,37 @@ def graph_game(graph, inactive=()):
     return GameInstance(agents, grid, coverage, 0.0)
 
 
+def pairwise_graph(reach):
+    """The neighbor graph by its definition: one AND per pair of agents.
+
+    ``reach`` maps each agent to a boolean reach mask; the graph maps each
+    agent to the frozenset of agents whose mask meets its own.
+    """
+    graph = {k: set() for k in reach}
+    indices = sorted(reach)
+    for i, k in enumerate(indices):
+        for l in indices[i + 1 :]:
+            if np.any(reach[k] & reach[l]):
+                graph[k].add(l)
+                graph[l].add(k)
+    return {k: frozenset(v) for k, v in graph.items()}
+
+
+def graph_positions(graph):
+    """A set graph as the package takes one: ascending 0-based positions.
+
+    ``graph`` maps each agent index to its neighbors' 1-based indices; the
+    result maps it to ``index - 1`` of each neighbor, ascending, as
+    ``GameInstance.neighbor_positions`` holds them.
+    """
+    return {k: np.array(sorted(neigh), dtype=np.intp) - 1 for k, neigh in graph.items()}
+
+
+def neighbor_sets(game):
+    """The game's graph as sets, ``game.neighbors(k)`` per key of ``neighbor_positions``."""
+    return {k: game.neighbors(k) for k in game.neighbor_positions}
+
+
 def sampled_reach_graph(agents, coverage):
     """Reference graph from sampled reaches, which the package does not build.
 
@@ -106,7 +131,7 @@ def sampled_reach_graph(agents, coverage):
             space = a.strategy_space
             thetas = np.linspace(space.lo, space.hi, 64)
             reach[a.index] = np.any([coverage(a.index, float(t)) for t in thetas], axis=0)
-    return neighbor_graph_from_masks(reach)
+    return pairwise_graph(reach)
 
 
 class CallCounter:

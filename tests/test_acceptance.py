@@ -346,7 +346,7 @@ def test_criterion_8_orbital_sanity(baseline_cfg, rng):
 def test_criterion_9_locality_audit(baseline_game, baseline_distributed):
     _, _, audit, _ = baseline_distributed
     assert audit.reads, "instrumentation must observe the exchanges"
-    violations = audit.violations(baseline_game.neighbor_graph)
+    violations = audit.violations(baseline_game.neighbor_positions)
     assert violations == []
     print(
         f"\nPASS criterion 9: {len(audit.reads)} recorded cross-agent reads, "

@@ -28,6 +28,7 @@ from conftest import (
     graph_game,
     lattice,
     mini_scenario_doc,
+    neighbor_sets,
     random_profile,
     reach_mask,
     sampled_reach_graph,
@@ -241,12 +242,12 @@ class TestNeighborGraph:
 
     def test_single_agent_empty_graph(self):
         game = fixed_mask_game({1: [1, 1, 1]})
-        assert game.neighbor_graph == {1: frozenset()}
+        assert neighbor_sets(game) == {1: frozenset()}
 
     def test_sliding_windows_chain(self, toy_game):
         # Windows reach +-6 cells around base spacing 9, width 10: ring chain
         # with second-nearest links, symmetric.
-        for k, neigh in toy_game.neighbor_graph.items():
+        for k, neigh in neighbor_sets(toy_game).items():
             assert k not in neigh
             for l in neigh:
                 assert k in toy_game.neighbors(l)
@@ -257,12 +258,12 @@ class TestNeighborGraph:
         # listed out of order; agent 4 is inactive, so its edges drop out.
         graph = {6: [3, 1], 1: [6, 4, 3, 2], 3: [6, 1], 2: [1], 4: [5, 1], 5: [4]}
         game = graph_game(graph, inactive={4})
-        assert game.neighbor_graph == {1: {2, 3, 6}, 2: {1}, 3: {1, 6}, 5: set(), 6: {1, 3}}
+        assert neighbor_sets(game) == {1: {2, 3, 6}, 2: {1}, 3: {1, 6}, 5: set(), 6: {1, 3}}
         assert sorted(game.reach_positions) == [1, 2, 3, 5, 6]
         assert sorted(game.neighbor_positions) == [1, 2, 3, 5, 6]
         for k, positions in game.neighbor_positions.items():
             assert positions.dtype == np.intp
-            assert (positions + 1).tolist() == sorted(game.neighbor_graph[k])
+            assert (positions + 1).tolist() == sorted(neighbor_sets(game)[k])
             assert not positions.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 positions[...] = 0
@@ -322,8 +323,9 @@ class TestExactReach:
             for theta in np.linspace(space.lo, space.hi, 201):
                 assert not np.any(cov(k, float(theta)) & ~reach), (k, theta)
         sampled = sampled_reach_graph(game.agents, cov)
+        exact = neighbor_sets(game)
         for k, neigh in sampled.items():
-            assert neigh <= game.neighbor_graph[k]
+            assert neigh <= exact[k]
 
 
 class TestGameValidation:

@@ -131,7 +131,9 @@ BUNDLED_CENTRALIZED_THETA = [
 # sha256 over every round of the bundled distributed run, as hashed below.
 BUNDLED_TRACE_SHA256 = "eb0d5cb478885b3c285904ff88274e88d4a07f4e65b267b484938685f17338e8"
 # sha256 over the repr of every cross-agent read of that run, in order.
-BUNDLED_AUDIT_SHA256 = "dbafd5e13d17dd122e3eb9e9b16b8e73d16fe673ec88246b724330e0202cc2e6"
+BUNDLED_AUDIT_SHA256 = "2287741b957a30d32ccbb42a904005aa1bc8ddd57330cb1eb7836861666fd1da"
+# The same over the reads sorted, which no order of recording moves.
+BUNDLED_AUDIT_SORTED_SHA256 = "18bb34f196681b09e3a1457055aaa533cad7148598be57957866c2d9f3c7c2d3"
 
 
 def test_bundled_outcome_is_pinned(monkeypatch):
@@ -161,6 +163,9 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     assert len(rounds) == 20
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == BUNDLED_TRACE_SHA256
     assert Counter(kind for _, _, kind in audit.reads) == {"theta": 820, "regret": 324}
+    assert hashlib.sha256(repr(sorted(audit.reads)).encode()).hexdigest() == (
+        BUNDLED_AUDIT_SORTED_SHA256
+    )
     assert hashlib.sha256(repr(audit.reads).encode()).hexdigest() == BUNDLED_AUDIT_SHA256
     centralized, _ = run_centralized(cfg)
     assert distributed.value.hex() == "0x1.2317d71c756afp+13"

@@ -26,7 +26,7 @@ from covgame.game import (
     certify_epsilon_equilibrium,
     covered_value,
     global_value,
-    neighbor_graph_from_masks,
+    neighbor_positions_from_reaches,
 )
 from covgame.measure import TimeGrid
 from covgame.orbit import (
@@ -48,7 +48,14 @@ from covgame.orbit import (
 from covgame.scenario import bundled_scenario_path, parse_scenario
 from covgame.search import SearchConfig, run_round
 
-from conftest import CallCounter, reach_mask, sampled_reach_graph
+from conftest import (
+    CallCounter,
+    graph_positions,
+    neighbor_sets,
+    pairwise_graph,
+    reach_mask,
+    sampled_reach_graph,
+)
 
 DEG = math.pi / 180.0
 
@@ -791,6 +798,24 @@ class TestBuildFootprint:
         kept = table_bytes(game.coverage_fn)
         assert peak <= 1.8 * kept, f"peak {peak} B against {kept} B kept"
 
+    def test_graph_build_peaks_near_its_arrays(self):
+        # 960 satellites evenly spaced over the bundled day, about 250
+        # neighbors each: the graph keeps 2.1 MB of neighbor positions, and
+        # building it must not hold a boolean mask of the cells per agent
+        # or a set per agent (22 MB when it did).
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["constellation"].update(n_satellites=960, phase_spacing_deg=0.375)
+        doc["damaged"] = []
+        game = parse_scenario(doc).build_game()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            GameInstance(game.agents, game.grid, game.coverage_fn, game.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"peak {peak} B"
+
     @settings(max_examples=30, deadline=None)
     @given(damaged=st.sets(st.integers(1, 24)))
     def test_damaged_satellites_get_no_table(self, damaged):
@@ -830,51 +855,63 @@ class TestBuildFootprint:
         assert all(game.neighbors(k) == frozenset() for k in game.active_indices)
 
 
-def pairwise_graph(reach):
-    """The neighbor graph by its definition: one AND per pair of agents."""
-    graph = {k: set() for k in reach}
-    indices = sorted(reach)
-    for i, k in enumerate(indices):
-        for l in indices[i + 1 :]:
-            if np.any(reach[k] & reach[l]):
-                graph[k].add(l)
-                graph[l].add(k)
-    return {k: frozenset(v) for k, v in graph.items()}
-
-
 @st.composite
-def reach_masks(draw):
+def reaches(draw):
+    """Reach positions of up to nine agents over ``n_cells`` cells.
+
+    Each agent's positions come repeated and in random order, ascending or
+    descending, or empty; ``n_cells`` favors word and byte boundaries.
+    """
     agents = draw(st.lists(st.integers(1, 300), min_size=0, max_size=9, unique=True))
-    length = draw(st.one_of(st.integers(0, 300), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    n_cells = draw(st.one_of(st.integers(0, 300), st.sampled_from([63, 64, 65, 127, 128, 129])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     reach = {}
     for k in agents:
-        density = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
-        reach[k] = rng.random(length) < density
-    return reach
+        size = draw(st.sampled_from([0, 1, 3, n_cells // 10, n_cells // 2, 2 * n_cells]))
+        positions = rng.integers(0, n_cells, size if n_cells else 0, dtype=np.intp)
+        order = draw(st.sampled_from(["random", "ascending", "descending"]))
+        if order != "random":
+            positions.sort()
+            if order == "descending":
+                positions = positions[::-1]
+        reach[k] = positions
+    return reach, n_cells
+
+
+def as_masks(reach, n_cells):
+    """Each agent's reach positions as a boolean mask over ``n_cells`` cells."""
+    masks = {}
+    for k, positions in reach.items():
+        masks[k] = np.zeros(n_cells, dtype=bool)
+        masks[k][positions] = True
+    return masks
 
 
 class TestNeighborGraph:
     @settings(max_examples=200, deadline=None)
-    @given(reach=reach_masks())
-    def test_matches_the_pairwise_definition(self, reach):
-        # Keys keep the order of ``reach``, and every neighbor set iterates
-        # as the pairwise scan built it.
-        graph = neighbor_graph_from_masks(reach)
-        expected = pairwise_graph(reach)
-        assert graph == expected
-        assert [(k, list(v)) for k, v in graph.items()] == [
-            (k, list(v)) for k, v in expected.items()
-        ]
+    @given(case=reaches())
+    @example(case=({1: np.arange(128, dtype=np.intp)[::-1], 2: np.array([127, 127])}, 129))
+    @example(case=({5: np.array([63, 0, 63]), 2: np.array([64]), 9: np.array([63])}, 65))
+    def test_matches_the_pairwise_definition(self, case):
+        # Keys ascend, and every neighbor array ascends and is read-only.
+        reach, n_cells = case
+        graph = neighbor_positions_from_reaches(reach, n_cells)
+        expected = graph_positions(pairwise_graph(as_masks(reach, n_cells)))
+        assert list(graph) == sorted(reach)
+        for k, positions in graph.items():
+            assert positions.dtype == np.intp
+            assert not positions.flags.writeable
+            assert np.all(np.diff(positions) > 0)
+            assert positions.tolist() == expected[k].tolist()
 
     @pytest.mark.parametrize("length", [0, 1, 64, 65])
     def test_single_and_empty_agents_have_no_neighbors(self, length):
-        empty = np.zeros(length, dtype=bool)
-        assert neighbor_graph_from_masks({7: ~empty}) == {7: frozenset()}
-        assert neighbor_graph_from_masks({7: ~empty, 3: empty}) == {
-            7: frozenset(),
-            3: frozenset(),
-        }
+        full = np.arange(length, dtype=np.intp)
+        empty = np.zeros(0, dtype=np.intp)
+        graph = neighbor_positions_from_reaches({7: full}, length)
+        assert {k: v.tolist() for k, v in graph.items()} == {7: []}
+        graph = neighbor_positions_from_reaches({7: full, 3: empty}, length)
+        assert {k: v.tolist() for k, v in graph.items()} == {3: [], 7: []}
 
 
 class TestConstellationGame:
@@ -946,7 +983,7 @@ class TestConstellationGame:
             StrategyInterval(-15 * DEG, 15 * DEG), 1.0, damaged={10, 23},
         )
         sampled = sampled_reach_graph(game.agents, game.coverage_fn)
-        assert sampled == game.neighbor_graph
+        assert sampled == neighbor_sets(game)
 
     def test_masks_run_over_the_visible_cells(self):
         game = build_constellation_game(
@@ -985,8 +1022,9 @@ class TestConstellationGame:
                 theta = min(interval.lo + f * interval.width, interval.hi)
                 assert not np.any(cov(k, theta) & ~reach)
         sampled = sampled_reach_graph(game.agents, cov)
+        exact = neighbor_sets(game)
         for k, neigh in sampled.items():
-            assert neigh <= game.neighbor_graph[k]
+            assert neigh <= exact[k]
 
     def test_local_value_ignores_far_satellites(self, rng):
         from covgame.game import local_value
@@ -1007,8 +1045,9 @@ class TestConstellationGame:
             CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,
             StrategyInterval(-15 * DEG, 15 * DEG), 1.0, damaged={10, 23},
         )
-        assert 10 not in game.neighbor_graph
-        assert all(10 not in neigh for neigh in game.neighbor_graph.values())
+        graph = neighbor_sets(game)
+        assert 10 not in graph
+        assert all(10 not in neigh for neigh in graph.values())
         assert not game.agent(10).active
 
     def test_vector_theta_max_length_checked(self):
@@ -1369,7 +1408,7 @@ class TestCoverCount:
         with pytest.MonkeyPatch.context() as monkeypatch:
             alone = CallCounter(monkeypatch, CoverCount, "alone")
             for i, x in [(None, None), *moves]:
-                if i is not None and i + 1 in game.neighbor_graph:
+                if i is not None and i + 1 in game.neighbor_positions:
                     theta = min(interval.lo + x * interval.width, interval.hi)
                     profile = profile.replace(i + 1, theta)
                 cover = CoverCount(game, profile)
@@ -1404,7 +1443,7 @@ class TestCoverCount:
             movers: dict[int, tuple[float, float]] = {}
             for i in order:
                 k = i + 1
-                if k not in game.neighbor_graph or game.neighbors(k) & movers.keys():
+                if k not in game.neighbor_positions or game.neighbors(k) & movers.keys():
                     continue
                 own = profile.for_agent(k)
                 if targets[i] is None:

@@ -30,7 +30,9 @@ from covgame.search import (
 from conftest import (
     as_generator,
     graph_game,
+    graph_positions,
     lattice,
+    neighbor_sets,
     sliding_window_game,
     two_cluster_game,
     window_mask,
@@ -94,7 +96,7 @@ def regret_graphs(draw, max_agents=9):
 def blank_game(graph):
     """Agents linked by ``graph``, any graph, each covering its edges' cells."""
     game = graph_game(graph)
-    assert game.neighbor_graph == graph
+    assert neighbor_sets(game) == graph
     return game
 
 
@@ -117,20 +119,22 @@ def round_with_regrets(graph, regrets, gated, audit=None):
 class TestElection:
     def test_non_adjacent_co_winners_on_path(self):
         # Regrets 5,3,5 on 1-2-3: the ends dominate their shared middle.
-        assert elect_innovators({1: 5.0, 2: 3.0, 3: 5.0}, PATH_GRAPH, 0.1) == (1, 3)
+        path = graph_positions(PATH_GRAPH)
+        assert elect_innovators({1: 5.0, 2: 3.0, 3: 5.0}, path, 0.1) == (1, 3)
 
     def test_all_below_epsilon_elects_nobody(self):
-        assert elect_innovators({1: 0.05, 2: 0.1, 3: 0.0}, PATH_GRAPH, 0.1) == ()
+        path = graph_positions(PATH_GRAPH)
+        assert elect_innovators({1: 0.05, 2: 0.1, 3: 0.0}, path, 0.1) == ()
 
     def test_exact_tie_breaks_to_smallest_index(self):
         graph = {1: frozenset({2}), 2: frozenset({1})}
-        assert elect_innovators({1: 4.0, 2: 4.0}, graph, 0.1) == (1,)
-        assert elect_innovators({2: 4.0, 1: 4.0}, graph, 0.1) == (1,)
+        assert elect_innovators({1: 4.0, 2: 4.0}, graph_positions(graph), 0.1) == (1,)
+        assert elect_innovators({2: 4.0, 1: 4.0}, graph_positions(graph), 0.1) == (1,)
 
     def test_regret_must_strictly_exceed_epsilon(self):
         graph = {1: frozenset()}
-        assert elect_innovators({1: 0.1}, graph, 0.1) == ()
-        assert elect_innovators({1: 0.1000001}, graph, 0.1) == (1,)
+        assert elect_innovators({1: 0.1}, graph_positions(graph), 0.1) == ()
+        assert elect_innovators({1: 0.1000001}, graph_positions(graph), 0.1) == (1,)
 
     def test_no_two_elected_are_neighbors(self, rng):
         # Random regrets on a random ring-with-chords graph.
@@ -144,13 +148,13 @@ class TestElection:
         graph = {k: frozenset(v) for k, v in graph.items()}
         for _ in range(200):
             regrets = {k: float(rng.choice([0.0, 1.0, 2.0, 3.0])) for k in graph}
-            chosen = elect_innovators(regrets, graph, 0.5)
+            chosen = elect_innovators(regrets, graph_positions(graph), 0.5)
             for a in chosen:
                 assert not (set(chosen) & graph[a])
 
     def test_non_finite_regret_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
-            elect_innovators({1: float("nan")}, {1: frozenset()}, 0.1)
+            elect_innovators({1: float("nan")}, graph_positions({1: frozenset()}), 0.1)
 
 
 class TestLoudOnlyExchange:
@@ -161,7 +165,7 @@ class TestLoudOnlyExchange:
     def test_election_matches_all_neighbor_rule(self, case):
         graph, regrets, _ = case
         expected = all_neighbor_election(regrets, graph, EPSILON)
-        assert elect_innovators(regrets, graph, EPSILON) == expected
+        assert elect_innovators(regrets, graph_positions(graph), EPSILON) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(case=regret_graphs())
@@ -194,7 +198,7 @@ class TestLoudOnlyExchange:
         k = data.draw(st.sampled_from(sorted(graph)))
         regrets = {**regrets, k: bad}
         with pytest.raises(ValueError, match="not finite"):
-            elect_innovators(regrets, graph, EPSILON)
+            elect_innovators(regrets, graph_positions(graph), EPSILON)
         with pytest.raises(ValueError, match="not finite"):
             round_with_regrets(graph, regrets, {**gated, k: True})
 
@@ -438,7 +442,7 @@ class TestLocalityAudit:
         audit = AccessAudit()
         run_search(game, StrategyProfile.zeros(game.n_agents), SearchConfig(0.05, 8), audit=audit)
         assert audit.reads, "audit should observe the exchanges"
-        assert audit.violations(game.neighbor_graph) == []
+        assert audit.violations(game.neighbor_positions) == []
 
     def test_each_pull_is_one_gather_of_the_sorted_neighbors(self):
         # Each gated agent answers the profile at its ascending neighbors,
