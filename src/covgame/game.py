@@ -1,12 +1,13 @@
 """Coverage game objects: strategy spaces, objectives, neighbor graph, regret.
 
 The game couples a per-agent coverage generator with a quadratic energy
-penalty. The generator is a pure map from an agent's scalar strategy to a
-boolean mask over its ``cells``, sorted indices of the cells of a
-:class:`~covgame.measure.TimeGrid`, so every measure is ``dt`` times a count.
-It also lists where an agent's count of some cells can change
-(``breakpoints``) and counts those cells for many strategies in one call
-(``masked_cell_counts``); :class:`GameInstance` states the protocol. The
+penalty. The generator maps an agent's scalar strategy to the positions it
+covers among its ``cells``, sorted indices of the cells of a
+:class:`~covgame.measure.TimeGrid`, and to the same coverage as a boolean
+mask over them, so every measure is ``dt`` times a count. It also lists
+where an agent's count of some cells can change (``breakpoints``) and counts
+those cells for many strategies in one call (``masked_cell_counts``);
+:class:`GameInstance` states the protocol. The
 global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
 its coverage exclusive of its graph neighbors minus its own penalty. A
@@ -18,8 +19,11 @@ both objectives by exactly the same amount, which is what the distributed
 search engine relies on. The graph is held once, as arrays of neighbor
 positions, which every gather, the election, the gates and the audit read.
 A :class:`CoverCount` carries one profile's coverage as an integer count per
-cell: the engine keeps one per run, and best responses select their cells
-from it.
+cell, built and moved by covered positions: the engine keeps one per run,
+best responses select their cells from it, and the run's value is read off
+it, so the distributed engine builds no mask. The masks, memoized by
+:meth:`GameInstance.coverage`, serve :func:`global_value` and the mask-based
+local objective.
 """
 from __future__ import annotations
 
@@ -132,6 +136,10 @@ class GameInstance:
     - ``coverage_fn(k, theta)``: pure; a boolean mask with one entry per
       entry of ``cells``. The instance takes ownership of each mask, freezes
       it and memoizes it per ``(index, theta)`` for its life.
+    - ``covered_positions(k, theta)``: pure; the positions of that mask's
+      true entries, each once, as integers in ``range(n_cells)`` in any
+      order. The instance takes ownership of each array, freezes it and
+      keeps the last one per agent (:meth:`covered_positions`).
     - ``cells``: the sorted grid indices of the mask axis, so the game has
       ``n_cells = len(cells)``. A generator may leave out cells no agent can
       ever cover.
@@ -165,18 +173,21 @@ class GameInstance:
     On an agent's reach only its neighbors may cover too, and
     :func:`best_response_gain` relies on this. It selects the cells no
     neighbor covers as those where a :class:`CoverCount` of all active
-    agents equals the agent's own incumbent mask, read at its
+    agents equals the agent's own incumbent flags, both read at its
     ``reach_positions`` alone; there this matches the OR of its neighbors'
-    masks, and the result is the row mask that ``breakpoints`` takes.
+    masks, and the result is the row mask that ``breakpoints`` takes. The
+    flags come from the agent's ``covered_positions``, marked on one buffer
+    of ``n_cells`` zeros that the instance keeps for this.
 
-    Besides the mask cache, the instance keeps one entry per active agent:
-    its last exact best response, keyed twice on what it was computed from.
+    Besides the mask cache, the instance keeps the last covered positions
+    of each active agent, and one entry per active agent for its last exact
+    best response, keyed twice on what it was computed from.
     The first key is the gathered array of neighbor strategies it answered;
     the second is the agent's uncovered cells read at its
     ``reach_positions``, which is all the answer depends on.
     :func:`best_response_gain` reuses the entry while either key stands
-    still. The entry also keeps the agent's own mask read at its reach, for
-    the strategy it was read at.
+    still. The entry also keeps the agent's own incumbent flags read at its
+    reach, for the strategy it was read at.
     """
 
     def __init__(
@@ -190,7 +201,7 @@ class GameInstance:
         self.grid = grid
         if getattr(coverage_fn, "cells", None) is None:
             raise TypeError("coverage_fn must expose cells")
-        for name in ("breakpoints", "masked_cell_counts", "reach_positions"):
+        for name in ("covered_positions", "breakpoints", "masked_cell_counts", "reach_positions"):
             if not callable(getattr(coverage_fn, name, None)):
                 raise TypeError(f"coverage_fn must expose {name}")
         self.coverage_fn = coverage_fn
@@ -205,7 +216,9 @@ class GameInstance:
         }
         self.neighbor_positions = neighbor_positions_from_reaches(self.reach_positions, self.n_cells)
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
+        self._positions: dict[int, tuple[float, np.ndarray]] = {}
         self._responses: dict[int, _Response] = {}
+        self._marks = np.zeros(self.n_cells, dtype=np.uint8)
 
     @property
     def n_agents(self) -> int:
@@ -237,6 +250,22 @@ class GameInstance:
         mask.flags.writeable = False
         self._coverage_cache[key] = mask
         return mask
+
+    def covered_positions(self, index: int, theta: float) -> np.ndarray:
+        """Read-only covered positions of agent ``index`` playing ``theta``.
+
+        The instance keeps the last array per agent, so the count's build,
+        a best response at the incumbent and an adoption of that incumbent
+        ask the generator once, however often they read it.
+        """
+        theta = float(theta)
+        last = self._positions.get(index)
+        if last is not None and last[0] == theta:
+            return last[1]
+        positions = self.coverage_fn.covered_positions(index, theta)
+        positions.flags.writeable = False
+        self._positions[index] = (theta, positions)
+        return positions
 
     def validate_profile(self, profile: StrategyProfile) -> None:
         if len(profile) != self.n_agents:
@@ -288,6 +317,23 @@ def covered_value(game: GameInstance, covered: int, theta: Sequence[float]) -> f
     return game.grid.dt * covered - game.gamma * penalty
 
 
+def _own_flags(game: GameInstance, positions: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """One ``uint8`` per entry of ``at``: 1 where that position is in ``positions``.
+
+    ``positions`` are one agent's covered positions, so these are its mask's
+    entries at ``at``, and entries at a repeated position agree. They are
+    read off the game's one buffer of ``n_cells`` zeros, marked at
+    ``positions`` and cleared again, so nothing of ``n_cells`` entries is
+    allocated.
+    """
+    marks = game._marks
+    marks[positions] = 1
+    try:
+        return marks[at]
+    finally:
+        marks[positions] = 0
+
+
 def count_dtype(n_agents: int) -> np.dtype:
     """Smallest unsigned integer dtype that holds every count 0..``n_agents``."""
     return np.min_scalar_type(n_agents)
@@ -299,51 +345,49 @@ class CoverCount:
     ``counts`` has one entry per mask cell, in :func:`count_dtype` of the
     number of active agents, so no entry can overflow. ``covered`` is the
     number of nonzero entries, the cell count of the union of all active
-    masks. The count is built once from a profile and then follows it
-    through :meth:`adopt`.
+    agents' coverage. The count is built once from a profile, by adding one
+    at each active agent's ``covered_positions``, which never repeat, and
+    then follows it through :meth:`adopt`, which reads and moves the count
+    at the movers' positions alone; no mask is built.
     """
 
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
         theta = profile.theta.tolist()
         counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
         for k in game.active_indices:
-            counts += game.coverage(k, theta[k - 1]).view(np.uint8)
+            counts[game.covered_positions(k, theta[k - 1])] += 1
         self.counts = counts
         self.covered = int(np.count_nonzero(counts))
-
-    def alone(self, own: np.ndarray) -> np.ndarray:
-        """Cells where the count equals the boolean mask ``own``.
-
-        For an agent's incumbent mask these are the cells no other active
-        agent covers.
-        """
-        return self.counts == own.view(np.uint8)
 
     def adopt(self, game: GameInstance, moves: Mapping[int, tuple[float, float]]) -> None:
         """Move each agent ``k`` of ``moves`` from strategy ``old`` to ``new``.
 
         ``moves`` maps ``k`` to ``(old, new)``; no two movers may be
-        neighbors. Each mover's integer cell gain is read off the count
-        before any update: the cells no other agent covers that it starts
-        covering, minus those it stops covering. Movers share no cell, so
-        these gains add, and the covered-cell count must rise by exactly
-        their sum. This is the potential identity in whole cells.
+        neighbors. Each mover's integer cell gain is read off the count at
+        its old and new covered positions, for every mover before any
+        update: the cells no other agent covers that it starts covering,
+        minus those it stops covering. Movers share no cell, so these gains
+        add, and the covered-cell count, a count of the nonzero entries over
+        every cell, must rise by exactly their sum. This is the potential
+        identity in whole cells.
 
         Raises:
             RuntimeError: if the covered cells moved by anything else, so the
                 count no longer matches the profile.
         """
-        masks = [
-            (game.coverage(k, old), game.coverage(k, new)) for k, (old, new) in moves.items()
+        steps = [
+            (game.covered_positions(k, old), game.covered_positions(k, new))
+            for k, (old, new) in moves.items()
         ]
-        gained = 0
-        for was, now in masks:
-            alone = self.alone(was)
-            gained += int(np.count_nonzero(now & alone)) - int(np.count_nonzero(was & alone))
         counts = self.counts
-        for was, now in masks:
-            counts -= was.view(np.uint8)
-            counts += now.view(np.uint8)
+        gained = 0
+        for was, now in steps:
+            # A cell the mover already covers at `old` counts the mover itself.
+            alone_now = counts[now] == _own_flags(game, was, now)
+            gained += int(np.count_nonzero(alone_now)) - int(np.count_nonzero(counts[was] == 1))
+        for was, now in steps:
+            counts[was] -= 1
+            counts[now] += 1
         covered = int(np.count_nonzero(counts))
         if covered - self.covered != gained:
             raise RuntimeError(
@@ -415,8 +459,9 @@ class _Response(NamedTuple):
     ``neighbors`` is the gathered array of neighbor strategies it last
     answered, in ascending neighbor order. ``theta`` is the agent's
     strategy at its last gather and ``own`` that strategy's mask read at
-    the agent's ``reach_positions``, one ``uint8`` per entry, kept so that
-    a later gather at the same strategy reads only the count.
+    the agent's ``reach_positions`` (:func:`_own_flags`), one ``uint8`` per
+    entry, kept so that a later gather at the same strategy reads only the
+    count.
     ``uncovered`` holds one boolean per entry of the ``reach_positions``,
     true where no neighbor covered that cell when the agent last scanned;
     ``ends`` is the ``(starts, stops)`` pair that scan selected, from which
@@ -448,12 +493,14 @@ def best_response_gain(
     order, and ``cover`` is the :class:`CoverCount` of the profile in which
     the agent plays ``theta`` and its neighbors play ``neighbor_thetas``.
     The cells no neighbor covers are those where the count equals the
-    agent's own incumbent mask; since the graph links every two agents
-    whose reaches meet (see :class:`GameInstance`), these are, on every
-    cell the agent can cover, the cells outside the OR of its neighbors'
-    masks, so no fold over the neighbors runs. Both are read at the
-    agent's ``reach_positions`` only, and the resulting row mask is what
-    ``breakpoints`` takes, so no array of ``n_cells`` entries is read.
+    agent's own incumbent flags (:func:`_own_flags`, which the generator's
+    ``covered_positions`` mark); since the graph links every two
+    agents whose reaches meet (see :class:`GameInstance`), these are, on
+    every cell the agent can cover, the cells outside the OR of its
+    neighbors' masks, so no fold over the neighbors runs. The count is read
+    at the agent's ``reach_positions`` only, and the resulting row mask is
+    what ``breakpoints`` takes, so no array of ``n_cells`` entries is read
+    or built.
 
     The agent's count of uncovered cells changes only at the closed ends of
     those cells' covering intervals, which the generator's ``breakpoints``
@@ -474,7 +521,8 @@ def best_response_gain(
     elementwise (under which ``-0.0`` equals ``0.0`` and NaN equals
     nothing), the stored answer is returned without reading the count.
     Otherwise the count is read at the agent's ``reach_positions``, and so
-    is its incumbent mask unless the entry holds it for ``theta`` already:
+    are its incumbent flags unless the entry holds them for ``theta``
+    already:
     if the uncovered cells there equal the stored ones, a neighbor moved
     off the agent's reach, and the stored answer is returned and takes
     ``neighbor_thetas`` as its new first key. Only if both keys miss does
@@ -500,7 +548,7 @@ def best_response_gain(
         if response is not None and response.theta == theta:
             own = response.own
         else:
-            own = game.coverage(index, theta).view(np.uint8)[reach]
+            own = _own_flags(game, game.covered_positions(index, theta), reach)
         uncovered = cover.counts[reach] == own
         if response is not None and (response.uncovered == uncovered).all():
             response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)

@@ -295,19 +295,21 @@ class ConstellationCoverage:
     interval at build time: each satellite keeps a table of plain closed
     segments ``(cell, lo, hi)``, one per ``2 pi`` shift that meets the
     interval widened by :data:`~covgame.game.CONTAINS_TOL`, so every offset
-    that ``interval.contains`` accepts gets an exact mask by direct
-    comparison. An offset outside it raises ``ValueError``. A single mask
-    costs two comparisons per row, scattered into a mask that still has one
-    entry per visible cell. The segment ends are also what an exact best
+    that ``interval.contains`` accepts gets an exact coverage by direct
+    comparison. An offset outside it raises ``ValueError``. The covered
+    positions of one offset (:meth:`covered_positions`) cost one
+    ``searchsorted`` over the ``lo`` ends and one comparison per row below
+    it; a single mask, with one entry per visible cell, is scattered from
+    them. The segment ends are also what an exact best
     response scores (:meth:`breakpoints`). Each table is sorted once at
     build time, its rows by ``lo`` and a copy of its ``hi`` ends with their
     rows, so the ends of any subset of rows come out ascending, and
     scoring a sorted array of strategies against them costs one
-    ``searchsorted`` pass per side that reproduces the comparisons of a
-    single mask exactly: the two can never disagree on a boundary cell. The
-    cells of a table, its :meth:`reach_positions` from which the game
-    derives its neighbor graph, contain every single mask of a strategy in
-    the interval.
+    ``searchsorted`` pass per side that reproduces the comparisons of
+    :meth:`covered_positions` exactly: the two can never disagree on a
+    boundary cell. The cells of a table, its :meth:`reach_positions` from
+    which the game derives its neighbor graph, contain the covered positions
+    of every strategy in the interval.
 
     The build works only on the cells that can matter, and stores exactly
     what a build over every cell would, row for row. First, a visibility
@@ -328,8 +330,9 @@ class ConstellationCoverage:
     keeps plus a few arrays of one entry per visible cell.
 
     The satellites in ``damaged`` (1-based) take no part in the game and
-    get no table: :meth:`__call__`, :meth:`breakpoints` and
-    :meth:`reach_positions` raise ``ValueError`` naming such a satellite.
+    get no table: :meth:`__call__`, :meth:`covered_positions`,
+    :meth:`breakpoints` and :meth:`reach_positions` raise ``ValueError``
+    naming such a satellite.
     The other tables are those of a build without damage.
     """
 
@@ -537,11 +540,23 @@ class ConstellationCoverage:
 
     def __call__(self, k: int, theta: float) -> np.ndarray:
         """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
+        mask = np.zeros(self.cells.size, dtype=bool)
+        mask[self.covered_positions(k, theta)] = True
+        return mask
+
+    def covered_positions(self, k: int, theta: float) -> np.ndarray:
+        """Mask positions of the cells satellite ``k`` covers playing ``theta``.
+
+        The cells of the table rows that hold ``theta``, in the table's
+        order: ``cell[(lo <= theta) & (theta <= hi)]``. The rows are sorted
+        by ``lo``, so the rows with ``lo <= theta`` are a prefix, found by
+        one ``searchsorted``, and only its ``hi`` ends are compared. The
+        rows of one cell are disjoint, so no position repeats.
+        """
         self._check(k, theta)
         reach = self._table(k)
-        mask = np.zeros(self.cells.size, dtype=bool)
-        mask[reach.cell[(reach.lo <= theta) & (theta <= reach.hi)]] = True
-        return mask
+        held = reach.lo.searchsorted(theta, "right")
+        return reach.cell[:held][theta <= reach.hi[:held]]
 
     def masked_cell_counts(
         self, k: int, thetas: np.ndarray, ends: tuple[np.ndarray, np.ndarray]

@@ -19,10 +19,13 @@ open gates are the loud agents and their neighbors, so a round without a
 loud agent exchanges nothing and returns the profile it was given: with 240
 satellites it costs about 0.1 ms on a 2-core Xeon with Python 3.11.
 
-A run keeps one :class:`~covgame.game.CoverCount` of its profile: every
-best response selects its uncovered cells from it, each round's adoptions
-update it and check the potential identity in whole cells, and the round's
-``phi`` is read off its covered-cell count, so no round folds masks. A gated
+A run keeps one :class:`~covgame.game.CoverCount` of its profile, built
+and moved by the generator's covered positions: every best response selects
+its uncovered cells from it, each round's adoptions update it at the
+innovators' old and new positions and check the potential identity in whole
+cells, and the round's ``phi`` is read off its covered-cell count. So the
+engine builds no mask as long as the grid, and the last round's ``phi`` is
+the run's value. A gated
 agent scans only if its uncovered cells moved: it keeps its last answer
 while its neighbors' strategies stand still, and also while they move only
 on cells it cannot cover (see :func:`~covgame.game.best_response_gain`).

@@ -29,9 +29,13 @@ def as_generator(coverage, grid, points=()):
     each theta, mask by mask. ``reach_positions(k)`` are the nonzero
     positions of the OR of ``k``'s masks at ``points`` and at 0, which is
     exact when every strategy of the agent's interval plays the mask of one
-    of them.
+    of them. ``covered_positions(k, theta)`` are the nonzero positions of
+    ``coverage(k, theta)``.
     """
     points = np.asarray(points, dtype=float)
+
+    def covered_positions(k, theta):
+        return np.flatnonzero(coverage(k, float(theta)))
 
     def breakpoints(k, within):
         ends = Ends((points, points))
@@ -48,6 +52,7 @@ def as_generator(coverage, grid, points=()):
         return np.flatnonzero(np.any(masks, axis=0))
 
     coverage.cells = np.arange(grid.n_steps)
+    coverage.covered_positions = covered_positions
     coverage.breakpoints = breakpoints
     coverage.masked_cell_counts = masked_cell_counts
     coverage.reach_positions = reach_positions
@@ -146,6 +151,57 @@ class CallCounter:
             return method(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+
+
+def alone(cover, own):
+    """Cells where ``cover``'s count equals the boolean mask ``own``.
+
+    For an agent's incumbent mask these are the cells no other active agent
+    covers: the whole-grid reference for the selection a best response makes
+    at its reach.
+    """
+    return cover.counts == own.view(np.uint8)
+
+
+class _WatchedCounts(np.ndarray):
+    """A cover count that counts the ``==`` comparisons reading all of it.
+
+    Arrays taken from it, such as a gather at some positions, are not whole
+    and go uncounted.
+    """
+
+    def __array_finalize__(self, obj):
+        self.watch = None
+
+    def __eq__(self, other):
+        if self.watch is not None:
+            self.watch.calls += 1
+        return np.asarray(self) == other
+
+
+class WholeCountCompares:
+    """Counts comparisons against a whole ``CoverCount.counts`` while patched in.
+
+    Every cover count built while the patch holds is watched, and so is each
+    one passed to :meth:`watch`.
+    """
+
+    def __init__(self, monkeypatch):
+        from covgame.game import CoverCount
+
+        self.calls = 0
+        build = CoverCount.__init__
+
+        def watched(cover, *args, **kwargs):
+            build(cover, *args, **kwargs)
+            self.watch(cover)
+
+        monkeypatch.setattr(CoverCount, "__init__", watched)
+
+    def watch(self, cover):
+        counts = cover.counts.view(_WatchedCounts)
+        counts.watch = self
+        cover.counts = counts
 
 
 def lattice(span: float, quantum: float) -> np.ndarray:

@@ -348,7 +348,8 @@ class TestGameValidation:
             toy_game.validate_profile(bad)
 
     @pytest.mark.parametrize(
-        "member", ["cells", "breakpoints", "masked_cell_counts", "reach_positions"]
+        "member",
+        ["cells", "covered_positions", "breakpoints", "masked_cell_counts", "reach_positions"],
     )
     def test_coverage_without_breakpoints_rejected(self, member):
         # Each member of the generator protocol is checked when the game is

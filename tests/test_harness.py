@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -43,12 +44,38 @@ class TestMethodRuns:
         assert len(result.traces) == report.iterations
 
     def test_both_methods_report_through_the_same_objective(self, mini_cfg):
-        # Re-evaluating each reported profile through global_value reproduces
-        # the reported value exactly.
-        game = mini_cfg.build_game()
-        for report in (run_distributed(mini_cfg)[0], run_centralized(mini_cfg)[0]):
+        # The distributed value is read off the run's cover count, the
+        # centralized one through global_value. Re-evaluating each reported
+        # profile through global_value, on a freshly built game that no run
+        # has touched, reproduces the reported value bit for bit, on the
+        # mini scenario and the bundled day.
+        bundled = load_scenario(bundled_scenario_path())
+        reports = [
+            run_distributed(mini_cfg)[0],
+            run_centralized(mini_cfg)[0],
+            run_distributed(bundled)[0],
+        ]
+        for cfg, report in zip((mini_cfg, mini_cfg, bundled), reports):
             profile = StrategyProfile(np.array(report.final_theta))
-            assert global_value(game, profile) == pytest.approx(report.value, abs=1e-9)
+            assert global_value(cfg.build_game(), profile).hex() == report.value.hex()
+
+    def test_distributed_run_builds_no_mask(self):
+        # The bundled week at 1 s: 74,886 cells. The engine keeps one count
+        # and reads covered positions, so the run memoizes no mask, and its
+        # memory above the built game peaks well below the 8.6 MB it took
+        # while the count was built and moved by masks.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["grid"] = {"duration_s": 604800.0, "step_s": 1.0}
+        cfg = parse_scenario(doc)
+        game = cfg.build_game()
+        tracemalloc.start()
+        try:
+            run_distributed(cfg, game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game._coverage_cache == {}
+        assert peak <= 6e6, f"peak {peak} B"
 
     def test_damaged_strategies_stay_zero(self, mini_cfg):
         report, _ = run_distributed(mini_cfg)
@@ -142,14 +169,20 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
     counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
     masks = CallCounter(monkeypatch, GameInstance, "coverage")
+    positions = CallCounter(monkeypatch, ConstellationCoverage, "covered_positions")
     distributed, result = run_distributed(cfg, audit=audit)
     # Rows selected, certificate included: 100 before an agent kept its
     # answer while its uncovered cells stood still.
     assert scans.calls == 53
     # 224 counts and 176 mask reads before an incumbent at its stored
     # maximizer went uncounted and an agent standing still kept the gather
-    # of its own mask.
-    assert (counts.calls, masks.calls) == (112, 111)
+    # of its own mask; 111 mask reads before the engine read covered
+    # positions in place of masks.
+    assert (counts.calls, masks.calls) == (112, 0)
+    # One per active agent for the count's build and one per adoption: the
+    # game keeps each agent's last positions, which its incumbent reads and
+    # its next adoption starts from.
+    assert positions.calls == 22 + sum(len(t.innovators) for t in result.traces) == 38
     rounds = [
         (
             t.iteration,

@@ -50,6 +50,8 @@ from covgame.search import SearchConfig, run_round
 
 from conftest import (
     CallCounter,
+    WholeCountCompares,
+    alone,
     graph_positions,
     neighbor_sets,
     pairwise_graph,
@@ -832,6 +834,7 @@ class TestBuildFootprint:
         for k in damaged:
             for lookup in (
                 lambda: cov(k, 0.0),
+                lambda: cov.covered_positions(k, 0.0),
                 lambda: cov.breakpoints(k, within),
                 lambda: cov.reach_positions(k),
             ):
@@ -1275,7 +1278,8 @@ class TestBestResponseReuse:
         moved = profile.theta[game.neighbor_positions[k]]
         assert not np.array_equal(moved, view)
         selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
-        selected = CallCounter(monkeypatch, CoverCount, "alone")
+        selected = WholeCountCompares(monkeypatch)
+        selected.watch(cover)
         kept = best_response_gain(game, k, moved, own, cover)
         assert (selections.calls, selected.calls) == (0, 0)
         fresh = coverage_game(cov, 20.0)
@@ -1352,6 +1356,67 @@ class TestRowMaskBreakpoints:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+@st.composite
+def mini_strategies(draw):
+    """A mini coverage, a satellite and a strategy its coverage accepts.
+
+    The strategy is drawn from the finite segment ends of the satellite's
+    table inside the accepted interval, from the interval's ends and those
+    ends widened by ``CONTAINS_TOL``, or from anywhere in between.
+    """
+    name = draw(st.sampled_from(sorted(MINI_COVERAGES)))
+    cov = MINI_COVERAGES[name]
+    k = draw(st.integers(1, 24))
+    interval = cov.interval
+    a, b = interval.lo - CONTAINS_TOL, interval.hi + CONTAINS_TOL
+    table = cov._reach[k - 1]
+    ends = np.concatenate((table.lo, table.hi))
+    ends = ends[(ends >= a) & (ends <= b)]
+    edges = [a, interval.lo, interval.hi, b]
+    theta = draw(
+        st.one_of(
+            st.sampled_from([*ends.tolist(), *edges]),
+            st.floats(a, b, allow_nan=False),
+        )
+    )
+    return name, cov, k, theta
+
+
+class TestCoveredPositions:
+    """``covered_positions`` lists each covered cell of the mask once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mini_strategies())
+    def test_positions_are_the_true_entries_of_the_mask(self, case):
+        name, cov, k, theta = case
+        positions = cov.covered_positions(k, theta)
+        assert positions.dtype == np.intp
+        assert np.unique(positions).size == positions.size
+        assert np.array_equal(np.sort(positions), np.flatnonzero(cov(k, theta)))
+        # Every row compared on both ends, as a mask was formed before.
+        table = cov._reach[k - 1]
+        held = table.cell[(table.lo <= theta) & (theta <= table.hi)]
+        assert np.array_equal(np.sort(positions), np.unique(held))
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(MINI_COVERAGES)), k=st.integers(1, 24))
+    def test_outside_strategy_and_damaged_satellite_raise(self, name, k):
+        cov = MINI_COVERAGES[name]
+        interval = cov.interval
+        for theta in (
+            np.nextafter(interval.lo - CONTAINS_TOL, -math.inf),
+            np.nextafter(interval.hi + CONTAINS_TOL, math.inf),
+            math.nan,
+        ):
+            with pytest.raises(ValueError, match="outside the interval"):
+                cov.covered_positions(k, float(theta))
+        damaged = ConstellationCoverage(
+            cov.constants, cov.spec, cov.target, cov.grid, interval, {k}
+        )
+        with pytest.raises(ValueError, match=f"satellite {k} is damaged"):
+            damaged.covered_positions(k, 0.5 * (interval.lo + interval.hi))
+
+
 class TestCoverCount:
     """The live cover count against the neighbor fold and a fresh rebuild."""
 
@@ -1364,7 +1429,7 @@ class TestCoverCount:
             view = profile.theta[game.neighbor_positions[k]]
             own = profile.for_agent(k)
             _, folded = best_response_objective(game, k, view)
-            counted = cover.alone(game.coverage(k, own))
+            counted = alone(cover, game.coverage(k, own))
             for mine, reference in zip(
                 game.coverage_fn.breakpoints(k, counted[game.reach_positions[k]]),
                 game.coverage_fn.breakpoints(k, folded[game.reach_positions[k]]),
@@ -1400,13 +1465,14 @@ class TestCoverCount:
         moves=st.lists(st.tuples(st.integers(0, 23), st.floats(0.0, 1.0)), max_size=6),
     )
     def test_best_responses_compare_no_whole_count(self, case, moves):
-        # CoverCount.alone compares all n_cells entries of the count. A best
-        # response reads the count at the agent's reach alone, whether it
-        # scans, reuses under either key or stands at its maximizer.
+        # A comparison against the whole count reads all n_cells entries of
+        # it. A best response reads the count at the agent's reach alone,
+        # whether it scans, reuses under either key or stands at its
+        # maximizer.
         game, profile = case
         interval = game.coverage_fn.interval
         with pytest.MonkeyPatch.context() as monkeypatch:
-            alone = CallCounter(monkeypatch, CoverCount, "alone")
+            whole = WholeCountCompares(monkeypatch)
             for i, x in [(None, None), *moves]:
                 if i is not None and i + 1 in game.neighbor_positions:
                     theta = min(interval.lo + x * interval.width, interval.hi)
@@ -1419,7 +1485,7 @@ class TestCoverCount:
                     )
                     moved = CoverCount(game, profile.replace(k, theta_star))
                     best_response_gain(game, k, view, theta_star, moved)
-        assert alone.calls == 0
+        assert whole.calls == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
