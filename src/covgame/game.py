@@ -4,9 +4,10 @@ The game couples a per-agent coverage generator with a quadratic energy
 penalty. The generator maps an agent's scalar strategy to the positions it
 covers among its ``cells``, sorted indices of the cells of a
 :class:`~covgame.measure.TimeGrid`, and to the same coverage as a boolean
-mask over them, so every measure is ``dt`` times a count. It also lists
-where an agent's count of some cells can change (``breakpoints``) and counts
-those cells for many strategies in one call (``masked_cell_counts``);
+mask over them, so every measure is ``dt`` times a count. It also scores
+in one call every strategy at which an agent's count of some cells can
+change, within bounds (``scan``), and counts those cells for any ascending
+strategies against the ends a scan returned (``masked_cell_counts``);
 :class:`GameInstance` states the protocol. The
 global objective is the measure of the union of all active agents' coverage
 minus the scaled penalty sum; each agent's local objective is the measure of
@@ -143,22 +144,28 @@ class GameInstance:
     - ``cells``: the sorted grid indices of the mask axis, so the game has
       ``n_cells = len(cells)``. A generator may leave out cells no agent can
       ever cover.
-    - ``breakpoints(k, within)``: ``within`` is a boolean row mask with one
-      entry per entry of ``reach_positions(k)``, true where the cell at that
-      position counts; entries at a repeated position agree. Returns
-      ascending arrays ``(starts, stops)`` such that agent ``k``'s count of
-      covered cells among those marked does not fall while ``theta`` moves
-      toward 0, until it passes a start (from above 0) or a stop (from
-      below 0). The ends of the closed strategy intervals on which ``k``
-      covers each marked cell are such a set; :func:`best_response_gain`
-      scores them.
-    - ``masked_cell_counts(k, thetas, ends)``: that count for every entry
-      of an ascending array of strategies, given the pair ``ends`` that
-      ``breakpoints`` returned.
+    - ``scan(k, within, lo, z, hi)``: ``within`` is a boolean row mask
+      with one entry per entry of ``reach_positions(k)``, true where the
+      cell at that position counts; entries at a repeated position agree.
+      It selects ascending arrays ``ends = (starts, stops)`` such that
+      agent ``k``'s count of covered cells among those marked does not
+      fall while ``theta`` moves toward 0, until it passes a start (from
+      above 0) or a stop (from below 0); the ends of the closed strategy
+      intervals on which ``k`` covers each marked cell are such a set.
+      Given ``lo <= z <= hi``, it returns ``(candidates, counts, ends)``:
+      the ascending candidates, the stops in ``[lo, z)``, then ``z``, then
+      the starts in ``(z, hi]``, and a count for each. The count is exact
+      at ``z``, at the first of equal stops and at the last of equal starts;
+      at their other copies, which share that ``theta``, it may be lower, so
+      the first maximum of any objective that rises with the count is that
+      of exact counts. :func:`best_response_gain` scores them.
+    - ``masked_cell_counts(k, thetas, ends)``: that count, exactly, for
+      every entry of an ascending array of strategies, given the pair
+      ``ends`` that ``scan`` returned.
     - ``reach_positions(k)``: the mask positions of the cells ``k`` covers
       for some strategy of its interval (its reach), exactly, in a fixed
-      order and possibly repeated. ``masked_cell_counts`` counts no other
-      cell.
+      order and possibly repeated. ``scan`` and ``masked_cell_counts`` count
+      no other cell.
 
     The constructor reads each active agent's reach once and keeps it in
     ``reach_positions``, keyed by agent index. From those reaches it derives
@@ -175,7 +182,7 @@ class GameInstance:
     neighbor covers as those where a :class:`CoverCount` of all active
     agents equals the agent's own incumbent flags, both read at its
     ``reach_positions`` alone; there this matches the OR of its neighbors'
-    masks, and the result is the row mask that ``breakpoints`` takes. The
+    masks, and the result is the row mask that ``scan`` takes. The
     flags come from the agent's ``covered_positions``, marked on one buffer
     of ``n_cells`` zeros that the instance keeps for this.
 
@@ -201,7 +208,7 @@ class GameInstance:
         self.grid = grid
         if getattr(coverage_fn, "cells", None) is None:
             raise TypeError("coverage_fn must expose cells")
-        for name in ("covered_positions", "breakpoints", "masked_cell_counts", "reach_positions"):
+        for name in ("covered_positions", "scan", "masked_cell_counts", "reach_positions"):
             if not callable(getattr(coverage_fn, name, None)):
                 raise TypeError(f"coverage_fn must expose {name}")
         self.coverage_fn = coverage_fn
@@ -464,7 +471,7 @@ class _Response(NamedTuple):
     count.
     ``uncovered`` holds one boolean per entry of the ``reach_positions``,
     true where no neighbor covered that cell when the agent last scanned;
-    ``ends`` is the ``(starts, stops)`` pair that scan selected, from which
+    ``ends`` is the ``(starts, stops)`` pair that ``scan`` selected, from which
     any incumbent's count is read. ``theta_star`` is the first maximizer
     and ``best`` its local objective. The entry holds no reference to the
     game, so storing it on the game makes no cycle.
@@ -499,24 +506,26 @@ def best_response_gain(
     every cell the agent can cover, the cells outside the OR of its
     neighbors' masks, so no fold over the neighbors runs. The count is read
     at the agent's ``reach_positions`` only, and the resulting row mask is
-    what ``breakpoints`` takes, so no array of ``n_cells`` entries is read
-    or built.
+    what the generator's ``scan`` takes, so no array of ``n_cells`` entries
+    is read or built.
 
     The agent's count of uncovered cells changes only at the closed ends of
-    those cells' covering intervals, which the generator's ``breakpoints``
-    lists, and the penalty is even and rises with ``|theta|``. Let ``z`` be
-    the point of the strategy interval ``[lo, hi]`` nearest 0. From any
-    strategy above ``z``, moving down to the nearest start at or below it
-    (or to ``z``) keeps every cell and costs no more, and symmetrically
-    below ``z``. So a maximizer lies among the stops in ``[lo, z)``, ``z``
-    and the starts in ``(z, hi]``; the ends come ascending, so these three
-    lists are already in order, and scoring them all, in one
-    ``masked_cell_counts`` call, is exact. Equal candidates score equally,
-    so repeats leave the first maximizer alone.
+    those cells' covering intervals, which ``scan`` selects, and the
+    penalty is even and rises with ``|theta|``. Let ``z`` be the point of
+    the strategy interval ``[lo, hi]`` nearest 0. From any strategy above
+    ``z``, moving down to the nearest start at or below it (or to ``z``)
+    keeps every cell and costs no more, and symmetrically below ``z``. So a
+    maximizer lies among the stops in ``[lo, z)``, ``z`` and the starts in
+    ``(z, hi]``, which ``scan`` returns in ascending order with a count
+    for each. This adds the penalty to ``dt`` times those counts and takes
+    the first maximum (:func:`~covgame.optimize.maximize_scalar`), which is
+    exact: a count falls short only at a copy of an equal end whose exact
+    copy scores the true value, and a copy shares its ``theta``, so the
+    first maximizer and its value are those of exact counts.
 
     The best response depends only on the uncovered cells of the agent's
-    reach, since ``breakpoints`` and ``masked_cell_counts`` read no other
-    cell, so the game keeps each agent's last one under two keys (see
+    reach, since ``scan`` and ``masked_cell_counts`` read no other cell, so
+    the game keeps each agent's last one under two keys (see
     :class:`_Response`). While ``neighbor_thetas`` equals the stored array
     elementwise (under which ``-0.0`` equals ``0.0`` and NaN equals
     nothing), the stored answer is returned without reading the count.
@@ -533,15 +542,14 @@ def best_response_gain(
     The incumbent's local objective is one ``masked_cell_counts`` call at
     ``theta`` against the stored ends: the cells of its own mask that no
     neighbor covers. An incumbent equal to the stored maximizer needs none:
-    its value would be the same arithmetic on the same ends as ``best``,
-    so its gain is exactly ``0.0``.
+    its value would be the same arithmetic on the same exact count as
+    ``best``, so its gain is exactly ``0.0``.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over ``theta``, which is never
     negative.
     """
     agent = game.agent(index)
-    cell_counts = game.coverage_fn.masked_cell_counts
     response = game._responses.get(index)
     if response is None or not (response.neighbors == neighbor_thetas).all():
         reach = game.reach_positions[index]
@@ -554,18 +562,14 @@ def best_response_gain(
             response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)
         else:
             space = agent.strategy_space
-            starts, stops = ends = game.coverage_fn.breakpoints(index, uncovered)
             z = min(max(0.0, space.lo), space.hi)
-            first, last = stops.searchsorted((space.lo, z))
-            below = stops[first:last]
-            first, last = starts.searchsorted((z, space.hi), "right")
-            above = starts[first:last]
-            candidates = np.concatenate((below, [z], above))
+            candidates, counts, ends = game.coverage_fn.scan(
+                index, uncovered, space.lo, z, space.hi
+            )
             dt, gamma = game.grid.dt, game.gamma
 
             def objective(thetas: np.ndarray) -> np.ndarray:
-                gains = dt * cell_counts(index, thetas, ends)
-                return gains - gamma * energy_penalty(agent, thetas)
+                return dt * counts - gamma * energy_penalty(agent, thetas)
 
             theta_star, best = maximize_scalar(objective, candidates)
             response = _Response(
@@ -574,8 +578,8 @@ def best_response_gain(
         game._responses[index] = response
     if theta == response.theta_star:
         return response.theta_star, 0.0
-    alone = float(cell_counts(index, np.array([theta]), response.ends)[0])
-    incumbent = game.grid.dt * alone - game.gamma * energy_penalty(agent, theta)
+    alone = game.coverage_fn.masked_cell_counts(index, np.array([theta]), response.ends)
+    incumbent = game.grid.dt * float(alone[0]) - game.gamma * energy_penalty(agent, theta)
     return response.theta_star, response.best - incumbent
 
 

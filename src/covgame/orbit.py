@@ -300,14 +300,17 @@ class ConstellationCoverage:
     positions of one offset (:meth:`covered_positions`) cost one
     ``searchsorted`` over the ``lo`` ends and one comparison per row below
     it; a single mask, with one entry per visible cell, is scattered from
-    them. The segment ends are also what an exact best
-    response scores (:meth:`breakpoints`). Each table is sorted once at
-    build time, its rows by ``lo`` and a copy of its ``hi`` ends with their
-    rows, so the ends of any subset of rows come out ascending, and
-    scoring a sorted array of strategies against them costs one
-    ``searchsorted`` pass per side that reproduces the comparisons of
-    :meth:`covered_positions` exactly: the two can never disagree on a
-    boundary cell. The cells of a table, its :meth:`reach_positions` from
+    them. The segment ends are also what an exact best response scores
+    (:meth:`scan`). Each table is sorted once at build time, its rows by
+    ``lo`` and a copy of its ``hi`` ends with their rows, so the ends of any
+    subset of rows, selected by ``compress`` (:meth:`breakpoints`), come
+    out ascending. Counting a sorted array of strategies against them costs
+    one ``searchsorted`` pass per side (:meth:`masked_cell_counts`) that
+    reproduces the comparisons of :meth:`covered_positions` exactly: the
+    two can never disagree on a boundary cell. A scan's candidates are
+    themselves ends, whose place in their own array the slice that took
+    them gives, so it searches each in the other array alone. The cells of
+    a table, its :meth:`reach_positions` from
     which the game derives its neighbor graph, contain the covered positions
     of every strategy in the interval.
 
@@ -331,8 +334,8 @@ class ConstellationCoverage:
 
     The satellites in ``damaged`` (1-based) take no part in the game and
     get no table: :meth:`__call__`, :meth:`covered_positions`,
-    :meth:`breakpoints` and :meth:`reach_positions` raise ``ValueError``
-    naming such a satellite.
+    :meth:`breakpoints`, :meth:`scan` and :meth:`reach_positions` raise
+    ``ValueError`` naming such a satellite.
     The other tables are those of a build without damage.
     """
 
@@ -550,33 +553,34 @@ class ConstellationCoverage:
         The cells of the table rows that hold ``theta``, in the table's
         order: ``cell[(lo <= theta) & (theta <= hi)]``. The rows are sorted
         by ``lo``, so the rows with ``lo <= theta`` are a prefix, found by
-        one ``searchsorted``, and only its ``hi`` ends are compared. The
-        rows of one cell are disjoint, so no position repeats.
+        one ``searchsorted``, and only its ``hi`` ends are compared; the
+        cells are taken by ``compress``. The rows of one cell are disjoint,
+        so no position repeats.
         """
         self._check(k, theta)
         reach = self._table(k)
         held = reach.lo.searchsorted(theta, "right")
-        return reach.cell[:held][theta <= reach.hi[:held]]
+        return reach.cell[:held].compress(theta <= reach.hi[:held])
 
     def masked_cell_counts(
         self, k: int, thetas: np.ndarray, ends: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
-        """Covered-cell counts restricted to some cells, for many strategies.
+        """Covered-cell counts restricted to some cells, for any strategies.
 
-        ``ends`` is the pair ``(starts, stops)`` that :meth:`breakpoints`
-        returned for satellite ``k`` and a row mask ``within``; the result
-        counts ``|coverage(k, theta) & within|``, with ``within`` read as the
-        cells it marks, for every entry of an ascending ``thetas`` array. A
-        row holds ``theta`` iff ``lo <= theta`` and ``theta <= hi``, the
-        comparisons of a single mask, and every row has ``lo <= hi``, so the
-        count is the number of starts at or below ``theta`` minus the number
-        of stops below it: two ``searchsorted`` passes over the ascending
-        ends. Every theta must lie in the built
+        ``ends`` is the pair ``(starts, stops)`` that :meth:`breakpoints` or
+        :meth:`scan` returned for satellite ``k`` and a row mask ``within``;
+        the result counts ``|coverage(k, theta) & within|``, with ``within``
+        read as the cells it marks, for every entry of an ascending
+        ``thetas`` array. A row holds ``theta`` iff ``lo <= theta`` and
+        ``theta <= hi``, the comparisons of a single mask, and every row has
+        ``lo <= hi``, so the count is the number of starts at or below
+        ``theta`` minus the number of stops below it: two ``searchsorted``
+        passes over the ascending ends. Every theta must lie in the built
         interval, and ``thetas`` must be sorted ascending; otherwise
         ``ValueError`` is raised. :func:`~covgame.game.best_response_gain`
-        calls this once per scan to score its candidates, and once with the
-        incumbent alone, which needs no sortedness pass, unless the incumbent
-        is the stored maximizer.
+        calls this with the incumbent alone, unless the incumbent is the
+        stored maximizer; the tests call it as the reference count of
+        :meth:`scan`.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:
@@ -596,14 +600,53 @@ class ConstellationCoverage:
         entries a mask over ``cells`` has at those positions. Returns
         ``(starts, stops)``, each sorted ascending: the ``lo`` and ``hi``
         ends of the rows of satellite ``k``'s segment table that ``within``
-        marks. The table keeps both ends presorted, so selecting rows keeps
-        that order, no sort runs here, and nothing of ``n_cells`` entries is
-        read. Each marked cell is covered exactly on the union of its rows,
-        so the count changes only at these ends, and moving toward 0 it
-        cannot fall before it passes one of them.
+        marks, selected by ``compress``, which a mask that mixes true and
+        false entries does not slow down as it does a boolean index. The
+        table keeps both ends presorted, so selecting rows keeps that order,
+        no sort runs here, and nothing of ``n_cells`` entries is read. Each marked cell is covered exactly on
+        the union of its rows, so the count changes only at these ends, and
+        moving toward 0 it cannot fall before it passes one of them.
         """
         reach = self._table(k)
-        return reach.lo[within], reach.stop[within[reach.stop_row]]
+        return reach.lo.compress(within), reach.stop.compress(within[reach.stop_row])
+
+    def scan(
+        self, k: int, within: np.ndarray, lo: float, z: float, hi: float
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The candidates of a best response over ``[lo, hi]``, each with its count.
+
+        ``within`` is the row mask :meth:`breakpoints` takes, and
+        ``lo <= z <= hi`` must lie in the built interval (``ValueError``
+        otherwise). Returns ``(candidates, counts, ends)``: the ascending
+        candidates, the stops in ``[lo, z)``, then ``z``, then the starts in
+        ``(z, hi]``; for each, the count of :meth:`masked_cell_counts` at
+        it; and the ``(starts, stops)`` pair of :meth:`breakpoints`, against
+        which any other strategy is counted later.
+
+        A candidate's place in its own ascending array is known from the
+        slice that took it, so each count needs one binary search, in the
+        other array: a stop at position ``j`` has ``j`` stops below it, and
+        a start at position ``i`` has ``i + 1`` starts at or below it. In a
+        run of equal ends this is exact for the first stop and the last
+        start, and under-counts the other copies, which share their
+        ``theta``; so for any objective that rises with the count, the
+        first maximizer's ``theta`` and value are those of exact counts.
+        ``z`` is counted by the slicing searches alone.
+        """
+        self._check(k, lo)
+        self._check(k, hi)
+        starts, stops = ends = self.breakpoints(k, within)
+        first, last = stops.searchsorted((lo, z)).tolist()
+        start, end = starts.searchsorted((z, hi), "right").tolist()
+        below, above = stops[first:last], starts[start:end]
+        counts = np.concatenate(
+            (
+                starts.searchsorted(below, "right") - np.arange(first, last),
+                [start - last],
+                np.arange(start + 1, end + 1) - stops.searchsorted(above),
+            )
+        )
+        return np.concatenate((below, [z], above)), counts, ends
 
     def reach_positions(self, k: int) -> np.ndarray:
         """Mask positions of the cells satellite ``k`` can cover, one per row.

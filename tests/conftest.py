@@ -9,7 +9,7 @@ from covgame.measure import TimeGrid
 
 
 class Ends(tuple):
-    """The ``(starts, stops)`` pair of :func:`as_generator`'s ``breakpoints``.
+    """The ``(starts, stops)`` pair of :func:`as_generator`'s ``scan``.
 
     It keeps the cells its row mask marks, as a mask over all cells, which
     is what that generator's ``masked_cell_counts`` counts.
@@ -21,12 +21,14 @@ class Ends(tuple):
 def as_generator(coverage, grid, points=()):
     """Give a test coverage function the generator protocol a game requires.
 
-    Its ``cells`` are all of ``grid``'s. ``points`` serve as both the starts
-    and the stops of ``breakpoints``, whatever ``within`` is; a coverage that
-    ignores theta needs none. ``breakpoints`` scatters its row mask
-    ``within`` onto the cells at ``reach_positions(k)``, and
-    ``masked_cell_counts`` counts ``coverage(k, theta)`` on those cells for
-    each theta, mask by mask. ``reach_positions(k)`` are the nonzero
+    Its ``cells`` are all of ``grid``'s. ``points``, ascending, serve as
+    both the starts and the stops of ``scan``'s ends, whatever ``within``
+    is; a coverage that ignores theta needs none. ``scan`` scatters its row
+    mask ``within`` onto the cells at ``reach_positions(k)``, slices its
+    candidates from ``points`` (those in ``[lo, z)``, then ``z``, then
+    those in ``(z, hi]``) and counts them with ``masked_cell_counts``,
+    which counts ``coverage(k, theta)`` on those cells for each theta, mask
+    by mask. ``reach_positions(k)`` are the nonzero
     positions of the OR of ``k``'s masks at ``points`` and at 0, which is
     exact when every strategy of the agent's interval plays the mask of one
     of them. ``covered_positions(k, theta)`` are the nonzero positions of
@@ -37,11 +39,14 @@ def as_generator(coverage, grid, points=()):
     def covered_positions(k, theta):
         return np.flatnonzero(coverage(k, float(theta)))
 
-    def breakpoints(k, within):
+    def scan(k, within, lo, z, hi):
         ends = Ends((points, points))
         ends.within = np.zeros(grid.n_steps, dtype=bool)
         ends.within[reach_positions(k)] = within
-        return ends
+        first, last = points.searchsorted((lo, z))
+        start, end = points.searchsorted((z, hi), "right")
+        candidates = np.concatenate((points[first:last], [z], points[start:end]))
+        return candidates, masked_cell_counts(k, candidates, ends), ends
 
     def masked_cell_counts(k, thetas, ends):
         counts = [np.count_nonzero(coverage(k, float(t)) & ends.within) for t in thetas]
@@ -53,7 +58,7 @@ def as_generator(coverage, grid, points=()):
 
     coverage.cells = np.arange(grid.n_steps)
     coverage.covered_positions = covered_positions
-    coverage.breakpoints = breakpoints
+    coverage.scan = scan
     coverage.masked_cell_counts = masked_cell_counts
     coverage.reach_positions = reach_positions
     return coverage

@@ -349,7 +349,7 @@ class TestGameValidation:
 
     @pytest.mark.parametrize(
         "member",
-        ["cells", "covered_positions", "breakpoints", "masked_cell_counts", "reach_positions"],
+        ["cells", "covered_positions", "scan", "masked_cell_counts", "reach_positions"],
     )
     def test_coverage_without_breakpoints_rejected(self, member):
         # Each member of the generator protocol is checked when the game is

@@ -177,8 +177,9 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     # 224 counts and 176 mask reads before an incumbent at its stored
     # maximizer went uncounted and an agent standing still kept the gather
     # of its own mask; 111 mask reads before the engine read covered
-    # positions in place of masks.
-    assert (counts.calls, masks.calls) == (112, 0)
+    # positions in place of masks; 112 counts before a scan counted its
+    # candidates itself, so that only incumbents are counted.
+    assert (counts.calls, masks.calls) == (59, 0)
     # One per active agent for the count's build and one per adoption: the
     # game keeps each agent's last positions, which its incumbent reads and
     # its next adoption starts from.

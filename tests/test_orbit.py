@@ -4,6 +4,8 @@ Golden numbers were computed once with a standalone scalar-math script that
 implements the same stated formula chain with explicit rotation matrices and
 no shared code, then frozen here.
 """
+import copy
+import functools
 import json
 import math
 import tracemalloc
@@ -25,11 +27,14 @@ from covgame.game import (
     best_response_objective,
     certify_epsilon_equilibrium,
     covered_value,
+    energy_penalty,
     global_value,
     neighbor_positions_from_reaches,
 )
 from covgame.measure import TimeGrid
+from covgame.optimize import maximize_scalar
 from covgame.orbit import (
+    _Reach,
     ConstellationCoverage,
     ConstellationSpec,
     OrbitConstants,
@@ -836,6 +841,7 @@ class TestBuildFootprint:
                 lambda: cov(k, 0.0),
                 lambda: cov.covered_positions(k, 0.0),
                 lambda: cov.breakpoints(k, within),
+                lambda: cov.scan(k, within, -0.1, 0.0, 0.1),
                 lambda: cov.reach_positions(k),
             ):
                 with pytest.raises(ValueError, match=f"satellite {k} is damaged"):
@@ -853,6 +859,8 @@ class TestBuildFootprint:
             assert not cov(1, 0.0).any()
             ends = cov.breakpoints(1, np.zeros(0, dtype=bool))
             assert cov.masked_cell_counts(1, np.array([-1.0, 0.0]), ends).tolist() == [0, 0]
+            candidates, counts, _ = cov.scan(1, np.zeros(0, dtype=bool), -1.0, 0.0, 1.0)
+            assert (candidates.tolist(), counts.tolist()) == ([0.0], [0])
         assert table_bytes(cov) == 0
         assert cov._reach[4] is None
         assert all(game.neighbors(k) == frozenset() for k in game.active_indices)
@@ -1230,8 +1238,8 @@ class TestBestResponseReuse:
         assert sorted(game._responses) == movers
 
     def test_each_scan_selects_the_rows_once(self, monkeypatch):
-        # A first answer selects its rows once and counts twice: once to
-        # score every candidate, once for the incumbent alone.
+        # A first answer selects its rows once, in the scan that scores
+        # every candidate, and counts once, for the incumbent alone.
         game = coverage_game(TABLE_COVERAGE, 20.0)
         selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
         counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
@@ -1240,7 +1248,7 @@ class TestBestResponseReuse:
         for n, k in enumerate(game.active_indices, start=1):
             view = profile.theta[game.neighbor_positions[k]]
             best_response_gain(game, k, view, profile.for_agent(k), cover)
-            assert (selections.calls, counts.calls) == (n, 2 * n)
+            assert (selections.calls, counts.calls) == (n, n)
 
     def test_neighbor_move_off_the_reach_scans_nothing(self, monkeypatch):
         # A neighbor l moves between two strategies whose masks differ only
@@ -1354,6 +1362,159 @@ class TestRowMaskBreakpoints:
         ends = cov.breakpoints(k, within[cov.reach_positions(k)])
         for got, expected in zip(ends, (np.sort(table.lo[rows]), np.sort(table.hi[rows]))):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def two_search_scan(cov, k, within, lo, z, hi):
+    """Reference for ``scan``: the same candidates, each searched in both ends.
+
+    The rows are those of ``breakpoints``; the candidates are its stops in
+    ``[lo, z)``, then ``z``, then its starts in ``(z, hi]``; and each is
+    counted by ``masked_cell_counts``, two binary searches per candidate,
+    which is exact for every one of them.
+    """
+    starts, stops = ends = cov.breakpoints(k, within)
+    first, last = stops.searchsorted((lo, z))
+    start, end = starts.searchsorted((z, hi), "right")
+    candidates = np.concatenate((stops[first:last], [z], starts[start:end]))
+    return candidates, cov.masked_cell_counts(k, candidates, ends), ends
+
+
+def first_maximum(candidates, counts, dt, gamma, theta_max):
+    """``(theta_star, best)``: the best-response objective's first maximum."""
+    agent = AgentSpec(1, FULL_CIRCLE, theta_max)
+    return maximize_scalar(
+        lambda thetas: dt * counts - gamma * energy_penalty(agent, thetas), candidates
+    )
+
+
+def exact_entries(candidates, z):
+    """Where ``scan`` must count exactly, as a mask over ``candidates``.
+
+    That is at ``z``, at the first stop and at the last start of every run
+    of equal ends.
+    """
+    below, above = candidates[candidates < z], candidates[candidates > z]
+    return np.concatenate(
+        (below != np.r_[math.nan, below[:-1]], [True], above != np.r_[above[1:], math.nan])
+    )
+
+
+def handmade_coverage(rows):
+    """A full-circle coverage whose satellite 1 holds the segment ``rows``.
+
+    ``rows`` is a list of ``(lo, hi)`` pairs with ``lo <= hi``, each its own
+    cell, sorted as a built table is: by ``lo``, with the ``hi`` ends sorted
+    apart and mapped back to their rows.
+    """
+    lo, hi = np.array(rows, dtype=float).reshape(-1, 2).T
+    by_lo = np.argsort(lo, kind="stable")
+    lo, hi = lo[by_lo], hi[by_lo]
+    stop_row = np.argsort(hi, kind="stable")
+    cov = copy.copy(TABLE_COVERAGE)
+    cov._reach = [_Reach(by_lo, lo, hi, stop_row, hi[stop_row])]
+    return cov
+
+
+@functools.cache
+def bundled_coverage(duration_s, step_s):
+    """The bundled scenario's coverage over ``duration_s`` at ``step_s``."""
+    doc = json.loads(bundled_scenario_path().read_text())
+    doc["grid"] = {"duration_s": duration_s, "step_s": step_s}
+    return parse_scenario(doc).build_game().coverage_fn
+
+
+# A grid of segment ends with many repeats, some at +-inf.
+HANDMADE_ENDS = st.sampled_from([-math.inf, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, math.inf])
+
+
+class TestScan:
+    """``scan`` against the two-search reference: the same maximum, bit for bit."""
+
+    def check(self, cov, k, within, lo, z, hi, gamma, theta_max):
+        candidates, counts, ends = cov.scan(k, within, lo, z, hi)
+        expected, exact, expected_ends = two_search_scan(cov, k, within, lo, z, hi)
+        assert candidates.tobytes() == expected.tobytes()
+        for got, end in zip(ends, expected_ends, strict=True):
+            assert got.tobytes() == end.tobytes()
+        at = exact_entries(candidates, z)
+        assert np.array_equal(counts[at], exact[at])
+        assert np.all(counts <= exact)
+        dt = cov.grid.dt
+        got = first_maximum(candidates, counts, dt, gamma, theta_max)
+        reference = first_maximum(expected, exact, dt, gamma, theta_max)
+        assert [v.hex() for v in got] == [v.hex() for v in reference]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        week=st.booleans(),
+        k=st.sampled_from([1, 2, 9, 11, 12, 24]),
+        density=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted),
+        nearest_zero=st.booleans(),
+        gamma=st.floats(0.0, 200.0),
+        theta_max=st.floats(0.01, 10.0),
+    )
+    def test_bundled_tables(self, week, k, density, seed, bounds, nearest_zero, gamma, theta_max):
+        # The bundled day at 5 s (about 260 rows a table) and the bundled
+        # week at 1 s (about 9.5k), under random row masks, over sub-spans
+        # of the interval; z is either the point nearest 0, as a best
+        # response takes it, or anywhere between lo and hi.
+        cov = bundled_coverage(604800.0, 1.0) if week else bundled_coverage(86400.0, 5.0)
+        within = np.random.default_rng(seed).random(cov.reach_positions(k).size) < density
+        interval = cov.interval
+        lo, z, hi = (interval.lo + f * interval.width for f in bounds)
+        hi = min(hi, interval.hi)
+        z = min(z, hi)
+        if nearest_zero:
+            z = min(max(0.0, lo), hi)
+        self.check(cov, k, within, lo, z, hi, gamma, theta_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(HANDMADE_ENDS, HANDMADE_ENDS)
+            .filter(lambda r: r != (-math.inf, -math.inf) and r != (math.inf, math.inf))
+            .map(sorted),
+            max_size=24,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(
+            st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25]),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        gamma=st.sampled_from([0.0, 1e-3, 1.0, 200.0]),
+    )
+    def test_handmade_runs_of_equal_ends(self, rows, seed, bounds, gamma):
+        # Ends from a small grid repeat often, at the maximum too, and rows
+        # that reach +-inf start below or stop above every candidate.
+        cov = handmade_coverage(rows)
+        within = np.random.default_rng(seed).random(len(rows)) < 0.8
+        lo, hi = bounds
+        z = min(max(0.0, lo), hi)
+        self.check(cov, 1, within, lo, z, hi, gamma, 1.0)
+
+    def test_runs_at_the_maximum(self):
+        # Two equal stops below 0 and three equal starts above it, the
+        # starts the maximum, and a row visible at every strategy: the first
+        # stop counts 3 cells and its copy fewer, the last start counts 4
+        # and its copies fewer.
+        rows = [(-1.0, -0.5)] * 2 + [(-math.inf, math.inf)] + [(0.5, 1.0)] * 3
+        cov = handmade_coverage(rows)
+        within = np.ones(len(rows), dtype=bool)
+        candidates, counts, _ = cov.scan(1, within, -1.0, 0.0, 1.0)
+        assert candidates.tolist() == [-0.5, -0.5, 0.0, 0.5, 0.5, 0.5]
+        assert counts.tolist() == [3, 2, 1, 2, 3, 4]
+        theta_star, best = first_maximum(candidates, counts, cov.grid.dt, 1.0, 1.0)
+        assert theta_star == 0.5 and best == 4 * cov.grid.dt - 0.25
+        self.check(cov, 1, within, -1.0, 0.0, 1.0, 1.0, 1.0)
+
+    def test_bounds_outside_the_interval_raise(self):
+        cov = day_coverage(interval=StrategyInterval(-0.2, 0.2))
+        within = np.ones(cov.reach_positions(3).size, dtype=bool)
+        for lo, hi in ((-0.3, 0.2), (-0.2, 0.3), (math.nan, 0.2)):
+            with pytest.raises(ValueError, match="agent 3"):
+                cov.scan(3, within, lo, min(max(0.0, lo), hi), hi)
 
 
 @st.composite
