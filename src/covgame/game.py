@@ -3,8 +3,8 @@
 The game couples a per-agent coverage generator with a quadratic energy
 penalty. The generator maps an agent's scalar strategy to the positions it
 covers among its ``cells``, sorted indices of the cells of a
-:class:`~covgame.measure.TimeGrid`, and to the same coverage as a boolean
-mask over them, so every measure is ``dt`` times a count. It also scores
+:class:`~covgame.measure.TimeGrid`, so every measure is ``dt`` times a
+count. It also scores
 in one call every strategy at which an agent's count of some cells can
 change, within bounds (``scan``), and counts those cells for any ascending
 strategies against the ends a scan returned (``masked_cell_counts``);
@@ -20,24 +20,23 @@ both objectives by exactly the same amount, which is what the distributed
 search engine relies on. The graph is held once, as arrays of neighbor
 positions, which every gather, the election, the gates and the audit read.
 A :class:`CoverCount` carries one profile's coverage as an integer count per
-cell, built and moved by covered positions: the engine keeps one per run,
-best responses select their cells from it, and the run's value is read off
-it, so the distributed engine builds no mask. The masks, memoized by
-:meth:`GameInstance.coverage`, serve :func:`global_value` and the mask-based
-local objective.
+cell, built and moved by covered positions, and holds each active agent's
+positions: the engine keeps one per run, best responses select their cells
+from it, and the run's value is read off it, so the distributed engine
+builds no mask. The masks, which :meth:`GameInstance.coverage` scatters
+from covered positions and memoizes, serve :func:`global_value` and the
+mask-based local objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .measure import TimeGrid, union_many
 from .optimize import maximize_scalar
-
-CoverageFn = Callable[[int, float], np.ndarray]
 
 # Slack with which a strategy still counts as inside its interval, radians.
 CONTAINS_TOL = 1e-12
@@ -134,16 +133,14 @@ class GameInstance:
     The coverage generator ``coverage_fn`` must expose, and the constructor
     checks (a missing member raises ``TypeError`` naming it):
 
-    - ``coverage_fn(k, theta)``: pure; a boolean mask with one entry per
-      entry of ``cells``. The instance takes ownership of each mask, freezes
-      it and memoizes it per ``(index, theta)`` for its life.
-    - ``covered_positions(k, theta)``: pure; the positions of that mask's
-      true entries, each once, as integers in ``range(n_cells)`` in any
-      order. The instance takes ownership of each array, freezes it and
-      keeps the last one per agent (:meth:`covered_positions`).
     - ``cells``: the sorted grid indices of the mask axis, so the game has
       ``n_cells = len(cells)``. A generator may leave out cells no agent can
       ever cover.
+    - ``covered_positions(k, theta)``: pure; the positions of the cells
+      agent ``k`` covers playing ``theta``, each once, as integers in
+      ``range(n_cells)`` in any order, in a fresh array whose ownership
+      passes to the caller. A :class:`CoverCount` freezes and keeps each
+      active agent's, and :meth:`coverage` scatters its masks from them.
     - ``scan(k, within, lo, z, hi)``: ``within`` is a boolean row mask
       with one entry per entry of ``reach_positions(k)``, true where the
       cell at that position counts; entries at a repeated position agree.
@@ -183,12 +180,13 @@ class GameInstance:
     agents equals the agent's own incumbent flags, both read at its
     ``reach_positions`` alone; there this matches the OR of its neighbors'
     masks, and the result is the row mask that ``scan`` takes. The
-    flags come from the agent's ``covered_positions``, marked on one buffer
-    of ``n_cells`` zeros that the instance keeps for this.
+    flags come from the agent's positions in that count
+    (``CoverCount.positions``), marked on one buffer of ``n_cells`` zeros
+    that the instance keeps for this.
 
-    Besides the mask cache, the instance keeps the last covered positions
-    of each active agent, and one entry per active agent for its last exact
-    best response, keyed twice on what it was computed from.
+    Besides the mask cache, the instance keeps one entry per active agent
+    for its last exact best response, keyed twice on what it was computed
+    from.
     The first key is the gathered array of neighbor strategies it answered;
     the second is the agent's uncovered cells read at its
     ``reach_positions``, which is all the answer depends on.
@@ -201,7 +199,7 @@ class GameInstance:
         self,
         agents: Sequence[AgentSpec],
         grid: TimeGrid,
-        coverage_fn: CoverageFn,
+        coverage_fn: Any,
         gamma: float,
     ) -> None:
         self.agents = tuple(agents)
@@ -223,7 +221,6 @@ class GameInstance:
         }
         self.neighbor_positions = neighbor_positions_from_reaches(self.reach_positions, self.n_cells)
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
-        self._positions: dict[int, tuple[float, np.ndarray]] = {}
         self._responses: dict[int, _Response] = {}
         self._marks = np.zeros(self.n_cells, dtype=np.uint8)
 
@@ -243,36 +240,20 @@ class GameInstance:
         return frozenset((self.neighbor_positions[index] + 1).tolist())
 
     def coverage(self, index: int, theta: float) -> np.ndarray:
-        """Memoized read-only coverage mask for agent ``index`` playing ``theta``."""
+        """Memoized read-only coverage mask for agent ``index`` playing ``theta``.
+
+        The mask has one entry per cell, true at the generator's
+        ``covered_positions``.
+        """
         key = (index, float(theta))
         hit = self._coverage_cache.get(key)
         if hit is not None:
             return hit
-        mask = np.asarray(self.coverage_fn(index, float(theta)), dtype=bool)
-        if mask.shape != (self.n_cells,):
-            raise ValueError(
-                f"coverage_fn returned a {mask.shape} mask for agent {index}: a foreign "
-                f"grid, the game's has {self.n_cells} cells"
-            )
+        mask = np.zeros(self.n_cells, dtype=bool)
+        mask[self.coverage_fn.covered_positions(*key)] = True
         mask.flags.writeable = False
         self._coverage_cache[key] = mask
         return mask
-
-    def covered_positions(self, index: int, theta: float) -> np.ndarray:
-        """Read-only covered positions of agent ``index`` playing ``theta``.
-
-        The instance keeps the last array per agent, so the count's build,
-        a best response at the incumbent and an adoption of that incumbent
-        ask the generator once, however often they read it.
-        """
-        theta = float(theta)
-        last = self._positions.get(index)
-        if last is not None and last[0] == theta:
-            return last[1]
-        positions = self.coverage_fn.covered_positions(index, theta)
-        positions.flags.writeable = False
-        self._positions[index] = (theta, positions)
-        return positions
 
     def validate_profile(self, profile: StrategyProfile) -> None:
         if len(profile) != self.n_agents:
@@ -341,6 +322,13 @@ def _own_flags(game: GameInstance, positions: np.ndarray, at: np.ndarray) -> np.
         marks[positions] = 0
 
 
+def _frozen_positions(game: GameInstance, index: int, theta: float) -> np.ndarray:
+    """The generator's covered positions of agent ``index`` at ``theta``, read-only."""
+    positions = game.coverage_fn.covered_positions(index, float(theta))
+    positions.flags.writeable = False
+    return positions
+
+
 def count_dtype(n_agents: int) -> np.dtype:
     """Smallest unsigned integer dtype that holds every count 0..``n_agents``."""
     return np.min_scalar_type(n_agents)
@@ -352,8 +340,10 @@ class CoverCount:
     ``counts`` has one entry per mask cell, in :func:`count_dtype` of the
     number of active agents, so no entry can overflow. ``covered`` is the
     number of nonzero entries, the cell count of the union of all active
-    agents' coverage. The count is built once from a profile, by adding one
-    at each active agent's ``covered_positions``, which never repeat, and
+    agents' coverage. ``positions`` maps each active agent's index to the
+    generator's ``covered_positions`` at its strategy, read-only; it is the
+    one place that holds them. The count is built once from a profile, by
+    adding one at each active agent's positions, which never repeat, and
     then follows it through :meth:`adopt`, which reads and moves the count
     at the movers' positions alone; no mask is built.
     """
@@ -361,40 +351,43 @@ class CoverCount:
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
         theta = profile.theta.tolist()
         counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
+        self.positions: dict[int, np.ndarray] = {}
         for k in game.active_indices:
-            counts[game.covered_positions(k, theta[k - 1])] += 1
+            self.positions[k] = _frozen_positions(game, k, theta[k - 1])
+            counts[self.positions[k]] += 1
         self.counts = counts
         self.covered = int(np.count_nonzero(counts))
 
-    def adopt(self, game: GameInstance, moves: Mapping[int, tuple[float, float]]) -> None:
-        """Move each agent ``k`` of ``moves`` from strategy ``old`` to ``new``.
+    def adopt(self, game: GameInstance, moves: Mapping[int, float]) -> None:
+        """Move each agent ``k`` of ``moves`` to its new strategy ``moves[k]``.
 
-        ``moves`` maps ``k`` to ``(old, new)``; no two movers may be
-        neighbors. Each mover's integer cell gain is read off the count at
-        its old and new covered positions, for every mover before any
-        update: the cells no other agent covers that it starts covering,
-        minus those it stops covering. Movers share no cell, so these gains
-        add, and the covered-cell count, a count of the nonzero entries over
-        every cell, must rise by exactly their sum. This is the potential
-        identity in whole cells.
+        No two movers may be neighbors. Each mover's old covered positions
+        are those the count holds, and its new ones are read from the
+        generator once and replace them. Each mover's integer cell gain is
+        read off the count at its old and new positions, for every mover
+        before any update: the cells no other agent covers that it starts
+        covering, minus those it stops covering. Movers share no cell, so
+        these gains add, and the covered-cell count, a count of the nonzero
+        entries over every cell, must rise by exactly their sum. This is the
+        potential identity in whole cells.
 
         Raises:
             RuntimeError: if the covered cells moved by anything else, so the
                 count no longer matches the profile.
         """
-        steps = [
-            (game.covered_positions(k, old), game.covered_positions(k, new))
-            for k, (old, new) in moves.items()
-        ]
-        counts = self.counts
+        steps = {k: _frozen_positions(game, k, new) for k, new in moves.items()}
+        counts, positions = self.counts, self.positions
         gained = 0
-        for was, now in steps:
-            # A cell the mover already covers at `old` counts the mover itself.
+        for k, now in steps.items():
+            was = positions[k]
+            # A cell the mover already covers at its old strategy counts the
+            # mover itself.
             alone_now = counts[now] == _own_flags(game, was, now)
             gained += int(np.count_nonzero(alone_now)) - int(np.count_nonzero(counts[was] == 1))
-        for was, now in steps:
-            counts[was] -= 1
+        for k, now in steps.items():
+            counts[positions[k]] -= 1
             counts[now] += 1
+            positions[k] = now
         covered = int(np.count_nonzero(counts))
         if covered - self.covered != gained:
             raise RuntimeError(
@@ -500,8 +493,9 @@ def best_response_gain(
     order, and ``cover`` is the :class:`CoverCount` of the profile in which
     the agent plays ``theta`` and its neighbors play ``neighbor_thetas``.
     The cells no neighbor covers are those where the count equals the
-    agent's own incumbent flags (:func:`_own_flags`, which the generator's
-    ``covered_positions`` mark); since the graph links every two
+    agent's own incumbent flags (:func:`_own_flags`, marked from the
+    agent's positions in the count, ``cover.positions[index]``); since the
+    graph links every two
     agents whose reaches meet (see :class:`GameInstance`), these are, on
     every cell the agent can cover, the cells outside the OR of its
     neighbors' masks, so no fold over the neighbors runs. The count is read
@@ -556,7 +550,7 @@ def best_response_gain(
         if response is not None and response.theta == theta:
             own = response.own
         else:
-            own = _own_flags(game, game.covered_positions(index, theta), reach)
+            own = _own_flags(game, cover.positions[index], reach)
         uncovered = cover.counts[reach] == own
         if response is not None and (response.uncovered == uncovered).all():
             response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)

@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def _polish(
             own = profile.for_agent(k)
             theta, gain = best_response_gain(game, k, neighbors, own, cover)
             if gain > 0.0:
-                cover.adopt(game, {k: (own, theta)})
+                cover.adopt(game, {k: theta})
                 profile = profile.replace(k, theta)
                 moved = True
     return profile
@@ -267,47 +267,41 @@ def emit_results(
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
 
-    comparison = out / "comparison.csv"
-    with comparison.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "value_s", "time_s", "iters", "certified"])
-        for r in reports:
-            writer.writerow(
-                [r.method, f"{r.value:.6f}", f"{r.wall_time:.6f}", r.iterations, int(r.certified)]
-            )
-    written["comparison"] = comparison
-
-    trace_path = out / "trace.csv"
-    with trace_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "phi_s", "n_innovators", "max_regret_s", "wall_time_s"])
-        for t in traces:
-            writer.writerow(
-                [
-                    t.iteration,
-                    f"{t.phi:.6f}",
-                    len(t.innovators),
-                    f"{t.max_regret:.6f}",
-                    f"{t.wall_time:.6f}",
-                ]
-            )
-    written["trace"] = trace_path
+    written["comparison"] = _write_csv(
+        out / "comparison.csv",
+        ["method", "value_s", "time_s", "iters", "certified"],
+        (
+            [r.method, f"{r.value:.6f}", f"{r.wall_time:.6f}", r.iterations, int(r.certified)]
+            for r in reports
+        ),
+    )
+    written["trace"] = _write_csv(
+        out / "trace.csv",
+        ["iter", "phi_s", "n_innovators", "max_regret_s", "wall_time_s"],
+        (
+            [
+                t.iteration,
+                f"{t.phi:.6f}",
+                len(t.innovators),
+                f"{t.max_regret:.6f}",
+                f"{t.wall_time:.6f}",
+            ]
+            for t in traces
+        ),
+    )
 
     for r in reports:
         name = "profile.csv" if r.method == DISTRIBUTED else f"profile_{r.method}.csv"
-        profile_path = out / name
-        with profile_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            # theta_rad holds the exact strategy: an exact best response sits
-            # on a closed interval end, which a rounded theta_deg can miss.
-            writer.writerow(["agent", "theta_deg", "energy_penalty", "theta_rad"])
-            for k in range(1, cfg.n_satellites + 1):
-                theta = r.final_theta[k - 1]
-                penalty = (theta / cfg.theta_max[k - 1]) ** 2 if k not in cfg.damaged else 0.0
-                writer.writerow(
-                    [k, f"{np.degrees(theta):.9f}", f"{penalty:.9f}", repr(theta)]
-                )
-        written[f"profile_{r.method}"] = profile_path
+        rows = []
+        for k in range(1, cfg.n_satellites + 1):
+            theta = r.final_theta[k - 1]
+            penalty = (theta / cfg.theta_max[k - 1]) ** 2 if k not in cfg.damaged else 0.0
+            rows.append([k, f"{np.degrees(theta):.9f}", f"{penalty:.9f}", repr(theta)])
+        # theta_rad holds the exact strategy: an exact best response sits on
+        # a closed interval end, which a rounded theta_deg can miss.
+        written[f"profile_{r.method}"] = _write_csv(
+            out / name, ["agent", "theta_deg", "energy_penalty", "theta_rad"], rows
+        )
 
     phi_min, phi_max = assumption_envelopes(cfg)
     rates = drift_rates(cfg.constants, cfg.constellation)
@@ -362,15 +356,14 @@ def write_sweep_counts_csv(
 ) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_counts.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "method", "value_s", "time_s", "iters", "certified"])
-        for n, r in rows:
-            writer.writerow(
-                [n, r.method, f"{r.value:.6f}", f"{r.wall_time:.6f}", r.iterations, int(r.certified)]
-            )
-    return path
+    return _write_csv(
+        out / "sweep_counts.csv",
+        ["N", "method", "value_s", "time_s", "iters", "certified"],
+        (
+            [n, r.method, f"{r.value:.6f}", f"{r.wall_time:.6f}", r.iterations, int(r.certified)]
+            for n, r in rows
+        ),
+    )
 
 
 def write_sweep_energy_csv(
@@ -378,12 +371,20 @@ def write_sweep_energy_csv(
 ) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep_energy.csv"
+    return _write_csv(
+        out / "sweep_energy.csv",
+        ["theta_max", "abs_theta_k", "abs_theta_neighbor"],
+        (
+            [f"{p.theta_max:.9f}", f"{p.abs_theta_agent:.9f}", f"{p.abs_theta_neighbor:.9f}"]
+            for p in points
+        ),
+    )
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, and return ``path``."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["theta_max", "abs_theta_k", "abs_theta_neighbor"])
-        for p in points:
-            writer.writerow(
-                [f"{p.theta_max:.9f}", f"{p.abs_theta_agent:.9f}", f"{p.abs_theta_neighbor:.9f}"]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
     return path

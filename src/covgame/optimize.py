@@ -108,9 +108,10 @@ def pattern_search(
     hi = np.array([b[1] for b in bounds], dtype=float)
     if np.any(lo > hi):
         raise ValueError("box has an empty coordinate interval")
-    x = np.clip(np.asarray(start, dtype=float), lo, hi)
+    x = np.asarray(start, dtype=float)
     if x.shape != lo.shape:
         raise ValueError("start point does not match the box dimension")
+    x = np.clip(x, lo, hi)
 
     fx = _check_finite(f(x), x)
     evals = 1

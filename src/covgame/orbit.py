@@ -300,7 +300,8 @@ class ConstellationCoverage:
     positions of one offset (:meth:`covered_positions`) cost one
     ``searchsorted`` over the ``lo`` ends and one comparison per row below
     it; a single mask, with one entry per visible cell, is scattered from
-    them. The segment ends are also what an exact best response scores
+    them (:meth:`__call__`, which the game itself does not call). The
+    segment ends are also what an exact best response scores
     (:meth:`scan`). Each table is sorted once at build time, its rows by
     ``lo`` and a copy of its ``hi`` ends with their rows, so the ends of any
     subset of rows, selected by ``compress`` (:meth:`breakpoints`), come
@@ -542,7 +543,12 @@ class ConstellationCoverage:
             )
 
     def __call__(self, k: int, theta: float) -> np.ndarray:
-        """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``."""
+        """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``.
+
+        True at :meth:`covered_positions`. The game is not its caller:
+        :meth:`~covgame.game.GameInstance.coverage` scatters its own masks
+        from those positions, so this serves the tests as the single mask.
+        """
         mask = np.zeros(self.cells.size, dtype=bool)
         mask[self.covered_positions(k, theta)] = True
         return mask

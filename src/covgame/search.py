@@ -282,7 +282,7 @@ def run_round(
         gated[game.neighbor_positions[k]] = True
     gates = gated.tolist()
 
-    cover.adopt(game, {k: (theta[k - 1], proposals[k]) for k in innovators})
+    cover.adopt(game, {k: proposals[k] for k in innovators})
     if innovators:
         adopted = profile.theta.copy()
         for k in innovators:

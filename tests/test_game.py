@@ -365,18 +365,6 @@ class TestGameValidation:
         with pytest.raises(TypeError, match=f"must expose {member}"):
             GameInstance(agents, grid, coverage, 0.1)
 
-    def test_foreign_grid_coverage_rejected(self):
-        grid = TimeGrid(0.0, 4.0, 1.0)
-
-        def coverage(k, theta):
-            return np.zeros(8, dtype=bool)
-
-        as_generator(coverage, grid)
-        agents = (AgentSpec(1, StrategyInterval(-1.0, 1.0), 1.0),)
-        game = GameInstance(agents, grid, coverage, 0.1)
-        with pytest.raises(ValueError, match="foreign grid"):
-            game.coverage(1, 0.0)
-
 
 class TestCertification:
     def test_huge_epsilon_always_certifies(self, toy_game, rng):

@@ -181,7 +181,7 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     # candidates itself, so that only incumbents are counted.
     assert (counts.calls, masks.calls) == (59, 0)
     # One per active agent for the count's build and one per adoption: the
-    # game keeps each agent's last positions, which its incumbent reads and
+    # cover count keeps each agent's positions, which its incumbent reads and
     # its next adoption starts from.
     assert positions.calls == 22 + sum(len(t.innovators) for t in result.traces) == 38
     rounds = [

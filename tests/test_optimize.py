@@ -130,6 +130,13 @@ class TestPatternSearch:
         x, _, _ = pattern_search(lambda p: -float(p @ p), [(-1.0, 1.0)], [5.0])
         assert -1.0 <= float(x[0]) <= 1.0
 
+    def test_start_of_another_dimension_rejected(self):
+        # A one-entry start is not broadcast across the box's coordinates.
+        calls = []
+        with pytest.raises(ValueError, match="does not match the box dimension"):
+            pattern_search(lambda p: calls.append(p) or 0.0, self.box3, [0.5])
+        assert calls == []
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             pattern_search(lambda p: math.inf, self.box3, [0.0, 0.0, 0.0])

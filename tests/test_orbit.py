@@ -1222,7 +1222,7 @@ class TestBestResponseReuse:
                     if theta is None:
                         view = profile.theta[game.neighbor_positions[k]]
                         theta, _ = best_response_gain(game, k, view, own, cover)
-                    cover.adopt(game, {k: (own, theta)})
+                    cover.adopt(game, {k: theta})
                     profile = profile.replace(k, theta)
                 fresh = coverage_game(cov, gamma, active)
                 fresh_cover = CoverCount(fresh, profile)
@@ -1281,7 +1281,7 @@ class TestBestResponseReuse:
         cover = CoverCount(game, profile)
         view = profile.theta[game.neighbor_positions[k]]
         best_response_gain(game, k, view, own, cover)
-        cover.adopt(game, {l: (before, after)})
+        cover.adopt(game, {l: after})
         profile = profile.replace(l, after)
         moved = profile.theta[game.neighbor_positions[k]]
         assert not np.array_equal(moved, view)
@@ -1553,11 +1553,17 @@ class TestCoveredPositions:
         positions = cov.covered_positions(k, theta)
         assert positions.dtype == np.intp
         assert np.unique(positions).size == positions.size
-        assert np.array_equal(np.sort(positions), np.flatnonzero(cov(k, theta)))
+        mask = cov(k, theta)
+        assert np.array_equal(np.sort(positions), np.flatnonzero(mask))
         # Every row compared on both ends, as a mask was formed before.
         table = cov._reach[k - 1]
         held = table.cell[(table.lo <= theta) & (theta <= table.hi)]
         assert np.array_equal(np.sort(positions), np.unique(held))
+        # A game scatters the same mask from the positions, and freezes it.
+        scattered = coverage_game(cov, 0.0).coverage(k, theta)
+        assert (scattered.dtype, scattered.shape) == (mask.dtype, mask.shape)
+        assert scattered.tobytes() == mask.tobytes()
+        assert not scattered.flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(MINI_COVERAGES)), k=st.integers(1, 24))
@@ -1667,7 +1673,7 @@ class TestCoverCount:
         cover = CoverCount(game, profile)
         interval = game.coverage_fn.interval
         for order, targets in steps:
-            movers: dict[int, tuple[float, float]] = {}
+            movers: dict[int, float] = {}
             for i in order:
                 k = i + 1
                 if k not in game.neighbor_positions or game.neighbors(k) & movers.keys():
@@ -1678,13 +1684,17 @@ class TestCoverCount:
                     new, _ = best_response_gain(game, k, view, own, cover)
                 else:
                     new = min(interval.lo + targets[i] * interval.width, interval.hi)
-                movers[k] = (own, new)
+                movers[k] = new
             cover.adopt(game, movers)
-            for k, (_, new) in movers.items():
+            for k, new in movers.items():
                 profile = profile.replace(k, new)
             rebuilt = CoverCount(game, profile)
             assert cover.counts.dtype == rebuilt.counts.dtype
             assert np.array_equal(cover.counts, rebuilt.counts)
+            assert cover.positions.keys() == rebuilt.positions.keys()
+            for k, positions in cover.positions.items():
+                assert np.array_equal(positions, rebuilt.positions[k])
+                assert not positions.flags.writeable
             assert cover.covered == rebuilt.covered
             phi = covered_value(game, cover.covered, profile.theta.tolist())
             assert phi.hex() == global_value(game, profile).hex()
