@@ -18,9 +18,7 @@ from .game import (
     certify_epsilon_equilibrium,
     energy_penalty,
     global_value,
-    local_value,
     neighbor_positions_from_reaches,
-    regret,
 )
 from .harness import (
     ComparisonReport,
@@ -29,7 +27,7 @@ from .harness import (
     sweep_energy_coefficient,
     sweep_satellite_count,
 )
-from .measure import TimeGrid, union_many
+from .measure import TimeGrid
 from .optimize import PatternSearchConfig, maximize_scalar, pattern_search
 from .orbit import (
     ConstellationCoverage,
@@ -39,8 +37,6 @@ from .orbit import (
     TargetSpec,
     build_constellation_game,
     drift_rates,
-    geocentric_angle,
-    satellite_position_ecf,
     target_position_ecf,
 )
 from .scenario import ScenarioConfig, ScenarioError, bundled_scenario_path, load_scenario
@@ -83,22 +79,17 @@ __all__ = [
     "drift_rates",
     "elect_innovators",
     "energy_penalty",
-    "geocentric_angle",
     "global_value",
     "iteration_bound",
     "load_scenario",
-    "local_value",
     "maximize_scalar",
     "neighbor_positions_from_reaches",
     "pattern_search",
-    "regret",
     "run_centralized",
     "run_distributed",
     "run_round",
     "run_search",
-    "satellite_position_ecf",
     "sweep_energy_coefficient",
     "sweep_satellite_count",
     "target_position_ecf",
-    "union_many",
 ]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .game import StrategyProfile, certify_epsilon_equilibrium
+from .game import GameInstance, StrategyProfile, certify_epsilon_equilibrium
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -189,12 +189,14 @@ def _cmd_sweep_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_profile_csv(path: Path, n_agents: int) -> StrategyProfile:
+def _read_profile_csv(path: Path, game: GameInstance) -> StrategyProfile:
     """Strategies of a stored ``profile.csv``; every fault names the file.
 
     The exact ``theta_rad`` column is read when present, else ``theta_deg``.
+    Every strategy must be finite, and an active agent's must lie in its
+    interval (:meth:`~covgame.game.GameInstance.validate_profile`).
     """
-    theta = np.zeros(n_agents)
+    theta = np.zeros(game.n_agents)
     seen: set[int] = set()
     with path.open() as fh:
         reader = csv.DictReader(fh)
@@ -212,24 +214,28 @@ def _read_profile_csv(path: Path, n_agents: int) -> StrategyProfile:
                 raise ValueError(
                     f"{where}: expected an integer agent and a number {column}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: {column} {value} is not finite")
             if column == "theta_deg":
                 value = math.radians(value)
-            if not (1 <= agent <= n_agents):
-                raise ValueError(f"{where}: agent {agent} outside 1..{n_agents}")
+            if not (1 <= agent <= game.n_agents):
+                raise ValueError(f"{where}: agent {agent} outside 1..{game.n_agents}")
             if agent in seen:
                 raise ValueError(f"{where}: agent {agent} appears twice")
             seen.add(agent)
             theta[agent - 1] = value
-    missing = sorted(set(range(1, n_agents + 1)) - seen)
+    missing = sorted(set(range(1, game.n_agents + 1)) - seen)
     if missing:
         raise ValueError(f"{path}: no row for agents {missing}")
-    return StrategyProfile(theta)
+    profile = StrategyProfile(theta)
+    tag_errors(str(path), game.validate_profile, profile)
+    return profile
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cfg = _load(args)
     game = cfg.build_game()
-    profile = _read_profile_csv(args.profile, game.n_agents)
+    profile = _read_profile_csv(args.profile, game)
     epsilon = args.epsilon if args.epsilon is not None else cfg.search.epsilon
     report = certify_epsilon_equilibrium(game, profile, epsilon)
     _say(

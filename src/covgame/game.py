@@ -397,27 +397,6 @@ class CoverCount:
         self.covered = covered
 
 
-def local_value(game: GameInstance, index: int, profile: StrategyProfile) -> float:
-    """Local objective of agent ``index`` under ``profile``.
-
-    Only the strategies of ``index`` and its graph neighbors are read.
-    """
-    if not game.agent(index).active:
-        raise ValueError(f"agent {index} is not active")
-    neighbors = profile.theta[game.neighbor_positions[index]]
-    f, _ = best_response_objective(game, index, neighbors)
-    return f(profile.for_agent(index))
-
-
-def regret(
-    game: GameInstance, index: int, theta_new: float, profile: StrategyProfile
-) -> float:
-    """Local-objective change if ``index`` unilaterally switches to ``theta_new``."""
-    neighbors = profile.theta[game.neighbor_positions[index]]
-    f, _ = best_response_objective(game, index, neighbors)
-    return f(theta_new) - f(profile.for_agent(index))
-
-
 def _local_objective(
     game: GameInstance, index: int, uncovered: np.ndarray, theta: float
 ) -> float:
@@ -431,6 +410,7 @@ def _local_objective(
     return gain - game.gamma * energy_penalty(game.agent(index), theta)
 
 
+# Test-only, with _local_objective; kept for perfbench/tracer.py SPANS until ROADMAP item A.
 def best_response_objective(
     game: GameInstance, index: int, neighbor_thetas: np.ndarray
 ) -> tuple[Callable[[float], float], np.ndarray]:

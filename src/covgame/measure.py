@@ -47,10 +47,6 @@ class TimeGrid:
     def duration(self) -> float:
         return self.tf - self.t0
 
-    def cell_starts(self) -> np.ndarray:
-        """Left edge of every cell, seconds."""
-        return self.t0 + self.dt * np.arange(self.n_steps, dtype=float)
-
 
 def union_many(sets: Sequence[np.ndarray], n_cells: int) -> np.ndarray:
     """OR of equal-length masks; all ``False`` when ``sets`` is empty."""

@@ -121,7 +121,6 @@ def pattern_search(
     while step >= cfg.min_step and evals < cfg.max_evals:
         best_cand: np.ndarray | None = None
         best_val = fx
-        budget_hit = False
         probe = x.copy()
         for i in range(n):
             xi = x[i]
@@ -134,16 +133,13 @@ def pattern_search(
                 if fc > best_val:
                     best_cand, best_val = probe.copy(), fc
                 if evals >= cfg.max_evals:
-                    budget_hit = True
                     break
             probe[i] = xi
-            if budget_hit:
+            if evals >= cfg.max_evals:
                 break
         if best_cand is not None:
             x, fx = best_cand, best_val
             step = min(step * cfg.step_expand, cfg.initial_step)
         else:
             step *= cfg.step_shrink
-        if budget_hit:
-            break
     return x, fx, evals

@@ -17,10 +17,6 @@ satellite can have a row; the tables are those of a build over every cell.
 The geometry of the candidate cells is released before the first table is
 built, so the build's memory peaks at the tables it keeps, and a damaged
 satellite, which takes no part in the game, gets no table.
-
-Frames follow the usual chain: orbital plane -> inertial via node and
-inclination rotations, inertial -> Earth-fixed via the sidereal angle. The
-rotation matrices are active (counterclockwise) rotations.
 """
 from __future__ import annotations
 
@@ -97,13 +93,11 @@ class ConstellationSpec:
         inclination: float,
         raan0: float,
         greenwich_angle0: float,
-        spacing: float | None = None,
     ) -> "ConstellationSpec":
-        """Ring of ``n_satellites`` with phase ``(k-1)*spacing`` for satellite k."""
+        """Ring of ``n_satellites`` with phase ``2 pi (k-1) / n_satellites`` for satellite k."""
         if n_satellites < 1:
             raise ValueError("need at least one satellite")
-        if spacing is None:
-            spacing = TWO_PI / n_satellites
+        spacing = TWO_PI / n_satellites
         return cls(
             semi_major_axis=semi_major_axis,
             inclination=inclination,
@@ -145,24 +139,6 @@ class DriftRates:
     phase_rate: float
 
 
-def rot_x(angle: float) -> np.ndarray:
-    """Active rotation by ``angle`` radians about the x axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    """Active rotation by ``angle`` radians about the y axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    """Active rotation by ``angle`` radians about the z axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def drift_rates(constants: OrbitConstants, spec: ConstellationSpec) -> DriftRates:
     """Secular node and phase rates for the shared orbit.
 
@@ -187,41 +163,6 @@ def orbital_period(constants: OrbitConstants, spec: ConstellationSpec) -> float:
     return TWO_PI / mean_motion(constants, spec)
 
 
-def mean_anomaly(
-    spec: ConstellationSpec, rates: DriftRates, k: int, theta: float, elapsed: float
-) -> float:
-    """Phase of satellite ``k`` (1-based) after ``elapsed`` seconds.
-
-    The strategy ``theta`` is a one-time offset on the initial phase.
-    """
-    return spec.mean_anomalies0[k - 1] + theta + rates.phase_rate * elapsed
-
-
-def satellite_position_ecf(
-    constants: OrbitConstants,
-    spec: ConstellationSpec,
-    rates: DriftRates,
-    k: int,
-    theta: float,
-    t: float,
-    t0: float = 0.0,
-) -> np.ndarray:
-    """Earth-fixed position (km) of satellite ``k`` at time ``t``.
-
-    The in-plane position at the current phase is rotated into the inertial
-    frame through the inclination and the drifted node, then into the
-    Earth-fixed frame through the sidereal angle.
-    """
-    elapsed = t - t0
-    m_k = mean_anomaly(spec, rates, k, theta, elapsed)
-    r_k = spec.semi_major_axis  # circular orbit
-    in_plane = np.array([r_k * math.cos(m_k), r_k * math.sin(m_k), 0.0])
-    raan = spec.raan0 + rates.node_rate * elapsed
-    eci = rot_z(-raan) @ rot_x(-spec.inclination) @ in_plane
-    sidereal = spec.greenwich_angle0 + constants.earth_rotation_rate * elapsed
-    return rot_z(-sidereal) @ eci
-
-
 def target_position_ecf(constants: OrbitConstants, target: TargetSpec) -> np.ndarray:
     """Earth-fixed position (km) of the target on a spherical Earth."""
     clat = math.cos(target.latitude)
@@ -234,21 +175,11 @@ def target_position_ecf(constants: OrbitConstants, target: TargetSpec) -> np.nda
     )
 
 
-def geocentric_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle at the Earth's center between two position vectors, radians."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("geocentric angle of a zero vector is undefined")
-    c = float(np.dot(u, v)) / (nu * nv)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 def _elapsed(grid: TimeGrid, cells: np.ndarray) -> np.ndarray:
     """Seconds from ``grid.t0`` to the left edge of each of ``cells``.
 
-    Element for element ``grid.cell_starts()[cells] - grid.t0``, formed
-    without the grid-length array.
+    Element for element the left edge ``t0 + dt * j`` of cell ``j`` minus
+    ``t0``, formed without a grid-length array.
     """
     return (grid.t0 + grid.dt * cells.astype(float)) - grid.t0
 
@@ -542,6 +473,7 @@ class ConstellationCoverage:
                 f"[{self.interval.lo!r}, {self.interval.hi!r}] the coverage was built for"
             )
 
+    # Test-only, kept for perfbench/tracer.py SPANS (orbit.mask) until ROADMAP item A.
     def __call__(self, k: int, theta: float) -> np.ndarray:
         """Mask over ``cells`` of satellite ``k`` (1-based) playing offset ``theta``.
 

@@ -82,7 +82,7 @@ def _positive(value: float, path: str) -> float:
 def tag_errors(path: str, apply: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """``apply(*args, **kwargs)``, with its validation errors tagged by ``path``.
 
-    ``path`` is a field path or a command-line flag, which the
+    ``path`` is a field path, a command-line flag or a file name, which the
     :class:`ScenarioError` raised in place of a ``ValueError`` starts with.
     """
     try:
@@ -378,8 +378,8 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     damaged_doc = doc.get("damaged", [])
     if not isinstance(damaged_doc, list) or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in damaged_doc
-    ):
-        raise ScenarioError("damaged: expected a list of integer satellite indices")
+    ) or len(set(damaged_doc)) < len(damaged_doc):
+        raise ScenarioError("damaged: expected a list of distinct integer satellite indices")
 
     cfg = ScenarioConfig(
         name=str(doc.get("name", name_hint)),

@@ -17,7 +17,6 @@ from covgame.game import (
     StrategyProfile,
     certify_epsilon_equilibrium,
     global_value,
-    regret,
 )
 from covgame.harness import (
     round_bound,
@@ -26,11 +25,12 @@ from covgame.harness import (
     sweep_energy_coefficient,
 )
 from covgame.measure import TimeGrid, union_many
-from covgame.orbit import orbital_period, rot_x, rot_y, rot_z, satellite_position_ecf, drift_rates
+from covgame.orbit import orbital_period, drift_rates
 from covgame.scenario import bundled_scenario_path, load_scenario
 from covgame.search import AccessAudit, SearchConfig, run_round, run_search
 
 from conftest import random_profile, sliding_window_game, two_cluster_game
+from oracles import regret, rot_x, rot_y, rot_z, satellite_position_ecf
 
 DEG = math.pi / 180.0
 

@@ -421,8 +421,43 @@ class TestCertifyVerb:
                 NOMINAL_ROWS[:4],
                 "no row for agents [5, 6, 7, 8, 9, 10, 11, 12]",
             ),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS[:2] + ["3,nan,0.0"] + NOMINAL_ROWS[3:],
+                "line 4: theta_deg nan is not finite",
+            ),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS[:2] + ["3,inf,0.0"] + NOMINAL_ROWS[3:],
+                "line 4: theta_deg inf is not finite",
+            ),
+            (
+                "agent,theta_rad,energy_penalty",
+                NOMINAL_ROWS[:2] + ["3,-inf,0.0"] + NOMINAL_ROWS[3:],
+                "line 4: theta_rad -inf is not finite",
+            ),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS[:4] + ["5,nan,0.0"] + NOMINAL_ROWS[5:],
+                "line 6: theta_deg nan is not finite",
+            ),
+            (
+                "agent,theta_deg,energy_penalty",
+                NOMINAL_ROWS[:2] + ["3,20.0,0.0"] + NOMINAL_ROWS[3:],
+                f"strategy {math.radians(20.0)} of agent 3 is outside",
+            ),
         ],
-        ids=["no-agent-column", "no-theta-column", "repeated-agent", "missing-agents"],
+        ids=[
+            "no-agent-column",
+            "no-theta-column",
+            "repeated-agent",
+            "missing-agents",
+            "nan-strategy",
+            "infinite-strategy",
+            "negative-infinite-strategy",
+            "nan-strategy-of-damaged-agent",
+            "strategy-outside-interval",
+        ],
     )
     def test_malformed_profile_is_error_exit(
         self, tmp_path, mini_scenario_file, capsys, header, rows, message

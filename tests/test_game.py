@@ -15,8 +15,6 @@ from covgame.game import (
     count_dtype,
     energy_penalty,
     global_value,
-    local_value,
-    regret,
 )
 from covgame.measure import TimeGrid, union_many
 from covgame.orbit import ConstellationCoverage, build_constellation_game
@@ -36,6 +34,7 @@ from conftest import (
     two_cluster_game,
     window_mask,
 )
+from oracles import local_value, regret
 from test_acceptance import lattice_toy_game
 from test_search import single_agent_game
 

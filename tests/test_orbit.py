@@ -41,13 +41,8 @@ from covgame.orbit import (
     TargetSpec,
     build_constellation_game,
     drift_rates,
-    geocentric_angle,
     mean_motion,
     orbital_period,
-    rot_x,
-    rot_y,
-    rot_z,
-    satellite_position_ecf,
     target_position_ecf,
 )
 from covgame.scenario import bundled_scenario_path, parse_scenario
@@ -63,6 +58,7 @@ from conftest import (
     reach_mask,
     sampled_reach_graph,
 )
+from oracles import cell_starts, geocentric_angle, rot_x, rot_y, rot_z, satellite_position_ecf
 
 DEG = math.pi / 180.0
 
@@ -291,7 +287,7 @@ class TestCoverage:
                         tgt_pos,
                     )
                     <= TABLE_TARGET.view_half_angle
-                    for t in DAY_GRID.cell_starts()
+                    for t in cell_starts(DAY_GRID)
                 ]
             )
             got = on_grid(cov, cov(k, theta))
@@ -512,7 +508,7 @@ class TestBuiltInterval:
                             ),
                             tgt_pos,
                         )
-                        for t in SCAN_GRID.cell_starts()
+                        for t in cell_starts(SCAN_GRID)
                     ]
                 )
                 clear = np.abs(angles - TABLE_TARGET.view_half_angle) > 1e-9
@@ -581,7 +577,7 @@ def full_cell_tables(spec, target, grid, interval):
     Returns the visible cells, each satellite's table as ``(cell, lo, hi,
     stop_row, stop)``, and the half-width of every visible cell's arc.
     """
-    elapsed = grid.cell_starts() - grid.t0
+    elapsed = cell_starts(grid) - grid.t0
     v1, v2 = target_in_orbit_frame(spec, target, elapsed)
     amp = np.hypot(v1, v2)
     cos_bar = math.cos(target.view_half_angle)
@@ -698,7 +694,7 @@ def pruned_build_cases(draw):
         )
     )
     if view is None:
-        elapsed = grid.cell_starts() - t0
+        elapsed = cell_starts(grid) - t0
         v1, v2 = target_in_orbit_frame(spec, TargetSpec(longitude, latitude, 1.0), elapsed)
         amp = float(np.hypot(v1, v2)[draw(st.integers(0, grid.n_steps - 1))])
         view = min(max(math.acos(min(amp, 1.0)), 1e-6), math.pi)
@@ -1038,7 +1034,7 @@ class TestConstellationGame:
             assert neigh <= exact[k]
 
     def test_local_value_ignores_far_satellites(self, rng):
-        from covgame.game import local_value
+        from oracles import local_value
 
         game = build_constellation_game(
             CONSTANTS, TABLE_SPEC, TABLE_TARGET, DAY_GRID, 0.2,

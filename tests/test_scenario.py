@@ -80,6 +80,9 @@ class TestParsing:
         doc["damaged"] = [99]
         with pytest.raises(ScenarioError, match="damaged"):
             parse_scenario(doc)
+        doc["damaged"] = [3, 3]
+        with pytest.raises(ScenarioError, match="damaged: expected a list of distinct"):
+            parse_scenario(doc)
 
     def test_explicit_mean_anomalies_override_spacing(self):
         doc = mini_scenario_doc()
