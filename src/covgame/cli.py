@@ -148,9 +148,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if all(certified_flags) else 2
 
 
+def _entries(flag: str, text: str, convert: type) -> list:
+    """The comma-separated entries of a sweep flag, converted; at least one."""
+    entries = [tag_errors(flag, convert, e) for e in text.split(",") if e.strip()]
+    if not entries:
+        raise ScenarioError(f"{flag}: expected at least one comma-separated entry")
+    return entries
+
+
 def _cmd_sweep_n(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    counts = [tag_errors("--counts", int, c) for c in args.counts.split(",") if c.strip()]
+    counts = _entries("--counts", args.counts, int)
     # Every size is checked before the first solve.
     for n in counts:
         tag_errors("--counts", cfg.with_satellite_count, n)
@@ -169,9 +177,7 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_energy(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    values = [
-        tag_errors("--values", float, v) for v in args.values.split(",") if v.strip()
-    ]
+    values = _entries("--values", args.values, float)
     if not (1 <= args.agent <= cfg.n_satellites):
         raise ScenarioError(f"--agent: {args.agent} outside 1..{cfg.n_satellites}")
     for value in values:

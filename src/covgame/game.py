@@ -19,13 +19,14 @@ pair whose coverages can ever overlap, and a unilateral strategy change moves
 both objectives by exactly the same amount, which is what the distributed
 search engine relies on. The graph is held once, as arrays of neighbor
 positions, which every gather, the election, the gates and the audit read.
-A :class:`CoverCount` carries one profile's coverage as an integer count per
-cell, built and moved by covered positions, and holds each active agent's
-positions: the engine keeps one per run, best responses select their cells
-from it, and the run's value is read off it, so the distributed engine
-builds no mask. The masks, which :meth:`GameInstance.coverage` scatters
-from covered positions and memoizes, serve :func:`global_value` and the
-mask-based local objective.
+A :class:`CoverCount` carries one profile: its strategies, and its coverage
+as an integer count per cell, built and moved by covered positions, with
+each active agent's positions. The engine keeps one per run; a best
+response takes only the agent and that count, and reads from it the
+agent's strategy, its neighbors' and its uncovered cells; and the run's
+value is read off it, so the distributed engine builds no mask. The masks,
+which :meth:`GameInstance.coverage` scatters from covered positions and
+memoizes, serve :func:`global_value` and the mask-based local objective.
 """
 from __future__ import annotations
 
@@ -172,7 +173,8 @@ class GameInstance:
     own, in ascending order, as a read-only ``np.intp`` array. The graph is
     symmetric, irreflexive and holds every pair whose coverage can ever
     overlap, by construction, and an agent pulls its neighbors' strategies
-    as one gather, ``profile.theta[game.neighbor_positions[k]]``.
+    as one gather of its :class:`CoverCount`'s strategies,
+    ``cover.theta[game.neighbor_positions[k]]``.
 
     On an agent's reach only its neighbors may cover too, and
     :func:`best_response_gain` relies on this. It selects the cells no
@@ -337,33 +339,42 @@ def count_dtype(n_agents: int) -> np.dtype:
 class CoverCount:
     """How many active agents cover each mask cell under one profile.
 
-    ``counts`` has one entry per mask cell, in :func:`count_dtype` of the
-    number of active agents, so no entry can overflow. ``covered`` is the
-    number of nonzero entries, the cell count of the union of all active
-    agents' coverage. ``positions`` maps each active agent's index to the
-    generator's ``covered_positions`` at its strategy, read-only; it is the
-    one place that holds them. The count is built once from a profile, by
-    adding one at each active agent's positions, which never repeat, and
-    then follows it through :meth:`adopt`, which reads and moves the count
-    at the movers' positions alone; no mask is built.
+    The count is the run state of one profile. ``theta`` holds the
+    strategies it counts: a writable copy of the profile's strategy vector,
+    one float per agent at position ``index - 1``. ``counts`` has one
+    entry per mask cell, in :func:`count_dtype` of the number of active
+    agents, so no entry can overflow. ``covered`` is the number of nonzero
+    entries, the cell count of the union of all active agents' coverage.
+    ``positions`` maps each active agent's index to the generator's
+    ``covered_positions`` at its strategy, read-only; it is the one place
+    that holds them. The count is built once from a profile, by adding one
+    at each active agent's positions, which never repeat, and then follows
+    it through :meth:`adopt`, the only writer of ``theta``, which reads and
+    moves the count at the movers' positions alone; no mask is built.
     """
 
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
-        theta = profile.theta.tolist()
+        self.theta = profile.theta.copy()
         counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
         self.positions: dict[int, np.ndarray] = {}
         for k in game.active_indices:
-            self.positions[k] = _frozen_positions(game, k, theta[k - 1])
+            self.positions[k] = _frozen_positions(game, k, self.theta[k - 1])
             counts[self.positions[k]] += 1
         self.counts = counts
         self.covered = int(np.count_nonzero(counts))
+
+    def check_holds(self, profile: StrategyProfile) -> None:
+        """Raise ``ValueError`` unless ``theta`` is ``profile``'s strategies, bit for bit."""
+        if self.theta.tobytes() != profile.theta.tobytes():
+            raise ValueError("the cover count does not hold the profile's strategies")
 
     def adopt(self, game: GameInstance, moves: Mapping[int, float]) -> None:
         """Move each agent ``k`` of ``moves`` to its new strategy ``moves[k]``.
 
         No two movers may be neighbors. Each mover's old covered positions
         are those the count holds, and its new ones are read from the
-        generator once and replace them. Each mover's integer cell gain is
+        generator once and replace them, as ``moves[k]`` replaces its entry
+        of ``theta``. Each mover's integer cell gain is
         read off the count at its old and new positions, for every mover
         before any update: the cells no other agent covers that it starts
         covering, minus those it stops covering. Movers share no cell, so
@@ -388,6 +399,7 @@ class CoverCount:
             counts[positions[k]] -= 1
             counts[now] += 1
             positions[k] = now
+            self.theta[k - 1] = moves[k]
         covered = int(np.count_nonzero(counts))
         if covered - self.covered != gained:
             raise RuntimeError(
@@ -460,18 +472,15 @@ class _Response(NamedTuple):
 
 
 def best_response_gain(
-    game: GameInstance,
-    index: int,
-    neighbor_thetas: np.ndarray,
-    theta: float,
-    cover: CoverCount,
+    game: GameInstance, index: int, cover: CoverCount
 ) -> tuple[float, float]:
     """Exact best response of agent ``index`` to frozen neighbors, and its gain.
 
-    ``neighbor_thetas`` is the one gather of the neighbors' strategies,
-    ``profile.theta[game.neighbor_positions[index]]``, in ascending neighbor
-    order, and ``cover`` is the :class:`CoverCount` of the profile in which
-    the agent plays ``theta`` and its neighbors play ``neighbor_thetas``.
+    ``cover`` is the :class:`CoverCount` of the profile, and everything is
+    read from it: the agent's incumbent strategy ``cover.theta[index - 1]``,
+    its neighbors' strategies as one gather of ``cover.theta`` at
+    ``game.neighbor_positions[index]``, in ascending neighbor order, and
+    the count itself.
     The cells no neighbor covers are those where the count equals the
     agent's own incumbent flags (:func:`_own_flags`, marked from the
     agent's positions in the count, ``cover.positions[index]``); since the
@@ -500,30 +509,30 @@ def best_response_gain(
     The best response depends only on the uncovered cells of the agent's
     reach, since ``scan`` and ``masked_cell_counts`` read no other cell, so
     the game keeps each agent's last one under two keys (see
-    :class:`_Response`). While ``neighbor_thetas`` equals the stored array
-    elementwise (under which ``-0.0`` equals ``0.0`` and NaN equals
-    nothing), the stored answer is returned without reading the count.
-    Otherwise the count is read at the agent's ``reach_positions``, and so
-    are its incumbent flags unless the entry holds them for ``theta``
-    already:
+    :class:`_Response`). While the gathered neighbor strategies equal the
+    stored array elementwise (under which ``-0.0`` equals ``0.0`` and NaN
+    equals nothing), the stored answer is returned without reading the
+    count. Otherwise the count is read at the agent's ``reach_positions``,
+    and so are its incumbent flags unless the entry holds them for the
+    incumbent already:
     if the uncovered cells there equal the stored ones, a neighbor moved
-    off the agent's reach, and the stored answer is returned and takes
-    ``neighbor_thetas`` as its new first key. Only if both keys miss does
-    the agent select its rows and score them, and replace its entry. The
-    entry keeps ``neighbor_thetas`` itself, which the caller must not
-    change afterwards.
+    off the agent's reach, and the stored answer is returned and takes the
+    new gather as its first key. Only if both keys miss does the agent
+    select its rows and score them, and replace its entry.
 
     The incumbent's local objective is one ``masked_cell_counts`` call at
-    ``theta`` against the stored ends: the cells of its own mask that no
+    its strategy against the stored ends: the cells of its own mask that no
     neighbor covers. An incumbent equal to the stored maximizer needs none:
     its value would be the same arithmetic on the same exact count as
     ``best``, so its gain is exactly ``0.0``.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
-    and its local-objective improvement over ``theta``, which is never
+    and its local-objective improvement over the incumbent, which is never
     negative.
     """
     agent = game.agent(index)
+    theta = float(cover.theta[index - 1])
+    neighbor_thetas = cover.theta[game.neighbor_positions[index]]
     response = game._responses.get(index)
     if response is None or not (response.neighbors == neighbor_thetas).all():
         reach = game.reach_positions[index]
@@ -622,19 +631,20 @@ def certify_epsilon_equilibrium(
     strategies of its neighbors (see :func:`best_response_gain`), so the
     verdict does not depend on any sampling of the strategy interval.
     ``cover`` is the :class:`CoverCount` of ``profile``, built here when a
-    caller that keeps one does not pass it.
+    caller that keeps one does not pass it; one that holds other strategies
+    raises ``ValueError``.
     """
     if not (0.0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     game.validate_profile(profile)
     if cover is None:
         cover = CoverCount(game, profile)
+    cover.check_holds(profile)
     gains: dict[int, float] = {}
     worst_agent: int | None = None
     worst_gain = -np.inf
     for k in game.active_indices:
-        neighbors = profile.theta[game.neighbor_positions[k]]
-        _, gain = best_response_gain(game, k, neighbors, profile.for_agent(k), cover)
+        _, gain = best_response_gain(game, k, cover)
         gains[k] = gain
         if gain > worst_gain:
             worst_gain = gain

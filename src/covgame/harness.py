@@ -97,29 +97,25 @@ def run_distributed(
     return report, result
 
 
-def _polish(
-    game: GameInstance, profile: StrategyProfile, cover: CoverCount
-) -> StrategyProfile:
+def _polish(game: GameInstance, cover: CoverCount) -> StrategyProfile:
     """Exact coordinate ascent: adopt each improving best response in turn.
 
     By the potential identity, an agent's exact best response is an exact
     line search of the global objective along its coordinate. Sweeps repeat
     until one changes nothing; every adoption raises the global objective,
-    so this ends. ``cover`` is the :class:`CoverCount` of ``profile`` and
-    follows each adoption.
+    so this ends. ``cover`` is the :class:`CoverCount` of the profile to
+    polish and follows each adoption; the polished profile is its
+    strategies at the end.
     """
     moved = True
     while moved:
         moved = False
         for k in game.active_indices:
-            neighbors = profile.theta[game.neighbor_positions[k]]
-            own = profile.for_agent(k)
-            theta, gain = best_response_gain(game, k, neighbors, own, cover)
+            theta, gain = best_response_gain(game, k, cover)
             if gain > 0.0:
                 cover.adopt(game, {k: theta})
-                profile = profile.replace(k, theta)
                 moved = True
-    return profile
+    return StrategyProfile(cover.theta)
 
 
 def run_centralized(
@@ -159,7 +155,7 @@ def run_centralized(
     cover = None
     if evals < cfg.centralized.max_evals:
         cover = CoverCount(game, final)
-        final = _polish(game, final, cover)
+        final = _polish(game, cover)
     wall = time.perf_counter() - t_start
 
     certification = certify_epsilon_equilibrium(game, final, cfg.search.epsilon, cover)

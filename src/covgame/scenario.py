@@ -42,13 +42,13 @@ def _get(data: Mapping[str, Any], key: str, path: str, default: Any = None) -> A
     return default
 
 
-def _section(
-    data: Mapping[str, Any], key: str, path: str, required: bool = True
-) -> Mapping[str, Any]:
-    """An object-valued field; an absent optional one reads as ``{}``."""
-    value = _get(data, key, path, None if required else {})
+def _section(doc: Mapping[str, Any], key: str, required: bool = True) -> Mapping[str, Any]:
+    """A top-level object-valued field; an absent optional one reads as ``{}``."""
+    if required and key not in doc:
+        raise ScenarioError(f"{key}: missing required field")
+    value = doc.get(key, {})
     if not isinstance(value, Mapping):
-        raise ScenarioError(f"{path}.{key}: expected an object")
+        raise ScenarioError(f"{key}: expected an object")
     return value
 
 
@@ -244,7 +244,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     """Validate and convert a parsed JSON document into a ScenarioConfig."""
     deg = math.pi / 180.0
 
-    constants_doc = _section(doc, "constants", name_hint, required=False)
+    constants_doc = _section(doc, "constants", required=False)
     constants = tag_errors(
         "constants",
         OrbitConstants,
@@ -261,7 +261,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         ),
     )
 
-    con = _section(doc, "constellation", name_hint)
+    con = _section(doc, "constellation")
     n = _int(con, "n_satellites", "constellation")
     if n < 1:
         raise ScenarioError("constellation.n_satellites: must be positive")
@@ -299,7 +299,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             "constellation.semi_major_axis_km: too large, its cube is not finite"
         )
 
-    tgt = _section(doc, "target", name_hint)
+    tgt = _section(doc, "target")
     target = tag_errors(
         "target",
         TargetSpec,
@@ -308,7 +308,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         view_half_angle=_number(tgt, "view_half_angle_deg", "target") * deg,
     )
 
-    grid_doc = _section(doc, "grid", name_hint)
+    grid_doc = _section(doc, "grid")
     grid = tag_errors(
         "grid.step_s",
         TimeGrid,
@@ -327,7 +327,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             f"turns through in the {grid.duration} s horizon finite"
         )
 
-    game_doc = _section(doc, "game", name_hint)
+    game_doc = _section(doc, "game")
     bounds = _get(game_doc, "strategy_bounds_deg", "game")
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise ScenarioError("game.strategy_bounds_deg: expected [lo, hi] in degrees")
@@ -356,7 +356,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         _get(game_doc, "theta_max", "game"), n, "game.theta_max", max(abs(lo), abs(hi))
     )
 
-    search_doc = _section(doc, "search", name_hint)
+    search_doc = _section(doc, "search")
     search = tag_errors(
         "search",
         SearchConfig,
@@ -364,7 +364,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         max_rounds=_int(search_doc, "max_rounds", "search"),
     )
 
-    cen = _section(doc, "centralized", name_hint, required=False)
+    cen = _section(doc, "centralized", required=False)
     centralized = tag_errors(
         "centralized",
         PatternSearchConfig,
@@ -381,8 +381,12 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     ) or len(set(damaged_doc)) < len(damaged_doc):
         raise ScenarioError("damaged: expected a list of distinct integer satellite indices")
 
+    name = doc.get("name", name_hint)
+    if not isinstance(name, str):
+        raise ScenarioError("name: expected a string")
+
     cfg = ScenarioConfig(
-        name=str(doc.get("name", name_hint)),
+        name=name,
         constants=constants,
         constellation=constellation,
         target=target,

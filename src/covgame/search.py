@@ -9,21 +9,23 @@ neighbors, the global objective rises by exactly the sum of adopted regrets,
 which yields convergence to an epsilon-equilibrium in finitely many rounds.
 
 An agent's whole state is its strategy and its gate, so the engine carries
-exactly these: the strategy profile, and the gates ``zeta`` of the previous
-round's trace. The gate skips the expensive best-response step for agents
-whose whole neighborhood was quiet in the previous round, so rounds after
-convergence scan nothing. The regret exchange is event-driven: an agent
-sends its regret to its neighbors only when it exceeds ``epsilon``, and
-silence means "quiet". The election runs over the loud agents alone, and the
-open gates are the loud agents and their neighbors, so a round without a
-loud agent exchanges nothing and returns the profile it was given: with 240
-satellites it costs about 0.1 ms on a 2-core Xeon with Python 3.11.
+exactly these: the cover count, which holds the strategies, and the gates
+``zeta`` of the previous round's trace. The gate skips the expensive
+best-response step for agents whose whole neighborhood was quiet in the
+previous round, so rounds after convergence scan nothing. The regret
+exchange is event-driven: an agent sends its regret to its neighbors only
+when it exceeds ``epsilon``, and silence means "quiet". The election runs
+over the loud agents alone, and the open gates are the loud agents and
+their neighbors, so a round without a loud agent exchanges nothing and
+returns the profile it was given: with 240 satellites it costs about 0.1 ms
+on a 2-core Xeon with Python 3.11.
 
 A run keeps one :class:`~covgame.game.CoverCount` of its profile, built
-and moved by the generator's covered positions: every best response selects
-its uncovered cells from it, each round's adoptions update it at the
-innovators' old and new positions and check the potential identity in whole
-cells, and the round's ``phi`` is read off its covered-cell count. So the
+and moved by the generator's covered positions: every best response reads
+its strategy, its neighbors' and its uncovered cells from it, each round's
+adoptions update its strategies and its count at the innovators' old and
+new positions and check the potential identity in whole cells, and the
+round's ``phi`` is read off its covered-cell count. So the
 engine builds no mask as long as the grid, and the last round's ``phi`` is
 the run's value. A gated
 agent scans only if its uncovered cells moved: it keeps its last answer
@@ -34,11 +36,12 @@ The graph is the game's ``neighbor_positions``: for each active agent, its
 neighbors' 0-based profile positions in ascending order. The pulls, the
 regret exchange, the election, the gates and the audit all read it. All
 inter-agent information flow goes through explicit per-round exchanges:
-each gated agent pulls its neighbors' strategies as one gather of the
-profile at its ``neighbor_positions``, and loud agents send regret messages
-to theirs. An update never reads state beyond the agent itself and its
-graph neighbors, and an :class:`AccessAudit` can record every cross-agent
-read: one per neighbor strategy pulled, and one per message.
+each gated agent pulls its neighbors' strategies as one gather of the cover
+count's strategies at its ``neighbor_positions``, and loud agents send
+regret messages to theirs. An update never reads state beyond the agent
+itself and its graph neighbors, and an :class:`AccessAudit` can record
+every cross-agent read: one per neighbor strategy pulled, and one per
+message.
 The cover count is shared, but on the cells an agent can cover only the
 agent and its neighbors are counted, since
 :class:`~covgame.game.GameInstance` derives the graph from the agents'
@@ -233,9 +236,9 @@ def run_round(
     """Execute one synchronous round and return the new profile and its trace.
 
     Phases: (a) each agent whose gate in ``zetas`` is open pulls its
-    neighbors' strategies, one gather of ``profile.theta`` at its
-    ``game.neighbor_positions``, and computes a best response and its
-    regret, the others report zero regret; (b) every regret is checked
+    neighbors' strategies and computes a best response and its regret
+    (:func:`~covgame.game.best_response_gain`, which reads both off
+    ``cover``), the others report zero regret; (b) every regret is checked
     finite, and each loud agent, one whose regret exceeds ``epsilon``,
     sends it to its neighbors, while quiet agents send nothing; (c) the
     loud agents elect the innovators among themselves (see
@@ -248,27 +251,25 @@ def run_round(
     phase (b); a round in which no agent is loud records no regret read.
 
     ``zetas`` holds a gate per active agent, the previous round's
-    ``RoundTrace.zetas``, and is not changed. A round without innovators
-    returns ``profile`` itself. ``cover`` is the
-    :class:`~covgame.game.CoverCount` of ``profile``; the round moves it to
-    the new profile, checking that the covered cells rose by exactly the
-    innovators' cell gains (``RuntimeError`` if not).
+    ``RoundTrace.zetas``, and is not changed. ``cover`` is the
+    :class:`~covgame.game.CoverCount` of ``profile`` (``ValueError`` if it
+    holds other strategies); the round moves it to the new profile,
+    checking that the covered cells rose by exactly the innovators' cell
+    gains (``RuntimeError`` if not). A round without innovators returns
+    ``profile`` itself.
     """
+    cover.check_holds(profile)
     t_start = time.perf_counter()
-    theta = profile.theta.tolist()
     regrets: dict[int, float] = {}
     proposals: dict[int, float] = {}
 
     for k in game.active_indices:
         if zetas[k]:
-            positions = game.neighbor_positions[k]
             if audit is not None:
-                for l in positions.tolist():
+                for l in game.neighbor_positions[k].tolist():
                     audit.record(k, l + 1, "theta")
             try:
-                proposals[k], regrets[k] = best_response_gain(
-                    game, k, profile.theta[positions], theta[k - 1], cover
-                )
+                proposals[k], regrets[k] = best_response_gain(game, k, cover)
             except ValueError as exc:
                 raise RuntimeError(f"best-response solve failed for agent {k}") from exc
         else:
@@ -284,18 +285,14 @@ def run_round(
 
     cover.adopt(game, {k: proposals[k] for k in innovators})
     if innovators:
-        adopted = profile.theta.copy()
-        for k in innovators:
-            adopted[k - 1] = proposals[k]
-        profile = StrategyProfile.owning(adopted)
-        theta = adopted.tolist()
+        profile = StrategyProfile(cover.theta)
 
     wall_time = time.perf_counter() - t_start
     # The objective below is trace bookkeeping, not part of the agents'
     # computation, so it stays outside the timed section.
     trace = RoundTrace(
         iteration=iteration,
-        phi=covered_value(game, cover.covered, theta),
+        phi=covered_value(game, cover.covered, profile.theta.tolist()),
         innovators=innovators,
         regrets=regrets,
         zetas={k: gates[k - 1] for k in game.active_indices},

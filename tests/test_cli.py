@@ -186,6 +186,34 @@ class TestRunVerb:
             [line] = capsys.readouterr().err.splitlines()
             assert line.startswith(f"error: {section}.{key}")
 
+    @pytest.mark.parametrize("fault", ["missing", "list"])
+    @pytest.mark.parametrize("section", ["constellation", "target", "grid", "game", "search"])
+    def test_bad_required_section_names_the_section(self, tmp_path, capsys, section, fault):
+        # A missing or non-object section is named by its field path, as
+        # every other scenario error is, not by the file's name.
+        doc = mini_scenario_doc()
+        if fault == "missing":
+            del doc[section]
+        else:
+            doc[section] = [doc[section]]
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("run", "--scenario", path, "--out", tmp_path / "out", "--quiet")
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {section}: ")
+
+    def test_name_that_is_not_a_string_is_error_exit(self, tmp_path, capsys):
+        doc = mini_scenario_doc()
+        doc["name"] = {"a": 1}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run_cli("run", "--scenario", path, "--out", out, "--quiet")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: name: expected a string"]
+        assert not out.exists()
+
     def test_huge_penalty_scale_is_error_exit(self, tmp_path, capsys):
         # gamma 1e308 puts the lower objective envelope near -1.5e308, so the
         # round bound overflows.
@@ -279,14 +307,6 @@ class TestSweepVerbs:
         assert len(got) == 4  # 2 methods x 2 counts
         assert got == without_time(expected)
 
-        empty = tmp_path / "empty"
-        code = run_cli(
-            "sweep-n", "--scenario", mini_scenario_file, "--out", empty, "--counts", "", "--quiet"
-        )
-        assert code == 0
-        lines = (empty / "sweep_counts.csv").read_text().strip().splitlines()
-        assert lines == ["N,method,value_s,time_s,iters,certified"]
-
     def test_sweep_energy_writes_rows(self, tmp_path, mini_scenario_file):
         out = tmp_path / "out"
         code = run_cli(
@@ -331,8 +351,12 @@ class TestSweepVerbs:
             ("sweep-n", "--counts", "4,x", "invalid literal for int()"),
             ("sweep-n", "--counts", "4,0", "satellite count must be positive, got 0"),
             ("sweep-energy", "--values", "abc", "could not convert string to float"),
+            ("sweep-n", "--counts", ",", "expected at least one"),
+            ("sweep-energy", "--values", "", "expected at least one"),
         ],
-        ids=["count-not-an-integer", "count-zero", "value-not-a-number"],
+        ids=[
+            "count-not-an-integer", "count-zero", "value-not-a-number", "no-count", "no-value"
+        ],
     )
     def test_bad_sweep_entry_names_the_flag_before_any_solve(
         self, tmp_path, mini_scenario_file, capsys, monkeypatch, verb, flag, entries, message

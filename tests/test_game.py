@@ -213,9 +213,7 @@ class TestRegret:
         profile = random_profile(toy_game, rng)
         k = 4
         space = toy_game.agent(k).strategy_space
-        view = profile.theta[toy_game.neighbor_positions[k]]
-        cover = CoverCount(toy_game, profile)
-        theta_star, gain = best_response_gain(toy_game, k, view, profile.for_agent(k), cover)
+        theta_star, gain = best_response_gain(toy_game, k, CoverCount(toy_game, profile))
         assert space.contains(theta_star)
         assert regret(toy_game, k, theta_star, profile) == gain >= 0.0
 
@@ -394,6 +392,14 @@ class TestCertification:
             toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.5
         )
         assert sorted(report.gains) == list(range(1, toy_game.n_agents + 1))
+
+    def test_cover_of_another_profile_is_an_error(self, toy_game):
+        # Certifying against a cover that counts other strategies would
+        # certify a profile nobody checked.
+        profile = StrategyProfile.zeros(toy_game.n_agents)
+        cover = CoverCount(toy_game, profile.replace(2, 0.25))
+        with pytest.raises(ValueError, match="does not hold the profile"):
+            certify_epsilon_equilibrium(toy_game, profile, 0.5, cover)
 
     def test_epsilon_validation(self, toy_game):
         with pytest.raises(ValueError):

@@ -1119,10 +1119,8 @@ class TestExactBestResponse:
             longitude, latitude, half_angle, ends, gamma, positions
         )
         space = game.agent(k).strategy_space
-        view = profile.theta[game.neighbor_positions[k]]
-        cover = CoverCount(game, profile)
-        theta_star, gain = best_response_gain(game, k, view, profile.for_agent(k), cover)
-        f, _ = best_response_objective(game, k, view)
+        theta_star, gain = best_response_gain(game, k, CoverCount(game, profile))
+        f, _ = best_response_objective(game, k, profile.theta[game.neighbor_positions[k]])
         best = f(theta_star)
         assert space.contains(theta_star, tol=0.0)
         assert gain == best - f(profile.for_agent(k)) >= 0.0
@@ -1214,22 +1212,18 @@ class TestBestResponseReuse:
             for i, theta in [(None, None), *moves]:
                 if i is not None:
                     k = movers[i % len(movers)]
-                    own = profile.for_agent(k)
                     if theta is None:
-                        view = profile.theta[game.neighbor_positions[k]]
-                        theta, _ = best_response_gain(game, k, view, own, cover)
+                        theta, _ = best_response_gain(game, k, cover)
                     cover.adopt(game, {k: theta})
                     profile = profile.replace(k, theta)
                 fresh = coverage_game(cov, gamma, active)
                 fresh_cover = CoverCount(fresh, profile)
                 for l in game.active_indices:
-                    view = profile.theta[game.neighbor_positions[l]]
-                    own = profile.for_agent(l)
-                    kept = best_response_gain(game, l, view, own, cover)
-                    expected = best_response_gain(fresh, l, view, own, fresh_cover)
+                    kept = best_response_gain(game, l, cover)
+                    expected = best_response_gain(fresh, l, fresh_cover)
                     assert [v.hex() for v in kept] == [v.hex() for v in expected]
                     before = scans.calls
-                    assert best_response_gain(game, l, view, own, cover) == kept
+                    assert best_response_gain(game, l, cover) == kept
                     assert scans.calls == before
         assert sorted(game._responses) == movers
 
@@ -1242,8 +1236,7 @@ class TestBestResponseReuse:
         profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
         cover = CoverCount(game, profile)
         for n, k in enumerate(game.active_indices, start=1):
-            view = profile.theta[game.neighbor_positions[k]]
-            best_response_gain(game, k, view, profile.for_agent(k), cover)
+            best_response_gain(game, k, cover)
             assert (selections.calls, counts.calls) == (n, n)
 
     def test_neighbor_move_off_the_reach_scans_nothing(self, monkeypatch):
@@ -1273,21 +1266,19 @@ class TestBestResponseReuse:
 
         k, l, before, after = next(off_reach_moves())
         profile = StrategyProfile(np.full(24, cov.interval.lo)).replace(l, before)
-        own = profile.for_agent(k)
         cover = CoverCount(game, profile)
         view = profile.theta[game.neighbor_positions[k]]
-        best_response_gain(game, k, view, own, cover)
+        best_response_gain(game, k, cover)
         cover.adopt(game, {l: after})
         profile = profile.replace(l, after)
-        moved = profile.theta[game.neighbor_positions[k]]
-        assert not np.array_equal(moved, view)
+        assert not np.array_equal(profile.theta[game.neighbor_positions[k]], view)
         selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
         selected = WholeCountCompares(monkeypatch)
         selected.watch(cover)
-        kept = best_response_gain(game, k, moved, own, cover)
+        kept = best_response_gain(game, k, cover)
         assert (selections.calls, selected.calls) == (0, 0)
         fresh = coverage_game(cov, 20.0)
-        expected = best_response_gain(fresh, k, moved, own, CoverCount(fresh, profile))
+        expected = best_response_gain(fresh, k, CoverCount(fresh, profile))
         assert [v.hex() for v in kept] == [v.hex() for v in expected]
         assert selections.calls == 1
 
@@ -1598,7 +1589,7 @@ class TestCoverCount:
                 game.coverage_fn.breakpoints(k, folded[game.reach_positions[k]]),
             ):
                 assert np.array_equal(mine, reference)
-            kept = best_response_gain(game, k, view, own, cover)
+            kept = best_response_gain(game, k, cover)
             expected = fold_best_response(game, k, view, own)
             assert [v.hex() for v in kept] == [float(v).hex() for v in expected]
 
@@ -1612,11 +1603,11 @@ class TestCoverCount:
         for k in game.active_indices:
             view = profile.theta[game.neighbor_positions[k]]
             own = profile.for_agent(k)
-            theta_star, _ = best_response_gain(game, k, view, own, CoverCount(game, profile))
+            theta_star, _ = best_response_gain(game, k, CoverCount(game, profile))
             cover = CoverCount(game, profile.replace(k, theta_star))
             with pytest.MonkeyPatch.context() as monkeypatch:
                 counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
-                again = best_response_gain(game, k, view, theta_star, cover)
+                again = best_response_gain(game, k, cover)
             assert counts.calls == 0
             expected = fold_best_response(game, k, view, theta_star)
             assert [v.hex() for v in again] == [float(v).hex() for v in expected]
@@ -1642,12 +1633,9 @@ class TestCoverCount:
                     profile = profile.replace(i + 1, theta)
                 cover = CoverCount(game, profile)
                 for k in game.active_indices:
-                    view = profile.theta[game.neighbor_positions[k]]
-                    theta_star, _ = best_response_gain(
-                        game, k, view, profile.for_agent(k), cover
-                    )
+                    theta_star, _ = best_response_gain(game, k, cover)
                     moved = CoverCount(game, profile.replace(k, theta_star))
-                    best_response_gain(game, k, view, theta_star, moved)
+                    best_response_gain(game, k, moved)
         assert whole.calls == 0
 
     @settings(max_examples=30, deadline=None)
@@ -1674,16 +1662,15 @@ class TestCoverCount:
                 k = i + 1
                 if k not in game.neighbor_positions or game.neighbors(k) & movers.keys():
                     continue
-                own = profile.for_agent(k)
                 if targets[i] is None:
-                    view = profile.theta[game.neighbor_positions[k]]
-                    new, _ = best_response_gain(game, k, view, own, cover)
+                    new, _ = best_response_gain(game, k, cover)
                 else:
                     new = min(interval.lo + targets[i] * interval.width, interval.hi)
                 movers[k] = new
             cover.adopt(game, movers)
             for k, new in movers.items():
                 profile = profile.replace(k, new)
+            assert cover.theta.tolist() == profile.theta.tolist()
             rebuilt = CoverCount(game, profile)
             assert cover.counts.dtype == rebuilt.counts.dtype
             assert np.array_equal(cover.counts, rebuilt.counts)

@@ -106,8 +106,8 @@ def round_with_regrets(graph, regrets, gated, audit=None):
     game = blank_game(graph)
     profile = StrategyProfile.zeros(game.n_agents)
 
-    def best_response_gain(game, k, view, theta, cover):
-        return theta, regrets[k]
+    def best_response_gain(game, k, cover):
+        return float(cover.theta[k - 1]), regrets[k]
 
     with mock.patch("covgame.search.best_response_gain", best_response_gain):
         return run_round(
@@ -333,6 +333,15 @@ class TestRunRound:
         with pytest.raises(RuntimeError, match="agent 1"):
             run_round(game, profile, {1: True}, CoverCount(game, profile), self.cfg)
 
+    def test_cover_of_another_profile_is_an_error(self, toy_game):
+        # A cover that counts other strategies than the profile's would make
+        # every best response answer a profile nobody plays.
+        profile = StrategyProfile.zeros(toy_game.n_agents)
+        cover = CoverCount(toy_game, profile.replace(2, 0.25))
+        zetas = dict.fromkeys(toy_game.active_indices, True)
+        with pytest.raises(ValueError, match="does not hold the profile"):
+            run_round(toy_game, profile, zetas, cover, self.cfg)
+
 
 class TestSequentialEquivalence:
     def test_two_innovators_commute(self):
@@ -445,27 +454,28 @@ class TestLocalityAudit:
         assert audit.violations(game.neighbor_positions) == []
 
     def test_each_pull_is_one_gather_of_the_sorted_neighbors(self):
-        # Each gated agent answers the profile at its ascending neighbors,
-        # and the audit holds exactly its reads of those neighbors, in that
-        # order. Distinct strategies make a wrong order visible.
+        # Each agent that scanned recorded one "theta" read per neighbor, in
+        # ascending order, and answered the profile at those neighbors, in
+        # that order. Distinct strategies make a wrong order visible.
         game = sliding_window_game(n_agents=6)
         audit = AccessAudit()
         profile = StrategyProfile(np.linspace(-1.0, 1.0, game.n_agents))
         zetas = dict.fromkeys(game.active_indices, True)
-        pulled = []
+        scanned = []
 
-        def capture(game, k, neighbor_thetas, theta, cover):
-            pulled.append((k, neighbor_thetas))
-            return best_response_gain(game, k, neighbor_thetas, theta, cover)
+        def capture(game, k, cover):
+            scanned.append(k)
+            return best_response_gain(game, k, cover)
 
         with mock.patch("covgame.search.best_response_gain", capture):
             run_round(
                 game, profile, zetas, CoverCount(game, profile), SearchConfig(0.05, 1),
                 audit=audit,
             )
-        assert [k for k, _ in pulled] == list(game.active_indices)
-        for k, neighbor_thetas in pulled:
+        assert scanned == list(game.active_indices)
+        for k in scanned:
             order = sorted(game.neighbors(k))
-            assert neighbor_thetas.tolist() == [profile.for_agent(l) for l in order]
+            answered = game._responses[k].neighbors.tolist()
+            assert answered == [profile.for_agent(l) for l in order]
         theta_reads = [(reader, owner) for reader, owner, kind in audit.reads if kind == "theta"]
-        assert theta_reads == [(k, l) for k, _ in pulled for l in sorted(game.neighbors(k))]
+        assert theta_reads == [(k, l) for k in scanned for l in sorted(game.neighbors(k))]
