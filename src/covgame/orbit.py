@@ -13,10 +13,13 @@ cell and ``2 pi`` shift of its covering interval that meets the interval
 (see :class:`ConstellationCoverage`). The build touches only the cells that
 can matter: a strided visibility pre-pass bounds where the target can be
 seen at all, and one phase row shared by every satellite bounds where each
-satellite can have a row; the tables are those of a build over every cell.
-The geometry of the candidate cells is released before the first table is
-built, so the build's memory peaks at the tables it keeps, and a damaged
-satellite, which takes no part in the game, gets no table.
+satellite can have a row. The tables of satellites with short windows are
+built a group at a time, one numpy pass over the group's windows, and only
+each table's own two sorts and the gathers they order run per satellite;
+the tables are those of a build over every cell, bit for bit. The geometry of the candidate cells is
+released before the first table is built, so the build's memory peaks at
+the tables it keeps, and a damaged satellite, which takes no part in the
+game, gets no table.
 """
 from __future__ import annotations
 
@@ -42,6 +45,11 @@ _STRIDE = 64
 # the horizon (the drift of a low orbit passes 1e6 rad in about 30 years),
 # so _slack adds eight ulps of the largest one.
 _MARGIN = 1e-9
+# The most phase-window entries that one numpy pass of the table build
+# takes. Satellites whose windows together hold no more share a pass, so a
+# table costs a few numpy calls rather than a few dozen; a longer window is
+# a pass of its own.
+_GROUP_ENTRIES = 8192
 
 
 def _slack(scale: float) -> float:
@@ -207,6 +215,104 @@ class _Reach(NamedTuple):
     stop: np.ndarray
 
 
+class _PhaseRow(NamedTuple):
+    """What every satellite's segment table is built from.
+
+    ``always`` holds the cells visible for every phase. Entry ``i`` of
+    ``half_width``, ``drift`` and ``psi`` is the arc of another visible
+    cell, at mask position ``part[i]``, and ``by_u`` sorts their shared
+    phase row. A satellite's window is ``length`` positions from ``first``
+    of that sorted row repeated, and ``[a, b]`` is the built interval
+    widened by ``CONTAINS_TOL``.
+
+    A window of more than :data:`_GROUP_ENTRIES` entries is built alone
+    (:meth:`window_table`); shorter ones are built a group at a time
+    (:meth:`group_tables`), so that the elementwise work runs once per
+    group. Either way each table gets its own two ``argsort`` calls, on the
+    same values in the same order: the default sort does not keep the order
+    of equal keys, so the rows reach it as a build over every cell passes
+    them, the always-visible rows first, then the rows of the shifts
+    -2 pi, 0 and +2 pi, each in ascending cell order.
+    """
+
+    always: np.ndarray
+    part: np.ndarray
+    half_width: np.ndarray
+    drift: np.ndarray
+    psi: np.ndarray
+    by_u: np.ndarray
+    a: float
+    b: float
+
+    def window_table(self, m0: float, first: int, length: int) -> _Reach:
+        """The table of the satellite at phase ``m0``, built alone."""
+        sub = self.by_u.take(np.arange(first, first + length), mode="wrap")
+        sub.sort()
+        index, shift, lo, hi = self._rows(sub, m0)
+        return self._table(self.part[sub[index]], lo[index] + shift, hi[index] + shift)
+
+    def group_tables(
+        self, m0: np.ndarray, first: np.ndarray, length: np.ndarray
+    ) -> list[_Reach]:
+        """The tables of the satellites at phases ``m0``, from one pass over their windows.
+
+        The windows are concatenated, each sorted to ascending cell order
+        under a key that keeps it ahead of the next, and the elementwise
+        work of :meth:`window_table` runs once over them all. A stable sort
+        by window then puts the selected rows in each table's build order,
+        one run per table.
+        """
+        ends = np.cumsum(length)
+        window = np.repeat(np.arange(m0.size), length)
+        key = window * self.by_u.size
+        sub = self.by_u.take(
+            np.arange(ends[-1]) + np.repeat(first - (ends - length), length), mode="wrap"
+        )
+        sub += key
+        sub.sort()
+        sub -= key
+        index, shift, lo, hi = self._rows(sub, np.repeat(m0, length))
+        window = window[index]
+        order = window.argsort(kind="stable")
+        index, shift = index[order], shift[order]
+        cell, lo, hi = self.part[sub[index]], lo[index] + shift, hi[index] + shift
+        cut = window[order].searchsorted(np.arange(m0.size + 1)).tolist()
+        return [self._table(cell[s:e], lo[s:e], hi[s:e]) for s, e in zip(cut, cut[1:])]
+
+    def _rows(
+        self, sub: np.ndarray, m0: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows that the entries ``sub`` give at phases ``m0``.
+
+        Returns ``(index, shift, lo, hi)``: the entries whose covering
+        interval ``[lo, hi]`` meets ``[a, b]`` at each of :data:`_SHIFTS`,
+        shift by shift and ascending within one, and each one's shift.
+        """
+        neg_base = -_wrap_pi(m0 + self.drift[sub] - self.psi[sub])
+        lo = neg_base - self.half_width[sub]
+        hi = neg_base + self.half_width[sub]
+        index = [
+            np.flatnonzero(hi - TWO_PI >= self.a),
+            np.flatnonzero((lo <= self.b) & (hi >= self.a)),
+            np.flatnonzero(lo + TWO_PI <= self.b),
+        ]
+        shift = np.repeat(_SHIFTS, [i.size for i in index])
+        return np.concatenate(index), shift, lo, hi
+
+    def _table(self, cell: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Reach:
+        """A table from its rows after the always-visible ones, in build order."""
+        # Only a view half-angle of 90 degrees or more sees a cell for
+        # every phase.
+        if self.always.size:
+            cell = np.concatenate((self.always, cell))
+            lo = np.concatenate((np.full(self.always.size, -math.inf), lo))
+            hi = np.concatenate((np.full(self.always.size, math.inf), hi))
+        by_lo = lo.argsort()
+        hi = hi[by_lo]
+        stop_row = hi.argsort()
+        return _Reach(cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row])
+
+
 class ConstellationCoverage:
     """Per-satellite target-visibility masks over the grid's visible cells.
 
@@ -259,10 +365,19 @@ class ConstellationCoverage:
     by its phase ``m0``. ``u`` is sorted once, and satellite ``m0`` is built
     from the cells whose ``u`` lies within half the interval plus the widest
     arc (plus a slack) of ``-m0`` minus the interval's middle, around the
-    circle: the only cells that can give it a row. Only the visible cells'
-    arcs, the sorted row and its order outlive the geometry of the
-    pre-pass's candidates, so the build's memory peaks at the tables it
-    keeps plus a few arrays of one entry per visible cell.
+    circle: the only cells that can give it a row. Third, the satellites
+    are taken in index order in groups whose windows hold at most
+    :data:`_GROUP_ENTRIES` entries together, and each group is one numpy
+    pass: its windows are concatenated, and the gathers, the angle
+    arithmetic and the selection of each shift's rows run once over them
+    all. Per satellite there remain the two ``argsort`` calls of its table
+    and the gathers they order, each sort on the values that a build over
+    every cell passes it, in the same order, since the default sort does
+    not keep the order of equal keys. A window longer than the budget is
+    built alone. Only the visible cells' arcs, the
+    sorted row and its order outlive the geometry of the pre-pass's
+    candidates, so the build's memory peaks at the tables it keeps plus a
+    few arrays of one entry per visible cell and one group's windows.
 
     The satellites in ``damaged`` (1-based) take no part in the game and
     get no table: :meth:`__call__`, :meth:`covered_positions`,
@@ -317,8 +432,6 @@ class ConstellationCoverage:
         b = interval.hi + CONTAINS_TOL
         full = half_width == math.pi
         always = np.flatnonzero(full)
-        minus_inf = np.full(always.size, -math.inf)
-        plus_inf = np.full(always.size, math.inf)
         part = np.flatnonzero(~full)
         half_width, drift, psi = half_width[part], drift[part], psi[part]
         # The shared phase row: base is m0 + u modulo 2 pi, and a covering
@@ -327,11 +440,11 @@ class ConstellationCoverage:
         # only the cells with u within `radius` of -m0 - middle. The sorted
         # u, shifted to three turns, hold each such window as one run of
         # positions; position p stands for entry p modulo u.size of the
-        # sorted order by_u, and the per-satellite arithmetic below runs on
-        # those entries in ascending cell order, giving the same rows in the
-        # same order. Any u.size consecutive positions hold each cell once,
-        # so a window of 2 pi or more, clamped to that many, takes every
-        # cell: a superset, which leaves the table unchanged.
+        # sorted order by_u, and the arithmetic of _PhaseRow runs on each
+        # window's entries in ascending cell order, giving the same rows in
+        # the same order. Any u.size consecutive positions hold each cell
+        # once, so a window of 2 pi or more, clamped to that many, takes
+        # every cell: a superset, which leaves the table unchanged.
         u = _wrap_pi(drift - psi)
         by_u = np.argsort(u)
         turns = (u[by_u] + _SHIFTS[:, np.newaxis]).ravel()
@@ -340,35 +453,32 @@ class ConstellationCoverage:
         radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _slack(
             max(map(abs, spec.mean_anomalies0)) + np.abs(drift).max(initial=0.0) + TWO_PI
         )
+        m0 = np.array(spec.mean_anomalies0)
+        centre = _wrap_pi(-m0 - 0.5 * (a + b))
+        first = turns.searchsorted(centre - radius)
+        length = np.minimum(turns.searchsorted(centre + radius) - first, by_u.size)
+        row = _PhaseRow(always, part, half_width, drift, psi, by_u, a, b)
         # A damaged satellite takes no part in the game and gets no table.
-        self._reach: list[_Reach | None] = []
-        for k, m0 in enumerate(spec.mean_anomalies0, 1):
-            if k in damaged:
-                self._reach.append(None)
+        # The others go in index order into groups whose windows hold at
+        # most _GROUP_ENTRIES entries together; a longer window is built
+        # alone.
+        self._reach: list[_Reach | None] = [None] * n
+        groups: list[list[int]] = []
+        held = 0
+        for i, size in enumerate(length.tolist()):
+            if i + 1 in damaged:
                 continue
-            centre = _wrap_pi(-m0 - 0.5 * (a + b))
-            first, last = np.searchsorted(turns, (centre - radius, centre + radius))
-            sub = by_u.take(np.arange(first, min(last, first + by_u.size)), mode="wrap")
-            sub.sort()
-            sub_part = part[sub]
-            neg_base = -_wrap_pi(m0 + drift[sub] - psi[sub])
-            lo = neg_base - half_width[sub]
-            hi = neg_base + half_width[sub]
-            # The cells whose interval meets [a, b] at each of _SHIFTS.
-            index = [
-                np.flatnonzero(hi - TWO_PI >= a),
-                np.flatnonzero((lo <= b) & (hi >= a)),
-                np.flatnonzero(lo + TWO_PI <= b),
-            ]
-            shift = np.repeat(_SHIFTS, [i.size for i in index])
-            index = np.concatenate(index)
-            cell = np.concatenate((always, sub_part[index]))
-            lo = np.concatenate((minus_inf, lo[index] + shift))
-            hi = np.concatenate((plus_inf, hi[index] + shift))
-            by_lo = np.argsort(lo)
-            hi = hi[by_lo]
-            stop_row = np.argsort(hi)
-            self._reach.append(_Reach(cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]))
+            if size > _GROUP_ENTRIES:
+                self._reach[i] = row.window_table(spec.mean_anomalies0[i], int(first[i]), size)
+                continue
+            if not groups or held + size > _GROUP_ENTRIES:
+                groups.append([])
+                held = 0
+            groups[-1].append(i)
+            held += size
+        for group in groups:
+            for i, table in zip(group, row.group_tables(m0[group], first[group], length[group])):
+                self._reach[i] = table
 
     def _candidates(self) -> np.ndarray:
         """The cells of the blocks the visibility pre-pass keeps, ascending.

@@ -74,9 +74,17 @@ def _int(data: Mapping[str, Any], key: str, path: str, default: int | None = Non
 
 
 def _positive(value: float, path: str) -> float:
-    if not value > 0.0:
-        raise ScenarioError(f"{path}: must be positive, got {value!r}")
+    _require(value > 0.0, path, "be positive", value)
     return value
+
+
+def _require(ok: bool, path: str, limit: str, value: Any) -> None:
+    """Reject ``value`` of the field at ``path`` unless ``ok``.
+
+    ``limit`` states what the field must satisfy, in the field's own unit.
+    """
+    if not ok:
+        raise ScenarioError(f"{path}: must {limit}, got {value!r}")
 
 
 def tag_errors(path: str, apply: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -244,21 +252,26 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     """Validate and convert a parsed JSON document into a ScenarioConfig."""
     deg = math.pi / 180.0
 
+    # The fields of the constants, the target, the search and the
+    # centralized baseline are checked here against the limits that their
+    # constructors enforce, so that an error names the field and states the
+    # limit in the field's unit.
     constants_doc = _section(doc, "constants", required=False)
-    constants = tag_errors(
-        "constants",
-        OrbitConstants,
-        mu=_number(constants_doc, "mu_km3_s2", "constants", OrbitConstants.mu),
-        j2=_number(constants_doc, "j2", "constants", OrbitConstants.j2),
-        earth_radius=_number(
-            constants_doc, "earth_radius_km", "constants", OrbitConstants.earth_radius
-        ),
-        earth_rotation_rate=_number(
-            constants_doc,
-            "earth_rotation_rad_s",
-            "constants",
-            OrbitConstants.earth_rotation_rate,
-        ),
+    mu = _number(constants_doc, "mu_km3_s2", "constants", OrbitConstants.mu)
+    j2 = _number(constants_doc, "j2", "constants", OrbitConstants.j2)
+    earth_radius = _number(
+        constants_doc, "earth_radius_km", "constants", OrbitConstants.earth_radius
+    )
+    rotation = _number(
+        constants_doc, "earth_rotation_rad_s", "constants", OrbitConstants.earth_rotation_rate
+    )
+    for key, value in (
+        ("mu_km3_s2", mu), ("earth_radius_km", earth_radius), ("earth_rotation_rad_s", rotation)
+    ):
+        _positive(value, f"constants.{key}")
+    _require(j2 >= 0.0, "constants.j2", "be non-negative", j2)
+    constants = OrbitConstants(
+        mu=mu, j2=j2, earth_radius=earth_radius, earth_rotation_rate=rotation
     )
 
     con = _section(doc, "constellation")
@@ -300,12 +313,20 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         )
 
     tgt = _section(doc, "target")
-    target = tag_errors(
-        "target",
-        TargetSpec,
-        longitude=_number(tgt, "longitude_deg", "target") * deg,
-        latitude=_number(tgt, "latitude_deg", "target") * deg,
-        view_half_angle=_number(tgt, "view_half_angle_deg", "target") * deg,
+    longitude = _number(tgt, "longitude_deg", "target") * deg
+    latitude_deg = _number(tgt, "latitude_deg", "target")
+    _require(
+        abs(latitude_deg * deg) <= math.pi / 2.0,
+        "target.latitude_deg",
+        "lie in [-90, 90]",
+        latitude_deg,
+    )
+    view_deg = _number(tgt, "view_half_angle_deg", "target")
+    _require(
+        0.0 < view_deg * deg <= math.pi, "target.view_half_angle_deg", "lie in (0, 180]", view_deg
+    )
+    target = TargetSpec(
+        longitude=longitude, latitude=latitude_deg * deg, view_half_angle=view_deg * deg
     )
 
     grid_doc = _section(doc, "grid")
@@ -357,22 +378,33 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     search_doc = _section(doc, "search")
-    search = tag_errors(
-        "search",
-        SearchConfig,
-        epsilon=_number(search_doc, "epsilon_s", "search"),
-        max_rounds=_int(search_doc, "max_rounds", "search"),
-    )
+    epsilon = _positive(_number(search_doc, "epsilon_s", "search"), "search.epsilon_s")
+    max_rounds = _int(search_doc, "max_rounds", "search")
+    _require(max_rounds >= 1, "search.max_rounds", "be at least 1", max_rounds)
+    search = SearchConfig(epsilon=epsilon, max_rounds=max_rounds)
 
     cen = _section(doc, "centralized", required=False)
-    centralized = tag_errors(
-        "centralized",
-        PatternSearchConfig,
-        initial_step=_number(cen, "initial_step_deg", "centralized", 3.75) * deg,
-        step_shrink=_number(cen, "step_shrink", "centralized", 0.5),
-        step_expand=_number(cen, "step_expand", "centralized", 2.0),
-        min_step=_number(cen, "min_step_deg", "centralized", 0.01) * deg,
-        max_evals=_int(cen, "max_evals", "centralized", 20000),
+    initial_step_deg = _number(cen, "initial_step_deg", "centralized", 3.75)
+    step_shrink = _number(cen, "step_shrink", "centralized", 0.5)
+    step_expand = _number(cen, "step_expand", "centralized", 2.0)
+    min_step_deg = _number(cen, "min_step_deg", "centralized", 0.01)
+    max_evals = _int(cen, "max_evals", "centralized", 20000)
+    _require(0.0 < step_shrink < 1.0, "centralized.step_shrink", "lie in (0, 1)", step_shrink)
+    _require(step_expand >= 1.0, "centralized.step_expand", "be at least 1", step_expand)
+    _require(min_step_deg * deg > 0.0, "centralized.min_step_deg", "be positive", min_step_deg)
+    _require(
+        initial_step_deg * deg >= min_step_deg * deg,
+        "centralized.initial_step_deg",
+        f"be at least min_step_deg ({min_step_deg!r})",
+        initial_step_deg,
+    )
+    _require(max_evals >= 1, "centralized.max_evals", "be at least 1", max_evals)
+    centralized = PatternSearchConfig(
+        initial_step=initial_step_deg * deg,
+        step_shrink=step_shrink,
+        step_expand=step_expand,
+        min_step=min_step_deg * deg,
+        max_evals=max_evals,
     )
 
     damaged_doc = doc.get("damaged", [])

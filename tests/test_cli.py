@@ -170,6 +170,16 @@ class TestRunVerb:
             ),
             # The round bound (phi_max - phi_min) / epsilon overflows.
             pytest.param("search", "epsilon_s", 5e-324, id="epsilon_s-subnormal"),
+            # Limits that a constructor also enforces, named by the field.
+            pytest.param("target", "view_half_angle_deg", 0, id="view_half_angle-zero"),
+            pytest.param("target", "latitude_deg", 95, id="latitude-past-the-pole"),
+            pytest.param("search", "epsilon_s", 0, id="epsilon_s-zero"),
+            pytest.param("search", "max_rounds", 0, id="max_rounds-zero"),
+            pytest.param("centralized", "max_evals", 0, id="max_evals-zero"),
+            pytest.param("centralized", "step_shrink", 1.5, id="step_shrink-above-1"),
+            pytest.param("centralized", "initial_step_deg", 0.001, id="initial_step-below-min"),
+            pytest.param("constants", "mu_km3_s2", 0, id="mu-zero"),
+            pytest.param("constants", "j2", -1e-3, id="j2-negative"),
         ],
     )
     def test_invalid_number_is_error_exit(self, tmp_path, capsys, section, key, value):
@@ -185,6 +195,30 @@ class TestRunVerb:
             assert code == 1
             [line] = capsys.readouterr().err.splitlines()
             assert line.startswith(f"error: {section}.{key}")
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("target", "view_half_angle_deg", 181, "must lie in (0, 180], got 181.0"),
+            ("target", "latitude_deg", -91, "must lie in [-90, 90], got -91.0"),
+            ("centralized", "min_step_deg", 0, "must be positive, got 0.0"),
+            (
+                "centralized",
+                "initial_step_deg",
+                0.001,
+                "must be at least min_step_deg (0.01), got 0.001",
+            ),
+        ],
+    )
+    def test_limit_is_stated_in_the_field_unit(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        doc = mini_scenario_doc()
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bound", "--scenario", path, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {section}.{key}: {message}\n"
 
     @pytest.mark.parametrize("fault", ["missing", "list"])
     @pytest.mark.parametrize("section", ["constellation", "target", "grid", "game", "search"])

@@ -34,6 +34,7 @@ from covgame.game import (
 from covgame.measure import TimeGrid
 from covgame.optimize import maximize_scalar
 from covgame.orbit import (
+    _PhaseRow,
     _Reach,
     ConstellationCoverage,
     ConstellationSpec,
@@ -737,6 +738,23 @@ LONG_TARGET = TargetSpec(-0.08811787384753522, 1.0546154109312478, 1.00309928989
 LONG_GRID = TimeGrid(0.0, 5128 * 1e7, 1e7)
 
 
+def ring(n_satellites):
+    """The table constellation's orbit with ``n_satellites`` evenly spaced."""
+    return ConstellationSpec.equally_spaced(
+        n_satellites,
+        TABLE_SPEC.semi_major_axis,
+        TABLE_SPEC.inclination,
+        TABLE_SPEC.raan0,
+        TABLE_SPEC.greenwich_angle0,
+    )
+
+
+# A day at 30 s and the bundled strategy bounds: rings of 96 or more
+# satellites fill several groups of windows.
+GROUP_GRID = TimeGrid(0.0, 86400.0, 30.0)
+GROUP_INTERVAL = StrategyInterval(-15.0 * DEG, 15.0 * DEG)
+
+
 class TestPrunedBuild:
     """The build skips cells that cannot matter, and its tables show no trace of it."""
 
@@ -774,6 +792,69 @@ class TestPrunedBuild:
             for g, e in zip(got, expected, strict=True):
                 assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
+    @pytest.mark.parametrize("view_deg", [30.0, 120.0])
+    @pytest.mark.parametrize("n_satellites", [96, 240])
+    def test_grouped_tables_match_the_full_cell_build(self, monkeypatch, n_satellites, view_deg):
+        # Rings over a day at 30 s, whose windows of about 300 entries (at
+        # 30 degrees) or of every entry (at 120) are built a group at a
+        # time. Above 90 degrees every table has always-visible rows, which
+        # the two per-table sorts must meet first.
+        spec = ring(n_satellites)
+        target = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, view_deg * DEG)
+        grid, interval = GROUP_GRID, GROUP_INTERVAL
+        damaged = {3, 4, n_satellites // 2}
+        groups = []
+        group_tables = _PhaseRow.group_tables
+
+        def recorded(row, m0, first, length):
+            groups.append((row.by_u.size, m0, first, length))
+            return group_tables(row, m0, first, length)
+
+        monkeypatch.setattr(_PhaseRow, "group_tables", recorded)
+        cov = ConstellationCoverage(CONSTANTS, spec, target, grid, interval, damaged)
+        # What the build went through: more than one group, a damaged
+        # satellite between two of one group's, and a window that runs past
+        # the end of the sorted phase row into its next turn.
+        satellite = {m0: k for k, m0 in enumerate(spec.mean_anomalies0, 1)}
+        members = [[satellite[m0] for m0 in m0s.tolist()] for _, m0s, _, _ in groups]
+        assert len(groups) > 1
+        assert any(min(g) < k < max(g) for g in members for k in damaged)
+        assert any(((first % size) + length > size).any() for size, _, first, length in groups)
+        assert sorted(k for g in members for k in g) == [
+            k for k in range(1, n_satellites + 1) if k not in damaged
+        ]
+        always = [got.lo[0] == -math.inf for got in cov._reach if got is not None and got.lo.size]
+        assert any(always) == (view_deg > 90.0)
+        assert_full_cell_tables(cov, spec, target, grid, interval, damaged)
+
+    def test_long_windows_among_groups_match_the_full_cell_build(self, monkeypatch):
+        # A budget of 300 entries: windows longer than it are built alone,
+        # the others in groups, and the tables cannot tell.
+        monkeypatch.setattr("covgame.orbit._GROUP_ENTRIES", 300)
+        spec = ring(96)
+        target = TargetSpec(TABLE_TARGET.longitude, TABLE_TARGET.latitude, 30.0 * DEG)
+        grid, interval = GROUP_GRID, GROUP_INTERVAL
+        alone = CallCounter(monkeypatch, _PhaseRow, "window_table")
+        grouped = CallCounter(monkeypatch, _PhaseRow, "group_tables")
+        cov = ConstellationCoverage(CONSTANTS, spec, target, grid, interval, {7})
+        assert alone.calls > 0 and grouped.calls > 0
+        assert_full_cell_tables(cov, spec, target, grid, interval, {7})
+
+
+def assert_full_cell_tables(cov, spec, target, grid, interval, damaged):
+    """``cov`` holds the cells and tables of :func:`full_cell_tables`, bit for bit.
+
+    A damaged satellite holds no table.
+    """
+    cells, tables, _ = full_cell_tables(spec, target, grid, interval)
+    assert cov.cells.dtype == cells.dtype and cov.cells.tobytes() == cells.tobytes()
+    for k, (got, expected) in enumerate(zip(cov._reach, tables, strict=True), 1):
+        if k in damaged:
+            assert got is None
+            continue
+        for g, e in zip(got, expected, strict=True):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
 
 def table_bytes(cov):
     """What a coverage keeps: its cells and every array of every table it holds."""
@@ -790,6 +871,24 @@ class TestBuildFootprint:
         # window index must be gone before the tables pile up.
         doc = json.loads(bundled_scenario_path().read_text())
         doc["grid"] = {"duration_s": 604800, "step_s": 1}
+        cfg = parse_scenario(doc)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            game = cfg.build_game()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = table_bytes(game.coverage_fn)
+        assert peak <= 1.8 * kept, f"peak {peak} B against {kept} B kept"
+
+    def test_large_ring_build_peaks_near_its_tables(self):
+        # 1920 satellites evenly spaced over the bundled day, whose tables
+        # of about 230 rows are all built in groups: the groups' windows
+        # must not pile up beside the tables, which hold 20.5 MB.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["constellation"].update(n_satellites=1920, phase_spacing_deg=0.1875)
+        doc["damaged"] = []
         cfg = parse_scenario(doc)
         tracemalloc.start()
         try:
