@@ -12,6 +12,7 @@ with a centralized pattern-search baseline for comparison.
 from .game import (
     AgentSpec,
     CertificationReport,
+    CoverCount,
     GameInstance,
     StrategyInterval,
     StrategyProfile,
@@ -60,6 +61,7 @@ __all__ = [
     "ComparisonReport",
     "ConstellationCoverage",
     "ConstellationSpec",
+    "CoverCount",
     "DriftRates",
     "GameInstance",
     "OrbitConstants",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .game import GameInstance, StrategyProfile, certify_epsilon_equilibrium
+from .game import CoverCount, GameInstance, StrategyProfile, certify_epsilon_equilibrium
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -116,12 +116,13 @@ def _say(args: argparse.Namespace, message: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    game = cfg.build_game()
     reports = []
     traces = ()
     certified_flags = []
     if args.method in ("both", harness.DISTRIBUTED):
         _say(args, f"running distributed search on '{cfg.name}' ...")
-        report, result = harness.run_distributed(cfg)
+        report, result = harness.run_distributed(cfg, game)
         reports.append(report)
         traces = result.traces
         certified_flags.append(report.certified)
@@ -134,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.method in ("both", harness.CENTRALIZED):
         _say(args, f"running centralized baseline on '{cfg.name}' ...")
-        report, _ = harness.run_centralized(cfg)
+        report, _ = harness.run_centralized(cfg, game)
         reports.append(report)
         if args.method == harness.CENTRALIZED:
             certified_flags.append(report.certified)
@@ -195,12 +196,12 @@ def _cmd_sweep_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_profile_csv(path: Path, game: GameInstance) -> StrategyProfile:
-    """Strategies of a stored ``profile.csv``; every fault names the file.
+def _read_profile_csv(path: Path, game: GameInstance) -> CoverCount:
+    """The cover count of a stored ``profile.csv``; every fault names the file.
 
     The exact ``theta_rad`` column is read when present, else ``theta_deg``.
     Every strategy must be finite, and an active agent's must lie in its
-    interval (:meth:`~covgame.game.GameInstance.validate_profile`).
+    interval, which the cover count checks as the profile enters it.
     """
     theta = np.zeros(game.n_agents)
     seen: set[int] = set()
@@ -233,17 +234,15 @@ def _read_profile_csv(path: Path, game: GameInstance) -> StrategyProfile:
     missing = sorted(set(range(1, game.n_agents + 1)) - seen)
     if missing:
         raise ValueError(f"{path}: no row for agents {missing}")
-    profile = StrategyProfile(theta)
-    tag_errors(str(path), game.validate_profile, profile)
-    return profile
+    return tag_errors(str(path), CoverCount, game, StrategyProfile(theta))
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cfg = _load(args)
     game = cfg.build_game()
-    profile = _read_profile_csv(args.profile, game)
+    cover = _read_profile_csv(args.profile, game)
     epsilon = args.epsilon if args.epsilon is not None else cfg.search.epsilon
-    report = certify_epsilon_equilibrium(game, profile, epsilon)
+    report = certify_epsilon_equilibrium(game, cover, epsilon)
     _say(
         args,
         f"worst unilateral gain {report.worst_gain:.6f} s by agent "

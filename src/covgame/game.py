@@ -19,14 +19,17 @@ pair whose coverages can ever overlap, and a unilateral strategy change moves
 both objectives by exactly the same amount, which is what the distributed
 search engine relies on. The graph is held once, as arrays of neighbor
 positions, which every gather, the election, the gates and the audit read.
-A :class:`CoverCount` carries one profile: its strategies, and its coverage
-as an integer count per cell, built and moved by covered positions, with
-each active agent's positions. The engine keeps one per run; a best
-response takes only the agent and that count, and reads from it the
-agent's strategy, its neighbors' and its uncovered cells; and the run's
-value is read off it, so the distributed engine builds no mask. The masks,
-which :meth:`GameInstance.coverage` scatters from covered positions and
-memoizes, serve :func:`global_value` and the mask-based local objective.
+A :class:`CoverCount` is the one mutable state of a run: its strategies,
+its coverage as an integer count per cell, built and moved by covered
+positions, each active agent's positions, and the memo of each agent's
+last best response. A profile is validated once, where it enters a cover.
+The engine keeps one per run; a best response and a certificate take only
+that count, and read from it the agent's strategy, its neighbors' and its
+uncovered cells; and the run's value is read off it, so the distributed
+engine builds no mask. The masks, which :meth:`GameInstance.coverage`
+scatters from covered positions and memoizes, serve :func:`global_value`
+and the mask-based local objective; that memo is all the game keeps
+besides what it was built from.
 """
 from __future__ import annotations
 
@@ -129,7 +132,11 @@ class StrategyProfile:
 
 
 class GameInstance:
-    """Immutable bundle of agents, coverage generator, penalty scale and graph.
+    """Bundle of agents, coverage generator, penalty scale and graph.
+
+    It is immutable apart from the memo of coverage masks behind
+    :meth:`coverage`, so runs of any method may share one instance: each
+    keeps its own state in a :class:`CoverCount`.
 
     The coverage generator ``coverage_fn`` must expose, and the constructor
     checks (a missing member raises ``TypeError`` naming it):
@@ -183,18 +190,8 @@ class GameInstance:
     ``reach_positions`` alone; there this matches the OR of its neighbors'
     masks, and the result is the row mask that ``scan`` takes. The
     flags come from the agent's positions in that count
-    (``CoverCount.positions``), marked on one buffer of ``n_cells`` zeros
-    that the instance keeps for this.
-
-    Besides the mask cache, the instance keeps one entry per active agent
-    for its last exact best response, keyed twice on what it was computed
-    from.
-    The first key is the gathered array of neighbor strategies it answered;
-    the second is the agent's uncovered cells read at its
-    ``reach_positions``, which is all the answer depends on.
-    :func:`best_response_gain` reuses the entry while either key stands
-    still. The entry also keeps the agent's own incumbent flags read at its
-    reach, for the strategy it was read at.
+    (``CoverCount.positions``), marked on the count's buffer of ``n_cells``
+    zeros.
     """
 
     def __init__(
@@ -223,8 +220,6 @@ class GameInstance:
         }
         self.neighbor_positions = neighbor_positions_from_reaches(self.reach_positions, self.n_cells)
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
-        self._responses: dict[int, _Response] = {}
-        self._marks = np.zeros(self.n_cells, dtype=np.uint8)
 
     @property
     def n_agents(self) -> int:
@@ -307,23 +302,6 @@ def covered_value(game: GameInstance, covered: int, theta: Sequence[float]) -> f
     return game.grid.dt * covered - game.gamma * penalty
 
 
-def _own_flags(game: GameInstance, positions: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """One ``uint8`` per entry of ``at``: 1 where that position is in ``positions``.
-
-    ``positions`` are one agent's covered positions, so these are its mask's
-    entries at ``at``, and entries at a repeated position agree. They are
-    read off the game's one buffer of ``n_cells`` zeros, marked at
-    ``positions`` and cleared again, so nothing of ``n_cells`` entries is
-    allocated.
-    """
-    marks = game._marks
-    marks[positions] = 1
-    try:
-        return marks[at]
-    finally:
-        marks[positions] = 0
-
-
 def _frozen_positions(game: GameInstance, index: int, theta: float) -> np.ndarray:
     """The generator's covered positions of agent ``index`` at ``theta``, read-only."""
     positions = game.coverage_fn.covered_positions(index, float(theta))
@@ -339,10 +317,12 @@ def count_dtype(n_agents: int) -> np.dtype:
 class CoverCount:
     """How many active agents cover each mask cell under one profile.
 
-    The count is the run state of one profile. ``theta`` holds the
+    The count is the whole mutable state of one run. ``theta`` holds the
     strategies it counts: a writable copy of the profile's strategy vector,
-    one float per agent at position ``index - 1``. ``counts`` has one
-    entry per mask cell, in :func:`count_dtype` of the number of active
+    one float per agent at position ``index - 1``, with the inactive
+    agents' entries set to 0. The profile is validated on the way in
+    (:meth:`GameInstance.validate_profile`, ``ValueError``). ``counts`` has
+    one entry per mask cell, in :func:`count_dtype` of the number of active
     agents, so no entry can overflow. ``covered`` is the number of nonzero
     entries, the cell count of the union of all active agents' coverage.
     ``positions`` maps each active agent's index to the generator's
@@ -351,22 +331,44 @@ class CoverCount:
     at each active agent's positions, which never repeat, and then follows
     it through :meth:`adopt`, the only writer of ``theta``, which reads and
     moves the count at the movers' positions alone; no mask is built.
+
+    The count also keeps what :func:`best_response_gain` reuses between
+    calls on it: one entry per active agent for its last exact best
+    response (:class:`_Response`), keyed twice on what it was computed
+    from, and one buffer of ``n_cells`` zeros on which an agent's own
+    flags are marked (:meth:`_own_flags`). A new count starts with no
+    entry, so two runs on one game make the same scans.
     """
 
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
-        self.theta = profile.theta.copy()
+        game.validate_profile(profile)
+        self._responses: dict[int, _Response] = {}
+        self._marks = np.zeros(game.n_cells, dtype=np.uint8)
+        self.theta = np.zeros(game.n_agents)
         counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
         self.positions: dict[int, np.ndarray] = {}
         for k in game.active_indices:
+            self.theta[k - 1] = profile.theta[k - 1]
             self.positions[k] = _frozen_positions(game, k, self.theta[k - 1])
             counts[self.positions[k]] += 1
         self.counts = counts
         self.covered = int(np.count_nonzero(counts))
 
-    def check_holds(self, profile: StrategyProfile) -> None:
-        """Raise ``ValueError`` unless ``theta`` is ``profile``'s strategies, bit for bit."""
-        if self.theta.tobytes() != profile.theta.tobytes():
-            raise ValueError("the cover count does not hold the profile's strategies")
+    def _own_flags(self, positions: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """One ``uint8`` per entry of ``at``: 1 where that position is in ``positions``.
+
+        ``positions`` are one agent's covered positions, so these are its
+        mask's entries at ``at``, and entries at a repeated position agree.
+        They are read off the count's buffer of ``n_cells`` zeros, marked at
+        ``positions`` and cleared again, so nothing of ``n_cells`` entries
+        is allocated.
+        """
+        marks = self._marks
+        marks[positions] = 1
+        try:
+            return marks[at]
+        finally:
+            marks[positions] = 0
 
     def adopt(self, game: GameInstance, moves: Mapping[int, float]) -> None:
         """Move each agent ``k`` of ``moves`` to its new strategy ``moves[k]``.
@@ -393,7 +395,7 @@ class CoverCount:
             was = positions[k]
             # A cell the mover already covers at its old strategy counts the
             # mover itself.
-            alone_now = counts[now] == _own_flags(game, was, now)
+            alone_now = counts[now] == self._own_flags(was, now)
             gained += int(np.count_nonzero(alone_now)) - int(np.count_nonzero(counts[was] == 1))
         for k, now in steps.items():
             counts[positions[k]] -= 1
@@ -451,15 +453,15 @@ class _Response(NamedTuple):
     ``neighbors`` is the gathered array of neighbor strategies it last
     answered, in ascending neighbor order. ``theta`` is the agent's
     strategy at its last gather and ``own`` that strategy's mask read at
-    the agent's ``reach_positions`` (:func:`_own_flags`), one ``uint8`` per
-    entry, kept so that a later gather at the same strategy reads only the
-    count.
+    the agent's ``reach_positions`` (:meth:`CoverCount._own_flags`), one
+    ``uint8`` per entry, kept so that a later gather at the same strategy
+    reads only the count.
     ``uncovered`` holds one boolean per entry of the ``reach_positions``,
     true where no neighbor covered that cell when the agent last scanned;
     ``ends`` is the ``(starts, stops)`` pair that ``scan`` selected, from which
     any incumbent's count is read. ``theta_star`` is the first maximizer
     and ``best`` its local objective. The entry holds no reference to the
-    game, so storing it on the game makes no cycle.
+    count that stores it, so storing it makes no cycle.
     """
 
     neighbors: np.ndarray
@@ -482,8 +484,8 @@ def best_response_gain(
     ``game.neighbor_positions[index]``, in ascending neighbor order, and
     the count itself.
     The cells no neighbor covers are those where the count equals the
-    agent's own incumbent flags (:func:`_own_flags`, marked from the
-    agent's positions in the count, ``cover.positions[index]``); since the
+    agent's own incumbent flags (:meth:`CoverCount._own_flags`, marked from
+    the agent's positions in the count, ``cover.positions[index]``); since the
     graph links every two
     agents whose reaches meet (see :class:`GameInstance`), these are, on
     every cell the agent can cover, the cells outside the OR of its
@@ -508,8 +510,10 @@ def best_response_gain(
 
     The best response depends only on the uncovered cells of the agent's
     reach, since ``scan`` and ``masked_cell_counts`` read no other cell, so
-    the game keeps each agent's last one under two keys (see
-    :class:`_Response`). While the gathered neighbor strategies equal the
+    ``cover`` keeps each agent's last one under two keys (see
+    :class:`_Response`): the gathered array of neighbor strategies it
+    answered, and the agent's uncovered cells read at its
+    ``reach_positions``. While the gathered neighbor strategies equal the
     stored array elementwise (under which ``-0.0`` equals ``0.0`` and NaN
     equals nothing), the stored answer is returned without reading the
     count. Otherwise the count is read at the agent's ``reach_positions``,
@@ -533,13 +537,13 @@ def best_response_gain(
     agent = game.agent(index)
     theta = float(cover.theta[index - 1])
     neighbor_thetas = cover.theta[game.neighbor_positions[index]]
-    response = game._responses.get(index)
+    response = cover._responses.get(index)
     if response is None or not (response.neighbors == neighbor_thetas).all():
         reach = game.reach_positions[index]
         if response is not None and response.theta == theta:
             own = response.own
         else:
-            own = _own_flags(game, cover.positions[index], reach)
+            own = cover._own_flags(cover.positions[index], reach)
         uncovered = cover.counts[reach] == own
         if response is not None and (response.uncovered == uncovered).all():
             response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)
@@ -558,7 +562,7 @@ def best_response_gain(
             response = _Response(
                 neighbor_thetas, theta, own, uncovered, ends, theta_star, best
             )
-        game._responses[index] = response
+        cover._responses[index] = response
     if theta == response.theta_star:
         return response.theta_star, 0.0
     alone = game.coverage_fn.masked_cell_counts(index, np.array([theta]), response.ends)
@@ -620,42 +624,25 @@ class CertificationReport:
 
 
 def certify_epsilon_equilibrium(
-    game: GameInstance,
-    profile: StrategyProfile,
-    epsilon: float,
-    cover: CoverCount | None = None,
+    game: GameInstance, cover: CoverCount, epsilon: float
 ) -> CertificationReport:
     """Check that no active agent can gain more than ``epsilon`` unilaterally.
 
-    Each agent's gain is its exact best-response gain against the frozen
-    strategies of its neighbors (see :func:`best_response_gain`), so the
-    verdict does not depend on any sampling of the strategy interval.
-    ``cover`` is the :class:`CoverCount` of ``profile``, built here when a
-    caller that keeps one does not pass it; one that holds other strategies
-    raises ``ValueError``.
+    The strategies checked are those ``cover`` holds. Each agent's gain is
+    its exact best-response gain against the frozen strategies of its
+    neighbors (see :func:`best_response_gain`), so the verdict does not
+    depend on any sampling of the strategy interval.
     """
     if not (0.0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    game.validate_profile(profile)
-    if cover is None:
-        cover = CoverCount(game, profile)
-    cover.check_holds(profile)
-    gains: dict[int, float] = {}
-    worst_agent: int | None = None
-    worst_gain = -np.inf
-    for k in game.active_indices:
-        _, gain = best_response_gain(game, k, cover)
-        gains[k] = gain
-        if gain > worst_gain:
-            worst_gain = gain
-            worst_agent = k
-    if not gains:
-        worst_gain = 0.0
-    certified = worst_gain <= epsilon
+    gains = {k: best_response_gain(game, k, cover)[1] for k in game.active_indices}
+    # The first agent with the largest gain.
+    worst_agent = max(gains, key=gains.__getitem__, default=None)
+    worst_gain = 0.0 if worst_agent is None else float(gains[worst_agent])
     return CertificationReport(
-        certified=certified,
+        certified=worst_gain <= epsilon,
         epsilon=epsilon,
         worst_agent=worst_agent,
-        worst_gain=float(worst_gain),
+        worst_gain=worst_gain,
         gains=gains,
     )

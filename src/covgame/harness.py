@@ -7,8 +7,10 @@ count (the last round's ``phi``, :func:`~covgame.game.covered_value`),
 which agrees with ``global_value`` bit for bit, so it builds no mask; the
 centralized baseline reports through ``global_value``, which its probes go
 through too, so its search scores exactly the value it reports. Its exact
-polish and its certification share one cover count. Wall times cover the
-optimization loop alone:
+polish and its certification share one cover count. A game keeps no run
+state beyond its mask memo, which the distributed engine leaves empty, so
+a comparison builds one game per scenario point and runs both methods on
+it. Wall times cover the optimization loop alone:
 game construction, coverage precomputation and certification are excluded,
 since they are shared setup or diagnostics.
 """
@@ -97,15 +99,15 @@ def run_distributed(
     return report, result
 
 
-def _polish(game: GameInstance, cover: CoverCount) -> StrategyProfile:
+def _polish(game: GameInstance, cover: CoverCount) -> None:
     """Exact coordinate ascent: adopt each improving best response in turn.
 
     By the potential identity, an agent's exact best response is an exact
     line search of the global objective along its coordinate. Sweeps repeat
     until one changes nothing; every adoption raises the global objective,
     so this ends. ``cover`` is the :class:`CoverCount` of the profile to
-    polish and follows each adoption; the polished profile is its
-    strategies at the end.
+    polish and follows each adoption, so it holds the polished profile at
+    the end.
     """
     moved = True
     while moved:
@@ -115,7 +117,6 @@ def _polish(game: GameInstance, cover: CoverCount) -> StrategyProfile:
             if gain > 0.0:
                 cover.adopt(game, {k: theta})
                 moved = True
-    return StrategyProfile(cover.theta)
 
 
 def run_centralized(
@@ -126,7 +127,8 @@ def run_centralized(
     A compass search that converges, rather than exhausting its evaluation
     budget, is finished by :func:`_polish`: its polls cannot see a plateau
     narrower than their step, and an exact line search along each
-    coordinate can.
+    coordinate can. The certificate is of the cover count that the polish
+    moved, or at the evaluation cap of one built after the timed section.
     """
     game = cfg.build_game() if game is None else game
     active = game.active_indices
@@ -151,14 +153,16 @@ def run_centralized(
         x_star, _, evals = pattern_search(objective, bounds, start, cfg.centralized)
     else:
         x_star, evals = start, 0
-    final = profile_of(x_star)
-    cover = None
-    if evals < cfg.centralized.max_evals:
-        cover = CoverCount(game, final)
-        final = _polish(game, cover)
+    polished = evals < cfg.centralized.max_evals
+    if polished:
+        cover = CoverCount(game, profile_of(x_star))
+        _polish(game, cover)
     wall = time.perf_counter() - t_start
 
-    certification = certify_epsilon_equilibrium(game, final, cfg.search.epsilon, cover)
+    if not polished:
+        cover = CoverCount(game, profile_of(x_star))
+    certification = certify_epsilon_equilibrium(game, cover, cfg.search.epsilon)
+    final = StrategyProfile(cover.theta)
     report = ComparisonReport(
         method=CENTRALIZED,
         value=global_value(game, final),
@@ -174,12 +178,13 @@ def run_centralized(
 def sweep_satellite_count(
     cfg: ScenarioConfig, counts: Sequence[int]
 ) -> list[tuple[int, ComparisonReport]]:
-    """Run both methods for each constellation size; rows are (N, report)."""
+    """Run both methods on one game per constellation size; rows are (N, report)."""
     rows: list[tuple[int, ComparisonReport]] = []
     for n in counts:
         point = cfg.with_satellite_count(n)
-        distributed, _ = run_distributed(point)
-        centralized, _ = run_centralized(point)
+        game = point.build_game()
+        distributed, _ = run_distributed(point, game)
+        centralized, _ = run_centralized(point, game)
         rows.append((n, distributed))
         rows.append((n, centralized))
     return rows

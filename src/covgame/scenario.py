@@ -52,6 +52,18 @@ def _section(doc: Mapping[str, Any], key: str, required: bool = True) -> Mapping
     return value
 
 
+def _known(data: Mapping[str, Any], prefix: str, fields: str) -> None:
+    """Reject the first key of ``data`` that is not among the words of ``fields``.
+
+    ``prefix`` starts the field path of each key: the object's path and a
+    dot, or nothing at the top level.
+    """
+    allowed = fields.split()
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ScenarioError(f"{prefix}{unknown[0]}: unknown field")
+
+
 def _finite(value: Any, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
@@ -229,6 +241,7 @@ def _parse_theta_max(
     unit = data["unit"]
     if unit not in ("radian", "degree"):
         raise ScenarioError(f"{path}.unit: must be 'radian' or 'degree', got {unit!r}")
+    _known(data, f"{path}.", "unit value values")
     scale = 1.0 if unit == "radian" else math.pi / 180.0
 
     def surplus(value: Any, at: str) -> float:
@@ -251,12 +264,17 @@ def _parse_theta_max(
 def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> ScenarioConfig:
     """Validate and convert a parsed JSON document into a ScenarioConfig."""
     deg = math.pi / 180.0
+    # A top-level seed and a search.scalar block are accepted and ignored:
+    # every best response and certificate is exact.
+    sections = "constants constellation target grid game search centralized"
+    _known(doc, "", f"name damaged seed {sections}")
 
     # The fields of the constants, the target, the search and the
     # centralized baseline are checked here against the limits that their
     # constructors enforce, so that an error names the field and states the
     # limit in the field's unit.
     constants_doc = _section(doc, "constants", required=False)
+    _known(constants_doc, "constants.", "mu_km3_s2 j2 earth_radius_km earth_rotation_rad_s")
     mu = _number(constants_doc, "mu_km3_s2", "constants", OrbitConstants.mu)
     j2 = _number(constants_doc, "j2", "constants", OrbitConstants.j2)
     earth_radius = _number(
@@ -275,6 +293,8 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     con = _section(doc, "constellation")
+    orbit = "semi_major_axis_km inclination_deg raan_deg greenwich_angle_deg"
+    _known(con, "constellation.", f"n_satellites {orbit} mean_anomalies_deg phase_spacing_deg")
     n = _int(con, "n_satellites", "constellation")
     if n < 1:
         raise ScenarioError("constellation.n_satellites: must be positive")
@@ -288,6 +308,10 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
             _finite(v, f"constellation.mean_anomalies_deg[{i}]") * deg
             for i, v in enumerate(anomalies)
         )
+        if "phase_spacing_deg" in con:
+            raise ScenarioError(
+                "constellation: give either 'mean_anomalies_deg' or 'phase_spacing_deg', not both"
+            )
     else:
         spacing = _number(con, "phase_spacing_deg", "constellation") * deg
         mean_anomalies = tuple(k * spacing for k in range(n))
@@ -313,6 +337,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         )
 
     tgt = _section(doc, "target")
+    _known(tgt, "target.", "longitude_deg latitude_deg view_half_angle_deg")
     longitude = _number(tgt, "longitude_deg", "target") * deg
     latitude_deg = _number(tgt, "latitude_deg", "target")
     _require(
@@ -330,6 +355,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     grid_doc = _section(doc, "grid")
+    _known(grid_doc, "grid.", "duration_s step_s")
     grid = tag_errors(
         "grid.step_s",
         TimeGrid,
@@ -349,6 +375,7 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
         )
 
     game_doc = _section(doc, "game")
+    _known(game_doc, "game.", "strategy_bounds_deg gamma theta_max")
     bounds = _get(game_doc, "strategy_bounds_deg", "game")
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise ScenarioError("game.strategy_bounds_deg: expected [lo, hi] in degrees")
@@ -378,12 +405,14 @@ def parse_scenario(doc: Mapping[str, Any], name_hint: str = "scenario") -> Scena
     )
 
     search_doc = _section(doc, "search")
+    _known(search_doc, "search.", "epsilon_s max_rounds scalar")
     epsilon = _positive(_number(search_doc, "epsilon_s", "search"), "search.epsilon_s")
     max_rounds = _int(search_doc, "max_rounds", "search")
     _require(max_rounds >= 1, "search.max_rounds", "be at least 1", max_rounds)
     search = SearchConfig(epsilon=epsilon, max_rounds=max_rounds)
 
     cen = _section(doc, "centralized", required=False)
+    _known(cen, "centralized.", "initial_step_deg step_shrink step_expand min_step_deg max_evals")
     initial_step_deg = _number(cen, "initial_step_deg", "centralized", 3.75)
     step_shrink = _number(cen, "step_shrink", "centralized", 0.5)
     step_expand = _number(cen, "step_expand", "centralized", 2.0)

@@ -10,27 +10,29 @@ which yields convergence to an epsilon-equilibrium in finitely many rounds.
 
 An agent's whole state is its strategy and its gate, so the engine carries
 exactly these: the cover count, which holds the strategies, and the gates
-``zeta`` of the previous round's trace. The gate skips the expensive
-best-response step for agents whose whole neighborhood was quiet in the
-previous round, so rounds after convergence scan nothing. The regret
-exchange is event-driven: an agent sends its regret to its neighbors only
-when it exceeds ``epsilon``, and silence means "quiet". The election runs
-over the loud agents alone, and the open gates are the loud agents and
-their neighbors, so a round without a loud agent exchanges nothing and
-returns the profile it was given: with 240 satellites it costs about 0.1 ms
-on a 2-core Xeon with Python 3.11.
+``zeta`` of the previous round's trace. A round takes the two and returns
+only its trace; the run builds its final profile once, from the count. The
+gate skips the expensive best-response step for agents whose whole
+neighborhood was quiet in the previous round, so rounds after convergence
+scan nothing. The regret exchange is event-driven: an agent sends its
+regret to its neighbors only when it exceeds ``epsilon``, and silence means
+"quiet". The election runs over the loud agents alone, and the open gates
+are the loud agents and their neighbors, so a round without a loud agent
+exchanges nothing and moves no strategy: with 240 satellites it costs about
+0.1 ms on a 2-core Xeon with Python 3.11.
 
-A run keeps one :class:`~covgame.game.CoverCount` of its profile, built
-and moved by the generator's covered positions: every best response reads
-its strategy, its neighbors' and its uncovered cells from it, each round's
-adoptions update its strategies and its count at the innovators' old and
-new positions and check the potential identity in whole cells, and the
-round's ``phi`` is read off its covered-cell count. So the
-engine builds no mask as long as the grid, and the last round's ``phi`` is
-the run's value. A gated
-agent scans only if its uncovered cells moved: it keeps its last answer
-while its neighbors' strategies stand still, and also while they move only
-on cells it cannot cover (see :func:`~covgame.game.best_response_gain`).
+A run keeps one :class:`~covgame.game.CoverCount` of its profile, its only
+mutable state, built and moved by the generator's covered positions. The
+count also keeps each agent's last best response, so a run leaves nothing
+on the game. Every best response reads its strategy, its neighbors' and its
+uncovered cells from the count, each round's adoptions update its
+strategies and its count at the innovators' old and new positions and check
+the potential identity in whole cells, and the round's ``phi`` is read off
+its covered-cell count. So the engine builds no mask as long as the grid,
+and the last round's ``phi`` is the run's value. A gated agent scans only
+if its uncovered cells moved: it keeps its last answer while its neighbors'
+strategies stand still, and also while they move only on cells it cannot
+cover (see :func:`~covgame.game.best_response_gain`).
 
 The graph is the game's ``neighbor_positions``: for each active agent, its
 neighbors' 0-based profile positions in ascending order. The pulls, the
@@ -226,14 +228,13 @@ def elect_innovators(
 
 def run_round(
     game: GameInstance,
-    profile: StrategyProfile,
     zetas: Mapping[int, bool],
     cover: CoverCount,
     cfg: SearchConfig,
     iteration: int = 0,
     audit: AccessAudit | None = None,
-) -> tuple[StrategyProfile, RoundTrace]:
-    """Execute one synchronous round and return the new profile and its trace.
+) -> RoundTrace:
+    """Execute one synchronous round on ``cover`` and return its trace.
 
     Phases: (a) each agent whose gate in ``zetas`` is open pulls its
     neighbors' strategies and computes a best response and its regret
@@ -252,13 +253,10 @@ def run_round(
 
     ``zetas`` holds a gate per active agent, the previous round's
     ``RoundTrace.zetas``, and is not changed. ``cover`` is the
-    :class:`~covgame.game.CoverCount` of ``profile`` (``ValueError`` if it
-    holds other strategies); the round moves it to the new profile,
-    checking that the covered cells rose by exactly the innovators' cell
-    gains (``RuntimeError`` if not). A round without innovators returns
-    ``profile`` itself.
+    :class:`~covgame.game.CoverCount` that holds the strategies; the round
+    moves it to the new ones, checking that the covered cells rose by
+    exactly the innovators' cell gains (``RuntimeError`` if not).
     """
-    cover.check_holds(profile)
     t_start = time.perf_counter()
     regrets: dict[int, float] = {}
     proposals: dict[int, float] = {}
@@ -284,21 +282,18 @@ def run_round(
     gates = gated.tolist()
 
     cover.adopt(game, {k: proposals[k] for k in innovators})
-    if innovators:
-        profile = StrategyProfile(cover.theta)
 
     wall_time = time.perf_counter() - t_start
     # The objective below is trace bookkeeping, not part of the agents'
     # computation, so it stays outside the timed section.
-    trace = RoundTrace(
+    return RoundTrace(
         iteration=iteration,
-        phi=covered_value(game, cover.covered, profile.theta.tolist()),
+        phi=covered_value(game, cover.covered, cover.theta.tolist()),
         innovators=innovators,
         regrets=regrets,
         zetas={k: gates[k - 1] for k in game.active_indices},
         wall_time=wall_time,
     )
-    return profile, trace
 
 
 def run_search(
@@ -309,34 +304,29 @@ def run_search(
 ) -> SearchResult:
     """Run the full engine: ``cfg.max_rounds`` rounds plus a certification.
 
-    All gates start open, and the inactive agents' entries of
-    ``initial_profile`` are set to 0. ``converged_at`` is the index into
-    ``traces`` of the first round that elected nobody; later rounds still
-    run (they scan nothing once the gates close) and never change the
-    profile. The final profile is certified at ``cfg.epsilon`` by the same
-    exact best response the rounds use, so a run that converged always
-    certifies, and a certified profile leaves no agent a unilateral gain
-    above ``cfg.epsilon``.
+    All gates start open, from the :class:`~covgame.game.CoverCount` of
+    ``initial_profile``, which sets the inactive agents' entries to 0.
+    ``converged_at`` is the index into ``traces`` of the first round that
+    elected nobody; later rounds still run (they scan nothing once the
+    gates close) and never change the profile. The final profile is
+    certified at ``cfg.epsilon`` by the same exact best response the rounds
+    use, so a run that converged always certifies, and a certified profile
+    leaves no agent a unilateral gain above ``cfg.epsilon``.
     """
-    game.validate_profile(initial_profile)
-    active = np.array(game.active_indices, dtype=np.intp) - 1
-    theta = np.zeros(game.n_agents)
-    theta[active] = initial_profile.theta[active]
-    profile = StrategyProfile.owning(theta)
-    cover = CoverCount(game, profile)
+    cover = CoverCount(game, initial_profile)
     zetas = dict.fromkeys(game.active_indices, True)
     traces: list[RoundTrace] = []
     converged_at: int | None = None
     for p in range(1, cfg.max_rounds + 1):
-        profile, trace = run_round(game, profile, zetas, cover, cfg, iteration=p, audit=audit)
+        trace = run_round(game, zetas, cover, cfg, iteration=p, audit=audit)
         zetas = trace.zetas
         traces.append(trace)
         if converged_at is None and not trace.innovators:
             converged_at = len(traces) - 1
 
-    certification = certify_epsilon_equilibrium(game, profile, cfg.epsilon, cover)
+    certification = certify_epsilon_equilibrium(game, cover, cfg.epsilon)
     return SearchResult(
-        final_profile=profile,
+        final_profile=StrategyProfile(cover.theta),
         converged_at=converged_at,
         traces=tuple(traces),
         certified=certification.certified,

@@ -113,25 +113,27 @@ def test_criterion_2_round_accounting_and_commutation(baseline_cfg, baseline_gam
     # orbital election and on a toy built to elect exactly two.
     captured = []
     start = StrategyProfile.zeros(baseline_game.n_agents)
-    after, trace1 = run_round(
+    cover = CoverCount(baseline_game, start)
+    trace1 = run_round(
         baseline_game,
-        start,
         dict.fromkeys(baseline_game.active_indices, True),
-        CoverCount(baseline_game, start),
+        cover,
         baseline_cfg.search,
         iteration=1,
     )
+    after = StrategyProfile(cover.theta)
     if len(trace1.innovators) == 2:
         captured.append((baseline_game, after, trace1))
     toy = two_cluster_game()
     toy_start = StrategyProfile.zeros(toy.n_agents)
-    toy_new, toy_trace = run_round(
+    toy_cover = CoverCount(toy, toy_start)
+    toy_trace = run_round(
         toy,
-        toy_start,
         dict.fromkeys(toy.active_indices, True),
-        CoverCount(toy, toy_start),
+        toy_cover,
         SearchConfig(0.1, 1),
     )
+    toy_new = StrategyProfile(toy_cover.theta)
     assert len(toy_trace.innovators) == 2
     captured.append((toy, toy_new, toy_trace))
 
@@ -165,7 +167,7 @@ def test_criterion_3_convergence_within_budget_and_certification(
     assert result.traces[result.converged_at].innovators == ()
     # Explicit re-certification at the stated accuracy.
     certification = certify_epsilon_equilibrium(
-        baseline_game, result.final_profile, epsilon=0.1
+        baseline_game, CoverCount(baseline_game, result.final_profile), epsilon=0.1
     )
     assert certification.certified
     assert report.certified

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import covgame
 from covgame import harness
 from covgame.cli import main
-from covgame.scenario import bundled_scenario_path, parse_scenario
+from covgame.scenario import ScenarioConfig, bundled_scenario_path, parse_scenario
 
 from conftest import CallCounter, mini_scenario_doc
 
@@ -40,6 +40,12 @@ class TestRunVerb:
         assert (out / "profile_centralized.csv").exists()
         stdout = capsys.readouterr().out
         assert "distributed" in stdout
+
+    def test_both_methods_share_one_game(self, tmp_path, mini_scenario_file, monkeypatch):
+        builds = CallCounter(monkeypatch, ScenarioConfig, "build_game")
+        code = run_cli("run", "--scenario", mini_scenario_file, "--out", tmp_path, "--quiet")
+        assert code == 0
+        assert builds.calls == 1
 
     def test_run_single_method_quiet(self, tmp_path, mini_scenario_file, capsys):
         out = tmp_path / "out"
@@ -219,6 +225,49 @@ class TestRunVerb:
         path.write_text(json.dumps(doc))
         assert run_cli("bound", "--scenario", path, "--out", tmp_path / "out") == 1
         assert capsys.readouterr().err == f"error: {section}.{key}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("search", "epsilon"),  # a typo for epsilon_s
+            ("centralized", "max_eval"),  # a typo for max_evals
+            (None, "bogus"),
+            ("constants", "mu"),
+            ("constellation", "spacing_deg"),
+            ("target", "longitude"),
+            ("grid", "dt"),
+            ("game", "gamma_s"),
+            ("game.theta_max", "units"),
+        ],
+    )
+    def test_unknown_field_is_error_exit(self, tmp_path, capsys, section, key):
+        # A key that no parser reads is a typo or a setting that would be
+        # silently dropped, so it is named and the run never starts.
+        doc = mini_scenario_doc()
+        node = doc
+        for part in section.split(".") if section else ():
+            node = node.setdefault(part, {})
+        node[key] = 5.0
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        field = key if section is None else f"{section}.{key}"
+        for verb in ("run", "bound"):
+            code = run_cli(verb, "--scenario", path, "--out", tmp_path / "out", "--quiet")
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {field}: unknown field\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_anomalies_and_spacing_together_are_error_exit(self, tmp_path, capsys):
+        doc = mini_scenario_doc()
+        assert "phase_spacing_deg" in doc["constellation"]
+        doc["constellation"]["mean_anomalies_deg"] = [30.0 * k for k in range(12)]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("bound", "--scenario", path) == 1
+        assert capsys.readouterr().err == (
+            "error: constellation: give either 'mean_anomalies_deg' or "
+            "'phase_spacing_deg', not both\n"
+        )
 
     @pytest.mark.parametrize("fault", ["missing", "list"])
     @pytest.mark.parametrize("section", ["constellation", "target", "grid", "game", "search"])

@@ -99,6 +99,29 @@ class TestCountDtype:
         assert cover.counts.dtype == count_dtype(len(toy_game.active_indices))
 
 
+class TestCoverCountEntry:
+    """A profile is validated where it enters a cover count."""
+
+    @pytest.mark.parametrize("extra", [6, -1])
+    def test_profile_of_the_wrong_length_is_an_error(self, extra):
+        # 30 entries for 24 agents, or 23: neither may be counted.
+        game = fixed_mask_game({k: [k % 2, 1 - k % 2] for k in range(1, 25)})
+        with pytest.raises(ValueError, match=f"{24 + extra} entries for 24 agents"):
+            CoverCount(game, StrategyProfile.zeros(24 + extra))
+
+    def test_active_strategy_outside_its_interval_is_an_error(self, toy_game):
+        bad = StrategyProfile.zeros(toy_game.n_agents).replace(1, 99.0)
+        with pytest.raises(ValueError, match="strategy 99.0 of agent 1 is outside"):
+            CoverCount(toy_game, bad)
+
+    def test_inactive_entries_are_held_at_zero(self):
+        game = MINI_GAME
+        cover = CoverCount(game, StrategyProfile(np.full(game.n_agents, 0.01)))
+        for k in MINI_CFG.damaged:
+            assert k not in game.active_indices and cover.theta[k - 1] == 0.0
+        assert all(cover.theta[k - 1] == 0.01 for k in game.active_indices)
+
+
 class TestGlobalValue:
     def test_single_agent_no_penalty(self):
         game = fixed_mask_game({1: [1] * 100 + [0] * 20})
@@ -274,7 +297,9 @@ class TestNeighborGraph:
         game = MINI_CFG.build_game()
         assert reads.calls == len(game.active_indices) == 11
         assert sorted(game.reach_positions) == list(game.active_indices)
-        certify_epsilon_equilibrium(game, StrategyProfile.zeros(game.n_agents), 0.1)
+        certify_epsilon_equilibrium(
+            game, CoverCount(game, StrategyProfile.zeros(game.n_agents)), 0.1
+        )
         assert reads.calls == 11
 
     def test_reach_edge_requires_some_strategy_pair(self, toy_game):
@@ -366,7 +391,7 @@ class TestGameValidation:
 class TestCertification:
     def test_huge_epsilon_always_certifies(self, toy_game, rng):
         profile = random_profile(toy_game, rng)
-        report = certify_epsilon_equilibrium(toy_game, profile, 1e9)
+        report = certify_epsilon_equilibrium(toy_game, CoverCount(toy_game, profile), 1e9)
         assert report.certified
 
     def test_known_improvement_detected(self):
@@ -382,36 +407,28 @@ class TestCertification:
         as_generator(coverage, grid, lattice(10.0, 1.0))
         agents = tuple(AgentSpec(k, space, 100.0) for k in (1, 2))
         game = GameInstance(agents, grid, coverage, 0.0)
-        report = certify_epsilon_equilibrium(game, StrategyProfile.zeros(2), 1.0)
+        report = certify_epsilon_equilibrium(game, CoverCount(game, StrategyProfile.zeros(2)), 1.0)
         assert not report.certified
         assert report.worst_agent == 1
         assert report.worst_gain == pytest.approx(10.0, abs=1e-6)
 
     def test_gains_reported_for_all_active(self, toy_game):
         report = certify_epsilon_equilibrium(
-            toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.5
+            toy_game, CoverCount(toy_game, StrategyProfile.zeros(toy_game.n_agents)), 0.5
         )
         assert sorted(report.gains) == list(range(1, toy_game.n_agents + 1))
-
-    def test_cover_of_another_profile_is_an_error(self, toy_game):
-        # Certifying against a cover that counts other strategies would
-        # certify a profile nobody checked.
-        profile = StrategyProfile.zeros(toy_game.n_agents)
-        cover = CoverCount(toy_game, profile.replace(2, 0.25))
-        with pytest.raises(ValueError, match="does not hold the profile"):
-            certify_epsilon_equilibrium(toy_game, profile, 0.5, cover)
 
     def test_epsilon_validation(self, toy_game):
         with pytest.raises(ValueError):
             certify_epsilon_equilibrium(
-                toy_game, StrategyProfile.zeros(toy_game.n_agents), 0.0
+                toy_game, CoverCount(toy_game, StrategyProfile.zeros(toy_game.n_agents)), 0.0
             )
 
     @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
     def test_non_finite_settings_rejected(self, toy_game, epsilon):
         with pytest.raises(ValueError, match="positive and finite"):
             certify_epsilon_equilibrium(
-                toy_game, StrategyProfile.zeros(toy_game.n_agents), epsilon
+                toy_game, CoverCount(toy_game, StrategyProfile.zeros(toy_game.n_agents)), epsilon
             )
 
 

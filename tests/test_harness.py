@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from covgame.harness import (
 )
 from covgame.orbit import ConstellationCoverage
 from covgame.search import AccessAudit
-from covgame.scenario import bundled_scenario_path, load_scenario, parse_scenario
+from covgame.scenario import (
+    ScenarioConfig,
+    bundled_scenario_path,
+    load_scenario,
+    parse_scenario,
+)
 
 from conftest import CallCounter, mini_scenario_doc
 
@@ -76,6 +82,34 @@ class TestMethodRuns:
             tracemalloc.stop()
         assert game._coverage_cache == {}
         assert peak <= 6e6, f"peak {peak} B"
+
+    def test_second_run_on_one_game_scans_as_the_first(self, monkeypatch):
+        # A run keeps its best-response memo in its own cover count, so a
+        # second run on the same game finds nothing the first left behind:
+        # it selects rows as often, and reaches the same outcome.
+        cfg = load_scenario(bundled_scenario_path())
+        game = cfg.build_game()
+        scans = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+        runs = []
+        for _ in range(2):
+            before = scans.calls
+            report, result = run_distributed(cfg, game)
+            traces = [replace(t, wall_time=0.0) for t in result.traces]
+            runs.append((scans.calls - before, replace(report, wall_time=0.0), traces))
+        assert runs[0][0] == 53
+        assert runs[0] == runs[1]
+
+    def test_both_methods_on_one_game_match_fresh_games(self, mini_cfg):
+        # The distributed run leaves the game's mask memo empty, so the
+        # centralized run on the same game starts as it would on a fresh one.
+        game = mini_cfg.build_game()
+        shared = [run_distributed(mini_cfg, game)[0]]
+        assert game._coverage_cache == {}
+        shared.append(run_centralized(mini_cfg, game)[0])
+        fresh = [run_distributed(mini_cfg)[0], run_centralized(mini_cfg)[0]]
+        for a, b in zip(shared, fresh):
+            assert replace(a, wall_time=0.0) == replace(b, wall_time=0.0)
+            assert [v.hex() for v in a.final_theta] == [v.hex() for v in b.final_theta]
 
     def test_damaged_strategies_stay_zero(self, mini_cfg):
         report, _ = run_distributed(mini_cfg)
@@ -232,6 +266,11 @@ class TestSweeps:
         assert [n for n, _ in rows] == [4, 4, 6, 6]
         methods = [r.method for _, r in rows]
         assert methods == ["distributed", "centralized"] * 2
+
+    def test_count_sweep_builds_one_game_per_size(self, mini_cfg, monkeypatch):
+        builds = CallCounter(monkeypatch, ScenarioConfig, "build_game")
+        sweep_satellite_count(mini_cfg, [4, 6])
+        assert builds.calls == 2
 
     def test_count_sweep_empty(self, mini_cfg):
         assert sweep_satellite_count(mini_cfg, []) == []

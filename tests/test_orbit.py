@@ -1244,7 +1244,7 @@ class TestExactBestResponse:
         game, profile = self.ring_game(
             longitude, latitude, half_angle, ends, gamma, positions
         )
-        report = certify_epsilon_equilibrium(game, profile, 0.1)
+        report = certify_epsilon_equilibrium(game, CoverCount(game, profile), 0.1)
         everywhere = np.ones(game.n_cells, dtype=bool)
         for k in game.active_indices:
             space = game.agent(k).strategy_space
@@ -1324,7 +1324,7 @@ class TestBestResponseReuse:
                     before = scans.calls
                     assert best_response_gain(game, l, cover) == kept
                     assert scans.calls == before
-        assert sorted(game._responses) == movers
+        assert sorted(cover._responses) == movers
 
     def test_each_scan_selects_the_rows_once(self, monkeypatch):
         # A first answer selects its rows once, in the scan that scores
@@ -1701,9 +1701,9 @@ class TestCoverCount:
         game, profile = case
         for k in game.active_indices:
             view = profile.theta[game.neighbor_positions[k]]
-            own = profile.for_agent(k)
-            theta_star, _ = best_response_gain(game, k, CoverCount(game, profile))
-            cover = CoverCount(game, profile.replace(k, theta_star))
+            cover = CoverCount(game, profile)
+            theta_star, _ = best_response_gain(game, k, cover)
+            cover.adopt(game, {k: theta_star})
             with pytest.MonkeyPatch.context() as monkeypatch:
                 counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
                 again = best_response_gain(game, k, cover)
@@ -1722,19 +1722,21 @@ class TestCoverCount:
         # it. A best response reads the count at the agent's reach alone,
         # whether it scans, reuses under either key or stands at its
         # maximizer.
+        # One cover count follows every move, so its answers are reused
+        # as they would be in a run.
         game, profile = case
         interval = game.coverage_fn.interval
         with pytest.MonkeyPatch.context() as monkeypatch:
             whole = WholeCountCompares(monkeypatch)
+            cover = CoverCount(game, profile)
             for i, x in [(None, None), *moves]:
                 if i is not None and i + 1 in game.neighbor_positions:
                     theta = min(interval.lo + x * interval.width, interval.hi)
-                    profile = profile.replace(i + 1, theta)
-                cover = CoverCount(game, profile)
+                    cover.adopt(game, {i + 1: theta})
                 for k in game.active_indices:
                     theta_star, _ = best_response_gain(game, k, cover)
-                    moved = CoverCount(game, profile.replace(k, theta_star))
-                    best_response_gain(game, k, moved)
+                    cover.adopt(game, {k: theta_star})
+                    best_response_gain(game, k, cover)
         assert whole.calls == 0
 
     @settings(max_examples=30, deadline=None)
@@ -1788,10 +1790,9 @@ class TestCoverCount:
         zetas = dict.fromkeys(game.active_indices, True)
         cover = CoverCount(game, profile)
         for p in range(1, rounds + 1):
-            profile, trace = run_round(
-                game, profile, zetas, cover, SearchConfig(1e-3, rounds), p
-            )
+            trace = run_round(game, zetas, cover, SearchConfig(1e-3, rounds), p)
             zetas = trace.zetas
+            profile = StrategyProfile(cover.theta)
             rebuilt = CoverCount(game, profile)
             assert np.array_equal(cover.counts, rebuilt.counts)
             assert trace.phi.hex() == global_value(game, profile).hex()
@@ -1812,4 +1813,4 @@ class TestCoverCount:
             cover.counts[cell] = 1
         zetas = dict.fromkeys(game.active_indices, gates)
         with pytest.raises(RuntimeError, match="cover count"):
-            run_round(game, profile, zetas, cover, SearchConfig(1e-3, 1))
+            run_round(game, zetas, cover, SearchConfig(1e-3, 1))

@@ -87,6 +87,9 @@ class TestParsing:
     def test_explicit_mean_anomalies_override_spacing(self):
         doc = mini_scenario_doc()
         doc["constellation"]["n_satellites"] = 2
+        # Explicit anomalies stand in place of the spacing; both together
+        # are an error (test_cli.py).
+        del doc["constellation"]["phase_spacing_deg"]
         doc["constellation"]["mean_anomalies_deg"] = [10.0, 200.0]
         doc["game"]["theta_max"] = {"unit": "radian", "value": 1.0}
         doc["damaged"] = []
@@ -109,12 +112,13 @@ class TestParsing:
         )
 
     def test_scalar_block_is_ignored(self):
-        # The bundled scenario and the benchmark's still carry this block;
-        # whatever it holds, it tunes nothing.
+        # The bundled scenario and the benchmark's still carry this block
+        # and a top-level seed; whatever they hold, they tune nothing.
         doc = mini_scenario_doc()
         doc["search"]["scalar"] = {"coarse_points": 3.7, "refine_tolerance_deg": "x"}
+        assert "seed" in doc
         bare = mini_scenario_doc()
-        del bare["search"]["scalar"]
+        del bare["search"]["scalar"], bare["seed"]
         assert parse_scenario(doc) == parse_scenario(bare)
 
     @pytest.mark.parametrize("section", ["constants", "grid", "centralized"])

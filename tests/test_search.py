@@ -109,11 +109,10 @@ def round_with_regrets(graph, regrets, gated, audit=None):
     def best_response_gain(game, k, cover):
         return float(cover.theta[k - 1]), regrets[k]
 
+    cover = CoverCount(game, profile)
     with mock.patch("covgame.search.best_response_gain", best_response_gain):
-        return run_round(
-            game, profile, gated, CoverCount(game, profile), SearchConfig(EPSILON, 1),
-            audit=audit,
-        )
+        trace = run_round(game, gated, cover, SearchConfig(EPSILON, 1), audit=audit)
+    return StrategyProfile(cover.theta), trace
 
 
 class TestElection:
@@ -260,10 +259,10 @@ class TestRunRound:
         cover = CoverCount(toy_game, profile)
         counts = cover.counts.copy()
         audit = AccessAudit()
-        after, trace = run_round(toy_game, profile, zetas, cover, self.cfg, audit=audit)
+        trace = run_round(toy_game, zetas, cover, self.cfg, audit=audit)
         assert trace.innovators == ()
         assert all(r == 0.0 for r in trace.regrets.values())
-        assert after is profile
+        assert cover.theta.tobytes() == profile.theta.tobytes()
         assert np.array_equal(cover.counts, counts)
         # Nobody is loud, so no message is sent and nothing is read.
         assert audit.reads == []
@@ -275,9 +274,7 @@ class TestRunRound:
         profile = StrategyProfile.zeros(toy_game.n_agents)
         zetas = {k: k == last for k in toy_game.active_indices}
         audit = AccessAudit()
-        _, trace = run_round(
-            toy_game, profile, zetas, CoverCount(toy_game, profile), self.cfg, audit=audit
-        )
+        trace = run_round(toy_game, zetas, CoverCount(toy_game, profile), self.cfg, audit=audit)
         assert [k for k, r in trace.regrets.items() if r > self.cfg.epsilon] == [last]
         neighbors = toy_game.neighbors(last)
         assert len(neighbors) >= 2
@@ -291,9 +288,7 @@ class TestRunRound:
         game = single_agent_game()
         profile = StrategyProfile.zeros(1)
         phi0 = global_value(game, profile)
-        _, trace = run_round(
-            game, profile, {1: True}, CoverCount(game, profile), self.cfg, iteration=1
-        )
+        trace = run_round(game, {1: True}, CoverCount(game, profile), self.cfg, iteration=1)
         assert trace.innovators == (1,)
         assert trace.phi - phi0 == pytest.approx(trace.regrets[1], abs=1e-9)
         assert trace.zetas[1]
@@ -307,7 +302,7 @@ class TestRunRound:
         phi = global_value(game, profile)
         cover = CoverCount(game, profile)
         for p in range(1, cfg.max_rounds + 1):
-            profile, trace = run_round(game, profile, zetas, cover, cfg, iteration=p)
+            trace = run_round(game, zetas, cover, cfg, iteration=p)
             zetas = trace.zetas
             gained = sum(trace.regrets[k] for k in trace.innovators)
             assert trace.phi - phi == pytest.approx(gained, abs=1e-6)
@@ -331,16 +326,7 @@ class TestRunRound:
         game = GameInstance(agents, grid, coverage, 0.0)
         profile = StrategyProfile.zeros(1)
         with pytest.raises(RuntimeError, match="agent 1"):
-            run_round(game, profile, {1: True}, CoverCount(game, profile), self.cfg)
-
-    def test_cover_of_another_profile_is_an_error(self, toy_game):
-        # A cover that counts other strategies than the profile's would make
-        # every best response answer a profile nobody plays.
-        profile = StrategyProfile.zeros(toy_game.n_agents)
-        cover = CoverCount(toy_game, profile.replace(2, 0.25))
-        zetas = dict.fromkeys(toy_game.active_indices, True)
-        with pytest.raises(ValueError, match="does not hold the profile"):
-            run_round(toy_game, profile, zetas, cover, self.cfg)
+            run_round(game, {1: True}, CoverCount(game, profile), self.cfg)
 
 
 class TestSequentialEquivalence:
@@ -352,9 +338,9 @@ class TestSequentialEquivalence:
         zetas = dict.fromkeys(game.active_indices, True)
         profile0 = StrategyProfile.zeros(game.n_agents)
         phi0 = global_value(game, profile0)
-        adopted, trace = run_round(
-            game, profile0, zetas, CoverCount(game, profile0), cfg, iteration=1
-        )
+        cover = CoverCount(game, profile0)
+        trace = run_round(game, zetas, cover, cfg, iteration=1)
+        adopted = StrategyProfile(cover.theta)
         assert len(trace.innovators) == 2
         a, b = trace.innovators
         assert b not in game.neighbors(a)
@@ -467,15 +453,13 @@ class TestLocalityAudit:
             scanned.append(k)
             return best_response_gain(game, k, cover)
 
+        cover = CoverCount(game, profile)
         with mock.patch("covgame.search.best_response_gain", capture):
-            run_round(
-                game, profile, zetas, CoverCount(game, profile), SearchConfig(0.05, 1),
-                audit=audit,
-            )
+            run_round(game, zetas, cover, SearchConfig(0.05, 1), audit=audit)
         assert scanned == list(game.active_indices)
         for k in scanned:
             order = sorted(game.neighbors(k))
-            answered = game._responses[k].neighbors.tolist()
+            answered = cover._responses[k].neighbors.tolist()
             assert answered == [profile.for_agent(l) for l in order]
         theta_reads = [(reader, owner) for reader, owner, kind in audit.reads if kind == "theta"]
         assert theta_reads == [(k, l) for k in scanned for l in sorted(game.neighbors(k))]
