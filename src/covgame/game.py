@@ -28,11 +28,13 @@ that count, and read from it the agent's strategy, its neighbors' and its
 uncovered cells; and the run's value is read off it, so the distributed
 engine builds no mask. The masks, which :meth:`GameInstance.coverage`
 scatters from covered positions and memoizes, serve :func:`global_value`
-and the mask-based local objective; that memo is all the game keeps
-besides what it was built from.
+and the mask-based local objective; that memo, bounded at
+``MASKS_PER_AGENT`` masks per active agent, and its count of masks built
+are all the game keeps besides what it was built from.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -44,6 +46,9 @@ from .optimize import maximize_scalar
 
 # Slack with which a strategy still counts as inside its interval, radians.
 CONTAINS_TOL = 1e-12
+
+# Masks the coverage memo keeps per active agent (GameInstance.coverage).
+MASKS_PER_AGENT = 16
 
 
 @dataclass(frozen=True)
@@ -135,8 +140,11 @@ class GameInstance:
     """Bundle of agents, coverage generator, penalty scale and graph.
 
     It is immutable apart from the memo of coverage masks behind
-    :meth:`coverage`, so runs of any method may share one instance: each
-    keeps its own state in a :class:`CoverCount`.
+    :meth:`coverage` and its count of masks built, ``mask_builds``, so runs
+    of any method may share one instance: each keeps its own state in a
+    :class:`CoverCount`. The memo holds at most ``MASKS_PER_AGENT`` masks
+    per active agent, so its memory does not grow with the number of
+    distinct strategies a long search visits.
 
     The coverage generator ``coverage_fn`` must expose, and the constructor
     checks (a missing member raises ``TypeError`` naming it):
@@ -220,6 +228,9 @@ class GameInstance:
         }
         self.neighbor_positions = neighbor_positions_from_reaches(self.reach_positions, self.n_cells)
         self._coverage_cache: dict[tuple[int, float], np.ndarray] = {}
+        self._coverage_order: deque[tuple[int, float]] = deque()
+        self._coverage_limit = MASKS_PER_AGENT * len(self.active_indices)
+        self.mask_builds = 0
 
     @property
     def n_agents(self) -> int:
@@ -240,7 +251,17 @@ class GameInstance:
         """Memoized read-only coverage mask for agent ``index`` playing ``theta``.
 
         The mask has one entry per cell, true at the generator's
-        ``covered_positions``.
+        ``covered_positions``. The memo ``_coverage_cache`` is a plain dict
+        keyed ``(index, float(theta))``, and a hit is one lookup in it and
+        nothing else, since the compass search hits far more often than it
+        misses (about 156,000 reads to 681 builds on the bundled day). A miss
+        builds the mask and counts it in ``mask_builds``. The memo keeps at
+        most ``MASKS_PER_AGENT`` masks per active agent: past that, a miss
+        evicts the oldest key inserted, whether or not it was read since,
+        in O(1) from a queue of keys in insertion order (deleting a dict's
+        first key instead slows as deleted slots pile up at its front). A
+        mask is a pure function of its key, so an evicted mask that is read
+        again is rebuilt bit for bit; only the number of builds can rise.
         """
         key = (index, float(theta))
         hit = self._coverage_cache.get(key)
@@ -249,7 +270,12 @@ class GameInstance:
         mask = np.zeros(self.n_cells, dtype=bool)
         mask[self.coverage_fn.covered_positions(*key)] = True
         mask.flags.writeable = False
-        self._coverage_cache[key] = mask
+        self.mask_builds += 1
+        cache, order = self._coverage_cache, self._coverage_order
+        cache[key] = mask
+        order.append(key)
+        if len(order) > self._coverage_limit:
+            del cache[order.popleft()]
         return mask
 
     def validate_profile(self, profile: StrategyProfile) -> None:

@@ -8,9 +8,13 @@ which agrees with ``global_value`` bit for bit, so it builds no mask; the
 centralized baseline reports through ``global_value``, which its probes go
 through too, so its search scores exactly the value it reports. Its exact
 polish and its certification share one cover count. A game keeps no run
-state beyond its mask memo, which the distributed engine leaves empty, so
-a comparison builds one game per scenario point and runs both methods on
-it. Wall times cover the optimization loop alone:
+state beyond its bounded mask memo, which the distributed engine leaves
+empty, so a comparison builds one game per scenario point and runs both
+methods on it. Each report counts the masks the memo built during its run
+(``mask_builds``, which ``summary.json`` carries): 0 for the distributed
+engine, and for the centralized baseline every probe's miss, a mask rebuilt
+after its eviction included. The count is deterministic, unlike the wall
+times, which cover the optimization loop alone:
 game construction, coverage precomputation and certification are excluded,
 since they are shared setup or diagnostics.
 """
@@ -60,6 +64,7 @@ class ComparisonReport:
     worst_gain: float               # the certificate's largest unilateral gain, seconds
     final_theta: tuple[float, ...]  # radians, one entry per satellite
     converged_at: int | None = None
+    mask_builds: int = 0            # masks the game's memo built during the run
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,7 @@ def run_distributed(
     ``phi``, read off the run's cover count.
     """
     game = cfg.build_game() if game is None else game
+    builds = game.mask_builds
     initial = StrategyProfile.zeros(game.n_agents)
     result = run_search(game, initial, cfg.search, audit=audit)
     wall = sum(t.wall_time for t in result.traces)
@@ -95,6 +101,7 @@ def run_distributed(
         worst_gain=result.certification.worst_gain,
         final_theta=tuple(float(v) for v in result.final_profile.theta),
         converged_at=result.converged_at,
+        mask_builds=game.mask_builds - builds,
     )
     return report, result
 
@@ -131,6 +138,7 @@ def run_centralized(
     moved, or at the evaluation cap of one built after the timed section.
     """
     game = cfg.build_game() if game is None else game
+    builds = game.mask_builds
     active = game.active_indices
     bounds = [
         (game.agent(k).strategy_space.lo, game.agent(k).strategy_space.hi)
@@ -171,6 +179,7 @@ def run_centralized(
         certified=certification.certified,
         worst_gain=certification.worst_gain,
         final_theta=tuple(float(v) for v in final.theta),
+        mask_builds=game.mask_builds - builds,
     )
     return report, certification
 
@@ -258,8 +267,9 @@ def emit_results(
 
     File contents are deterministic for deterministic runs except for the
     wall-time columns. The summary gives each method's ``stop_reason`` (see
-    :func:`stop_reason`) next to ``certified`` and the certificate's
-    ``worst_gain_s``, and for the distributed method the largest regret of
+    :func:`stop_reason`) next to ``certified``, the certificate's
+    ``worst_gain_s`` and the masks built during the run, ``mask_builds``,
+    and for the distributed method the largest regret of
     the last round in ``traces``. Each profile CSV carries every strategy
     twice: ``theta_deg`` rounded for reading, ``theta_rad`` exact for
     ``covgame certify``.
@@ -338,6 +348,7 @@ def emit_results(
             "certified": r.certified,
             "worst_gain_s": r.worst_gain,
             "converged_at": r.converged_at,
+            "mask_builds": r.mask_builds,
             "stop_reason": stop_reason(cfg, r),
             "last_max_regret_s": (
                 traces[-1].max_regret if r.method == DISTRIBUTED and traces else None

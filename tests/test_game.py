@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgame.game import (
+    MASKS_PER_AGENT,
     AgentSpec,
     CoverCount,
     GameInstance,
@@ -171,6 +172,49 @@ class TestGlobalValue:
             profile = random_profile(game, rng)
             expected = reference_global_value(game, profile)
             assert global_value(game, profile).hex() == expected.hex()
+
+
+class TestCoverageMemo:
+    """The mask memo keeps ``MASKS_PER_AGENT`` masks per active agent, oldest out first."""
+
+    @staticmethod
+    def filled(extra=0):
+        # One active agent, so the memo keeps 16 masks; the keys are built in
+        # this order.
+        game = sliding_window_game(n_agents=1)
+        thetas = np.linspace(-3.0, 3.0, MASKS_PER_AGENT + extra).tolist()
+        masks = [game.coverage(1, theta) for theta in thetas]
+        return game, [(1, theta) for theta in thetas], masks
+
+    def test_a_hit_builds_nothing_and_evicts_nothing(self, monkeypatch):
+        game, keys, masks = self.filled()
+        before = (game.mask_builds, list(game._coverage_cache), list(game._coverage_order))
+        monkeypatch.setattr(game.coverage_fn, "covered_positions", None)
+        for (k, theta), mask in zip(keys, masks):
+            assert game.coverage(k, np.float64(theta)) is mask
+        assert (game.mask_builds, list(game._coverage_cache), list(game._coverage_order)) == before
+
+    def test_a_full_memo_evicts_the_oldest_key_first(self):
+        game, keys, _ = self.filled()
+        assert list(game._coverage_cache) == keys and game.mask_builds == MASKS_PER_AGENT
+        # A hit does not refresh a key, so the first built is still the first out.
+        game.coverage(*keys[0])
+        game.coverage(1, 3.5)
+        assert list(game._coverage_cache) == keys[1:] + [(1, 3.5)]
+        game.coverage(1, 3.75)
+        assert list(game._coverage_cache) == keys[2:] + [(1, 3.5), (1, 3.75)]
+        assert game.mask_builds == MASKS_PER_AGENT + 2
+
+    def test_an_evicted_mask_is_rebuilt_bit_identical_and_read_only(self):
+        game, keys, masks = self.filled(extra=1)
+        assert keys[0] not in game._coverage_cache
+        again = game.coverage(*keys[0])
+        assert again is not masks[0] and np.array_equal(again, masks[0])
+        assert not again.flags.writeable
+        with pytest.raises(ValueError):
+            again[0] = not again[0]
+        assert game.mask_builds == MASKS_PER_AGENT + 2
+        assert list(game._coverage_cache) == keys[2:] + [keys[0]]
 
 
 def reference_global_value(game, profile):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from covgame import harness
-from covgame.game import GameInstance, StrategyProfile, global_value
+from covgame.cli import main
+from covgame.game import MASKS_PER_AGENT, GameInstance, StrategyProfile, global_value
 from covgame.harness import (
     ComparisonReport,
     assumption_envelopes,
@@ -110,6 +111,39 @@ class TestMethodRuns:
         for a, b in zip(shared, fresh):
             assert replace(a, wall_time=0.0) == replace(b, wall_time=0.0)
             assert [v.hex() for v in a.final_theta] == [v.hex() for v in b.final_theta]
+
+    def test_centralized_memo_stays_within_its_bound(self, monkeypatch):
+        # The bundled day, then criterion 6's 8-satellite point with the
+        # damaged pair {10, 15}: at every mask built, the memo holds no more
+        # than 16 masks per active agent, though the search builds more.
+        bundled = load_scenario(bundled_scenario_path())
+        small = replace(bundled, damaged=(10, 15)).with_satellite_count(8)
+        for cfg, limit in ((bundled, 16 * 22), (small, 16 * 8)):
+            game = cfg.build_game()
+            assert MASKS_PER_AGENT * len(game.active_indices) == limit
+            held = []
+            build = game.coverage_fn.covered_positions
+
+            def checked(k, theta):
+                held.append(len(game._coverage_cache))
+                return build(k, theta)
+
+            monkeypatch.setattr(game.coverage_fn, "covered_positions", checked)
+            report, _ = run_centralized(cfg, game)
+            held.append(len(game._coverage_cache))
+            assert report.mask_builds > limit
+            assert max(held) <= limit
+
+    def test_summary_counts_the_masks_each_method_builds(self, tmp_path):
+        # The bundled run, both methods on one game: the distributed engine
+        # builds no mask, and the centralized search builds 681, 14 of them
+        # again after an eviction (667 without a bound).
+        assert main(["run", "--quiet", "--out", str(tmp_path)]) == 0
+        methods = json.loads((tmp_path / "summary.json").read_text())["methods"]
+        assert {m: r["mask_builds"] for m, r in methods.items()} == {
+            "distributed": 0,
+            "centralized": 681,
+        }
 
     def test_damaged_strategies_stay_zero(self, mini_cfg):
         report, _ = run_distributed(mini_cfg)
