@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .scenario import (
     ScenarioError,
     bundled_scenario_path,
     load_scenario,
+    read_input_text,
     tag_errors,
 )
 
@@ -205,32 +207,31 @@ def _read_profile_csv(path: Path, game: GameInstance) -> CoverCount:
     """
     theta = np.zeros(game.n_agents)
     seen: set[int] = set()
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or ()
-        column = "theta_rad" if "theta_rad" in fields else "theta_deg"
-        for name in ("agent", column):
-            if name not in fields:
-                raise ValueError(f"{path}: missing column {name!r}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            try:
-                agent = int(row["agent"])
-                value = float(row[column])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{where}: expected an integer agent and a number {column}"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"{where}: {column} {value} is not finite")
-            if column == "theta_deg":
-                value = math.radians(value)
-            if not (1 <= agent <= game.n_agents):
-                raise ValueError(f"{where}: agent {agent} outside 1..{game.n_agents}")
-            if agent in seen:
-                raise ValueError(f"{where}: agent {agent} appears twice")
-            seen.add(agent)
-            theta[agent - 1] = value
+    reader = csv.DictReader(io.StringIO(read_input_text(path)))
+    fields = reader.fieldnames or ()
+    column = "theta_rad" if "theta_rad" in fields else "theta_deg"
+    for name in ("agent", column):
+        if name not in fields:
+            raise ValueError(f"{path}: missing column {name!r}")
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        try:
+            agent = int(row["agent"])
+            value = float(row[column])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{where}: expected an integer agent and a number {column}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {column} {value} is not finite")
+        if column == "theta_deg":
+            value = math.radians(value)
+        if not (1 <= agent <= game.n_agents):
+            raise ValueError(f"{where}: agent {agent} outside 1..{game.n_agents}")
+        if agent in seen:
+            raise ValueError(f"{where}: agent {agent} appears twice")
+        seen.add(agent)
+        theta[agent - 1] = value
     missing = sorted(set(range(1, game.n_agents + 1)) - seen)
     if missing:
         raise ValueError(f"{path}: no row for agents {missing}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,7 +174,9 @@ class GameInstance:
       of exact counts. :func:`best_response_gain` scores them.
     - ``masked_cell_counts(k, thetas, ends)``: that count, exactly, for
       every entry of an ascending array of strategies, given the pair
-      ``ends`` that ``scan`` returned.
+      ``ends`` that ``scan`` returned. :func:`best_response_gain` calls it
+      for an incumbent alone, and only for one whose gain the agent's
+      stored answer does not hold.
     - ``reach_positions(k)``: the mask positions of the cells ``k`` covers
       for some strategy of its interval (its reach), exactly, in a fixed
       order and possibly repeated. ``scan`` and ``masked_cell_counts`` count
@@ -361,9 +363,11 @@ class CoverCount:
     The count also keeps what :func:`best_response_gain` reuses between
     calls on it: one entry per active agent for its last exact best
     response (:class:`_Response`), keyed twice on what it was computed
-    from, and one buffer of ``n_cells`` zeros on which an agent's own
-    flags are marked (:meth:`_own_flags`). A new count starts with no
-    entry, so two runs on one game make the same scans.
+    from, with the gain of the last incumbent it counted, so that
+    ``masked_cell_counts`` runs once per entry and incumbent; and one
+    buffer of ``n_cells`` zeros on which an agent's own flags are marked
+    (:meth:`_own_flags`). A new count starts with no entry, so two runs on
+    one game make the same scans and counts.
     """
 
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
@@ -473,30 +477,55 @@ def best_response_objective(
     return partial(_local_objective, game, index, uncovered), uncovered
 
 
-class _Response(NamedTuple):
+class _Response:
     """An agent's last exact best response, with what it was computed from.
 
-    ``neighbors`` is the gathered array of neighbor strategies it last
-    answered, in ascending neighbor order. ``theta`` is the agent's
-    strategy at its last gather and ``own`` that strategy's mask read at
-    the agent's ``reach_positions`` (:meth:`CoverCount._own_flags`), one
-    ``uint8`` per entry, kept so that a later gather at the same strategy
-    reads only the count.
-    ``uncovered`` holds one boolean per entry of the ``reach_positions``,
-    true where no neighbor covered that cell when the agent last scanned;
-    ``ends`` is the ``(starts, stops)`` pair that ``scan`` selected, from which
-    any incumbent's count is read. ``theta_star`` is the first maximizer
-    and ``best`` its local objective. The entry holds no reference to the
-    count that stores it, so storing it makes no cycle.
+    ``neighbors`` is the list of neighbor strategies it last answered, in
+    ascending neighbor order, as Python floats, so that comparing a new
+    gather with it is scalar work. ``theta`` is the agent's strategy at its
+    last gather and ``own`` that strategy's mask read at the agent's
+    ``reach_positions`` (:meth:`CoverCount._own_flags`), one ``uint8`` per
+    entry, kept so that a later gather at the same strategy reads only the
+    count. ``uncovered`` holds one boolean per entry of the
+    ``reach_positions``, true where no neighbor covered that cell when the
+    agent last scanned; ``ends`` is the ``(starts, stops)`` pair that
+    ``scan`` selected, from which any incumbent's count is read.
+    ``theta_star`` is the first maximizer and ``best`` its local objective.
+    ``incumbent`` is the last strategy whose gain over ``best`` was
+    counted and ``gain`` that gain; an entry starts at its maximizer, whose
+    gain is ``0.0``.
+
+    A hit on the second key updates ``neighbors``, ``theta`` and ``own`` in
+    place. ``uncovered``, ``ends``, ``theta_star`` and ``best`` never
+    change, so the stored gain stays exact for its incumbent. The entry
+    holds no reference to the count that stores it, so storing it makes no
+    cycle.
     """
 
-    neighbors: np.ndarray
-    theta: float
-    own: np.ndarray
-    uncovered: np.ndarray
-    ends: tuple[np.ndarray, np.ndarray]
-    theta_star: float
-    best: float
+    __slots__ = (
+        "neighbors", "theta", "own", "uncovered", "ends", "theta_star", "best",
+        "incumbent", "gain",
+    )
+
+    def __init__(
+        self,
+        neighbors: list[float],
+        theta: float,
+        own: np.ndarray,
+        uncovered: np.ndarray,
+        ends: tuple[np.ndarray, np.ndarray],
+        theta_star: float,
+        best: float,
+    ) -> None:
+        self.neighbors = neighbors
+        self.theta = theta
+        self.own = own
+        self.uncovered = uncovered
+        self.ends = ends
+        self.theta_star = theta_star
+        self.best = best
+        self.incumbent = theta_star
+        self.gain = 0.0
 
 
 def best_response_gain(
@@ -537,24 +566,27 @@ def best_response_gain(
     The best response depends only on the uncovered cells of the agent's
     reach, since ``scan`` and ``masked_cell_counts`` read no other cell, so
     ``cover`` keeps each agent's last one under two keys (see
-    :class:`_Response`): the gathered array of neighbor strategies it
-    answered, and the agent's uncovered cells read at its
-    ``reach_positions``. While the gathered neighbor strategies equal the
-    stored array elementwise (under which ``-0.0`` equals ``0.0`` and NaN
-    equals nothing), the stored answer is returned without reading the
-    count. Otherwise the count is read at the agent's ``reach_positions``,
-    and so are its incumbent flags unless the entry holds them for the
-    incumbent already:
+    :class:`_Response`): the gathered neighbor strategies it answered, as a
+    list of floats, and the agent's uncovered cells read at its
+    ``reach_positions``. While the gathered neighbor strategies, as a list,
+    equal the stored list (float ``==``, under which ``-0.0`` equals
+    ``0.0`` and NaN equals nothing), the stored answer is returned without
+    reading the count. Otherwise the count is read at the agent's
+    ``reach_positions``, and so are its incumbent flags unless the entry
+    holds them for the incumbent already:
     if the uncovered cells there equal the stored ones, a neighbor moved
-    off the agent's reach, and the stored answer is returned and takes the
-    new gather as its first key. Only if both keys miss does the agent
-    select its rows and score them, and replace its entry.
+    off the agent's reach, and the stored entry takes the new gather as its
+    first key, in place. Only if both keys miss does the agent select its
+    rows and score them, and replace its entry.
 
     The incumbent's local objective is one ``masked_cell_counts`` call at
     its strategy against the stored ends: the cells of its own mask that no
     neighbor covers. An incumbent equal to the stored maximizer needs none:
     its value would be the same arithmetic on the same exact count as
-    ``best``, so its gain is exactly ``0.0``.
+    ``best``, so its gain is exactly ``0.0``. Nor does an incumbent equal to
+    the one whose gain the entry last counted: the entry's ends and ``best``
+    never change, so that gain is the one a new count would give, bit for
+    bit.
 
     Returns ``(theta_star, gain)``: the first maximizer in ascending order
     and its local-objective improvement over the incumbent, which is never
@@ -562,9 +594,9 @@ def best_response_gain(
     """
     agent = game.agent(index)
     theta = float(cover.theta[index - 1])
-    neighbor_thetas = cover.theta[game.neighbor_positions[index]]
+    neighbors = cover.theta[game.neighbor_positions[index]].tolist()
     response = cover._responses.get(index)
-    if response is None or not (response.neighbors == neighbor_thetas).all():
+    if response is None or response.neighbors != neighbors:
         reach = game.reach_positions[index]
         if response is not None and response.theta == theta:
             own = response.own
@@ -572,7 +604,7 @@ def best_response_gain(
             own = cover._own_flags(cover.positions[index], reach)
         uncovered = cover.counts[reach] == own
         if response is not None and (response.uncovered == uncovered).all():
-            response = response._replace(neighbors=neighbor_thetas, theta=theta, own=own)
+            response.neighbors, response.theta, response.own = neighbors, theta, own
         else:
             space = agent.strategy_space
             z = min(max(0.0, space.lo), space.hi)
@@ -585,15 +617,15 @@ def best_response_gain(
                 return dt * counts - gamma * energy_penalty(agent, thetas)
 
             theta_star, best = maximize_scalar(objective, candidates)
-            response = _Response(
-                neighbor_thetas, theta, own, uncovered, ends, theta_star, best
-            )
-        cover._responses[index] = response
+            response = _Response(neighbors, theta, own, uncovered, ends, theta_star, best)
+            cover._responses[index] = response
     if theta == response.theta_star:
         return response.theta_star, 0.0
-    alone = game.coverage_fn.masked_cell_counts(index, np.array([theta]), response.ends)
-    incumbent = game.grid.dt * float(alone[0]) - game.gamma * energy_penalty(agent, theta)
-    return response.theta_star, response.best - incumbent
+    if theta != response.incumbent:
+        alone = game.coverage_fn.masked_cell_counts(index, np.array([theta]), response.ends)
+        incumbent = game.grid.dt * float(alone[0]) - game.gamma * energy_penalty(agent, theta)
+        response.incumbent, response.gain = theta, response.best - incumbent
+    return response.theta_star, response.gain
 
 
 def neighbor_positions_from_reaches(

@@ -627,8 +627,8 @@ class ConstellationCoverage:
         interval, and ``thetas`` must be sorted ascending; otherwise
         ``ValueError`` is raised. :func:`~covgame.game.best_response_gain`
         calls this with the incumbent alone, unless the incumbent is the
-        stored maximizer; the tests call it as the reference count of
-        :meth:`scan`.
+        stored maximizer or the one whose gain the stored answer last
+        counted; the tests call it as the reference count of :meth:`scan`.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.size == 0:

@@ -485,13 +485,31 @@ def round_bound(cfg: ScenarioConfig) -> int:
     return iteration_bound(phi_min, phi_max, cfg.search.epsilon)
 
 
+def read_input_text(path: Path) -> str:
+    """The text of an input file, decoded as UTF-8.
+
+    Raises:
+        ScenarioError: ``"<path>: <reason>"`` if the file is missing, is a
+            directory, cannot be read or is not UTF-8 text.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        reason = "file not found"
+    except IsADirectoryError:
+        reason = "is a directory"
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+    raise ScenarioError(f"{path}: {reason}")
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file; every fault names the file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
+        doc = json.loads(read_input_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

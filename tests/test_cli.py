@@ -576,6 +576,34 @@ class TestCertifyVerb:
         assert code == 1
         assert f"error: {profile}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scenario", "--profile"])
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ("missing", "file not found"),
+            ("directory", "is a directory"),
+            ("not-utf8", "not UTF-8 text: byte 0xff at offset 1"),
+        ],
+    )
+    def test_unreadable_input_file_is_named(
+        self, tmp_path, mini_scenario_file, capsys, flag, fault, reason
+    ):
+        # Each fault is one stderr line that starts with the file's path.
+        bad = tmp_path / f"{fault}.input"
+        if fault == "directory":
+            bad.mkdir()
+        elif fault == "not-utf8":
+            bad.write_bytes(b"{\xff}")
+        inputs = {"--scenario": mini_scenario_file, "--profile": tmp_path / "profile.csv"}
+        write_profile(inputs["--profile"], "agent,theta_deg", [f"{k},0.0" for k in range(1, 13)])
+        inputs[flag] = bad
+        code = run_cli(
+            "certify", "--scenario", inputs["--scenario"], "--profile", inputs["--profile"],
+            "--quiet",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {reason}"]
+
     @pytest.mark.parametrize("epsilon", ["0.1", "1000"])
     def test_strategy_within_the_interval_slack_certifies_like_the_end(
         self, tmp_path, mini_scenario_file, capsys, epsilon

@@ -246,8 +246,9 @@ def test_bundled_outcome_is_pinned(monkeypatch):
     # maximizer went uncounted and an agent standing still kept the gather
     # of its own mask; 111 mask reads before the engine read covered
     # positions in place of masks; 112 counts before a scan counted its
-    # candidates itself, so that only incumbents are counted.
-    assert (counts.calls, masks.calls) == (59, 0)
+    # candidates itself, so that only incumbents are counted; 59 counts
+    # before an entry kept the gain of the last incumbent it counted.
+    assert (counts.calls, masks.calls) == (28, 0)
     # One per active agent for the count's build and one per adoption: the
     # cover count keeps each agent's positions, which its incumbent reads and
     # its next adoption starts from.

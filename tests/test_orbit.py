@@ -1279,6 +1279,26 @@ def coverage_game(cov, gamma, active=range(1, 25)):
     return GameInstance(agents, cov.grid, cov, gamma)
 
 
+def off_reach_moves(cov, game):
+    """Moves ``(k, l, before, after)`` of a neighbor ``l`` of agent ``k`` off ``k``'s reach.
+
+    ``l`` moves between the plateaus of two adjacent breakpoints of its
+    own, and its masks at ``before`` and ``after`` differ, but not on any
+    cell ``k`` can cover.
+    """
+    everywhere = np.ones(cov.cells.size, dtype=bool)
+    for k in game.active_indices:
+        reach = reach_mask(cov, k)
+        for l in sorted(game.neighbors(k)):
+            ends = np.unique(np.concatenate(cov.breakpoints(l, everywhere[cov.reach_positions(l)])))
+            ends = ends[(ends > cov.interval.lo) & (ends < cov.interval.hi)]
+            thetas = ((ends[1:] + ends[:-1]) / 2).tolist()
+            for before, after in zip(thetas, thetas[1:]):
+                was, now = cov(l, before), cov(l, after)
+                if not np.array_equal(was, now) and np.array_equal(was[reach], now[reach]):
+                    yield k, l, before, after
+
+
 class TestBestResponseReuse:
     """A game reuses an agent's best response while its neighbors stand still."""
 
@@ -1711,6 +1731,31 @@ class TestCoverCount:
             expected = fold_best_response(game, k, view, theta_star)
             assert [v.hex() for v in again] == [float(v).hex() for v in expected]
             assert [v.hex() for v in again] == [theta_star.hex(), (0.0).hex()]
+
+    def test_asked_again_off_its_maximizer_the_gain_is_counted_once(self, monkeypatch):
+        # An agent whose incumbent is not its maximizer counts the
+        # incumbent once. Asked again while its neighbors stand still, and
+        # again after a neighbor moves only off its reach, it gets exactly
+        # the fold's gain both times, with no further count and no scan.
+        cov = SEAM_COVERAGE
+        game = coverage_game(cov, 20.0)
+        k, l, before, after = next(off_reach_moves(cov, game))
+        profile = StrategyProfile(np.full(24, cov.interval.lo)).replace(l, before)
+        cover = CoverCount(game, profile)
+        own = profile.for_agent(k)
+        first = best_response_gain(game, k, cover)
+        assert first[0] != own and first[1] > 0.0
+        counts = CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts")
+        selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+        for move in (None, after):
+            if move is not None:
+                cover.adopt(game, {l: move})
+                profile = profile.replace(l, move)
+            expected = fold_best_response(game, k, profile.theta[game.neighbor_positions[k]], own)
+            calls = (counts.calls, selections.calls)
+            again = best_response_gain(game, k, cover)
+            assert (counts.calls, selections.calls) == calls
+            assert [v.hex() for v in again] == [float(v).hex() for v in expected]
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -459,7 +459,7 @@ class TestLocalityAudit:
         assert scanned == list(game.active_indices)
         for k in scanned:
             order = sorted(game.neighbors(k))
-            answered = cover._responses[k].neighbors.tolist()
+            answered = cover._responses[k].neighbors
             assert answered == [profile.for_agent(l) for l in order]
         theta_reads = [(reader, owner) for reader, owner, kind in audit.reads if kind == "theta"]
         assert theta_reads == [(k, l) for k in scanned for l in sorted(game.neighbors(k))]
