@@ -18,14 +18,14 @@ the cells it covers for some admissible strategy, so the graph holds every
 pair whose coverages can ever overlap, and a unilateral strategy change moves
 both objectives by exactly the same amount, which is what the distributed
 search engine relies on. The graph is held once, as arrays of neighbor
-positions, which every gather, the election, the gates and the audit read.
+positions, which the stale marks, the election, the gates and the audit read.
 A :class:`CoverCount` is the one mutable state of a run: its strategies,
 its coverage as an integer count per cell, built and moved by covered
 positions, each active agent's positions, and the memo of each agent's
 last best response. A profile is validated once, where it enters a cover.
 The engine keeps one per run; a best response and a certificate take only
-that count, and read from it the agent's strategy, its neighbors' and its
-uncovered cells; and the run's value is read off it, so the distributed
+that count, and read from it the agent's strategy and its uncovered cells;
+and the run's value is read off it, so the distributed
 engine builds no mask. The masks, which :meth:`GameInstance.coverage`
 scatters from covered positions and memoizes, serve :func:`global_value`
 and the mask-based local objective; that memo, bounded at
@@ -189,9 +189,10 @@ class GameInstance:
     0-based profile positions of the active agents whose reach meets its
     own, in ascending order, as a read-only ``np.intp`` array. The graph is
     symmetric, irreflexive and holds every pair whose coverage can ever
-    overlap, by construction, and an agent pulls its neighbors' strategies
-    as one gather of its :class:`CoverCount`'s strategies,
-    ``cover.theta[game.neighbor_positions[k]]``.
+    overlap, by construction. What an agent learns of its neighbors'
+    strategies reaches it through its :class:`CoverCount`: the count on its
+    reach, and a stale mark on its last best response. Both are set only by
+    :meth:`CoverCount.adopt`, when a neighbor moves.
 
     On an agent's reach only its neighbors may cover too, and
     :func:`best_response_gain` relies on this. It selects the cells no
@@ -346,9 +347,10 @@ class CoverCount:
     """How many active agents cover each mask cell under one profile.
 
     The count is the whole mutable state of one run. ``theta`` holds the
-    strategies it counts: a writable copy of the profile's strategy vector,
-    one float per agent at position ``index - 1``, with the inactive
-    agents' entries set to 0. The profile is validated on the way in
+    strategies it counts: a read-only view of the count's own copy of the
+    profile's strategy vector, one float per agent at position
+    ``index - 1``, with the inactive agents' entries set to 0, so a write to
+    it raises ``ValueError``. The profile is validated on the way in
     (:meth:`GameInstance.validate_profile`, ``ValueError``). ``counts`` has
     one entry per mask cell, in :func:`count_dtype` of the number of active
     agents, so no entry can overflow. ``covered`` is the number of nonzero
@@ -357,29 +359,34 @@ class CoverCount:
     ``covered_positions`` at its strategy, read-only; it is the one place
     that holds them. The count is built once from a profile, by adding one
     at each active agent's positions, which never repeat, and then follows
-    it through :meth:`adopt`, the only writer of ``theta``, which reads and
-    moves the count at the movers' positions alone; no mask is built.
+    it through :meth:`adopt`, the only writer of the strategies, which reads
+    and moves the count at the movers' positions alone; no mask is built.
 
     The count also keeps what :func:`best_response_gain` reuses between
     calls on it: one entry per active agent for its last exact best
-    response (:class:`_Response`), keyed twice on what it was computed
-    from, with the gain of the last incumbent it counted, so that
-    ``masked_cell_counts`` runs once per entry and incumbent; and one
-    buffer of ``n_cells`` zeros on which an agent's own flags are marked
-    (:meth:`_own_flags`). A new count starts with no entry, so two runs on
-    one game make the same scans and counts.
+    response (:class:`_Response`), with the gain of the last incumbent it
+    counted, so that ``masked_cell_counts`` runs once per entry and
+    incumbent; one stale mark per agent, ``_stale``, which :meth:`adopt`
+    sets for each mover's neighbors, so an entry is checked against the
+    count only after a neighbor moved; and one buffer of ``n_cells`` zeros
+    on which an agent's own flags are marked (:meth:`_own_flags`). A new
+    count starts with no entry, so two runs on one game make the same scans
+    and counts.
     """
 
     def __init__(self, game: GameInstance, profile: StrategyProfile) -> None:
         game.validate_profile(profile)
         self._responses: dict[int, _Response] = {}
+        self._stale = np.zeros(game.n_agents, dtype=bool)
         self._marks = np.zeros(game.n_cells, dtype=np.uint8)
-        self.theta = np.zeros(game.n_agents)
+        self._theta = np.zeros(game.n_agents)
+        self.theta = self._theta.view()
+        self.theta.flags.writeable = False
         counts = np.zeros(game.n_cells, dtype=count_dtype(len(game.active_indices)))
         self.positions: dict[int, np.ndarray] = {}
         for k in game.active_indices:
-            self.theta[k - 1] = profile.theta[k - 1]
-            self.positions[k] = _frozen_positions(game, k, self.theta[k - 1])
+            self._theta[k - 1] = profile.theta[k - 1]
+            self.positions[k] = _frozen_positions(game, k, self._theta[k - 1])
             counts[self.positions[k]] += 1
         self.counts = counts
         self.covered = int(np.count_nonzero(counts))
@@ -403,7 +410,8 @@ class CoverCount:
     def adopt(self, game: GameInstance, moves: Mapping[int, float]) -> None:
         """Move each agent ``k`` of ``moves`` to its new strategy ``moves[k]``.
 
-        No two movers may be neighbors. Each mover's old covered positions
+        No two movers may be neighbors. Each mover marks its neighbors' best
+        responses stale. Each mover's old covered positions
         are those the count holds, and its new ones are read from the
         generator once and replace them, as ``moves[k]`` replaces its entry
         of ``theta``. Each mover's integer cell gain is
@@ -431,7 +439,8 @@ class CoverCount:
             counts[positions[k]] -= 1
             counts[now] += 1
             positions[k] = now
-            self.theta[k - 1] = moves[k]
+            self._theta[k - 1] = moves[k]
+            self._stale[game.neighbor_positions[k]] = True
         covered = int(np.count_nonzero(counts))
         if covered - self.covered != gained:
             raise RuntimeError(
@@ -480,12 +489,10 @@ def best_response_objective(
 class _Response:
     """An agent's last exact best response, with what it was computed from.
 
-    ``neighbors`` is the list of neighbor strategies it last answered, in
-    ascending neighbor order, as Python floats, so that comparing a new
-    gather with it is scalar work. ``theta`` is the agent's strategy at its
-    last gather and ``own`` that strategy's mask read at the agent's
+    ``theta`` is the agent's strategy when its uncovered cells were last
+    read and ``own`` that strategy's mask read at the agent's
     ``reach_positions`` (:meth:`CoverCount._own_flags`), one ``uint8`` per
-    entry, kept so that a later gather at the same strategy reads only the
+    entry, kept so that a later read at the same strategy reads only the
     count. ``uncovered`` holds one boolean per entry of the
     ``reach_positions``, true where no neighbor covered that cell when the
     agent last scanned; ``ends`` is the ``(starts, stops)`` pair that
@@ -495,21 +502,17 @@ class _Response:
     counted and ``gain`` that gain; an entry starts at its maximizer, whose
     gain is ``0.0``.
 
-    A hit on the second key updates ``neighbors``, ``theta`` and ``own`` in
-    place. ``uncovered``, ``ends``, ``theta_star`` and ``best`` never
-    change, so the stored gain stays exact for its incumbent. The entry
-    holds no reference to the count that stores it, so storing it makes no
-    cycle.
+    A stale entry whose uncovered cells still match updates ``theta`` and
+    ``own`` in place. ``uncovered``, ``ends``, ``theta_star`` and ``best``
+    never change, so the stored gain stays exact for its incumbent. The
+    entry holds no reference to the count that stores it, so storing it
+    makes no cycle.
     """
 
-    __slots__ = (
-        "neighbors", "theta", "own", "uncovered", "ends", "theta_star", "best",
-        "incumbent", "gain",
-    )
+    __slots__ = ("theta", "own", "uncovered", "ends", "theta_star", "best", "incumbent", "gain")
 
     def __init__(
         self,
-        neighbors: list[float],
         theta: float,
         own: np.ndarray,
         uncovered: np.ndarray,
@@ -517,7 +520,6 @@ class _Response:
         theta_star: float,
         best: float,
     ) -> None:
-        self.neighbors = neighbors
         self.theta = theta
         self.own = own
         self.uncovered = uncovered
@@ -535,9 +537,10 @@ def best_response_gain(
 
     ``cover`` is the :class:`CoverCount` of the profile, and everything is
     read from it: the agent's incumbent strategy ``cover.theta[index - 1]``,
-    its neighbors' strategies as one gather of ``cover.theta`` at
-    ``game.neighbor_positions[index]``, in ascending neighbor order, and
-    the count itself.
+    the agent's stale mark and the count itself. What the agent learns of
+    its neighbors' strategies reaches it through those two, the count on
+    its reach and the mark, and :meth:`CoverCount.adopt` sets both, at a
+    neighbor's move.
     The cells no neighbor covers are those where the count equals the
     agent's own incumbent flags (:meth:`CoverCount._own_flags`, marked from
     the agent's positions in the count, ``cover.positions[index]``); since the
@@ -564,20 +567,17 @@ def best_response_gain(
     first maximizer and its value are those of exact counts.
 
     The best response depends only on the uncovered cells of the agent's
-    reach, since ``scan`` and ``masked_cell_counts`` read no other cell, so
-    ``cover`` keeps each agent's last one under two keys (see
-    :class:`_Response`): the gathered neighbor strategies it answered, as a
-    list of floats, and the agent's uncovered cells read at its
-    ``reach_positions``. While the gathered neighbor strategies, as a list,
-    equal the stored list (float ``==``, under which ``-0.0`` equals
-    ``0.0`` and NaN equals nothing), the stored answer is returned without
-    reading the count. Otherwise the count is read at the agent's
-    ``reach_positions``, and so are its incumbent flags unless the entry
-    holds them for the incumbent already:
-    if the uncovered cells there equal the stored ones, a neighbor moved
-    off the agent's reach, and the stored entry takes the new gather as its
-    first key, in place. Only if both keys miss does the agent select its
-    rows and score them, and replace its entry.
+    reach, since ``scan`` and ``masked_cell_counts`` read no other cell, and
+    those change only when a neighbor moves. So ``cover`` keeps each
+    agent's last one (see :class:`_Response`), and while no neighbor has
+    moved since, which the agent's stale mark tells, the stored answer is
+    returned without reading the count. Once a neighbor moved, the count is
+    read at the agent's ``reach_positions``, and so are its incumbent flags
+    unless the entry holds them for the incumbent already: if the uncovered
+    cells there equal the stored ones, the neighbor moved off the agent's
+    reach, or moved and moved back, and the stored entry is kept. Only
+    otherwise does the agent select its rows and score them, and replace
+    its entry. Either way the mark is cleared.
 
     The incumbent's local objective is one ``masked_cell_counts`` call at
     its strategy against the stored ends: the cells of its own mask that no
@@ -594,9 +594,8 @@ def best_response_gain(
     """
     agent = game.agent(index)
     theta = float(cover.theta[index - 1])
-    neighbors = cover.theta[game.neighbor_positions[index]].tolist()
     response = cover._responses.get(index)
-    if response is None or response.neighbors != neighbors:
+    if response is None or cover._stale[index - 1]:
         reach = game.reach_positions[index]
         if response is not None and response.theta == theta:
             own = response.own
@@ -604,7 +603,7 @@ def best_response_gain(
             own = cover._own_flags(cover.positions[index], reach)
         uncovered = cover.counts[reach] == own
         if response is not None and (response.uncovered == uncovered).all():
-            response.neighbors, response.theta, response.own = neighbors, theta, own
+            response.theta, response.own = theta, own
         else:
             space = agent.strategy_space
             z = min(max(0.0, space.lo), space.hi)
@@ -617,8 +616,9 @@ def best_response_gain(
                 return dt * counts - gamma * energy_penalty(agent, thetas)
 
             theta_star, best = maximize_scalar(objective, candidates)
-            response = _Response(neighbors, theta, own, uncovered, ends, theta_star, best)
+            response = _Response(theta, own, uncovered, ends, theta_star, best)
             cover._responses[index] = response
+        cover._stale[index - 1] = False
     if theta == response.theta_star:
         return response.theta_star, 0.0
     if theta != response.incumbent:

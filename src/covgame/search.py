@@ -24,26 +24,28 @@ exchanges nothing and moves no strategy: with 240 satellites it costs about
 A run keeps one :class:`~covgame.game.CoverCount` of its profile, its only
 mutable state, built and moved by the generator's covered positions. The
 count also keeps each agent's last best response, so a run leaves nothing
-on the game. Every best response reads its strategy, its neighbors' and its
-uncovered cells from the count, each round's adoptions update its
+on the game. Every best response reads its strategy and its uncovered
+cells from the count, each round's adoptions update its
 strategies and its count at the innovators' old and new positions and check
 the potential identity in whole cells, and the round's ``phi`` is read off
 its covered-cell count. So the engine builds no mask as long as the grid,
 and the last round's ``phi`` is the run's value. A gated agent scans only
-if its uncovered cells moved: it keeps its last answer while its neighbors'
-strategies stand still, and also while they move only on cells it cannot
-cover (see :func:`~covgame.game.best_response_gain`).
+if its uncovered cells moved: it keeps its last answer while its neighbors
+stand still, which a stale mark set by their moves tells, and also while
+they move only on cells it cannot cover (see
+:func:`~covgame.game.best_response_gain`).
 
 The graph is the game's ``neighbor_positions``: for each active agent, its
 neighbors' 0-based profile positions in ascending order. The pulls, the
 regret exchange, the election, the gates and the audit all read it. All
 inter-agent information flow goes through explicit per-round exchanges:
-each gated agent pulls its neighbors' strategies as one gather of the cover
-count's strategies at its ``neighbor_positions``, and loud agents send
-regret messages to theirs. An update never reads state beyond the agent
-itself and its graph neighbors, and an :class:`AccessAudit` can record
-every cross-agent read: one per neighbor strategy pulled, and one per
-message.
+each gated agent pulls its neighbors' strategies, and loud agents send
+regret messages to theirs. A pull's information reaches the agent through
+the cover count on its reach and its stale mark, both set only by
+:meth:`~covgame.game.CoverCount.adopt`, at a neighbor's move. An update
+never reads state beyond the agent itself and its graph neighbors, and an
+:class:`AccessAudit` can record every cross-agent read: one per neighbor
+strategy pulled, and one per message.
 The cover count is shared, but on the cells an agent can cover only the
 agent and its neighbors are counted, since
 :class:`~covgame.game.GameInstance` derives the graph from the agents'

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, files, exit codes."""
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import covgame
 from covgame import harness
 from covgame.cli import main
+from covgame.game import CoverCount
+from covgame.orbit import ConstellationCoverage
 from covgame.scenario import ScenarioConfig, bundled_scenario_path, parse_scenario
 
 from conftest import CallCounter, mini_scenario_doc
@@ -627,6 +630,50 @@ class TestCertifyVerb:
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == (0 if epsilon == "1000" else 2)
+
+
+def script_main(name):
+    """The ``main`` of one of the repository's ``.github/scripts``, imported."""
+    path = Path(__file__).resolve().parents[1] / ".github" / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+class TestMaskCertificate:
+    def test_bundled_profiles_recertify_and_a_moved_agent_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # check_certificate.py scores every agent's local objective with
+        # masks at the ends of its table, with no scan and no cover count.
+        # Both methods' bundled profiles give the summary's worst gain; one
+        # agent moved off its best response does not.
+        check = script_main("check_certificate")
+        scenario = bundled_scenario_path()
+        assert run_cli("run", "--out", tmp_path, "--quiet") == 0
+        engine = [
+            CallCounter(monkeypatch, ConstellationCoverage, "scan"),
+            CallCounter(monkeypatch, ConstellationCoverage, "masked_cell_counts"),
+            CallCounter(monkeypatch, CoverCount, "__init__"),
+        ]
+        for method in ("distributed", "centralized"):
+            assert check(scenario, tmp_path, method) == 0
+        assert [counter.calls for counter in engine] == [0, 0, 0]
+        profile = tmp_path / "profile.csv"
+        with profile.open() as fh:
+            rows = list(csv.DictReader(fh))
+        space = parse_scenario(json.loads(scenario.read_text())).strategy_space
+        k = next(i for i, row in enumerate(rows) if float(row["energy_penalty"]) > 0.0)
+        theta = float(rows[k]["theta_rad"])
+        rows[k]["theta_rad"] = repr(space.lo if theta > 0.0 else space.hi)
+        with profile.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert check(scenario, tmp_path, "distributed") == 1
+        assert "summary worst_gain_s 0.0" in capsys.readouterr().err
 
 
 class TestBoundVerb:

@@ -122,6 +122,15 @@ class TestCoverCountEntry:
             assert k not in game.active_indices and cover.theta[k - 1] == 0.0
         assert all(cover.theta[k - 1] == 0.01 for k in game.active_indices)
 
+    def test_strategies_are_written_only_by_adopt(self, toy_game):
+        # adopt marks the movers' neighbors' best responses stale, so a
+        # write that bypasses it would leave them stale unseen: it raises.
+        cover = CoverCount(toy_game, StrategyProfile.zeros(toy_game.n_agents))
+        with pytest.raises(ValueError, match="read-only"):
+            cover.theta[0] = 1.0
+        cover.adopt(toy_game, {1: 1.0})
+        assert cover.theta[0] == 1.0
+
 
 class TestGlobalValue:
     def test_single_agent_no_penalty(self):

@@ -1360,30 +1360,14 @@ class TestBestResponseReuse:
 
     def test_neighbor_move_off_the_reach_scans_nothing(self, monkeypatch):
         # A neighbor l moves between two strategies whose masks differ only
-        # on cells agent k can never cover. The neighbor array k answered
-        # changed, but its uncovered cells did not, so k keeps its answer
+        # on cells agent k can never cover. k's answer is marked stale, but
+        # its uncovered cells did not change, so k keeps its answer
         # without selecting rows or reading a whole-grid array, and that
         # answer is, bit for bit, the one a freshly built game computes.
         # On a narrow interval, a reach is a small part of the cells.
         cov = SEAM_COVERAGE
         game = coverage_game(cov, 20.0)
-        everywhere = np.ones(cov.cells.size, dtype=bool)
-
-        def off_reach_moves():
-            # Neighbor moves between the plateaus of two adjacent breakpoints.
-            for k in game.active_indices:
-                reach = reach_mask(cov, k)
-                for l in sorted(game.neighbors(k)):
-                    ends = cov.breakpoints(l, everywhere[cov.reach_positions(l)])
-                    ends = np.unique(np.concatenate(ends))
-                    ends = ends[(ends > cov.interval.lo) & (ends < cov.interval.hi)]
-                    thetas = ((ends[1:] + ends[:-1]) / 2).tolist()
-                    for before, after in zip(thetas, thetas[1:]):
-                        was, now = cov(l, before), cov(l, after)
-                        if not np.array_equal(was, now) and np.array_equal(was[reach], now[reach]):
-                            yield k, l, before, after
-
-        k, l, before, after = next(off_reach_moves())
+        k, l, before, after = next(off_reach_moves(cov, game))
         profile = StrategyProfile(np.full(24, cov.interval.lo)).replace(l, before)
         cover = CoverCount(game, profile)
         view = profile.theta[game.neighbor_positions[k]]
@@ -1400,6 +1384,44 @@ class TestBestResponseReuse:
         expected = best_response_gain(fresh, k, CoverCount(fresh, profile))
         assert [v.hex() for v in kept] == [v.hex() for v in expected]
         assert selections.calls == 1
+
+    def test_neighbor_that_moves_away_and_back_scans_nothing(self, monkeypatch):
+        # A neighbor l of agent k moves to a strategy that changes k's
+        # uncovered cells, and back, in two adoptions. k's answer is marked
+        # stale, but its uncovered cells are those it answered, so k keeps
+        # its answer without selecting rows or reading a whole-grid array,
+        # and that answer is, bit for bit, the one a freshly built game
+        # computes.
+        cov = TABLE_COVERAGE
+        game = coverage_game(cov, 20.0)
+        profile = StrategyProfile(np.linspace(-1.0, 1.0, 24))
+        k = game.active_indices[0]
+        l = int(game.neighbor_positions[k][0]) + 1
+        before = profile.for_agent(l)
+        own = game.coverage(k, profile.for_agent(k))
+
+        def uncovered(theta):
+            moved = CoverCount(game, profile.replace(l, theta))
+            return alone(moved, own)[game.reach_positions[k]]
+
+        away = next(
+            t for t in np.linspace(cov.interval.lo, cov.interval.hi, 64).tolist()
+            if not np.array_equal(uncovered(t), uncovered(before))
+        )
+        cover = CoverCount(game, profile)
+        best_response_gain(game, k, cover)
+        cover.adopt(game, {l: away})
+        cover.adopt(game, {l: before})
+        assert cover._stale[k - 1]
+        selections = CallCounter(monkeypatch, ConstellationCoverage, "breakpoints")
+        selected = WholeCountCompares(monkeypatch)
+        selected.watch(cover)
+        kept = best_response_gain(game, k, cover)
+        assert (selections.calls, selected.calls) == (0, 0)
+        assert not cover._stale[k - 1]
+        fresh = coverage_game(cov, 20.0)
+        expected = best_response_gain(fresh, k, CoverCount(fresh, profile))
+        assert [v.hex() for v in kept] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize(
         "cov", [TABLE_COVERAGE, WIDE_COVERAGE, SEAM_COVERAGE], ids=["table", "wide", "seam"]

@@ -441,8 +441,10 @@ class TestLocalityAudit:
 
     def test_each_pull_is_one_gather_of_the_sorted_neighbors(self):
         # Each agent that scanned recorded one "theta" read per neighbor, in
-        # ascending order, and answered the profile at those neighbors, in
-        # that order. Distinct strategies make a wrong order visible.
+        # ascending order, and answered the profile at those neighbors: the
+        # cells of its reach that its entry holds uncovered are those outside
+        # the OR of their masks. Distinct strategies make a wrong neighbor
+        # visible.
         game = sliding_window_game(n_agents=6)
         audit = AccessAudit()
         profile = StrategyProfile(np.linspace(-1.0, 1.0, game.n_agents))
@@ -458,8 +460,10 @@ class TestLocalityAudit:
             run_round(game, zetas, cover, SearchConfig(0.05, 1), audit=audit)
         assert scanned == list(game.active_indices)
         for k in scanned:
-            order = sorted(game.neighbors(k))
-            answered = cover._responses[k].neighbors
-            assert answered == [profile.for_agent(l) for l in order]
+            covered = np.zeros(game.n_cells, dtype=bool)
+            for l in sorted(game.neighbors(k)):
+                covered |= game.coverage(l, profile.for_agent(l))
+            answered = cover._responses[k].uncovered
+            assert np.array_equal(answered, ~covered[game.reach_positions[k]])
         theta_reads = [(reader, owner) for reader, owner, kind in audit.reads if kind == "theta"]
         assert theta_reads == [(k, l) for k in scanned for l in sorted(game.neighbors(k))]
