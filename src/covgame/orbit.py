@@ -13,13 +13,15 @@ cell and ``2 pi`` shift of its covering interval that meets the interval
 (see :class:`ConstellationCoverage`). The build touches only the cells that
 can matter: a strided visibility pre-pass bounds where the target can be
 seen at all, and one phase row shared by every satellite bounds where each
-satellite can have a row. The tables of satellites with short windows are
-built a group at a time, one numpy pass over the group's windows, and only
-each table's own two sorts and the gathers they order run per satellite;
-the tables are those of a build over every cell, bit for bit. The geometry of the candidate cells is
-released before the first table is built, so the build's memory peaks at
-the tables it keeps, and a damaged satellite, which takes no part in the
-game, gets no table.
+satellite can have a row. That row is kept sorted by where each cell's
+covering interval starts, so a satellite's window on it is a slice, whose
+rows come nearly sorted by their start. The tables of satellites with short
+windows are built a group at a time, one numpy pass over the group's
+windows, and only each table's own sorts run per satellite; the tables are
+those of a build over every cell, bit for bit. The geometry of the
+candidate cells is released before the first table is built, so the
+build's memory peaks at the tables it keeps, and a damaged satellite, which
+takes no part in the game, gets no table.
 """
 from __future__ import annotations
 
@@ -50,6 +52,10 @@ _MARGIN = 1e-9
 # table costs a few numpy calls rather than a few dozen; a longer window is
 # a pass of its own.
 _GROUP_ENTRIES = 8192
+# 2 pi cut to its top 26 significant bits, and the rest, which has at most
+# 27: either times an integer of at most 26 bits is exact.
+_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(TWO_PI, 23)), -23)
+_TWO_PI_LO = TWO_PI - _TWO_PI_HI
 
 
 def _slack(scale: float) -> float:
@@ -192,9 +198,35 @@ def _elapsed(grid: TimeGrid, cells: np.ndarray) -> np.ndarray:
     return (grid.t0 + grid.dt * cells.astype(float)) - grid.t0
 
 
+def _ascending(x: np.ndarray) -> bool:
+    """Whether ``x`` strictly increases, so that only one order sorts it."""
+    return bool((x[1:] > x[:-1]).all())
+
+
 def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - x, TWO_PI)
+    """Wrap angles into (-pi, pi], bit for bit ``pi - np.mod(pi - x, 2 pi)``.
+
+    For ``y = pi - x``, ``np.mod`` returns ``y - q 2 pi`` with ``q =
+    floor(y / 2 pi)``, rounded once. Where ``3 <= |q| < 2**26``, so does
+    ``(y - q hi) - q lo``, with ``2 pi`` split as ``hi + lo``
+    (:data:`_TWO_PI_HI`, :data:`_TWO_PI_LO`): both products are exact,
+    Sterbenz's lemma makes ``y - q hi`` exact, and only the last
+    subtraction rounds. A quotient that rounding put one off gives a result
+    outside ``[0, 2 pi)``. The elements outside either range take
+    ``np.mod``, which costs several times this arithmetic.
+    """
+    y = np.pi - x
+    q = np.floor(y / TWO_PI)
+    r = y - q * _TWO_PI_HI
+    r -= q * _TWO_PI_LO
+    np.abs(q, out=q)
+    exact = q >= 3.0
+    exact &= q < 2.0**26
+    exact &= r >= 0.0
+    exact &= r < TWO_PI
+    if not exact.all():
+        np.mod(y, TWO_PI, out=r, where=~exact)
+    return np.subtract(np.pi, r, out=r)
 
 
 class _Reach(NamedTuple):
@@ -220,19 +252,17 @@ class _PhaseRow(NamedTuple):
 
     ``always`` holds the cells visible for every phase. Entry ``i`` of
     ``half_width``, ``drift`` and ``psi`` is the arc of another visible
-    cell, at mask position ``part[i]``, and ``by_u`` sorts their shared
-    phase row. A satellite's window is ``length`` positions from ``first``
-    of that sorted row repeated, and ``[a, b]`` is the built interval
-    widened by ``CONTAINS_TOL``.
+    cell, at mask position ``part[i]``, and the entries are sorted by the
+    start of each cell's covering interval for the phase 0. A satellite's
+    window is ``length`` positions from ``first`` of that row repeated, and
+    ``[a, b]`` is the built interval widened by ``CONTAINS_TOL``.
 
     A window of more than :data:`_GROUP_ENTRIES` entries is built alone
     (:meth:`window_table`); shorter ones are built a group at a time
     (:meth:`group_tables`), so that the elementwise work runs once per
-    group. Either way each table gets its own two ``argsort`` calls, on the
-    same values in the same order: the default sort does not keep the order
-    of equal keys, so the rows reach it as a build over every cell passes
-    them, the always-visible rows first, then the rows of the shifts
-    -2 pi, 0 and +2 pi, each in ascending cell order.
+    group. A window is a slice of the row, or two at the row's seam, and
+    its rows reach the sorts of their table nearly in ``lo`` order. Either
+    way each table gets its own sorts (:meth:`_table`).
     """
 
     always: np.ndarray
@@ -240,57 +270,56 @@ class _PhaseRow(NamedTuple):
     half_width: np.ndarray
     drift: np.ndarray
     psi: np.ndarray
-    by_u: np.ndarray
     a: float
     b: float
 
     def window_table(self, m0: float, first: int, length: int) -> _Reach:
         """The table of the satellite at phase ``m0``, built alone."""
-        sub = self.by_u.take(np.arange(first, first + length), mode="wrap")
-        sub.sort()
-        index, shift, lo, hi = self._rows(sub, m0)
-        return self._table(self.part[sub[index]], lo[index] + shift, hi[index] + shift)
+        start = first % self.part.size
+        if start + length <= self.part.size:
+            run: slice | np.ndarray = slice(start, start + length)
+        else:
+            run = np.arange(start, start + length) % self.part.size
+        index, shift, lo, hi = self._rows(run, m0)
+        return self._table(self.part[run][index], lo[index] + shift, hi[index] + shift, shift)
 
     def group_tables(
         self, m0: np.ndarray, first: np.ndarray, length: np.ndarray
     ) -> list[_Reach]:
         """The tables of the satellites at phases ``m0``, from one pass over their windows.
 
-        The windows are concatenated, each sorted to ascending cell order
-        under a key that keeps it ahead of the next, and the elementwise
-        work of :meth:`window_table` runs once over them all. A stable sort
-        by window then puts the selected rows in each table's build order,
+        The windows are concatenated, and the elementwise work of
+        :meth:`window_table` runs once over them all. A stable sort by
+        window then puts the selected rows of each table shift by shift,
         one run per table.
         """
         ends = np.cumsum(length)
         window = np.repeat(np.arange(m0.size), length)
-        key = window * self.by_u.size
-        sub = self.by_u.take(
-            np.arange(ends[-1]) + np.repeat(first - (ends - length), length), mode="wrap"
-        )
-        sub += key
-        sub.sort()
-        sub -= key
-        index, shift, lo, hi = self._rows(sub, np.repeat(m0, length))
+        run = np.arange(ends[-1]) + np.repeat(first - (ends - length), length)
+        run %= self.part.size
+        index, shift, lo, hi = self._rows(run, np.repeat(m0, length))
         window = window[index]
         order = window.argsort(kind="stable")
         index, shift = index[order], shift[order]
-        cell, lo, hi = self.part[sub[index]], lo[index] + shift, hi[index] + shift
+        cell, lo, hi = self.part[run[index]], lo[index] + shift, hi[index] + shift
         cut = window[order].searchsorted(np.arange(m0.size + 1)).tolist()
-        return [self._table(cell[s:e], lo[s:e], hi[s:e]) for s, e in zip(cut, cut[1:])]
+        return [
+            self._table(cell[s:e], lo[s:e], hi[s:e], shift[s:e]) for s, e in zip(cut, cut[1:])
+        ]
 
     def _rows(
-        self, sub: np.ndarray, m0: float | np.ndarray
+        self, run: slice | np.ndarray, m0: float | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The rows that the entries ``sub`` give at phases ``m0``.
+        """The rows that the entries ``run`` of the row give at phases ``m0``.
 
         Returns ``(index, shift, lo, hi)``: the entries whose covering
         interval ``[lo, hi]`` meets ``[a, b]`` at each of :data:`_SHIFTS`,
-        shift by shift and ascending within one, and each one's shift.
+        shift by shift and in row order within one, and each one's shift.
         """
-        neg_base = -_wrap_pi(m0 + self.drift[sub] - self.psi[sub])
-        lo = neg_base - self.half_width[sub]
-        hi = neg_base + self.half_width[sub]
+        neg_base = -_wrap_pi(m0 + self.drift[run] - self.psi[run])
+        half_width = self.half_width[run]
+        lo = neg_base - half_width
+        hi = neg_base + half_width
         index = [
             np.flatnonzero(hi - TWO_PI >= self.a),
             np.flatnonzero((lo <= self.b) & (hi >= self.a)),
@@ -299,18 +328,38 @@ class _PhaseRow(NamedTuple):
         shift = np.repeat(_SHIFTS, [i.size for i in index])
         return np.concatenate(index), shift, lo, hi
 
-    def _table(self, cell: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Reach:
-        """A table from its rows after the always-visible ones, in build order."""
+    def _table(
+        self, cell: np.ndarray, lo: np.ndarray, hi: np.ndarray, shift: np.ndarray
+    ) -> _Reach:
+        """A table from its rows after the always-visible ones, shift by shift.
+
+        A build over every cell passes its rows to the sorts as the
+        always-visible rows first, then the rows of the shifts -2 pi, 0 and
+        +2 pi, each in ascending cell order; here they come in row order
+        within a shift. Where the ``lo`` ends are distinct, only one order
+        sorts them, whatever order the rows come in, and rows that already
+        ascend need no sort. The default sort does not keep the order of
+        equal keys, so rows with equal ``lo`` ends are put in the build
+        order of every cell before they are sorted. The rows are sorted in
+        place.
+        """
         # Only a view half-angle of 90 degrees or more sees a cell for
-        # every phase.
+        # every phase; its rows have the lowest key of the build order.
         if self.always.size:
             cell = np.concatenate((self.always, cell))
             lo = np.concatenate((np.full(self.always.size, -math.inf), lo))
             hi = np.concatenate((np.full(self.always.size, math.inf), hi))
-        by_lo = lo.argsort()
-        hi = hi[by_lo]
+            shift = np.concatenate((np.full(self.always.size, -math.inf), shift))
+        if not _ascending(lo):
+            by_lo = lo.argsort()
+            if not _ascending(lo[by_lo]):
+                build = np.lexsort((cell, shift))
+                by_lo = build[lo[build].argsort()]
+            # In place: the tables of a group share its arrays, one slice
+            # each, so that no table leaves its slice unused.
+            cell[:], lo[:], hi[:] = cell[by_lo], lo[by_lo], hi[by_lo]
         stop_row = hi.argsort()
-        return _Reach(cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row])
+        return _Reach(cell, lo, hi, stop_row, hi[stop_row])
 
 
 class ConstellationCoverage:
@@ -361,23 +410,31 @@ class ConstellationCoverage:
     bound - slack``, with ``bound`` that rate times half the block. The
     exact geometry then runs on the kept blocks alone; a view half-angle of
     90 degrees or more keeps them all. Second, every satellite shares one
-    orbit, so its covering intervals are those of one phase row ``u`` turned
-    by its phase ``m0``. ``u`` is sorted once, and satellite ``m0`` is built
-    from the cells whose ``u`` lies within half the interval plus the widest
-    arc (plus a slack) of ``-m0`` minus the interval's middle, around the
-    circle: the only cells that can give it a row. Third, the satellites
-    are taken in index order in groups whose windows hold at most
-    :data:`_GROUP_ENTRIES` entries together, and each group is one numpy
-    pass: its windows are concatenated, and the gathers, the angle
-    arithmetic and the selection of each shift's rows run once over them
-    all. Per satellite there remain the two ``argsort`` calls of its table
-    and the gathers they order, each sort on the values that a build over
-    every cell passes it, in the same order, since the default sort does
-    not keep the order of equal keys. A window longer than the budget is
-    built alone. Only the visible cells' arcs, the
-    sorted row and its order outlive the geometry of the pre-pass's
-    candidates, so the build's memory peaks at the tables it keeps plus a
-    few arrays of one entry per visible cell and one group's windows.
+    orbit, so its covering intervals are those of one phase row turned by
+    its phase ``m0``: a cell's interval starts at ``start - m0`` modulo
+    ``2 pi``, where ``start`` is where it starts for the phase 0. The row's
+    arcs are sorted by ``start`` once. A covering interval meets the
+    interval only if it starts at most twice its arc's half-width below
+    it, so satellite ``m0`` is built from the cells whose ``start`` lies
+    within half the interval plus the widest arc (plus a slack) of ``m0``
+    plus the interval's middle minus the widest arc, around the circle: the
+    only cells that can give it a row. Its window is a slice of the sorted
+    row, or two at the row's seam, and its rows come nearly sorted by
+    ``lo``. Third, the satellites are taken in
+    index order in groups whose windows hold at most :data:`_GROUP_ENTRIES`
+    entries together, and each group is one numpy pass: its windows are
+    concatenated, and the gathers, the angle arithmetic and the selection
+    of each shift's rows run once over them all. A window longer than the
+    budget is built alone, from slices. Per satellite there remain the
+    sorts of its table: one by ``hi``, and one by ``lo`` only where its
+    rows do not already strictly ascend. The default sort does not keep the
+    order of equal keys, so a table whose ``lo`` ends repeat, such as one
+    with always-visible rows, is sorted from the order in which a build
+    over every cell passes its rows, and every table is that build's, bit
+    for bit. Only the visible cells' arcs and the window bounds outlive the
+    geometry of the pre-pass's candidates, so the build's memory peaks at
+    the tables it keeps plus a few arrays of one entry per visible cell and
+    one group's windows.
 
     The satellites in ``damaged`` (1-based) take no part in the game and
     get no table: :meth:`__call__`, :meth:`covered_positions`,
@@ -434,30 +491,38 @@ class ConstellationCoverage:
         always = np.flatnonzero(full)
         part = np.flatnonzero(~full)
         half_width, drift, psi = half_width[part], drift[part], psi[part]
-        # The shared phase row: base is m0 + u modulo 2 pi, and a covering
-        # interval meets [a, b] only if its middle -base lies within `radius`
-        # of the middle of [a, b] around the circle. So satellite m0 needs
-        # only the cells with u within `radius` of -m0 - middle. The sorted
-        # u, shifted to three turns, hold each such window as one run of
-        # positions; position p stands for entry p modulo u.size of the
-        # sorted order by_u, and the arithmetic of _PhaseRow runs on each
-        # window's entries in ascending cell order, giving the same rows in
-        # the same order. Any u.size consecutive positions hold each cell
-        # once, so a window of 2 pi or more, clamped to that many, takes
-        # every cell: a superset, which leaves the table unchanged.
-        u = _wrap_pi(drift - psi)
-        by_u = np.argsort(u)
-        turns = (u[by_u] + _SHIFTS[:, np.newaxis]).ravel()
-        del u
+        # The shared phase row: base is m0 + u modulo 2 pi, so the covering
+        # interval of a cell starts at start - m0 modulo 2 pi, where start
+        # is -(u + half_width), folded into [-pi, pi). The row is sorted by
+        # start once. A covering interval meets [a, b] only if it starts
+        # within [a - 2 half_width, b], so satellite m0 needs only the cells
+        # whose start lies within `radius` of m0 + middle - max(half_width)
+        # around the circle. The sorted starts, shifted to three turns, hold
+        # each such window as one run of positions; position p stands for
+        # entry p modulo the row's size, so a window is a slice of the row,
+        # or two at its seam, and its rows come nearly sorted by lo. Any
+        # row-size consecutive positions hold each cell once, so a window of
+        # 2 pi or more, clamped to that many, takes every cell: a superset,
+        # which leaves the table unchanged.
+        start = _wrap_pi(drift - psi)
+        start += half_width
+        np.negative(start, out=start)
+        start[start < -math.pi] += TWO_PI
+        by_start = start.argsort()
+        part, half_width = part[by_start], half_width[by_start]
+        drift, psi = drift[by_start], psi[by_start]
+        turns = (start[by_start] + _SHIFTS[:, np.newaxis]).ravel()
+        del start, by_start
         # The angles formed reach |m0| + |drift| + 2 pi at most.
-        radius = 0.5 * (b - a) + half_width.max(initial=0.0) + _slack(
+        widest = half_width.max(initial=0.0)
+        radius = 0.5 * (b - a) + widest + _slack(
             max(map(abs, spec.mean_anomalies0)) + np.abs(drift).max(initial=0.0) + TWO_PI
         )
         m0 = np.array(spec.mean_anomalies0)
-        centre = _wrap_pi(-m0 - 0.5 * (a + b))
+        centre = _wrap_pi(m0 + 0.5 * (a + b) - widest)
         first = turns.searchsorted(centre - radius)
-        length = np.minimum(turns.searchsorted(centre + radius) - first, by_u.size)
-        row = _PhaseRow(always, part, half_width, drift, psi, by_u, a, b)
+        length = np.minimum(turns.searchsorted(centre + radius) - first, part.size)
+        row = _PhaseRow(always, part, half_width, drift, psi, a, b)
         # A damaged satellite takes no part in the game and gets no table.
         # The others go in index order into groups whose windows hold at
         # most _GROUP_ENTRIES entries together; a longer window is built

@@ -36,6 +36,7 @@ from covgame.optimize import maximize_scalar
 from covgame.orbit import (
     _PhaseRow,
     _Reach,
+    _wrap_pi,
     ConstellationCoverage,
     ConstellationSpec,
     OrbitConstants,
@@ -123,6 +124,45 @@ def on_grid(cov, mask):
     full = np.zeros(cov.grid.n_steps, dtype=bool)
     full[cov.cells] = mask
     return full
+
+
+def ulps_from(x, steps):
+    """``x`` moved by ``steps`` ulps, up for positive ``steps``."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+TURN = 2.0 * math.pi
+WRAP_INPUTS = st.one_of(
+    # Up to 3 ulps from a multiple of 2 pi, as the angle itself or as the
+    # pi - x that the reduction takes.
+    st.builds(
+        lambda k, from_pi, steps: ulps_from(math.pi - k * TURN if from_pi else k * TURN, steps),
+        st.integers(-(2**28), 2**28),
+        st.booleans(),
+        st.integers(-3, 3),
+    ),
+    # Quotients of pi - x by 2 pi with |q| from 0 to 4.
+    st.builds(
+        lambda q, frac: math.pi - (q + frac) * TURN,
+        st.integers(-4, 4),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+    # Up to the drift of about 1600 years at 1e7 s, and past 2**26 turns.
+    st.floats(-5e7, 5e7),
+    st.floats(-1e12, 1e12),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+)
+
+
+class TestWrap:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(WRAP_INPUTS, min_size=1, max_size=40))
+    def test_wrap_is_the_mod_reduction_bit_for_bit(self, x):
+        x = np.array(x)
+        expected = np.pi - np.mod(np.pi - x, TURN)
+        assert (_wrap_pi(x).view(np.uint64) == expected.view(np.uint64)).all()
 
 
 class TestRotations:
@@ -598,27 +638,37 @@ def full_cell_tables(spec, target, grid, interval):
     full = half_width == math.pi
     always = np.flatnonzero(full)
     part = np.flatnonzero(~full)
-    shifts = np.array([-2.0 * math.pi, 0.0, 2.0 * math.pi])
-    tables = []
-    for m0 in spec.mean_anomalies0:
-        neg_base = -(math.pi - np.mod(math.pi - (m0 + drift[part] - psi[part]), 2.0 * math.pi))
-        lo = neg_base - half_width[part]
-        hi = neg_base + half_width[part]
-        index = [
-            np.flatnonzero(hi - 2.0 * math.pi >= a),
-            np.flatnonzero((lo <= b) & (hi >= a)),
-            np.flatnonzero(lo + 2.0 * math.pi <= b),
-        ]
-        shift = np.repeat(shifts, [i.size for i in index])
-        index = np.concatenate(index)
-        cell = np.concatenate((always, part[index]))
-        lo = np.concatenate((np.full(always.size, -math.inf), lo[index] + shift))
-        hi = np.concatenate((np.full(always.size, math.inf), hi[index] + shift))
-        by_lo = np.argsort(lo)
-        hi = hi[by_lo]
-        stop_row = np.argsort(hi)
-        tables.append((cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]))
+    tables = [
+        full_cell_table(always, part, half_width[part], drift[part], psi[part], a, b, m0)
+        for m0 in spec.mean_anomalies0
+    ]
     return cells, tables, half_width
+
+
+def full_cell_table(always, part, half_width, drift, psi, a, b, m0):
+    """Reference table of the satellite at phase ``m0`` over ``[a, b]``.
+
+    ``always`` holds the cells visible for every phase, and entry ``i`` of
+    ``half_width``, ``drift`` and ``psi`` the arc of cell ``part[i]``, in
+    ascending cell order. Returns ``(cell, lo, hi, stop_row, stop)``.
+    """
+    neg_base = -(math.pi - np.mod(math.pi - (m0 + drift - psi), 2.0 * math.pi))
+    lo = neg_base - half_width
+    hi = neg_base + half_width
+    index = [
+        np.flatnonzero(hi - 2.0 * math.pi >= a),
+        np.flatnonzero((lo <= b) & (hi >= a)),
+        np.flatnonzero(lo + 2.0 * math.pi <= b),
+    ]
+    shift = np.repeat([-2.0 * math.pi, 0.0, 2.0 * math.pi], [i.size for i in index])
+    index = np.concatenate(index)
+    cell = np.concatenate((always, part[index]))
+    lo = np.concatenate((np.full(always.size, -math.inf), lo[index] + shift))
+    hi = np.concatenate((np.full(always.size, math.inf), hi[index] + shift))
+    by_lo = np.argsort(lo)
+    hi = hi[by_lo]
+    stop_row = np.argsort(hi)
+    return cell[by_lo], lo[by_lo], hi, stop_row, hi[stop_row]
 
 
 def touching(spec, target, grid, k, upper, width):
@@ -807,7 +857,7 @@ class TestPrunedBuild:
         group_tables = _PhaseRow.group_tables
 
         def recorded(row, m0, first, length):
-            groups.append((row.by_u.size, m0, first, length))
+            groups.append((row.part.size, m0, first, length))
             return group_tables(row, m0, first, length)
 
         monkeypatch.setattr(_PhaseRow, "group_tables", recorded)
@@ -839,6 +889,58 @@ class TestPrunedBuild:
         cov = ConstellationCoverage(CONSTANTS, spec, target, grid, interval, {7})
         assert alone.calls > 0 and grouped.calls > 0
         assert_full_cell_tables(cov, spec, target, grid, interval, {7})
+
+    def test_week_tables_match_the_full_cell_build(self, monkeypatch):
+        # The bundled scenario over 7 days at 1 s: every window holds about
+        # 10k entries and is built alone, and some run over the seam of the
+        # phase row into its next turn.
+        doc = json.loads(bundled_scenario_path().read_text())
+        doc["grid"] = {"duration_s": 604800, "step_s": 1}
+        cfg = parse_scenario(doc)
+        assert cfg.constants == CONSTANTS
+        seams = []
+        window_table = _PhaseRow.window_table
+
+        def recorded(row, m0, first, length):
+            seams.append(first % row.part.size + length > row.part.size)
+            return window_table(row, m0, first, length)
+
+        monkeypatch.setattr(_PhaseRow, "window_table", recorded)
+        spec, damaged = cfg.constellation, set(cfg.damaged)
+        cov = ConstellationCoverage(
+            CONSTANTS, spec, cfg.target, cfg.grid, cfg.strategy_space, damaged
+        )
+        assert len(seams) == spec.n_satellites - len(damaged) and any(seams)
+        assert_full_cell_tables(cov, spec, cfg.target, cfg.grid, cfg.strategy_space, damaged)
+
+    def test_equal_finite_starts_take_the_full_cell_build_order(self):
+        # One arc at cells 5 and 2, so that their rows share both ends; the
+        # row lists 5 first. The default sort does not keep the order of
+        # equal keys, so a table is only that of a build over every cell if
+        # its rows reach the sort in ascending cell order.
+        row = _PhaseRow(
+            always=np.zeros(0, dtype=np.intp),
+            part=np.array([7, 5, 2, 9]),
+            half_width=np.array([0.3, 0.2, 0.2, 0.1]),
+            drift=np.array([40.0, 41.5, 41.5, 42.0]),
+            psi=np.array([0.25, 0.5, 0.5, 0.75]),
+            a=-math.pi,
+            b=math.pi,
+        )
+        order = np.argsort(row.part)
+        m0 = np.array([0.0, 1.0, 2.5])
+
+        def expected(phase):
+            arcs = (row.half_width[order], row.drift[order], row.psi[order])
+            return full_cell_table(row.always, row.part[order], *arcs, row.a, row.b, phase)
+
+        # From the row's start, and from past its seam.
+        tables = [row.window_table(float(m0[0]), 0, 4), row.window_table(float(m0[1]), 2, 4)]
+        tables += row.group_tables(m0, np.array([0, 2, 5]), np.array([4, 4, 4]))
+        for got, phase in zip(tables, [*m0[:2], *m0], strict=True):
+            assert np.unique(got.lo).size < got.lo.size
+            for g, e in zip(got, expected(phase), strict=True):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 def assert_full_cell_tables(cov, spec, target, grid, interval, damaged):
