@@ -14,14 +14,14 @@ cell and ``2 pi`` shift of its covering interval that meets the interval
 can matter: a strided visibility pre-pass bounds where the target can be
 seen at all, and one phase row shared by every satellite bounds where each
 satellite can have a row. That row is kept sorted by where each cell's
-covering interval starts, so a satellite's window on it is a slice, whose
-rows come nearly sorted by their start. The tables of satellites with short
-windows are built a group at a time, one numpy pass over the group's
-windows, and only each table's own sorts run per satellite; the tables are
-those of a build over every cell, bit for bit. The geometry of the
-candidate cells is released before the first table is built, so the
-build's memory peaks at the tables it keeps, and a damaged satellite, which
-takes no part in the game, gets no table.
+covering interval starts, so a satellite's window on it is a run of
+consecutive entries, whose rows come nearly sorted by their start. The
+tables of satellites with short windows are built a group at a time, one
+numpy pass over the group's windows, and only each table's own sorts run
+per satellite; the tables are those of a build over every cell, bit for
+bit. The geometry of the candidate cells is released before the first
+table is built, so the build's memory peaks at the tables it keeps, and a
+damaged satellite, which takes no part in the game, gets no table.
 """
 from __future__ import annotations
 
@@ -52,10 +52,6 @@ _MARGIN = 1e-9
 # table costs a few numpy calls rather than a few dozen; a longer window is
 # a pass of its own.
 _GROUP_ENTRIES = 8192
-# 2 pi cut to its top 26 significant bits, and the rest, which has at most
-# 27: either times an integer of at most 26 bits is exact.
-_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(TWO_PI, 23)), -23)
-_TWO_PI_LO = TWO_PI - _TWO_PI_HI
 
 
 def _slack(scale: float) -> float:
@@ -204,29 +200,8 @@ def _ascending(x: np.ndarray) -> bool:
 
 
 def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi], bit for bit ``pi - np.mod(pi - x, 2 pi)``.
-
-    For ``y = pi - x``, ``np.mod`` returns ``y - q 2 pi`` with ``q =
-    floor(y / 2 pi)``, rounded once. Where ``3 <= |q| < 2**26``, so does
-    ``(y - q hi) - q lo``, with ``2 pi`` split as ``hi + lo``
-    (:data:`_TWO_PI_HI`, :data:`_TWO_PI_LO`): both products are exact,
-    Sterbenz's lemma makes ``y - q hi`` exact, and only the last
-    subtraction rounds. A quotient that rounding put one off gives a result
-    outside ``[0, 2 pi)``. The elements outside either range take
-    ``np.mod``, which costs several times this arithmetic.
-    """
-    y = np.pi - x
-    q = np.floor(y / TWO_PI)
-    r = y - q * _TWO_PI_HI
-    r -= q * _TWO_PI_LO
-    np.abs(q, out=q)
-    exact = q >= 3.0
-    exact &= q < 2.0**26
-    exact &= r >= 0.0
-    exact &= r < TWO_PI
-    if not exact.all():
-        np.mod(y, TWO_PI, out=r, where=~exact)
-    return np.subtract(np.pi, r, out=r)
+    """Wrap angles into (-pi, pi]."""
+    return np.pi - np.mod(np.pi - x, TWO_PI)
 
 
 class _Reach(NamedTuple):
@@ -260,9 +235,9 @@ class _PhaseRow(NamedTuple):
     A window of more than :data:`_GROUP_ENTRIES` entries is built alone
     (:meth:`window_table`); shorter ones are built a group at a time
     (:meth:`group_tables`), so that the elementwise work runs once per
-    group. A window is a slice of the row, or two at the row's seam, and
-    its rows reach the sorts of their table nearly in ``lo`` order. Either
-    way each table gets its own sorts (:meth:`_table`).
+    group. A window is a run of consecutive entries, wrapping at the row's
+    end, and its rows reach the sorts of their table nearly in ``lo``
+    order. Either way each table gets its own sorts (:meth:`_table`).
     """
 
     always: np.ndarray
@@ -275,13 +250,9 @@ class _PhaseRow(NamedTuple):
 
     def window_table(self, m0: float, first: int, length: int) -> _Reach:
         """The table of the satellite at phase ``m0``, built alone."""
-        start = first % self.part.size
-        if start + length <= self.part.size:
-            run: slice | np.ndarray = slice(start, start + length)
-        else:
-            run = np.arange(start, start + length) % self.part.size
+        run = np.arange(first, first + length) % self.part.size
         index, shift, lo, hi = self._rows(run, m0)
-        return self._table(self.part[run][index], lo[index] + shift, hi[index] + shift, shift)
+        return self._table(self.part[run[index]], lo[index] + shift, hi[index] + shift, shift)
 
     def group_tables(
         self, m0: np.ndarray, first: np.ndarray, length: np.ndarray
@@ -308,7 +279,7 @@ class _PhaseRow(NamedTuple):
         ]
 
     def _rows(
-        self, run: slice | np.ndarray, m0: float | np.ndarray
+        self, run: np.ndarray, m0: float | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows that the entries ``run`` of the row give at phases ``m0``.
 
@@ -336,12 +307,11 @@ class _PhaseRow(NamedTuple):
         A build over every cell passes its rows to the sorts as the
         always-visible rows first, then the rows of the shifts -2 pi, 0 and
         +2 pi, each in ascending cell order; here they come in row order
-        within a shift. Where the ``lo`` ends are distinct, only one order
-        sorts them, whatever order the rows come in, and rows that already
-        ascend need no sort. The default sort does not keep the order of
-        equal keys, so rows with equal ``lo`` ends are put in the build
-        order of every cell before they are sorted. The rows are sorted in
-        place.
+        within a shift. Rows whose ``lo`` ends already strictly ascend have
+        only one order that sorts them, and need no sort. The default sort
+        does not keep the order of equal keys, so other rows are put in the
+        build order of every cell before they are sorted by ``lo``, as that
+        build sorts them. The rows are sorted in place.
         """
         # Only a view half-angle of 90 degrees or more sees a cell for
         # every phase; its rows have the lowest key of the build order.
@@ -351,10 +321,8 @@ class _PhaseRow(NamedTuple):
             hi = np.concatenate((np.full(self.always.size, math.inf), hi))
             shift = np.concatenate((np.full(self.always.size, -math.inf), shift))
         if not _ascending(lo):
-            by_lo = lo.argsort()
-            if not _ascending(lo[by_lo]):
-                build = np.lexsort((cell, shift))
-                by_lo = build[lo[build].argsort()]
+            build = np.lexsort((cell, shift))
+            by_lo = build[lo[build].argsort()]
             # In place: the tables of a group share its arrays, one slice
             # each, so that no table leaves its slice unused.
             cell[:], lo[:], hi[:] = cell[by_lo], lo[by_lo], hi[by_lo]
@@ -412,29 +380,28 @@ class ConstellationCoverage:
     90 degrees or more keeps them all. Second, every satellite shares one
     orbit, so its covering intervals are those of one phase row turned by
     its phase ``m0``: a cell's interval starts at ``start - m0`` modulo
-    ``2 pi``, where ``start`` is where it starts for the phase 0. The row's
-    arcs are sorted by ``start`` once. A covering interval meets the
-    interval only if it starts at most twice its arc's half-width below
-    it, so satellite ``m0`` is built from the cells whose ``start`` lies
-    within half the interval plus the widest arc (plus a slack) of ``m0``
-    plus the interval's middle minus the widest arc, around the circle: the
-    only cells that can give it a row. Its window is a slice of the sorted
-    row, or two at the row's seam, and its rows come nearly sorted by
-    ``lo``. Third, the satellites are taken in
-    index order in groups whose windows hold at most :data:`_GROUP_ENTRIES`
-    entries together, and each group is one numpy pass: its windows are
-    concatenated, and the gathers, the angle arithmetic and the selection
-    of each shift's rows run once over them all. A window longer than the
-    budget is built alone, from slices. Per satellite there remain the
-    sorts of its table: one by ``hi``, and one by ``lo`` only where its
-    rows do not already strictly ascend. The default sort does not keep the
-    order of equal keys, so a table whose ``lo`` ends repeat, such as one
-    with always-visible rows, is sorted from the order in which a build
-    over every cell passes its rows, and every table is that build's, bit
-    for bit. Only the visible cells' arcs and the window bounds outlive the
-    geometry of the pre-pass's candidates, so the build's memory peaks at
-    the tables it keeps plus a few arrays of one entry per visible cell and
-    one group's windows.
+    ``2 pi``, where ``start`` is where it starts for the phase 0. The row's arcs
+    are sorted by ``start`` once. A covering interval meets the interval
+    only if it starts at most twice its arc's half-width below it, so
+    satellite ``m0`` is built from the cells whose ``start`` lies within
+    half the interval plus the widest arc (plus a slack) of ``m0`` plus the
+    interval's middle minus the widest arc, around the circle: the only
+    cells that can give it a row. Its window is a run of consecutive entries
+    of the sorted row, wrapping at its end, and its rows come nearly sorted
+    by ``lo``. Third, the satellites are taken in index order in groups
+    whose windows hold at most :data:`_GROUP_ENTRIES` entries together, and
+    each group is one numpy pass: its windows are concatenated, and the
+    gathers, the angle arithmetic and the selection of each shift's rows run
+    once over them all. A window longer than the budget is built alone. Per
+    satellite there remain the sorts of its table: one by ``hi``, and one by
+    ``lo`` only where its rows do not already strictly ascend. The default
+    sort does not keep the order of equal keys, so that sort starts from the
+    order in which a build over every cell passes its rows, and every table
+    is that build's, bit for bit, also one whose ``lo`` ends repeat, such as
+    one with always-visible rows. Only the visible cells' arcs and the
+    window bounds outlive the geometry of the pre-pass's candidates, so the
+    build's memory peaks at the tables it keeps plus a few arrays of one
+    entry per visible cell and one group's windows.
 
     The satellites in ``damaged`` (1-based) take no part in the game and
     get no table: :meth:`__call__`, :meth:`covered_positions`,
@@ -499,8 +466,8 @@ class ConstellationCoverage:
         # whose start lies within `radius` of m0 + middle - max(half_width)
         # around the circle. The sorted starts, shifted to three turns, hold
         # each such window as one run of positions; position p stands for
-        # entry p modulo the row's size, so a window is a slice of the row,
-        # or two at its seam, and its rows come nearly sorted by lo. Any
+        # entry p modulo the row's size, so a window is a run of consecutive
+        # entries, and its rows come nearly sorted by lo. Any
         # row-size consecutive positions hold each cell once, so a window of
         # 2 pi or more, clamped to that many, takes every cell: a superset,
         # which leaves the table unchanged.

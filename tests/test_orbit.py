@@ -36,7 +36,6 @@ from covgame.optimize import maximize_scalar
 from covgame.orbit import (
     _PhaseRow,
     _Reach,
-    _wrap_pi,
     ConstellationCoverage,
     ConstellationSpec,
     OrbitConstants,
@@ -124,45 +123,6 @@ def on_grid(cov, mask):
     full = np.zeros(cov.grid.n_steps, dtype=bool)
     full[cov.cells] = mask
     return full
-
-
-def ulps_from(x, steps):
-    """``x`` moved by ``steps`` ulps, up for positive ``steps``."""
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, math.copysign(math.inf, steps))
-    return x
-
-
-TURN = 2.0 * math.pi
-WRAP_INPUTS = st.one_of(
-    # Up to 3 ulps from a multiple of 2 pi, as the angle itself or as the
-    # pi - x that the reduction takes.
-    st.builds(
-        lambda k, from_pi, steps: ulps_from(math.pi - k * TURN if from_pi else k * TURN, steps),
-        st.integers(-(2**28), 2**28),
-        st.booleans(),
-        st.integers(-3, 3),
-    ),
-    # Quotients of pi - x by 2 pi with |q| from 0 to 4.
-    st.builds(
-        lambda q, frac: math.pi - (q + frac) * TURN,
-        st.integers(-4, 4),
-        st.floats(0.0, 1.0, exclude_max=True),
-    ),
-    # Up to the drift of about 1600 years at 1e7 s, and past 2**26 turns.
-    st.floats(-5e7, 5e7),
-    st.floats(-1e12, 1e12),
-    st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
-)
-
-
-class TestWrap:
-    @settings(max_examples=300, deadline=None)
-    @given(x=st.lists(WRAP_INPUTS, min_size=1, max_size=40))
-    def test_wrap_is_the_mod_reduction_bit_for_bit(self, x):
-        x = np.array(x)
-        expected = np.pi - np.mod(np.pi - x, TURN)
-        assert (_wrap_pi(x).view(np.uint64) == expected.view(np.uint64)).all()
 
 
 class TestRotations:
